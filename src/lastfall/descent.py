@@ -17,8 +17,6 @@ Variable naming is fixed (X{i}_{j} flattened as i*n+j, Y variables after all
 X_i) so emitted systems are byte-stable.
 """
 
-from itertools import product
-
 import numpy as np
 
 from .errors import CoordinateNotInField, NotABasis
@@ -234,18 +232,39 @@ def solution_transport(point, ctx, direction):
 
 
 def zk_points(system, budget=200_000):
-    """All solutions of the system with coordinates in the coefficient field."""
+    """All solutions of the system with coordinates in the coefficient field,
+    in lexicographic order of the coordinate codes.
+
+    Every point is tested at once: each polynomial is evaluated over the
+    whole grid with gathers into the field's tables (the coefficient domain's
+    codes are closed under the top-field tables, so slicing them works).
+    """
     ring = system.ring
     order = ring.coeff_order
     total = order**ring.nvars
     if total > budget:
         raise ValueError(f"enumeration of {total} points exceeds budget")
+    field = ring.field
+    add_t = field.add_table[:order, :order]
+    mul_t = field.mul_table[:order, :order]
     polys = system.nonzero()
-    out = []
-    for pt in product(range(order), repeat=ring.nvars):
-        if all(f.eval(pt) == 0 for f in polys):
-            out.append(pt)
-    return out
+    top = max((a for f in polys for e in f.terms for a in e), default=0)
+    # pow_t[x, a] = x^a
+    pow_t = np.ones((order, top + 1), dtype=add_t.dtype)
+    for a in range(1, top + 1):
+        pow_t[:, a] = mul_t[pow_t[:, a - 1], np.arange(order)]
+    grid = np.indices((order,) * ring.nvars, dtype=np.int16).reshape(ring.nvars, total)
+    zero = np.ones(total, dtype=bool)
+    for f in polys:
+        acc = np.zeros(total, dtype=add_t.dtype)
+        for e, c in f.terms.items():
+            val = np.full(total, c, dtype=add_t.dtype)
+            for i, a in enumerate(e):
+                if a:
+                    val = mul_t[val, pow_t[grid[i], a]]
+            acc = add_t[acc, val]
+        zero &= acc == 0
+    return [tuple(pt) for pt in grid[:, zero].T.tolist()]
 
 
 def f1_points(system, ctx):

@@ -7,12 +7,16 @@ Because the polynomial ring is a domain, a polynomial multiplier decomposes
 into single-variable steps none of which overshoots the degree bound, so
 closing under the variable shifts alone already yields the full space.
 
-The engine keeps the space as a reduced row echelon basis over a fixed
-degree-compatible monomial enumeration (largest monomial rightmost).  Under
-such an enumeration a row's leading monomial determines its degree and no
-combination of rows can cancel leading monomials, so the dimension of the
-space intersected with the polynomials of degree <= j is simply the number
-of pivots of degree <= j.
+The engine keeps the space as a fully reduced row echelon basis over a fixed
+degree-compatible monomial enumeration (largest monomial rightmost): each
+row's pivot is its largest monomial, scaled to 1, and every pivot column is
+zero outside its own row.  A new vector is therefore reduced in one
+vectorised step, by subtracting each row times the vector's entry in that
+row's pivot column, and the basis of a given space is unique, so equal spans
+give identical matrices.  Under such an enumeration a row's leading monomial
+determines its degree and no combination of rows can cancel leading
+monomials, so the dimension of the space intersected with the polynomials of
+degree <= j is simply the number of pivots of degree <= j.
 
 A fall at degree i means that closing at degree i produced new elements of
 degree <= i-1 beyond the closure at i-1; the last fall degree is the largest
@@ -35,6 +39,17 @@ from .linalg import DTYPE, make_ops
 from .poly import NEG_INF, ORDER_KEYS, MultiPoly, monomials_of_degree
 
 
+def _reduce(vec, rows, pivcols, ops):
+    """vec minus the combination of the fully reduced rows that clears every
+    pivot column; one vectorised step, since each pivot column holds a single
+    1 in its own row."""
+    coef = vec[pivcols]
+    hit = coef.nonzero()[0]
+    if len(hit) == 0:
+        return vec
+    return ops.sub_combination(vec, coef[hit], rows[hit])
+
+
 class _SpanEngine:
     """Incremental span closure, one degree level at a time."""
 
@@ -55,11 +70,10 @@ class _SpanEngine:
         self.deg_start = [0]  # deg_start[d+1] = number of columns of degree <= d
         self.shifts = [np.zeros(0, dtype=np.int64) for _ in range(ring.nvars)]
         self.mat = np.zeros((16, 0), dtype=DTYPE)
+        self.pivcols = np.zeros(16, dtype=np.int64)  # pivot column of each row
         self.nrows = 0
-        self.pivot_of_col = {}
         self.row_deg = []
         self.unit = False
-        self.unit_level = None
         self.unit_shortcut = unit_shortcut
         self.saturated = False
 
@@ -106,7 +120,7 @@ class _SpanEngine:
                 vec = self._vector_of(a)
             else:
                 row = self.mat[a]
-                support = np.flatnonzero(row)
+                support = row.nonzero()[0]
                 vec = np.zeros(ncols, dtype=DTYPE)
                 if len(support):
                     vec[self.shifts[v][support]] = row[support]
@@ -127,38 +141,36 @@ class _SpanEngine:
         return vec
 
     def _reduce_insert(self, vec):
+        """Insert the residual of vec as a new row, keeping the basis in RREF:
+        the pivot is the residual's largest monomial, scaled to 1 and cleared
+        from every other row."""
         ops = self.ops
-        limit = len(vec)
-        while True:
-            nz = np.flatnonzero(vec[:limit])
-            if len(nz) == 0:
-                return None
-            p = int(nz[-1])
-            r = self.pivot_of_col.get(p)
-            if r is None:
-                break
-            vec = ops.sub_scaled(vec, int(vec[p]), self.mat[r])
-            limit = p  # pivot rows have support at and left of their pivot
+        n = self.nrows
+        vec = _reduce(vec, self.mat[:n], self.pivcols[:n], ops)
+        nz = vec.nonzero()[0]
+        if len(nz) == 0:
+            return None
+        p = int(nz[-1])
         c = int(vec[p])
         if c != 1:
             vec = ops.scale(ops.inv(c), vec)
-        col = self.mat[: self.nrows, p]
-        hits = np.flatnonzero(col)
+        col = self.mat[:n, p]
+        hits = col.nonzero()[0]
         if len(hits):
             self.mat[hits] = ops.rows_sub_scaled(self.mat[hits], col[hits].copy(), vec)
-        if self.nrows == self.mat.shape[0]:
-            grown = np.zeros((max(32, 2 * self.mat.shape[0]), self.mat.shape[1]), dtype=DTYPE)
-            grown[: self.nrows] = self.mat[: self.nrows]
+        if n == self.mat.shape[0]:
+            size = max(32, 2 * n)
+            grown = np.zeros((size, self.mat.shape[1]), dtype=DTYPE)
+            grown[:n] = self.mat[:n]
             self.mat = grown
-        self.mat[self.nrows] = vec
-        self.pivot_of_col[p] = self.nrows
+            self.pivcols = np.resize(self.pivcols, size)
+        self.mat[n] = vec
+        self.pivcols[n] = p
         self.row_deg.append(int(self.col_deg[p]))
         if p == 0:
             self.unit = True
-            if self.unit_level is None:
-                self.unit_level = self.level
         self.nrows += 1
-        return self.nrows - 1
+        return n
 
     # -- dimensions ----------------------------------------------------------
 
@@ -180,8 +192,9 @@ class _SpanEngine:
 
 
 class DegreeSpan:
-    """Snapshot of the closed span at a degree cap: an RREF basis over the
-    fixed monomial enumeration."""
+    """Snapshot of the closed span at a degree cap: the canonical reduced row
+    echelon basis over the fixed monomial enumeration (pivot = rightmost
+    nonzero entry, rows in ascending pivot order)."""
 
     def __init__(self, ring, degree_cap, order, monomials, matrix, pivots, row_degrees):
         self.ring = ring
@@ -192,7 +205,7 @@ class DegreeSpan:
         self.pivots = tuple(pivots)
         self.row_degrees = tuple(row_degrees)
         self._col_of = {e: i for i, e in enumerate(self.monomials)}
-        self._pivot_of_col = {p: r for r, p in enumerate(self.pivots)}
+        self._pivcols = np.array(self.pivots, dtype=np.int64)
         self._ops = make_ops(ring.field, ring.level)
 
     @property
@@ -214,19 +227,7 @@ class DegreeSpan:
 
     def reduce(self, f):
         """Residual of f against the basis (zero vector iff f is in the span)."""
-        vec = self.vector_of(f)
-        ops = self._ops
-        limit = len(vec)
-        while True:
-            nz = np.flatnonzero(vec[:limit])
-            if len(nz) == 0:
-                return vec
-            p = int(nz[-1])
-            r = self._pivot_of_col.get(p)
-            if r is None:
-                return vec
-            vec = ops.sub_scaled(vec, int(vec[p]), self.matrix[r])
-            limit = p
+        return _reduce(self.vector_of(f), self.matrix, self._pivcols, self._ops)
 
     def contains(self, f):
         return not np.any(self.reduce(f))
@@ -243,21 +244,18 @@ class DegreeSpan:
 def span_closure(system, cap, order="grevlex"):
     """Close the system's low-degree span at the given degree cap.
 
-    Rows of the returned basis are sorted by pivot column, so equal spans
-    have identical matrices.
+    The basis is fully reduced (every pivot column is zero outside its own
+    row) and its rows are sorted by pivot column, so equal spans have
+    identical matrices.
     """
     if cap < 0:
         raise ValueError("cap must be >= 0")
     eng = _SpanEngine(system, order=order, unit_shortcut=False)
     for _ in range(cap + 1):
         eng.advance()
-    pivots = [0] * eng.nrows
-    for col, r in eng.pivot_of_col.items():
-        pivots[r] = col
-    perm = sorted(range(eng.nrows), key=lambda r: pivots[r])
-    mat = eng.mat[perm].copy() if eng.nrows else eng.mat[:0].copy()
-    return DegreeSpan(system.ring, cap, order, eng.monos, mat,
-                      [pivots[r] for r in perm], [eng.row_deg[r] for r in perm])
+    perm = np.argsort(eng.pivcols[: eng.nrows])
+    return DegreeSpan(system.ring, cap, order, eng.monos, eng.mat[perm],
+                      eng.pivcols[perm].tolist(), [eng.row_deg[r] for r in perm])
 
 
 def equiv_mod(f, g, i, system, order="grevlex"):

@@ -374,7 +374,7 @@ class FieldElement:
                 and other.code == self.code)
 
     def __hash__(self):
-        return hash((id(self.field), self.code))
+        return hash((self.field, self.code))
 
     def __repr__(self):
         return f"<{self.code} in GF({self.field.q}^{self.field.n})>"

@@ -2,7 +2,9 @@
 
 Three op families cover every coefficient domain used by the engines:
 GF(2) (plain XOR), prime GF(p) (native modular arithmetic) and table-backed
-extension fields.  Rows are numpy int16 arrays of codes.
+extension fields.  Rows are numpy int16 arrays of codes; products of codes
+are formed in a wide integer type and cast back, so no field order up to
+``gf.MAX_ORDER`` overflows.
 """
 
 import numpy as np
@@ -34,6 +36,10 @@ class Gf2Ops:
         """rows[r] - factors[r]*x for every r, vectorised."""
         return rows ^ (factors[:, None] & 1) * x
 
+    def sub_combination(self, y, factors, rows):
+        """y - sum_r factors[r]*rows[r]; every factor is nonzero."""
+        return y ^ np.bitwise_xor.reduce(rows, axis=0)
+
 
 class PrimeOps:
     def __init__(self, p):
@@ -48,14 +54,19 @@ class PrimeOps:
         return (-int(c)) % self.order
 
     def scale(self, c, x):
-        return (int(c) * x) % self.order
+        return (int(c) * x.astype(np.int64) % self.order).astype(DTYPE)
 
     def sub_scaled(self, y, c, x):
-        return (y + (self.order - int(c)) * x) % self.order
+        nc = self.order - int(c)
+        return ((y + nc * x.astype(np.int64)) % self.order).astype(DTYPE)
 
     def rows_sub_scaled(self, rows, factors, x):
         nf = (self.order - factors.astype(np.int32)) % self.order
         return ((rows + nf[:, None] * x.astype(np.int32)) % self.order).astype(DTYPE)
+
+    def sub_combination(self, y, factors, rows):
+        acc = factors.astype(np.int64) @ rows.astype(np.int64)
+        return ((y - acc) % self.order).astype(DTYPE)
 
 
 class TableOps:
@@ -84,6 +95,14 @@ class TableOps:
     def rows_sub_scaled(self, rows, factors, x):
         nf = self.neg_t[factors]
         return self.add_t[rows, self.mul_t[nf[:, None], x[None, :]]]
+
+    def sub_combination(self, y, factors, rows):
+        terms = self.mul_t[self.neg_t[factors][:, None], rows]
+        if self.order % 2 == 0:  # characteristic 2: codes add digitwise by XOR
+            return y ^ np.bitwise_xor.reduce(terms, axis=0)
+        for t in terms:
+            y = self.add_t[y, t]
+        return y
 
 
 def make_ops(field, level):
@@ -179,11 +198,3 @@ def solve(mat, rhs, ops):
         x[pc] = r[row_idx, ncols]
     return x
 
-
-def row_space_equal(a, b, ops):
-    """Exact row-space comparison via canonical RREF."""
-    ra, pa = rref(a, ops) if len(a) else (np.zeros((0, 0), dtype=DTYPE), [])
-    rb, pb = rref(b, ops) if len(b) else (np.zeros((0, 0), dtype=DTYPE), [])
-    if pa != pb:
-        return False
-    return ra.shape == rb.shape and bool(np.array_equal(ra, rb))

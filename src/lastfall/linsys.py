@@ -547,11 +547,13 @@ def _extract_linear_forms(span, m, nprime):
         var_col[flat] = span._col_of[tuple(e)]
     rows = []
     for r, d in enumerate(span.row_degrees):
-        if d != 1:
+        if d > 1:
             continue
         vec = span.matrix[r]
-        if vec[0] != 0:
-            raise RuntimeError("linear row with constant part; inconsistent relations")
+        # the relations vanish at the origin, so the span holds neither the
+        # unit (a degree-0 row) nor a linear row with a constant part
+        if d == 0 or vec[0] != 0:
+            raise RuntimeError("row of degree <= 1 with constant part; inconsistent relations")
         rows.append([int(vec[var_col[flat]]) for flat in range(cols)])
     return np.array(rows, dtype=np.int16).reshape(len(rows), cols)
 

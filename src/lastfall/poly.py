@@ -11,6 +11,7 @@ degree by degree, ascending inside each degree, so that in any coefficient
 vector the rightmost entries correspond to the largest monomials.
 """
 
+import functools
 import json
 from itertools import combinations_with_replacement
 
@@ -30,19 +31,21 @@ def grlex_key(exps):
 ORDER_KEYS = {"grevlex": grevlex_key, "grlex": grlex_key}
 
 
+@functools.lru_cache(maxsize=None)
 def monomials_of_degree(nvars, d, order="grevlex"):
-    """All exponent tuples of total degree d, ascending in the given order."""
+    """All exponent tuples of total degree d, ascending in the given order
+    (a cached tuple)."""
     key = ORDER_KEYS[order]
     out = []
     if nvars == 0:
-        return [()] if d == 0 else []
+        return ((),) if d == 0 else ()
     for combo in combinations_with_replacement(range(nvars), d):
         e = [0] * nvars
         for v in combo:
             e[v] += 1
         out.append(tuple(e))
     out.sort(key=key)
-    return out
+    return tuple(out)
 
 
 def monomials_up_to(nvars, cap, order="grevlex"):

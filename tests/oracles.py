@@ -159,15 +159,18 @@ def recombine(system, mat):
     return PolySystem(system.ring, out)
 
 
-def count_zeros(system, order=None):
-    """Exhaustive point count of a system over its coefficient domain."""
+def zero_points(system, order=None):
+    """Exhaustive zero set of a system over its coefficient domain, point by
+    point with MultiPoly.eval, in itertools.product order."""
     from itertools import product
 
     ring = system.ring
     order = order if order is not None else ring.coeff_order
     polys = system.nonzero()
-    count = 0
-    for pt in product(range(order), repeat=ring.nvars):
-        if all(f.eval(pt) == 0 for f in polys):
-            count += 1
-    return count
+    return [pt for pt in product(range(order), repeat=ring.nvars)
+            if all(f.eval(pt) == 0 for f in polys)]
+
+
+def count_zeros(system, order=None):
+    """Exhaustive point count of a system over its coefficient domain."""
+    return len(zero_points(system, order))

@@ -4,13 +4,13 @@ import random
 
 import pytest
 
-from lastfall import (CoordinateNotInField, PolySystem, build_F1, build_Fprime,
+from lastfall import (CoordinateNotInField, PolySystem, Ring, build_F1, build_Fprime,
                       build_Fprime1, build_G1, build_G2,
                       build_sigma_orbit_G, equiv_mod, last_fall_degree,
                       make_descent_context, make_field, solution_transport,
                       weil_descend)
 from lastfall.descent import substituted_generator, zk_points
-from oracles import count_zeros, random_system
+from oracles import count_zeros, random_system, zero_points
 
 
 @pytest.fixture
@@ -102,6 +102,25 @@ def test_bijection_exhaustive(gf4):
         Fp1 = build_Fprime1(F, ctx)
         assert count_zeros(F1) == zk
         assert count_zeros(Fp1) == zk
+
+
+@pytest.mark.parametrize("spec,level", [((2, 1, 1), "k"), ((3, 1, 1), "k"), ((2, 1, 3), "k"),
+                                        ((3, 1, 2), "k"), ((3, 1, 2), "kprime"),
+                                        ((2, 2, 2), "kprime")])
+def test_zk_points_matches_pointwise_eval(spec, level):
+    field = make_field(*spec)
+    rng = random.Random(12)
+    for nvars in (0, 1, 2, 3):
+        ring = Ring(field, level, [f"X{i}" for i in range(nvars)])
+        if ring.coeff_order ** nvars > 1000:
+            continue
+        for degree in (1, 2, 3):
+            dense = random_system(ring, degree, 2, rng)
+            # two-term polynomials, so that zero sets are rarely empty
+            sparse = PolySystem(ring, [ring.from_terms(list(f.terms.items())[:2])
+                                       for f in dense.polys])
+            for system in (dense, sparse, PolySystem(ring, [])):
+                assert zk_points(system) == zero_points(system)
 
 
 def test_sigma_orbit_matrix_identity(gf4):

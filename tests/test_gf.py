@@ -188,3 +188,11 @@ def test_frobenius_q_on_elements(gf4):
     assert frobenius_q(x, 1).code == gf4.add(gf4.gen(), 1)
     assert frobenius_q(x, 0) == x
     assert frobenius_q(x, gf4.n) == x
+
+
+def test_field_element_hash_follows_equality():
+    a = make_field(2, 1, 3).element(5)
+    b = make_field(2, 1, 3).element(5)
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1

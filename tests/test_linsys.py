@@ -676,3 +676,17 @@ def test_subfield_space_always_reducible(gf4, gf8):
             sb = solve_structured(F, W, m=2, report=rep)
             ob = brute_force_solve(F, W, m=2)
             assert subspace_equal(sb, ob)
+
+
+def test_extract_linear_forms_refuses_constant_rows(gf4):
+    from lastfall import PolySystem, span_closure
+    from lastfall.linsys import _extract_linear_forms, make_s_ring
+
+    ring = make_s_ring(gf4, 1, 2)
+    x0, x1 = ring.variable(0), ring.variable(1)
+    assert _extract_linear_forms(span_closure(PolySystem(ring, [x0 + x1]), 2), 1, 2).shape == (1, 2)
+    unit = PolySystem(ring, [x0 + ring.one(), x0])  # the span holds 1
+    affine = PolySystem(ring, [x1 + ring.one()])
+    for system in (unit, affine):
+        with pytest.raises(RuntimeError):
+            _extract_linear_forms(span_closure(system, 2), 1, 2)

@@ -1,0 +1,148 @@
+"""The span engine's basis: fully reduced, canonical and of the right size.
+
+The property tests run over one field per row-op family of ``linalg``:
+GF(2) (XOR), GF(3) (modular arithmetic), GF(4) built as a tower over GF(2)
+(a table field with p = 2, whose codes add by XOR) and GF(9) built as a
+tower over GF(3) (a table field with odd p).
+"""
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lastfall import PolySystem, Ring, make_field, span_closure
+from lastfall.linalg import DTYPE, make_ops
+from oracles import naive_closure_dim, random_invertible_matrix, random_system, recombine
+
+FIELDS = {"GF(2)": (2, 1, 1), "GF(3)": (3, 1, 1), "GF(4)": (2, 2, 1), "GF(9)": (3, 2, 1)}
+
+# largest cap checked per field: the naive closure runs scalar field ops on
+# table fields, so the larger fields stop earlier
+CAPS = {"GF(2)": 4, "GF(3)": 4, "GF(4)": 3, "GF(9)": 3}
+
+PROPERTY = settings(max_examples=12, deadline=None, derandomize=True)
+
+
+@pytest.fixture(scope="module")
+def fields():
+    return {name: make_field(*spec) for name, spec in FIELDS.items()}
+
+
+def draw_system(field, seed):
+    rng = random.Random(seed)
+    ring = Ring(field, "k", [f"X{i}" for i in range(rng.randint(2, 3))])
+    return random_system(ring, rng.randint(1, 2), rng.randint(1, 3), rng), rng
+
+
+def assert_canonical(span):
+    mat, pivots = span.matrix, list(span.pivots)
+    assert pivots == sorted(set(pivots))
+    assert np.array_equal(mat[:, pivots], np.eye(len(pivots), dtype=DTYPE))
+    for r, p in enumerate(pivots):
+        assert np.flatnonzero(mat[r])[-1] == p  # pivot = largest monomial
+        assert span.row_degrees[r] == sum(span.monomials[p])
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1))
+def test_basis_is_fully_reduced(fields, name, seed):
+    system, _ = draw_system(fields[name], seed)
+    for cap in range(CAPS[name] + 1):
+        assert_canonical(span_closure(system, cap))
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1))
+def test_equal_spans_give_identical_matrices(fields, name, seed):
+    system, rng = draw_system(fields[name], seed)
+    cap = CAPS[name]
+    span = span_closure(system, cap)
+    mixed = recombine(system, random_invertible_matrix(system.ring.field, len(system), rng))
+    for other in (PolySystem(system.ring, system.polys[::-1]), mixed):
+        twin = span_closure(other, cap)
+        assert np.array_equal(twin.matrix, span.matrix)
+        assert twin.pivots == span.pivots
+        assert twin.row_degrees == span.row_degrees
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1))
+def test_dimensions_match_naive_closure(fields, name, seed):
+    system, _ = draw_system(fields[name], seed)
+    for cap in range(CAPS[name] + 1):
+        assert span_closure(system, cap).dim == naive_closure_dim(system, cap)
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1))
+def test_reduce_clears_every_pivot(fields, name, seed):
+    system, rng = draw_system(fields[name], seed)
+    cap = CAPS[name]
+    span = span_closure(system, cap)
+    ring = system.ring
+    f = random_system(ring, cap, 1, rng).polys[0]
+    residual = span.reduce(f)
+    assert not np.any(residual[list(span.pivots)])
+    # f minus its residual lies in the span
+    rest = ring.from_terms((span.monomials[c], int(x)) for c, x in enumerate(residual))
+    assert span.contains(f - rest)
+    for g in system.polys:
+        for v in range(ring.nvars):
+            if g.degree + 1 <= cap:
+                assert span.contains(g * ring.variable(v))
+
+
+@pytest.mark.parametrize("spec", [(2, 1, 1), (3, 1, 1), (2, 2, 1), (3, 2, 1), (251, 1, 1)])
+def test_sub_combination_matches_scaled_steps(spec):
+    field = make_field(*spec)
+    ops = make_ops(field, "k")
+    rng = np.random.default_rng(7)
+    y = rng.integers(0, field.order, 40).astype(DTYPE)
+    rows = rng.integers(0, field.order, (6, 40)).astype(DTYPE)
+    factors = rng.integers(1, field.order, 6).astype(DTYPE)
+    expect = y
+    for c, row in zip(factors, rows):
+        expect = ops.sub_scaled(expect, int(c), row)
+    got = ops.sub_combination(y, factors, rows)
+    assert got.dtype == DTYPE
+    assert np.array_equal(got, expect)
+
+
+# -- large primes: row products must not overflow the int16 code type --------
+
+
+@pytest.fixture(scope="module", params=[251, 1021])
+def big_prime_field(request):
+    return make_field(request.param, 1, 1)
+
+
+def test_prime_ops_large_p(big_prime_field):
+    p = big_prime_field.p
+    ops = make_ops(big_prime_field, "k")
+    x = np.arange(p, dtype=DTYPE)
+    c = p - 2
+    assert ops.scale(c, x).tolist() == [(c * v) % p for v in range(p)]
+    y = x[::-1].copy()
+    assert ops.sub_scaled(y, c, x).tolist() == [(int(w) - c * v) % p for w, v in zip(y, range(p))]
+
+
+def test_span_contains_generators_large_p(big_prime_field):
+    p = big_prime_field.p
+    ring = Ring(big_prime_field, "k", ["X0", "X1"])
+    x0, x1 = ring.variable(0), ring.variable(1)
+    system = PolySystem(ring, [
+        (x0 * x0).scale(p - 3) + (x0 * x1).scale(p - 7) + x1.scale(p - 11) + ring.constant(5),
+        (x1 * x1).scale(p - 2) + x0.scale(p - 13) + ring.constant(p - 1),
+    ])
+    span = span_closure(system, 3)
+    for g in system.polys:
+        assert span.contains(g)
+    assert_canonical(span)
+    assert span.dim == naive_closure_dim(system, 3)
