@@ -5,7 +5,7 @@ from .errors import (CoordinateNotInField, DegreeExceedsBound, DegreeTooHigh,
                      NonPrimeCharacteristic, NotABasis, NotADivisor, NotCoprime,
                      NotReducible, ReducibleModulus, RingMismatch,
                      SearchBudgetExceeded, StepBudgetExceeded,
-                     UnassignedVariable)
+                     UnassignedVariable, UnsupportedField)
 from .gf import FieldElement, FieldSpec, FrobeniusMatrix, frobenius_q, make_field, moore_matrix
 from .poly import NEG_INF, MultiPoly, PolySystem, Ring
 from .falldeg import (DegreeSpan, FallProfile, GroebnerOracle, PointsOracle,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import CoordinateNotInField, NotABasis
 from .gf import FieldElement, moore_matrix
-from .linalg import make_ops, solve
+from .linalg import DTYPE, solve
 from .poly import PolySystem, Ring
 
 
@@ -39,19 +39,16 @@ class DescentContext:
         # coordinate matrix of the basis over k' and its inverse, used to
         # decompose k-coefficients once per descended term
         A = np.array([[field.coords(b)[i] for b in self.basis] for i in range(n)],
-                     dtype=np.int16)
-        self._A = A
-        ops = make_ops(field, "kprime")
+                     dtype=DTYPE)
         inv_cols = []
         for j in range(n):
-            rhs = np.zeros(n, dtype=np.int16)
+            rhs = np.zeros(n, dtype=DTYPE)
             rhs[j] = 1
-            col = solve(A, rhs, ops)
+            col = solve(A, rhs, field.kprime)
             if col is None:
                 raise NotABasis("coordinate matrix is singular")
             inv_cols.append(col)
         self._A_inv = np.stack(inv_cols, axis=1)
-        self._kprime_ops = ops
 
         self.ring_original = Ring(field, "k", [f"X{i}" for i in range(m)])
         svars = [f"X{i}_{j}" for i in range(m) for j in range(n)]
@@ -62,20 +59,8 @@ class DescentContext:
 
     def decompose(self, code):
         """Coordinates of a k element in the descent basis (k' codes)."""
-        co = np.array(self.field.coords(code), dtype=np.int16)
-        q = self.field.q
-        out = self._A_inv @ co.astype(np.int64)
-        if self.field.e == 1:
-            return tuple(int(x) % q for x in out)
-        # table fields need a genuine matrix product over k'
-        kp = self.field.kprime
-        res = []
-        for i in range(self.field.n):
-            acc = 0
-            for j in range(self.field.n):
-                acc = kp.add(acc, kp.mul(int(self._A_inv[i, j]), int(co[j])))
-            res.append(acc)
-        return tuple(res)
+        co = np.array(self.field.coords(code), dtype=DTYPE)
+        return tuple(self.field.kprime.matvec(self._A_inv, co).tolist())
 
     def recompose(self, coords):
         """Sum of basis elements weighted by k' codes."""
@@ -236,33 +221,31 @@ def zk_points(system, budget=200_000):
     in lexicographic order of the coordinate codes.
 
     Every point is tested at once: each polynomial is evaluated over the
-    whole grid with gathers into the field's tables (the coefficient domain's
-    codes are closed under the top-field tables, so slicing them works).
+    whole grid with the coefficient field's row operations.
     """
     ring = system.ring
-    order = ring.coeff_order
+    ops = ring.ops
+    order = ops.order
     total = order**ring.nvars
     if total > budget:
         raise ValueError(f"enumeration of {total} points exceeds budget")
-    field = ring.field
-    add_t = field.add_table[:order, :order]
-    mul_t = field.mul_table[:order, :order]
     polys = system.nonzero()
     top = max((a for f in polys for e in f.terms for a in e), default=0)
     # pow_t[x, a] = x^a
-    pow_t = np.ones((order, top + 1), dtype=add_t.dtype)
+    elems = np.arange(order, dtype=DTYPE)
+    pow_t = np.ones((order, top + 1), dtype=DTYPE)
     for a in range(1, top + 1):
-        pow_t[:, a] = mul_t[pow_t[:, a - 1], np.arange(order)]
-    grid = np.indices((order,) * ring.nvars, dtype=np.int16).reshape(ring.nvars, total)
+        pow_t[:, a] = ops.vmul(pow_t[:, a - 1], elems)
+    grid = np.indices((order,) * ring.nvars, dtype=DTYPE).reshape(ring.nvars, total)
     zero = np.ones(total, dtype=bool)
     for f in polys:
-        acc = np.zeros(total, dtype=add_t.dtype)
+        acc = np.zeros(total, dtype=DTYPE)
         for e, c in f.terms.items():
-            val = np.full(total, c, dtype=add_t.dtype)
+            mono = np.ones(total, dtype=DTYPE)
             for i, a in enumerate(e):
                 if a:
-                    val = mul_t[val, pow_t[grid[i], a]]
-            acc = add_t[acc, val]
+                    mono = ops.vmul(mono, pow_t[grid[i], a])
+            acc = ops.sub_scaled(acc, ops.neg(c), mono)
         zero &= acc == 0
     return [tuple(pt) for pt in grid[:, zero].T.tolist()]
 

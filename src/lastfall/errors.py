@@ -9,6 +9,10 @@ class NonPrimeCharacteristic(LastfallError):
     pass
 
 
+class UnsupportedField(LastfallError, ValueError):
+    """A field shape outside e >= 1, n >= 1 and order <= gf.MAX_ORDER."""
+
+
 class ReducibleModulus(LastfallError):
     """A supplied modulus factors over its base field; carries the modulus."""
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegreeTooHigh, StepBudgetExceeded
-from .linalg import DTYPE, make_ops
+from .linalg import DTYPE
 from .poly import NEG_INF, ORDER_KEYS, MultiPoly, monomials_of_degree
 
 
@@ -57,7 +57,7 @@ class _SpanEngine:
         ring = system.ring
         self.ring = ring
         self.order = order
-        self.ops = make_ops(ring.field, ring.level)
+        self.ops = ring.ops
         self.by_degree = {}
         for f in system.polys:
             if f.is_zero():
@@ -206,7 +206,6 @@ class DegreeSpan:
         self.row_degrees = tuple(row_degrees)
         self._col_of = {e: i for i, e in enumerate(self.monomials)}
         self._pivcols = np.array(self.pivots, dtype=np.int64)
-        self._ops = make_ops(ring.field, ring.level)
 
     @property
     def dim(self):
@@ -227,7 +226,7 @@ class DegreeSpan:
 
     def reduce(self, f):
         """Residual of f against the basis (zero vector iff f is in the span)."""
-        return _reduce(self.vector_of(f), self.matrix, self._pivcols, self._ops)
+        return _reduce(self.vector_of(f), self.matrix, self._pivcols, self.ring.ops)
 
     def contains(self, f):
         return not np.any(self.reduce(f))
@@ -547,7 +546,7 @@ class PointsOracle:
         self.ring = ring
         self.order = order
         self.points = sorted(set(tuple(int(c) for c in pt) for pt in points))
-        self.ops = make_ops(ring.field, ring.level)
+        self.ops = ring.ops
         self.npoints = len(self.points)
         self._coord_vals = [
             np.array([pt[v] for pt in self.points], dtype=DTYPE)
@@ -561,14 +560,6 @@ class PointsOracle:
         self._nonstd = []
         self._rank = 0
         self._max_gb = None
-
-    def _vmul(self, x, y):
-        ops = self.ops
-        if hasattr(ops, "mul_t"):
-            return ops.mul_t[x, y]
-        if ops.order == 2:
-            return x & y
-        return ((x.astype(np.int32) * y) % ops.order).astype(DTYPE)
 
     def _extend(self, j):
         while self._done < j:
@@ -591,7 +582,7 @@ class PointsOracle:
                         # parent not standard => e not standard either
                         self._nonstd.append(e)
                         continue
-                    val = self._vmul(pvec, self._coord_vals[v])
+                    val = self.ops.vmul(pvec, self._coord_vals[v])
                 vec = val.copy()
                 for piv, row in self._ech:
                     c = int(vec[piv])

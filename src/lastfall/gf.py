@@ -6,10 +6,17 @@ base q: digit j is the code of the coordinate of t^j in the polynomial basis
 base p the same way.  Under this encoding the codes 0..q-1 are exactly the
 elements of k' sitting inside k, so subfield membership is a comparison.
 
-Addition/multiplication tables are built eagerly at construction (orders here
-are tiny); the Frobenius x -> x^q is also materialised as an n x n matrix over
-k' acting on coordinate vectors, with plain exponentiation kept as an
-independent cross-check path.
+All arithmetic of one tower level goes through one :class:`FieldOps` object,
+``field.k`` for k and ``field.kprime`` for k'.  It serves scalar codes (for
+``univar``, ``poly`` and ``linsys``) and numpy rows of codes (for ``linalg``,
+``falldeg`` and ``descent``), and picks its row kernels from facts about the
+field alone: codes add by XOR when p = 2, a prime field multiplies natively
+modulo p, and every other product is a gather from the tables.  The tables
+are built with numpy at construction, addition digit by digit from the level
+below and multiplication from the permutation "times t" of the codes.  The
+Frobenius x -> x^q is also materialised as an n x n matrix over k' acting on
+coordinate vectors, with plain exponentiation kept as an independent
+cross-check path.
 """
 
 import json
@@ -17,7 +24,9 @@ import json
 import numpy as np
 
 from . import univar
-from .errors import DivisionByZero, NonPrimeCharacteristic, NotABasis, ReducibleModulus
+from .errors import (DivisionByZero, NonPrimeCharacteristic, NotABasis,
+                     ReducibleModulus, UnsupportedField)
+from .linalg import DTYPE, rank
 
 MAX_ORDER = 1024
 
@@ -33,162 +42,59 @@ def _is_prime(n):
     return True
 
 
-class ModArith:
-    """GF(p) scalar arithmetic on codes 0..p-1."""
+class FieldOps:
+    """Arithmetic of one finite field on codes ``0..order-1``.
 
-    def __init__(self, p):
-        self.order = p
-
-    def add(self, a, b):
-        return (a + b) % self.order
-
-    def sub(self, a, b):
-        return (a - b) % self.order
-
-    def mul(self, a, b):
-        return (a * b) % self.order
-
-    def neg(self, a):
-        return (-a) % self.order
-
-    def inv(self, a):
-        if a == 0:
-            raise DivisionByZero("inverse of zero")
-        return pow(a, self.order - 2, self.order)
-
-
-class TableArith:
-    """Scalar arithmetic backed by precomputed tables."""
-
-    def __init__(self, order, add_t, mul_t, neg_t, inv_t):
-        self.order = order
-        self._add = add_t
-        self._mul = mul_t
-        self._neg = neg_t
-        self._inv = inv_t
-
-    def add(self, a, b):
-        return int(self._add[a, b])
-
-    def sub(self, a, b):
-        return int(self._add[a, self._neg[b]])
-
-    def mul(self, a, b):
-        return int(self._mul[a, b])
-
-    def neg(self, a):
-        return int(self._neg[a])
-
-    def inv(self, a):
-        if a == 0:
-            raise DivisionByZero("inverse of zero")
-        return int(self._inv[a])
-
-
-def _build_extension_tables(base, modulus):
-    """Tables for base[t]/(modulus); codes are base-`base.order` digit strings."""
-    b = base.order
-    deg = univar.degree(modulus)
-    order = b ** deg
-
-    def to_poly(code):
-        digits = []
-        for _ in range(deg):
-            digits.append(code % b)
-            code //= b
-        return univar.trim(digits)
-
-    def to_code(poly):
-        code = 0
-        for j, c in enumerate(poly):
-            code += c * b**j
-        return code
-
-    add_t = np.zeros((order, order), dtype=np.int16)
-    mul_t = np.zeros((order, order), dtype=np.int16)
-    neg_t = np.zeros(order, dtype=np.int16)
-    inv_t = np.zeros(order, dtype=np.int16)
-    polys = [to_poly(c) for c in range(order)]
-    for a in range(order):
-        neg_t[a] = to_code(univar.scale(base, base.neg(1), polys[a]))
-        for bb in range(a, order):
-            s = to_code(univar.add(base, polys[a], polys[bb]))
-            add_t[a, bb] = s
-            add_t[bb, a] = s
-            m = to_code(univar.mod(base, univar.mul(base, polys[a], polys[bb]), modulus))
-            mul_t[a, bb] = m
-            mul_t[bb, a] = m
-    for a in range(1, order):
-        row = mul_t[a]
-        inv_t[a] = int(np.nonzero(row == 1)[0][0])
-    return order, add_t, mul_t, neg_t, inv_t
-
-
-class FieldSpec:
-    """The tower GF(p) < k' = GF(p^e) < k = GF(q^n), fully tabled.
-
-    Not constructed directly in normal use; see :func:`make_field`.
+    Scalar methods take codes (Python or numpy integers) and return Python
+    ints.  Row methods take and return numpy rows of codes; they form every
+    product in int32 (sums of many products in int64), so no order up to
+    ``MAX_ORDER`` overflows the int16 codes.
     """
 
-    def __init__(self, p, e, n, m1, m2):
-        if not _is_prime(p):
-            raise NonPrimeCharacteristic(f"p = {p} is not prime")
+    def __init__(self, p, add_table, mul_table):
         self.p = p
-        self.e = e
-        self.n = n
-        self.m1 = univar.trim(m1)
-        base = ModArith(p)
-        if univar.degree(self.m1) != e:
-            raise ValueError(f"m1 must have degree {e}")
-        if e > 1 and not univar.is_irreducible(base, self.m1):
-            raise ReducibleModulus("m1", self.m1)
-        self.q = p**e
-        if self.q**n > MAX_ORDER:
-            raise ValueError(f"field order {self.q**n} exceeds supported bound {MAX_ORDER}")
+        self.order = len(add_table)
+        self.add_table = add_table
+        self.mul_table = mul_table
+        self.neg_table = (add_table == 0).argmax(axis=1).astype(DTYPE)
+        self.inv_table = (mul_table == 1).argmax(axis=1).astype(DTYPE)  # 0 at 0
+        self._native = self.order == p
 
-        # middle field k'
-        if e == 1:
-            qa = p
-            add_t = np.add.outer(np.arange(p), np.arange(p)) % p
-            mul_t = np.multiply.outer(np.arange(p), np.arange(p)) % p
-            neg_t = (-np.arange(p)) % p
-            inv_t = np.array([0] + [pow(a, p - 2, p) for a in range(1, p)])
-            self.kprime = TableArith(
-                p, add_t.astype(np.int16), mul_t.astype(np.int16),
-                neg_t.astype(np.int16), inv_t.astype(np.int16))
-        else:
-            qa, add_t, mul_t, neg_t, inv_t = _build_extension_tables(base, self.m1)
-            self.kprime = TableArith(qa, add_t, mul_t, neg_t, inv_t)
-        assert qa == self.q
+    @classmethod
+    def prime(cls, p):
+        """GF(p), codes 0..p-1 with their integer arithmetic."""
+        r = np.arange(p, dtype=np.int64)
+        return cls(p, (np.add.outer(r, r) % p).astype(DTYPE),
+                   (np.multiply.outer(r, r) % p).astype(DTYPE))
 
-        # top field k
-        self.m2 = univar.trim(m2)
-        if univar.degree(self.m2) != n:
-            raise ValueError(f"m2 must have degree {n}")
-        if any(c >= self.q for c in self.m2):
-            raise ValueError("m2 coefficients must be k' codes")
-        if n > 1 and not univar.is_irreducible(self.kprime, self.m2):
-            raise ReducibleModulus("m2", self.m2)
-        order, add_t, mul_t, neg_t, inv_t = _build_extension_tables(self.kprime, self.m2)
-        self.order = order
-        self.add_table = add_t
-        self.mul_table = mul_t
-        self.neg_table = neg_t
-        self.inv_table = inv_t
-        self.k = TableArith(order, add_t, mul_t, neg_t, inv_t)
+    def extension(self, modulus):
+        """The field self[t]/(modulus) for a monic modulus of degree d >= 2.
 
-        # Frobenius x -> x^{q^i} as permutation tables, and the n x n matrix of
-        # x -> x^q on k'-coordinate vectors (columns are coords of (t^j)^q).
-        frob1 = np.array([self.pow(a, self.q) for a in range(order)], dtype=np.int16)
-        self.frob_tables = [np.arange(order, dtype=np.int16)]
-        for _ in range(1, n):
-            self.frob_tables.append(frob1[self.frob_tables[-1]])
-        self.frob_matrix = tuple(
-            tuple(int(self.coords(int(frob1[self.q**j]))[i]) for j in range(n))
-            for i in range(n)
-        )
+        Its codes are base-``order`` digit strings, digit j holding the
+        coefficient of t^j.  Addition is digitwise; a product a*y is the sum
+        over j of a_j * (t^j * y), walking y through the permutation "times t".
+        """
+        b, d = self.order, univar.degree(modulus)
+        places = [b**j for j in range(d)]
+        codes = np.arange(b**d)
+        digits = [codes // place % b for place in places]
+        add_t = sum(self.add_table[dj[:, None], dj[None, :]] * place
+                    for dj, place in zip(digits, places))
+        # by_digit[c, y] = c * y for c in this field
+        by_digit = sum(self.mul_table[:, dj] * place for dj, place in zip(digits, places))
+        # t*y: digits move up one place and the top digit wraps round as
+        # top * (t^d - modulus)
+        low = sum(self.neg(c) * place for c, place in zip(modulus, places))
+        top = digits[-1]
+        times_t = add_t[(codes - top * places[-1]) * b, by_digit[top, low]]
+        mul_t = np.zeros_like(add_t)
+        t_pow_y = codes
+        for dj in digits:
+            mul_t = add_t[mul_t, by_digit[dj[:, None], t_pow_y[None, :]]]
+            t_pow_y = times_t[t_pow_y]
+        return FieldOps(self.p, add_t, mul_t)
 
-    # -- code-level scalar ops -------------------------------------------------
+    # -- scalars ---------------------------------------------------------------
 
     def add(self, a, b):
         return int(self.add_table[a, b])
@@ -204,7 +110,7 @@ class FieldSpec:
 
     def inv(self, a):
         if a == 0:
-            raise DivisionByZero("inverse of zero in k")
+            raise DivisionByZero("inverse of zero")
         return int(self.inv_table[a])
 
     def pow(self, a, m):
@@ -218,20 +124,124 @@ class FieldSpec:
             m >>= 1
         return acc
 
+    # -- rows ------------------------------------------------------------------
+
+    def vmul(self, x, y):
+        """Elementwise product of codes and rows, broadcast like numpy."""
+        if self.order == 2:
+            return x & y
+        if self._native:
+            return (np.multiply(x, y, dtype=np.int32) % self.p).astype(DTYPE)
+        return self.mul_table[x, y]
+
+    def scale(self, c, x):
+        """c*x for a code c."""
+        return self.vmul(c, x)
+
+    def sub_scaled(self, y, c, x):
+        """y - c*x elementwise for a code c."""
+        if self.order == 2:  # c is 0 or 1, so no product needs forming
+            return y ^ x if c else y.copy()
+        return self._sub_mul(y, c, x)
+
+    def rows_sub_scaled(self, rows, factors, x):
+        """rows[r] - factors[r]*x for every r."""
+        return self._sub_mul(rows, factors[:, None], x)
+
+    def _sub_mul(self, y, c, x):
+        """y - c*x elementwise; c is a code or a column of codes."""
+        if self.p == 2:  # -1 = 1, and codes add digitwise by XOR
+            return y ^ self.vmul(c, x)
+        if self._native:
+            return ((y - np.multiply(c, x, dtype=np.int32)) % self.p).astype(DTYPE)
+        return self.add_table[y, self.mul_table[self.neg_table[c], x]]
+
+    def sub_combination(self, y, factors, rows):
+        """y - sum_r factors[r]*rows[r]; every factor is nonzero."""
+        if self.order == 2:  # every factor is 1
+            return y ^ np.bitwise_xor.reduce(rows, axis=0)
+        if self.p == 2:
+            return y ^ np.bitwise_xor.reduce(self.mul_table[factors[:, None], rows], axis=0)
+        if self._native:
+            acc = factors.astype(np.int64) @ rows.astype(np.int64)
+            return ((y - acc) % self.p).astype(DTYPE)
+        for t in self.mul_table[self.neg_table[factors][:, None], rows]:
+            y = self.add_table[y, t]
+        return y
+
+    def matvec(self, mat, x):
+        """The matrix-vector product mat @ x."""
+        if self._native:
+            return (mat.astype(np.int64) @ x.astype(np.int64) % self.p).astype(DTYPE)
+        out = np.zeros(len(mat), dtype=DTYPE)
+        for col, c in zip(mat.T, x):
+            out = self.sub_scaled(out, self.neg_table[c], col)
+        return out
+
+
+def _extend(base, degree, modulus, which):
+    """(modulus, ops) of the field base[t]/(modulus); an omitted modulus is
+    the lexicographically least monic irreducible of the degree."""
+    if modulus is None:
+        modulus = univar.first_irreducible(base, degree) if degree > 1 else (0, 1)
+    modulus = univar.trim(modulus)
+    if univar.degree(modulus) != degree:
+        raise ValueError(f"{which} must have degree {degree}")
+    if any(not 0 <= c < base.order for c in modulus):
+        raise ValueError(f"{which} coefficients must be codes of its base field")
+    if degree == 1:  # base[t]/(t - c) is the base field itself
+        return modulus, base
+    if not univar.is_irreducible(base, modulus):
+        raise ReducibleModulus(which, modulus)
+    return modulus, base.extension(univar.monic(base, modulus))
+
+
+class FieldSpec:
+    """The tower GF(p) < k' = GF(p^e) < k = GF(q^n), fully tabled.
+
+    Omitted moduli default to the lexicographically least monic irreducible
+    of the right degree (low coefficients compared first), so repeated runs
+    agree.  Not constructed directly in normal use; see :func:`make_field`.
+    """
+
+    def __init__(self, p, e, n, m1=None, m2=None):
+        # e*n is bounded before p**(e*n) is formed, since p >= 2
+        if e < 1 or n < 1 or e * n >= MAX_ORDER.bit_length() or p**(e * n) > MAX_ORDER:
+            raise UnsupportedField(f"p = {p}, e = {e}, n = {n}: supported are e >= 1, "
+                                   f"n >= 1 and p^(e*n) <= {MAX_ORDER}")
+        if not _is_prime(p):
+            raise NonPrimeCharacteristic(f"p = {p} is not prime")
+        self.p = p
+        self.e = e
+        self.n = n
+        self.q = p**e
+        self.m1, self.kprime = _extend(FieldOps.prime(p), e, m1, "m1")
+        self.m2, self.k = _extend(self.kprime, n, m2, "m2")
+        k = self.k
+        self.order = k.order
+        self.add, self.sub, self.mul = k.add, k.sub, k.mul
+        self.neg, self.inv, self.pow = k.neg, k.inv, k.pow
+
+        # Frobenius x -> x^{q^i} as permutation tables, and the n x n matrix of
+        # x -> x^q on k'-coordinate vectors (columns are coords of (t^j)^q).
+        frob1 = np.array([self.pow(a, self.q) for a in range(self.order)], dtype=DTYPE)
+        self.frob_tables = [np.arange(self.order, dtype=DTYPE)]
+        for _ in range(1, n):
+            self.frob_tables.append(frob1[self.frob_tables[-1]])
+        self.frob_matrix = tuple(
+            tuple(int(self.coords(int(frob1[self.q**j]))[i]) for j in range(n))
+            for i in range(n)
+        )
+
     def frob(self, a, i=1):
         """a^{q^i} (periodic in i with period n on k)."""
         return int(self.frob_tables[i % self.n][a])
 
     def frob_by_matrix(self, a):
         """a^q computed through the coordinate matrix; cross-check path."""
-        co = self.coords(a)
-        out = []
-        for i in range(self.n):
-            acc = 0
-            for j in range(self.n):
-                acc = self.kprime.add(acc, self.kprime.mul(self.frob_matrix[i][j], co[j]))
-            out.append(acc)
-        return self.from_coords(out)
+        co = np.array(self.coords(a), dtype=DTYPE)
+        return self.from_coords(
+            self.kprime.matvec(np.array(self.frob_matrix, dtype=DTYPE), co).tolist())
 
     # -- coordinates -----------------------------------------------------------
 
@@ -288,32 +298,10 @@ class FieldSpec:
 
 
 def make_field(p, e, n, m1=None, m2=None):
-    """Construct the tower; omitted moduli default to the lexicographically
-    least monic irreducible of the right degree (low coefficients compared
-    first), so repeated runs agree."""
-    if not _is_prime(p):
-        raise NonPrimeCharacteristic(f"p = {p} is not prime")
-    base = ModArith(p)
-    if m1 is None:
-        m1 = univar.first_irreducible(base, e) if e > 1 else (0, 1)
-    m1 = univar.trim(m1)
-    if univar.degree(m1) != e:
-        raise ValueError(f"m1 must have degree {e}")
-    if e > 1 and not univar.is_irreducible(base, m1):
-        raise ReducibleModulus("m1", m1)
-
-    if m2 is None:
-        if n == 1:
-            m2 = (0, 1)
-        else:
-            # need k' arithmetic to search; build it once here
-            if e == 1:
-                kp = base
-            else:
-                _, a_t, mu_t, ne_t, in_t = _build_extension_tables(base, m1)
-                kp = TableArith(p**e, a_t, mu_t, ne_t, in_t)
-            m2 = univar.first_irreducible(kp, n)
-    return FieldSpec(p, e, n, m1, m2)
+    """Construct the tower GF(p) < GF(p^e) < GF(p^(e*n)); see :class:`FieldSpec`
+    for the default moduli.  Shapes outside e >= 1, n >= 1 and order <=
+    ``MAX_ORDER`` raise :class:`UnsupportedField` before any work is done."""
+    return FieldSpec(p, e, n, m1=m1, m2=m2)
 
 
 class FieldElement:
@@ -400,23 +388,7 @@ class FrobeniusMatrix:
         return len(self.entries)
 
     def rank(self):
-        f = self.field
-        rows = [list(r) for r in self.entries]
-        rank = 0
-        ncols = len(rows[0]) if rows else 0
-        for col in range(ncols):
-            piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-            if piv is None:
-                continue
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            ic = f.inv(rows[rank][col])
-            rows[rank] = [f.mul(ic, v) for v in rows[rank]]
-            for r in range(len(rows)):
-                if r != rank and rows[r][col] != 0:
-                    c = rows[r][col]
-                    rows[r] = [f.sub(v, f.mul(c, w)) for v, w in zip(rows[r], rows[rank])]
-            rank += 1
-        return rank
+        return rank(np.array(self.entries, dtype=DTYPE), self.field.k)
 
 
 def moore_matrix(basis):

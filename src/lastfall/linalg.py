@@ -1,128 +1,13 @@
-"""Vectorised row operations and small dense linear algebra over field codes.
+"""Small dense linear algebra over field codes.
 
-Three op families cover every coefficient domain used by the engines:
-GF(2) (plain XOR), prime GF(p) (native modular arithmetic) and table-backed
-extension fields.  Rows are numpy int16 arrays of codes; products of codes
-are formed in a wide integer type and cast back, so no field order up to
-``gf.MAX_ORDER`` overflows.
+Matrices are numpy int16 arrays of codes.  Every function takes the
+arithmetic of the coefficient field as one ``gf.FieldOps`` object
+(``field.k`` or ``field.kprime``), whose row operations do the elimination.
 """
 
 import numpy as np
 
-from .errors import DivisionByZero
-
 DTYPE = np.int16
-
-
-class Gf2Ops:
-    order = 2
-
-    def inv(self, c):
-        if c == 0:
-            raise DivisionByZero("inverse of zero")
-        return 1
-
-    def neg(self, c):
-        return c
-
-    def scale(self, c, x):
-        return x if c == 1 else np.zeros_like(x)
-
-    def sub_scaled(self, y, c, x):
-        """y - c*x elementwise."""
-        return y ^ x if c else y.copy()
-
-    def rows_sub_scaled(self, rows, factors, x):
-        """rows[r] - factors[r]*x for every r, vectorised."""
-        return rows ^ (factors[:, None] & 1) * x
-
-    def sub_combination(self, y, factors, rows):
-        """y - sum_r factors[r]*rows[r]; every factor is nonzero."""
-        return y ^ np.bitwise_xor.reduce(rows, axis=0)
-
-
-class PrimeOps:
-    def __init__(self, p):
-        self.order = p
-
-    def inv(self, c):
-        if c == 0:
-            raise DivisionByZero("inverse of zero")
-        return pow(int(c), self.order - 2, self.order)
-
-    def neg(self, c):
-        return (-int(c)) % self.order
-
-    def scale(self, c, x):
-        return (int(c) * x.astype(np.int64) % self.order).astype(DTYPE)
-
-    def sub_scaled(self, y, c, x):
-        nc = self.order - int(c)
-        return ((y + nc * x.astype(np.int64)) % self.order).astype(DTYPE)
-
-    def rows_sub_scaled(self, rows, factors, x):
-        nf = (self.order - factors.astype(np.int32)) % self.order
-        return ((rows + nf[:, None] * x.astype(np.int32)) % self.order).astype(DTYPE)
-
-    def sub_combination(self, y, factors, rows):
-        acc = factors.astype(np.int64) @ rows.astype(np.int64)
-        return ((y - acc) % self.order).astype(DTYPE)
-
-
-class TableOps:
-    def __init__(self, order, add_t, mul_t, neg_t, inv_t):
-        self.order = order
-        self.add_t = add_t
-        self.mul_t = mul_t
-        self.neg_t = neg_t
-        self.inv_t = inv_t
-
-    def inv(self, c):
-        if c == 0:
-            raise DivisionByZero("inverse of zero")
-        return int(self.inv_t[c])
-
-    def neg(self, c):
-        return int(self.neg_t[c])
-
-    def scale(self, c, x):
-        return self.mul_t[c][x]
-
-    def sub_scaled(self, y, c, x):
-        nc = self.neg_t[c]
-        return self.add_t[y, self.mul_t[nc][x]]
-
-    def rows_sub_scaled(self, rows, factors, x):
-        nf = self.neg_t[factors]
-        return self.add_t[rows, self.mul_t[nf[:, None], x[None, :]]]
-
-    def sub_combination(self, y, factors, rows):
-        terms = self.mul_t[self.neg_t[factors][:, None], rows]
-        if self.order % 2 == 0:  # characteristic 2: codes add digitwise by XOR
-            return y ^ np.bitwise_xor.reduce(terms, axis=0)
-        for t in terms:
-            y = self.add_t[y, t]
-        return y
-
-
-def make_ops(field, level):
-    """Row-operation kernel for coefficients in k (level='k') or k' ('kprime')."""
-    if level == "kprime":
-        order = field.q
-    elif level == "k":
-        order = field.order
-    else:
-        raise ValueError(f"unknown level {level!r}")
-    if order == 2:
-        return Gf2Ops()
-    if level == "kprime" and field.e == 1:
-        return PrimeOps(field.p)
-    if level == "k" and field.n == 1 and field.e == 1:
-        return PrimeOps(field.p)
-    # subfield codes are closed under the top-field tables, so slicing works
-    q = order
-    return TableOps(q, field.add_table[:q, :q], field.mul_table[:q, :q],
-                    field.neg_table[:q], field.inv_table[:q])
 
 
 def rref(mat, ops):

@@ -27,7 +27,7 @@ from . import univar
 from .errors import (DegreeExceedsBound, GcdConditionFailed, NotADivisor,
                      NotCoprime, NotReducible, SearchBudgetExceeded)
 from .falldeg import span_closure
-from .linalg import kernel_basis, make_ops, rref
+from .linalg import DTYPE, kernel_basis, rref, solve
 from .poly import PolySystem, Ring
 
 
@@ -89,23 +89,13 @@ def symbolic_ext_gcd(field, f, g):
     while r1:
         c, r = symbolic_rdivmod(field, r0, r1)
         r0, r1 = r1, r
-        u0, u1 = u1, _sym_sub(field, u0, symbolic_mul(field, c, u1))
-        v0, v1 = v1, _sym_sub(field, v0, symbolic_mul(field, c, v1))
+        u0, u1 = u1, univar.sub(field.k, u0, symbolic_mul(field, c, u1))
+        v0, v1 = v1, univar.sub(field.k, v0, symbolic_mul(field, c, v1))
     if not r0:
         return univar.ZERO, univar.ZERO, univar.ZERO
     ic = field.inv(r0[-1])
     scale = lambda h: univar.trim(field.mul(ic, a) for a in h)
     return scale(r0), scale(u0), scale(v0)
-
-
-def _sym_sub(field, f, g):
-    n = max(len(f), len(g))
-    out = []
-    for i in range(n):
-        a = f[i] if i < len(f) else 0
-        b = g[i] if i < len(g) else 0
-        out.append(field.sub(a, b))
-    return univar.trim(out)
 
 
 # -- core data types -----------------------------------------------------------
@@ -270,10 +260,9 @@ class InvariantSubspace:
         self.gW = univar.trim(gw)
         self.basis_W = tuple(basis_W)
         self.tau_matrix = tau_matrix
-        self._kp_ops = make_ops(field, "kprime")
         self._B = np.array(
             [[field.coords(w)[i] for w in basis_W] for i in range(field.n)],
-            dtype=np.int16)
+            dtype=DTYPE)
 
     @property
     def dim(self):
@@ -281,10 +270,8 @@ class InvariantSubspace:
 
     def coords_of(self, code):
         """k'-coordinates of an element in the W basis, or None if outside W."""
-        from .linalg import solve
-
-        rhs = np.array(self.field.coords(code), dtype=np.int16)
-        x = solve(self._B, rhs, self._kp_ops)
+        rhs = np.array(self.field.coords(code), dtype=DTYPE)
+        x = solve(self._B, rhs, self.field.kprime)
         if x is None:
             return None
         if self.from_coords(tuple(int(c) for c in x)) != code:
@@ -321,7 +308,7 @@ class InvariantSubspace:
     def kernel_in_W(self, companion):
         """Elements of W killed by L(companion), as a k'-basis (W coordinates)."""
         mat = self.operator_matrix(companion)
-        return kernel_basis(mat, self._kp_ops, ncols=self.nprime)
+        return kernel_basis(mat, self.field.kprime, ncols=self.nprime)
 
     def __repr__(self):
         return f"InvariantSubspace(fW={list(self.fW)}, dim={self.nprime})"
@@ -344,23 +331,17 @@ def subspace_from_fW(fW, field):
     if not univar.divides(kp, fW, xn1):
         raise NotADivisor(f"{list(fW)} does not divide x^{field.n} - 1 over k'")
     n = field.n
-    # matrix of f_W(tau) over k' from the Frobenius coordinate matrix
-    tau = [[field.frob_matrix[i][j] for j in range(n)] for i in range(n)]
-
-    def mat_mul(A, B):
-        return [[_dot(kp, A[i], [B[r][j] for r in range(n)]) for j in range(n)]
-                for i in range(n)]
-
-    ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    acc = [[0] * n for _ in range(n)]
-    power = ident
-    for c in fW:
-        if c:
-            acc = [[kp.add(acc[i][j], kp.mul(c, power[i][j])) for j in range(n)]
-                   for i in range(n)]
-        power = mat_mul(power, tau)
-    ops = make_ops(field, "kprime")
-    ker = kernel_basis(np.array(acc, dtype=np.int16), ops, ncols=n)
+    # matrix of f_W(tau) over k' from the Frobenius coordinate matrix, one
+    # column sum_i c_i tau^i e_j at a time
+    tau = np.array(field.frob_matrix, dtype=DTYPE)
+    cols = []
+    for unit in np.eye(n, dtype=DTYPE):
+        acc = np.zeros(n, dtype=DTYPE)
+        for c in fW:
+            acc = kp.sub_scaled(acc, kp.neg(c), unit)
+            unit = kp.matvec(tau, unit)
+        cols.append(acc)
+    ker = kernel_basis(np.stack(cols, axis=1), kp, ncols=n)
     if len(ker) != univar.degree(fW):
         raise RuntimeError(
             f"kernel dimension {len(ker)} != deg fW {univar.degree(fW)}")
@@ -375,13 +356,6 @@ def subspace_from_fW(fW, field):
         tmat.append(co)
     space.tau_matrix = tuple(tuple(int(c) for c in row) for row in zip(*tmat))
     return space
-
-
-def _dot(kp, xs, ys):
-    acc = 0
-    for a, b in zip(xs, ys):
-        acc = kp.add(acc, kp.mul(a, b))
-    return acc
 
 
 def full_space(field):
@@ -579,9 +553,8 @@ def reducibility_check(F, space, m=None, seed=0, draws=64, exhaustive_dim_cap=16
     system = gbar_system(forms, space, m)
     span = span_closure(system, field.q)
     mat = _extract_linear_forms(span, m, n1)
-    kops = make_ops(field, "k")
     if mat.shape[0]:
-        R, pivots = rref(mat, kops)
+        R, pivots = rref(mat, field.k)
     else:
         R, pivots = mat, []
     stage_of = [p // n1 for p in pivots]
@@ -729,11 +702,10 @@ def _canonical_basis(space, m, raw_generators, trace=None, reducible=None):
                 raise RuntimeError("generator coordinate escaped W")
             row.extend(co)
         coords.append(row)
-    ops = space._kp_ops
     if coords:
-        R, _ = rref(np.array(coords, dtype=np.int16), ops)
+        R, _ = rref(np.array(coords, dtype=DTYPE), space.field.kprime)
     else:
-        R = np.zeros((0, m * n1), dtype=np.int16)
+        R = np.zeros((0, m * n1), dtype=DTYPE)
     gens = []
     for r in range(R.shape[0]):
         gen = []
@@ -888,11 +860,10 @@ def brute_force_solve(F, space, m=None):
                 for r, c in enumerate(field.coords(acc)):
                     block[r][s * n1 + t] = c
         rows.extend(block)
-    ops = space._kp_ops
     if rows:
-        ker = kernel_basis(np.array(rows, dtype=np.int16), ops, ncols=m * n1)
+        ker = kernel_basis(np.array(rows, dtype=DTYPE), field.kprime, ncols=m * n1)
     else:
-        ker = kernel_basis([], ops, ncols=m * n1)
+        ker = kernel_basis([], field.kprime, ncols=m * n1)
     raw = []
     for v in ker:
         gen = []

@@ -66,13 +66,14 @@ class Ring:
             raise ValueError("variable names must be unique")
         self.field = field
         self.level = level
+        self.ops = field.kprime if level == "kprime" else field.k
         self.vars = variables
         self.nvars = len(variables)
         self._var_index = {v: i for i, v in enumerate(variables)}
 
     @property
     def coeff_order(self):
-        return self.field.q if self.level == "kprime" else self.field.order
+        return self.ops.order
 
     def check_coeff(self, c):
         if not 0 <= c < self.coeff_order:

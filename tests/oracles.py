@@ -7,6 +7,8 @@ dimensions with its own one-shot elimination.
 
 import numpy as np
 
+from lastfall import univar
+from lastfall.errors import DivisionByZero
 from lastfall.poly import MultiPoly, PolySystem, monomials_up_to
 from lastfall.poly import grevlex_key
 
@@ -174,3 +176,127 @@ def zero_points(system, order=None):
 def count_zeros(system, order=None):
     """Exhaustive point count of a system over its coefficient domain."""
     return len(zero_points(system, order))
+
+
+# -- reference field tables ----------------------------------------------------
+#
+# The O(order^2) polynomial-arithmetic table builder that the library used
+# before its tables were built with numpy, kept as the reference they must
+# equal.
+
+
+class ModArith:
+    """GF(p) scalar arithmetic on codes 0..p-1."""
+
+    def __init__(self, p):
+        self.order = p
+
+    def add(self, a, b):
+        return (a + b) % self.order
+
+    def sub(self, a, b):
+        return (a - b) % self.order
+
+    def mul(self, a, b):
+        return (a * b) % self.order
+
+    def neg(self, a):
+        return (-a) % self.order
+
+    def inv(self, a):
+        if a == 0:
+            raise DivisionByZero("inverse of zero")
+        return pow(a, self.order - 2, self.order)
+
+
+class TableArith:
+    """Scalar arithmetic backed by precomputed tables."""
+
+    def __init__(self, order, add_t, mul_t, neg_t, inv_t):
+        self.order = order
+        self._add = add_t
+        self._mul = mul_t
+        self._neg = neg_t
+        self._inv = inv_t
+
+    def add(self, a, b):
+        return int(self._add[a, b])
+
+    def sub(self, a, b):
+        return int(self._add[a, self._neg[b]])
+
+    def mul(self, a, b):
+        return int(self._mul[a, b])
+
+    def neg(self, a):
+        return int(self._neg[a])
+
+    def inv(self, a):
+        if a == 0:
+            raise DivisionByZero("inverse of zero")
+        return int(self._inv[a])
+
+
+def _build_extension_tables(base, modulus):
+    """Tables for base[t]/(modulus); codes are base-`base.order` digit strings."""
+    b = base.order
+    deg = univar.degree(modulus)
+    order = b ** deg
+
+    def to_poly(code):
+        digits = []
+        for _ in range(deg):
+            digits.append(code % b)
+            code //= b
+        return univar.trim(digits)
+
+    def to_code(poly):
+        code = 0
+        for j, c in enumerate(poly):
+            code += c * b**j
+        return code
+
+    add_t = np.zeros((order, order), dtype=np.int16)
+    mul_t = np.zeros((order, order), dtype=np.int16)
+    neg_t = np.zeros(order, dtype=np.int16)
+    inv_t = np.zeros(order, dtype=np.int16)
+    polys = [to_poly(c) for c in range(order)]
+    for a in range(order):
+        neg_t[a] = to_code(univar.scale(base, base.neg(1), polys[a]))
+        for bb in range(a, order):
+            s = to_code(univar.add(base, polys[a], polys[bb]))
+            add_t[a, bb] = s
+            add_t[bb, a] = s
+            m = to_code(univar.mod(base, univar.mul(base, polys[a], polys[bb]), modulus))
+            mul_t[a, bb] = m
+            mul_t[bb, a] = m
+    for a in range(1, order):
+        row = mul_t[a]
+        inv_t[a] = int(np.nonzero(row == 1)[0][0])
+    return order, add_t, mul_t, neg_t, inv_t
+
+
+def reference_tables(field):
+    """Tables of both tower levels of `field` from its moduli, built by the
+    reference builder: {"kprime": (add, mul, neg, inv), "k": (add, mul, neg,
+    inv), "frob": [x -> x^(q^i) for i < n]}."""
+    base = ModArith(field.p)
+    if field.e == 1:
+        r = np.arange(field.p)
+        kprime = (np.add.outer(r, r) % field.p, np.multiply.outer(r, r) % field.p,
+                  -r % field.p, np.array([0] + [pow(int(a), field.p - 2, field.p)
+                                                for a in r[1:]]))
+    else:
+        kprime = _build_extension_tables(base, field.m1)[1:]
+    _, add_t, mul_t, neg_t, inv_t = _build_extension_tables(
+        TableArith(field.q, *kprime), field.m2)
+    frob = [np.arange(len(add_t))]
+    for _ in range(1, field.n):
+        step = []
+        for x in frob[-1]:
+            y = 1
+            for _ in range(field.q):
+                y = int(mul_t[y, x])
+            step.append(y)
+        frob.append(np.array(step))
+    return {"kprime": kprime, "k": (add_t, mul_t, neg_t, inv_t), "frob": frob}

@@ -1,0 +1,31 @@
+"""Every function the traced benchmark wraps still exists in the library.
+
+``bench/tracing.py`` names its targets by module and attribute path; a
+rename in ``src/`` would otherwise surface only when ``bench/run.py --trace
+1`` fails.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("target", load_tracing().TARGETS, ids=lambda t: f"{t[0]}:{t[1]}")
+def test_trace_target_resolves(target):
+    modname, path, _layer = target
+    obj = importlib.import_module(modname)
+    for attr in path.split("."):
+        assert hasattr(obj, attr), f"{modname}.{path} is gone"
+        obj = getattr(obj, attr)
+    assert callable(obj)

@@ -1,0 +1,105 @@
+"""The arithmetic object of each tower level: its tables against the
+reference builder, field axioms at the largest supported order, and its row
+operations against its own scalar operations on every kernel kind."""
+
+import random
+
+import numpy as np
+import pytest
+
+from lastfall import make_field
+from lastfall.linalg import DTYPE
+from oracles import reference_tables
+
+# every field the conftest fixtures and test_gf.py build, the n = 1 towers of
+# test_span_engine.py, and GF(7^3) and GF(4^3); GF(9) is also built from the
+# non-monic modulus 2t^2 + 2
+TABLE_FIELDS = [(2, 1, 1), (2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 1, 4), (2, 2, 3),
+                (5, 1, 2), (3, 1, 3), (2, 2, 1), (3, 2, 1), (7, 1, 3)]
+
+
+@pytest.mark.parametrize("spec", TABLE_FIELDS + [(3, 1, 2, (2, 0, 2))])
+def test_tables_match_reference_builder(spec):
+    field = make_field(*spec[:3], m2=spec[3] if len(spec) > 3 else None)
+    ref = reference_tables(field)
+    for level, ops in (("kprime", field.kprime), ("k", field.k)):
+        got = (ops.add_table, ops.mul_table, ops.neg_table, ops.inv_table)
+        for table, expect in zip(got, ref[level]):
+            assert table.dtype == DTYPE
+            assert np.array_equal(table, expect)
+    assert len(field.frob_tables) == field.n
+    for table, expect in zip(field.frob_tables, ref["frob"]):
+        assert np.array_equal(table, expect)
+
+
+@pytest.mark.parametrize("spec", [(2, 1, 10), (2, 2, 5), (1021, 1, 1)])
+def test_field_axioms_at_order_1024(spec):
+    f = make_field(*spec)
+    k = f.k
+    assert f.order == 1024 or spec == (1021, 1, 1)
+    add, mul = k.add_table, k.mul_table
+    elems = np.arange(f.order)
+    # whole tables: commutative, identities, inverses
+    assert np.array_equal(add, add.T) and np.array_equal(mul, mul.T)
+    assert np.array_equal(add[0], elems) and np.array_equal(mul[1], elems)
+    assert not add[elems, k.neg_table].any()
+    assert np.all(mul[elems[1:], k.inv_table[1:]] == 1)
+    # sampled: associativity and distributivity against every element
+    rng = random.Random(0)
+    for a, b in zip(rng.sample(range(f.order), 24), rng.sample(range(f.order), 24)):
+        assert np.array_equal(add[add[a, b], elems], add[a, add[b, elems]])
+        assert np.array_equal(mul[mul[a, b], elems], mul[a, mul[b, elems]])
+        assert np.array_equal(mul[a, add[b, elems]], add[mul[a, b], mul[a, elems]])
+    # the encoding: t^j has code q^j, m2(t) = 0, and k' sits in k as 0..q-1
+    if f.n > 1:
+        t = f.gen()
+        for j in range(f.n):
+            assert f.pow(t, j) == f.q**j
+        acc = 0
+        for j, c in enumerate(f.m2):
+            acc = f.add(acc, f.mul(c, f.pow(t, j)))
+        assert acc == 0
+    assert np.array_equal(add[: f.q, : f.q], f.kprime.add_table)
+    assert np.array_equal(mul[: f.q, : f.q], f.kprime.mul_table)
+
+
+# one field per row kernel: GF(2) (XOR and AND), GF(3) and GF(1021) (native
+# modular arithmetic), GF(4) (table products, XOR sums) and the GF(9) tower
+# (table products and sums)
+KERNEL_FIELDS = {"GF(2)": (2, 1, 1), "GF(3)": (3, 1, 1), "GF(1021)": (1021, 1, 1),
+                 "GF(4)": (2, 1, 2), "GF(9) tower": (3, 2, 1)}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+def test_row_ops_agree_with_scalar_ops(name):
+    ops = make_field(*KERNEL_FIELDS[name]).k
+    gen = np.random.default_rng(5)
+    x, y = gen.integers(0, ops.order, (2, 60)).astype(DTYPE)
+    rows = gen.integers(0, ops.order, (5, 60)).astype(DTYPE)
+    factors = gen.integers(1, ops.order, 5).astype(DTYPE)
+    mat = gen.integers(0, ops.order, (4, 5)).astype(DTYPE)
+    for c in {0, 1, ops.order - 1, int(x[0])}:
+        # scalar inputs are np.int16 codes taken from rows, as callers pass them
+        c = DTYPE(c)
+        assert ops.scale(c, x).tolist() == [ops.mul(c, a) for a in x]
+        assert ops.sub_scaled(y, c, x).tolist() == [
+            ops.sub(b, ops.mul(c, a)) for a, b in zip(x, y)]
+    assert ops.vmul(x, y).tolist() == [ops.mul(a, b) for a, b in zip(x, y)]
+    expect = [[ops.sub(b, ops.mul(c, a)) for a, b in zip(x, row)]
+              for c, row in zip(factors, rows)]
+    assert ops.rows_sub_scaled(rows, factors, x).tolist() == expect
+    acc = y.tolist()
+    for c, row in zip(factors, rows):
+        acc = [ops.sub(b, ops.mul(c, a)) for a, b in zip(row, acc)]
+    assert ops.sub_combination(y, factors, rows).tolist() == acc
+    expect = []
+    for mrow in mat:
+        s = 0
+        for a, b in zip(mrow, x[:5]):
+            s = ops.add(s, ops.mul(a, b))
+        expect.append(s)
+    assert ops.matvec(mat, x[:5]).tolist() == expect
+    for out in (ops.scale(DTYPE(2 % ops.order), x), ops.vmul(x, y),
+                ops.sub_scaled(y, DTYPE(1), x), ops.rows_sub_scaled(rows, factors, x),
+                ops.sub_combination(y, factors, rows), ops.matvec(mat, x[:5])):
+        assert out.dtype == DTYPE

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from lastfall import (DivisionByZero, NonPrimeCharacteristic, NotABasis,
-                      ReducibleModulus, frobenius_q, make_field, moore_matrix)
+from lastfall import (DivisionByZero, LastfallError, NonPrimeCharacteristic, NotABasis,
+                      ReducibleModulus, UnsupportedField, frobenius_q, make_field,
+                      moore_matrix)
 from lastfall.gf import field_from_json_str, field_to_json_str
 
 
@@ -35,6 +36,32 @@ def test_make_field_rejects_bad_inputs():
         make_field(4, 1, 2)
     with pytest.raises(ReducibleModulus):
         make_field(2, 1, 2, m2=(1, 0, 1))  # t^2 + 1 = (t+1)^2 over GF(2)
+
+
+def test_make_field_refuses_n_below_one():
+    with pytest.raises(UnsupportedField) as info:
+        make_field(2, 1, 0)
+    assert isinstance(info.value, LastfallError) and isinstance(info.value, ValueError)
+
+
+def test_make_field_refuses_e_below_one():
+    with pytest.raises(UnsupportedField):
+        make_field(2, 0, 3)
+
+
+def test_make_field_refuses_order_above_bound_before_any_search(monkeypatch):
+    from lastfall import univar
+
+    def no_search(*args):
+        raise AssertionError("modulus search started")
+
+    monkeypatch.setattr(univar, "first_irreducible", no_search)
+    with pytest.raises(UnsupportedField):
+        make_field(2, 1, 16)
+    with pytest.raises(UnsupportedField):
+        make_field(2, 5, 40)
+    with pytest.raises(UnsupportedField):
+        make_field(1031, 1, 1)
 
 
 def test_arith_examples(gf4, gf9):
@@ -142,10 +169,10 @@ def test_moore_matrix_cubic_basis(gf8):
 
 def test_moore_invertible_iff_independent_exhaustive(gf4):
     """All 16 pairs over GF(4): Moore matrix invertible <=> k'-independent."""
-    from lastfall.linalg import make_ops, rank
+    from lastfall.linalg import rank
     import numpy as np
 
-    ops = make_ops(gf4, "kprime")
+    ops = gf4.kprime
     for a in gf4.elements():
         for b in gf4.elements():
             coords = np.array([gf4.coords(a), gf4.coords(b)], dtype=np.int16).T
@@ -159,10 +186,10 @@ def test_moore_invertible_iff_independent_exhaustive(gf4):
 
 
 def test_moore_invertible_iff_independent_random(gf8):
-    from lastfall.linalg import make_ops, rank
+    from lastfall.linalg import rank
     import numpy as np
 
-    ops = make_ops(gf8, "kprime")
+    ops = gf8.kprime
     rng = random.Random(11)
     for _ in range(60):
         tup = [rng.randrange(gf8.order) for _ in range(3)]

@@ -1,6 +1,6 @@
 """The span engine's basis: fully reduced, canonical and of the right size.
 
-The property tests run over one field per row-op family of ``linalg``:
+The property tests run over one field per row kernel of ``gf.FieldOps``:
 GF(2) (XOR), GF(3) (modular arithmetic), GF(4) built as a tower over GF(2)
 (a table field with p = 2, whose codes add by XOR) and GF(9) built as a
 tower over GF(3) (a table field with odd p).
@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lastfall import PolySystem, Ring, make_field, span_closure
-from lastfall.linalg import DTYPE, make_ops
+from lastfall.linalg import DTYPE
 from oracles import naive_closure_dim, random_invertible_matrix, random_system, recombine
 
 FIELDS = {"GF(2)": (2, 1, 1), "GF(3)": (3, 1, 1), "GF(4)": (2, 2, 1), "GF(9)": (3, 2, 1)}
@@ -102,7 +102,7 @@ def test_reduce_clears_every_pivot(fields, name, seed):
 @pytest.mark.parametrize("spec", [(2, 1, 1), (3, 1, 1), (2, 2, 1), (3, 2, 1), (251, 1, 1)])
 def test_sub_combination_matches_scaled_steps(spec):
     field = make_field(*spec)
-    ops = make_ops(field, "k")
+    ops = field.k
     rng = np.random.default_rng(7)
     y = rng.integers(0, field.order, 40).astype(DTYPE)
     rows = rng.integers(0, field.order, (6, 40)).astype(DTYPE)
@@ -125,7 +125,7 @@ def big_prime_field(request):
 
 def test_prime_ops_large_p(big_prime_field):
     p = big_prime_field.p
-    ops = make_ops(big_prime_field, "k")
+    ops = big_prime_field.k
     x = np.arange(p, dtype=DTYPE)
     c = p - 2
     assert ops.scale(c, x).tolist() == [(c * v) % p for v in range(p)]

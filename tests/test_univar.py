@@ -6,11 +6,11 @@ import pytest
 
 from lastfall import univar
 from lastfall.errors import NotCoprime
-from lastfall.gf import ModArith
+from lastfall.gf import FieldOps
 
 
 def test_divmod_identity_over_prime():
-    ar = ModArith(5)
+    ar = FieldOps.prime(5)
     rng = random.Random(1)
     for _ in range(50):
         f = univar.trim(tuple(rng.randrange(5) for _ in range(5)))
@@ -36,27 +36,27 @@ def test_ext_gcd_certificate_over_extension(gf9):
 
 
 def test_bezout_pair_requires_coprime():
-    ar = ModArith(2)
+    ar = FieldOps.prime(2)
     with pytest.raises(NotCoprime):
         univar.bezout_pair(ar, (0, 1), (0, 0, 1))
 
 
 def test_first_irreducible_choices():
-    assert univar.first_irreducible(ModArith(2), 2) == (1, 1, 1)
-    assert univar.first_irreducible(ModArith(3), 2) == (1, 0, 1)
+    assert univar.first_irreducible(FieldOps.prime(2), 2) == (1, 1, 1)
+    assert univar.first_irreducible(FieldOps.prime(3), 2) == (1, 0, 1)
     # irreducible by definition: no roots and no proper factors
-    f = univar.first_irreducible(ModArith(2), 4)
-    assert univar.degree(f) == 4 and univar.is_irreducible(ModArith(2), f)
+    f = univar.first_irreducible(FieldOps.prime(2), 4)
+    assert univar.degree(f) == 4 and univar.is_irreducible(FieldOps.prime(2), f)
 
 
 def test_monic_divisor_lattice():
-    ar = ModArith(2)
+    ar = FieldOps.prime(2)
     xn1 = univar.x_pow_n_minus_one(ar, 4)  # (x+1)^4 over GF(2)
     divs = univar.monic_divisors(ar, xn1)
     assert len(divs) == 5
     assert all(univar.divides(ar, d, xn1) for d in divs)
 
-    ar3 = ModArith(3)
+    ar3 = FieldOps.prime(3)
     x31 = univar.x_pow_n_minus_one(ar3, 3)  # (x-1)^3 over GF(3)
     assert len(univar.monic_divisors(ar3, x31)) == 4
 
