@@ -3,7 +3,7 @@
 from .errors import (CoordinateNotInField, DegreeExceedsBound, DegreeTooHigh,
                      DivisionByZero, GcdConditionFailed, LastfallError,
                      NonPrimeCharacteristic, NotABasis, NotADivisor, NotCoprime,
-                     NotReducible, ReducibleModulus, RingMismatch,
+                     NotReducible, OracleInconsistent, ReducibleModulus, RingMismatch,
                      SearchBudgetExceeded, StepBudgetExceeded,
                      UnassignedVariable, UnsupportedField)
 from .gf import FieldElement, FieldSpec, FrobeniusMatrix, frobenius_q, make_field, moore_matrix

@@ -46,6 +46,11 @@ class StepBudgetExceeded(LastfallError):
     pass
 
 
+class OracleInconsistent(LastfallError):
+    """A truncation oracle reported fewer ideal elements in some degrees than
+    the span, which lies inside the ideal, already holds."""
+
+
 class NotADivisor(LastfallError):
     pass
 

@@ -29,14 +29,16 @@ degree-compatible order) rebuilds ideal elements within their own degree, so
 no fall can occur beyond D.
 """
 
+import heapq
+import operator
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegreeTooHigh, StepBudgetExceeded
+from .errors import DegreeTooHigh, OracleInconsistent, StepBudgetExceeded
 from .linalg import DTYPE
-from .poly import NEG_INF, ORDER_KEYS, MultiPoly, monomials_of_degree
+from .poly import DESCENDING_KEYS, NEG_INF, ORDER_KEYS, MultiPoly, monomials_of_degree
 
 
 def _reduce(vec, rows, pivcols, ops):
@@ -48,6 +50,20 @@ def _reduce(vec, rows, pivcols, ops):
     if len(hit) == 0:
         return vec
     return ops.sub_combination(vec, coef[hit], rows[hit])
+
+
+def _insert(rows, pivcols, n, vec, p, ops):
+    """Store vec, already reduced against rows[:n], as row n with pivot
+    column p: scaled to 1 there, and p cleared from every other row."""
+    c = int(vec[p])
+    if c != 1:
+        vec = ops.scale(ops.inv(c), vec)
+    col = rows[:n, p]
+    hits = col.nonzero()[0]
+    if len(hits):
+        rows[hits] = ops.rows_sub_scaled(rows[hits], col[hits].copy(), vec)
+    rows[n] = vec
+    pivcols[n] = p
 
 
 class _SpanEngine:
@@ -151,21 +167,13 @@ class _SpanEngine:
         if len(nz) == 0:
             return None
         p = int(nz[-1])
-        c = int(vec[p])
-        if c != 1:
-            vec = ops.scale(ops.inv(c), vec)
-        col = self.mat[:n, p]
-        hits = col.nonzero()[0]
-        if len(hits):
-            self.mat[hits] = ops.rows_sub_scaled(self.mat[hits], col[hits].copy(), vec)
         if n == self.mat.shape[0]:
             size = max(32, 2 * n)
             grown = np.zeros((size, self.mat.shape[1]), dtype=DTYPE)
             grown[:n] = self.mat[:n]
             self.mat = grown
             self.pivcols = np.resize(self.pivcols, size)
-        self.mat[n] = vec
-        self.pivcols[n] = p
+        _insert(self.mat, self.pivcols, n, vec, p, ops)
         self.row_deg.append(int(self.col_deg[p]))
         if p == 0:
             self.unit = True
@@ -325,7 +333,9 @@ def last_fall_degree(system, cap=None, certify=True, order="grevlex", oracle=Non
     (a toy Groebner run by default, or a caller-supplied oracle) confirms
     that no fall can occur at higher degrees; an exhausted cap is not an
     error and is reported through status="cap-limited", in which case the
-    reported value is only a lower bound.
+    reported value is only a lower bound.  An oracle that reports fewer ideal
+    elements in some degrees than the span already holds raises
+    OracleInconsistent.
     """
     if cap is None:
         cap = default_cap(system)
@@ -359,8 +369,7 @@ def last_fall_degree(system, cap=None, certify=True, order="grevlex", oracle=Non
                 break
             if orac is None:
                 orac = GroebnerOracle(groebner_toy(system, order=order))
-            maxd = orac.max_gb_degree()
-            if i >= maxd and all(eng.dim_leq(j) == orac.dim_leq(j) for j in range(i + 1)):
+            if i >= orac.max_gb_degree() and _agrees(eng, orac, i):
                 certified_at = i
                 break
     status = "certified" if (certify and certified_at is not None) else "cap-limited"
@@ -369,14 +378,53 @@ def last_fall_degree(system, cap=None, certify=True, order="grevlex", oracle=Non
     return FallProfile(tuple(records), last_fall, status, certified_at, cap, order)
 
 
+def _agrees(eng, orac, i):
+    """Whether the span's truncated dimensions equal the oracle's at every
+    degree j <= i.  The span lies inside the ideal, so a span dimension above
+    the oracle's proves the oracle wrong."""
+    agree = True
+    for j in range(i + 1):
+        ours, theirs = eng.dim_leq(j), orac.dim_leq(j)
+        if ours > theirs:
+            raise OracleInconsistent(
+                f"the span has dimension {ours} in degrees <= {j}, above the "
+                f"oracle's {theirs} for the whole ideal")
+        agree = agree and ours == theirs
+    return agree
+
+
 # -- toy Groebner engine (certification / membership oracle only) -------------
 
 
+@dataclass(frozen=True)
+class GroebnerStats:
+    """Work counts of one groebner_toy run.
+
+    Every pair formed is either dropped by the product criterion, dropped by
+    the chain criterion or reduced, so ``pairs`` is the sum of those three;
+    ``steps`` counts leading-term reductions, the final inter-reduction
+    included, which is what the step budget is charged in.
+    """
+
+    pairs: int
+    product_criterion: int
+    chain_criterion: int
+    reductions: int
+    zero_reductions: int
+    steps: int
+
+
 class GroebnerBasis:
-    def __init__(self, ring, order, gens):
+    def __init__(self, ring, order, gens, stats=None):
         self.ring = ring
         self.order = order
         self.gens = tuple(gens)
+        self.stats = stats
+        self._reducers = [_reducer(g.terms, order) for g in self.gens]
+
+    @property
+    def leads(self):
+        return tuple(le for le, _, _ in self._reducers)
 
     def max_degree(self):
         if not self.gens:
@@ -384,129 +432,208 @@ class GroebnerBasis:
         return max(int(g.degree) for g in self.gens)
 
     def normal_form(self, f):
-        return _normal_form(f, list(self.gens), self.order)
+        return MultiPoly(self.ring, _normal_form(f.terms, self._reducers, self.ring.ops,
+                                                 self.order))
+
+
+def _reducer(terms, order):
+    """(lead exponent, lead coefficient, tail terms) of a nonzero polynomial."""
+    le = max(terms, key=ORDER_KEYS[order])
+    return le, terms[le], tuple((e, c) for e, c in terms.items() if e != le)
 
 
 def _lt_divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
-def _normal_form(f, gens, order, budget=None, leads=None):
-    ring = f.ring
-    field = ring.field
-    key = ORDER_KEYS[order]
-    if leads is None:
-        leads = [(g.leading(order), g) for g in gens if not g.is_zero()]
+def _lcm(a, b):
+    return tuple(map(max, a, b))
+
+
+def _normal_form(terms, reducers, ops, order, budget=None):
+    """Remainder of the polynomial ``terms`` (exponent -> code) on division by
+    ``reducers`` (see ``_reducer``), as an exponent -> code dict.
+
+    The largest remaining term is reduced first, by the first reducer whose
+    lead divides it.  The terms wait in a heap of order keys; a term that
+    cancels keeps the code 0 in ``work`` and is skipped when it comes up, and
+    since every step adds only terms below the one it reduces, no term is
+    queued twice.  Each step is charged to ``budget`` (a one-item list).
+    """
+    add, mul = ops.add, ops.mul
+    desc = DESCENDING_KEYS[order]
+    work = dict(terms)
+    heap = [(desc(e), e) for e in work]
+    heapq.heapify(heap)
     remainder = {}
-    work = dict(f.terms)
-    while work:
-        e = max(work, key=key)
+    while heap:
+        e = heapq.heappop(heap)[1]
         c = work.pop(e)
-        hit = None
-        for (le, lc), g in leads:
+        if not c:
+            continue
+        for le, lc, tail in reducers:
             if _lt_divides(le, e):
-                hit = (le, lc, g)
                 break
-        if hit is None:
+        else:
             remainder[e] = c
             continue
-        le, lc, g = hit
-        fac = field.mul(c, field.inv(lc))
-        delta = tuple(a - b for a, b in zip(e, le))
-        for ge, gc in g.terms.items():
-            if ge == le:
-                continue
-            te = tuple(a + b for a, b in zip(ge, delta))
-            s = field.sub(work.get(te, 0), field.mul(fac, gc))
-            if s:
-                work[te] = s
+        fac = ops.neg(mul(c, ops.inv(lc)))
+        delta = tuple(map(operator.sub, e, le))
+        for ge, gc in tail:
+            te = tuple(map(operator.add, ge, delta))
+            old = work.get(te)
+            if old is None:
+                work[te] = mul(fac, gc)
+                heapq.heappush(heap, (desc(te), te))
             else:
-                work.pop(te, None)
+                work[te] = add(old, mul(fac, gc))
         if budget is not None:
             budget[0] -= 1
             if budget[0] < 0:
                 raise StepBudgetExceeded("reduction budget exhausted")
-    return MultiPoly(ring, remainder)
+    return remainder
 
 
-def _spoly(f, g, order):
-    ring = f.ring
-    field = ring.field
-    (fe, fc) = f.leading(order)
-    (ge, gc) = g.leading(order)
-    lcm = tuple(max(a, b) for a, b in zip(fe, ge))
-    mf = ring.monomial(tuple(a - b for a, b in zip(lcm, fe)), field.inv(fc))
-    mg = ring.monomial(tuple(a - b for a, b in zip(lcm, ge)), field.inv(gc))
-    return mf * f - mg * g
+def _spoly(a, b, lcm, ops):
+    """S-polynomial of two monic reducers with the given lcm of their leads."""
+    (la, _, ta), (lb, _, tb) = a, b
+    da = tuple(map(operator.sub, lcm, la))
+    db = tuple(map(operator.sub, lcm, lb))
+    work = {tuple(map(operator.add, e, da)): c for e, c in ta}
+    for e, c in tb:
+        te = tuple(map(operator.add, e, db))
+        s = ops.sub(work.get(te, 0), c)
+        if s:
+            work[te] = s
+        else:
+            work.pop(te, None)
+    return work
+
+
+class _PairQueue:
+    """Open S-pairs of a growing basis, pruned by the Gebauer-Moeller update
+    (Becker & Weispfenning, Groebner Bases, GTM 141, procedure UPDATE).
+
+    Pairs come out smallest lcm first: keyed (deg lcm, order key of lcm, i,
+    j), the key computed once when the pair is made.  A pair the chain
+    criterion later removes stays in the heap and is skipped when popped.
+    """
+
+    def __init__(self, order):
+        self.key = ORDER_KEYS[order]
+        self.leads = []
+        self.active = []   # elements no later lead divides: the only ones paired
+        self.open = {}     # (i, j) -> lcm of the leads, for every open pair
+        self.heap = []
+        self.pairs = self.product = self.chain = 0
+
+    def add(self, lead):
+        """Register the next basis element by its lead and update the pairs."""
+        h = len(self.leads)
+        self.leads.append(lead)
+        fresh = [(g, _lcm(self.leads[g], lead), not any(map(min, self.leads[g], lead)))
+                 for g in self.active]
+        self.pairs += len(fresh)
+        # chain criterion among the new pairs: drop (g, h) when the lcm of
+        # another new pair, not yet dropped, divides its lcm; pairs with
+        # coprime leads are kept here and fall to the product criterion
+        kept = []
+        for idx, (g, m, coprime) in enumerate(fresh):
+            if (coprime or not any(_lt_divides(m2, m) for _, m2, _ in fresh[idx + 1:])
+                    and not any(_lt_divides(m2, m) for _, m2, _ in kept)):
+                kept.append((g, m, coprime))
+            else:
+                self.chain += 1
+        # chain criterion on the open pairs: h's lead divides their lcm,
+        # and neither (i, h) nor (j, h) has that same lcm
+        for (i, j), m in list(self.open.items()):
+            if (_lt_divides(lead, m) and _lcm(self.leads[i], lead) != m
+                    and _lcm(self.leads[j], lead) != m):
+                del self.open[i, j]
+                self.chain += 1
+        for g, m, coprime in kept:
+            if coprime:
+                self.product += 1  # the S-polynomial reduces to 0
+                continue
+            self.open[g, h] = m
+            heapq.heappush(self.heap, (sum(m), self.key(m), g, h))
+        self.active = [g for g in self.active if not _lt_divides(lead, self.leads[g])]
+        self.active.append(h)
+
+    def pop(self):
+        """The next open pair (i, j, lcm), or None when none is left."""
+        while self.heap:
+            _, _, i, j = heapq.heappop(self.heap)
+            m = self.open.pop((i, j), None)
+            if m is not None:
+                return i, j, m
+        return None
 
 
 def groebner_toy(system, order="grevlex", step_budget=10**6):
-    """Reduced Groebner basis by plain Buchberger; desk-scale inputs only.
+    """Reduced Groebner basis by Buchberger's algorithm; desk-scale inputs only.
 
-    A step budget (counted in leading-term reductions) guards against
-    runaway inputs and raises StepBudgetExceeded when spent.
+    Pairs are treated smallest lcm first and pruned by the Gebauer-Moeller
+    criteria: the product criterion (coprime leading terms) and the chain
+    criterion (a pair whose lcm is divisible by a new lead, covered by the
+    new element's pairs with both members).  New pairs are formed only with
+    elements whose lead no later lead divides, but every element takes part
+    in the reductions.  The result's ``stats`` counts the work.
+
+    A step budget, counted in leading-term reductions (one per term of the
+    running remainder that a lead divides, over the S-polynomials and the
+    final inter-reduction), guards against runaway inputs and raises
+    StepBudgetExceeded when spent.
     """
     ring = system.ring
-    field = ring.field
+    ops = ring.ops
     key = ORDER_KEYS[order]
     budget = [step_budget]
-    basis = []
+    basis = []  # reducers of every element, in the order they were added
+    queue = _PairQueue(order)
+
+    def add(terms):
+        le = max(terms, key=key)
+        inv = ops.inv(terms[le])
+        basis.append(_reducer({e: ops.mul(inv, c) for e, c in terms.items()}, order))
+        queue.add(le)
+
     for f in system.polys:
-        if f.is_zero():
-            continue
-        _, lc = f.leading(order)
-        basis.append(f.scale(field.inv(lc)))
-    if not basis:
-        return GroebnerBasis(ring, order, ())
-
-    leads = [(g.leading(order), g) for g in basis]
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
-    while pairs:
-        # deterministic normal strategy: smallest lcm degree first
-        def pair_key(p):
-            i, j = p
-            lcm = tuple(max(a, b) for a, b in zip(leads[i][0][0], leads[j][0][0]))
-            return (sum(lcm), key(lcm), i, j)
-
-        i, j = min(pairs, key=pair_key)
-        pairs.discard((i, j))
-        le_i = leads[i][0][0]
-        le_j = leads[j][0][0]
-        if all(a == 0 or b == 0 for a, b in zip(le_i, le_j)):
-            continue  # coprime leading terms, S-polynomial reduces to zero
-        r = _normal_form(_spoly(basis[i], basis[j], order), basis, order, budget, leads)
-        if r.is_zero():
-            continue
-        _, lc = r.leading(order)
-        g = r.scale(field.inv(lc))
-        basis.append(g)
-        leads.append((g.leading(order), g))
-        new = len(basis) - 1
-        pairs.update((k, new) for k in range(new))
+        if not f.is_zero():
+            add(f.terms)
+    reductions = zero = 0
+    while (pair := queue.pop()) is not None:
+        i, j, m = pair
+        r = _normal_form(_spoly(basis[i], basis[j], m, ops), basis, ops, order, budget)
+        reductions += 1
+        if r:
+            add(r)
+        else:
+            zero += 1
 
     # minimize by leading terms first, then tail-reduce: reducing every
     # element against all the others at once can drop mutually-reducing pairs
     minimal = []
-    for g in sorted(basis, key=lambda h: key(h.leading(order)[0])):
-        le = g.leading(order)[0]
-        if any(_lt_divides(h.leading(order)[0], le) for h in minimal):
-            continue
-        minimal.append(g)
+    for red in sorted(basis, key=lambda red: key(red[0])):
+        if not any(_lt_divides(other[0], red[0]) for other in minimal):
+            minimal.append(red)
+    # every element is monic and keeps its lead, so the result is monic and
+    # still sorted by lead
     final = []
-    for idx, g in enumerate(minimal):
-        others = [h for k, h in enumerate(minimal) if k != idx]
-        r = _normal_form(g, others, order, budget)
-        _, lc = r.leading(order)
-        final.append(r.scale(field.inv(lc)))
-    final.sort(key=lambda h: key(h.leading(order)[0]))
-    return GroebnerBasis(ring, order, final)
+    for idx, (le, lc, tail) in enumerate(minimal):
+        others = minimal[:idx] + minimal[idx + 1:]
+        final.append(MultiPoly(ring, _normal_form({le: lc, **dict(tail)}, others, ops,
+                                                  order, budget)))
+    stats = GroebnerStats(queue.pairs, queue.product, queue.chain, reductions, zero,
+                          step_budget - budget[0])
+    return GroebnerBasis(ring, order, final, stats)
 
 
 def ideal_truncation_dim(gb, j):
     """dim of the ideal intersected with polynomials of degree <= j, read off
     the staircase: total monomials minus standard monomials."""
     ring = gb.ring
-    leads = [g.leading(gb.order)[0] for g in gb.gens]
+    leads = gb.leads
     total = 0
     std = 0
     for d in range(j + 1):
@@ -556,12 +683,18 @@ class PointsOracle:
         self._std = {}          # exp -> evaluation vector (original, standard only)
         self._std_count = []    # per degree
         self._total_count = []
-        self._ech = []          # list of (pivot_index, normalized vector)
+        # fully reduced echelon of the standard monomials' evaluation
+        # vectors: row r is 1 at pivcols[r] (its first nonzero entry) and
+        # every pivot column is zero outside its own row; at most one row
+        # per point
+        self._rows = np.zeros((self.npoints, self.npoints), dtype=DTYPE)
+        self._pivcols = np.zeros(self.npoints, dtype=np.int64)
         self._nonstd = []
         self._rank = 0
         self._max_gb = None
 
     def _extend(self, j):
+        ops = self.ops
         while self._done < j:
             d = self._done + 1
             stdc = 0
@@ -582,24 +715,17 @@ class PointsOracle:
                         # parent not standard => e not standard either
                         self._nonstd.append(e)
                         continue
-                    val = self.ops.vmul(pvec, self._coord_vals[v])
-                vec = val.copy()
-                for piv, row in self._ech:
-                    c = int(vec[piv])
-                    if c:
-                        vec = self.ops.sub_scaled(vec, c, row)
+                    val = ops.vmul(pvec, self._coord_vals[v])
+                n = self._rank
+                vec = _reduce(val, self._rows[:n], self._pivcols[:n], ops)
                 nz = np.flatnonzero(vec)
                 if len(nz) == 0:
                     self._nonstd.append(e)
-                else:
-                    piv = int(nz[0])
-                    c = int(vec[piv])
-                    if c != 1:
-                        vec = self.ops.scale(self.ops.inv(c), vec)
-                    self._ech.append((piv, vec))
-                    self._std[e] = val
-                    self._rank += 1
-                    stdc += 1
+                    continue
+                _insert(self._rows, self._pivcols, n, vec, int(nz[0]), ops)
+                self._std[e] = val
+                self._rank += 1
+                stdc += 1
             self._std_count.append(stdc)
             self._total_count.append(totc)
             self._done = d

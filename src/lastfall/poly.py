@@ -30,6 +30,12 @@ def grlex_key(exps):
 
 ORDER_KEYS = {"grevlex": grevlex_key, "grlex": grlex_key}
 
+# flat keys that sort the same orders from the largest monomial down
+DESCENDING_KEYS = {
+    "grevlex": lambda e: (-sum(e),) + e[::-1],
+    "grlex": lambda e: (-sum(e),) + tuple(-a for a in e),
+}
+
 
 @functools.lru_cache(maxsize=None)
 def monomials_of_degree(nvars, d, order="grevlex"):

@@ -2,8 +2,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# every property test draws the same examples on every run
+settings.register_profile("lastfall", derandomize=True, deadline=None)
+settings.load_profile("lastfall")
 
 from lastfall import make_field
 

@@ -8,8 +8,10 @@ dimensions with its own one-shot elimination.
 import numpy as np
 
 from lastfall import univar
-from lastfall.errors import DivisionByZero
-from lastfall.poly import MultiPoly, PolySystem, monomials_up_to
+from lastfall.errors import DivisionByZero, StepBudgetExceeded
+from lastfall.falldeg import GroebnerBasis
+from lastfall.linalg import DTYPE
+from lastfall.poly import ORDER_KEYS, MultiPoly, PolySystem, monomials_of_degree, monomials_up_to
 from lastfall.poly import grevlex_key
 
 
@@ -300,3 +302,240 @@ def reference_tables(field):
             step.append(y)
         frob.append(np.array(step))
     return {"kprime": kprime, "k": (add_t, mul_t, neg_t, inv_t), "frob": frob}
+
+
+# -- reference Groebner basis --------------------------------------------------
+#
+# The plain Buchberger that the library used before its pair heap, heap-ordered
+# normal form and Gebauer-Moeller criteria, kept as the reference whose reduced
+# bases the library's must equal term for term.
+
+
+def _lt_divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def reference_normal_form(f, gens, order, budget=None, leads=None):
+    ring = f.ring
+    field = ring.field
+    key = ORDER_KEYS[order]
+    if leads is None:
+        leads = [(g.leading(order), g) for g in gens if not g.is_zero()]
+    remainder = {}
+    work = dict(f.terms)
+    while work:
+        e = max(work, key=key)
+        c = work.pop(e)
+        hit = None
+        for (le, lc), g in leads:
+            if _lt_divides(le, e):
+                hit = (le, lc, g)
+                break
+        if hit is None:
+            remainder[e] = c
+            continue
+        le, lc, g = hit
+        fac = field.mul(c, field.inv(lc))
+        delta = tuple(a - b for a, b in zip(e, le))
+        for ge, gc in g.terms.items():
+            if ge == le:
+                continue
+            te = tuple(a + b for a, b in zip(ge, delta))
+            s = field.sub(work.get(te, 0), field.mul(fac, gc))
+            if s:
+                work[te] = s
+            else:
+                work.pop(te, None)
+        if budget is not None:
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise StepBudgetExceeded("reduction budget exhausted")
+    return MultiPoly(ring, remainder)
+
+
+def reference_spoly(f, g, order):
+    ring = f.ring
+    field = ring.field
+    (fe, fc) = f.leading(order)
+    (ge, gc) = g.leading(order)
+    lcm = tuple(max(a, b) for a, b in zip(fe, ge))
+    mf = ring.monomial(tuple(a - b for a, b in zip(lcm, fe)), field.inv(fc))
+    mg = ring.monomial(tuple(a - b for a, b in zip(lcm, ge)), field.inv(gc))
+    return mf * f - mg * g
+
+
+def reference_groebner(system, order="grevlex", step_budget=10**6):
+    """Reduced Groebner basis by plain Buchberger; desk-scale inputs only.
+
+    A step budget (counted in leading-term reductions) guards against
+    runaway inputs and raises StepBudgetExceeded when spent.
+    """
+    ring = system.ring
+    field = ring.field
+    key = ORDER_KEYS[order]
+    budget = [step_budget]
+    basis = []
+    for f in system.polys:
+        if f.is_zero():
+            continue
+        _, lc = f.leading(order)
+        basis.append(f.scale(field.inv(lc)))
+    if not basis:
+        return GroebnerBasis(ring, order, ())
+
+    leads = [(g.leading(order), g) for g in basis]
+    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    while pairs:
+        # deterministic normal strategy: smallest lcm degree first
+        def pair_key(p):
+            i, j = p
+            lcm = tuple(max(a, b) for a, b in zip(leads[i][0][0], leads[j][0][0]))
+            return (sum(lcm), key(lcm), i, j)
+
+        i, j = min(pairs, key=pair_key)
+        pairs.discard((i, j))
+        le_i = leads[i][0][0]
+        le_j = leads[j][0][0]
+        if all(a == 0 or b == 0 for a, b in zip(le_i, le_j)):
+            continue  # coprime leading terms, S-polynomial reduces to zero
+        r = reference_normal_form(reference_spoly(basis[i], basis[j], order), basis, order,
+                                  budget, leads)
+        if r.is_zero():
+            continue
+        _, lc = r.leading(order)
+        g = r.scale(field.inv(lc))
+        basis.append(g)
+        leads.append((g.leading(order), g))
+        new = len(basis) - 1
+        pairs.update((k, new) for k in range(new))
+
+    # minimize by leading terms first, then tail-reduce: reducing every
+    # element against all the others at once can drop mutually-reducing pairs
+    minimal = []
+    for g in sorted(basis, key=lambda h: key(h.leading(order)[0])):
+        le = g.leading(order)[0]
+        if any(_lt_divides(h.leading(order)[0], le) for h in minimal):
+            continue
+        minimal.append(g)
+    final = []
+    for idx, g in enumerate(minimal):
+        others = [h for k, h in enumerate(minimal) if k != idx]
+        r = reference_normal_form(g, others, order, budget)
+        _, lc = r.leading(order)
+        final.append(r.scale(field.inv(lc)))
+    final.sort(key=lambda h: key(h.leading(order)[0]))
+    return GroebnerBasis(ring, order, final)
+
+
+# -- reference points oracle ---------------------------------------------------
+#
+# The points oracle as it was before its echelon was kept fully reduced: each
+# evaluation vector is reduced against the echelon rows one at a time.
+
+
+class ReferencePointsOracle:
+    """Truncation oracle for a radical zero-dimensional ideal given its full
+    zero set, every coordinate lying in the coefficient field.
+
+    dim(I cap R_{<=j}) is the number of monomials of degree <= j minus the
+    rank of their evaluation vectors on the points; the staircase read off
+    the rank profile also bounds the reduced-basis degree.
+    """
+
+    def __init__(self, ring, points, order="grevlex"):
+        self.ring = ring
+        self.order = order
+        self.points = sorted(set(tuple(int(c) for c in pt) for pt in points))
+        self.ops = ring.ops
+        self.npoints = len(self.points)
+        self._coord_vals = [
+            np.array([pt[v] for pt in self.points], dtype=DTYPE)
+            for v in range(ring.nvars)
+        ]
+        self._done = -1
+        self._std = {}          # exp -> evaluation vector (original, standard only)
+        self._std_count = []    # per degree
+        self._total_count = []
+        self._ech = []          # list of (pivot_index, normalized vector)
+        self._nonstd = []
+        self._rank = 0
+        self._max_gb = None
+
+    def _extend(self, j):
+        while self._done < j:
+            d = self._done + 1
+            stdc = 0
+            totc = 0
+            for e in monomials_of_degree(self.ring.nvars, d, self.order):
+                totc += 1
+                if self.npoints == 0:
+                    self._nonstd.append(e)
+                    continue
+                if d == 0:
+                    val = np.ones(self.npoints, dtype=DTYPE)
+                else:
+                    v = next(idx for idx, a in enumerate(e) if a)
+                    parent = list(e)
+                    parent[v] -= 1
+                    pvec = self._std.get(tuple(parent))
+                    if pvec is None:
+                        # parent not standard => e not standard either
+                        self._nonstd.append(e)
+                        continue
+                    val = self.ops.vmul(pvec, self._coord_vals[v])
+                vec = val.copy()
+                for piv, row in self._ech:
+                    c = int(vec[piv])
+                    if c:
+                        vec = self.ops.sub_scaled(vec, c, row)
+                nz = np.flatnonzero(vec)
+                if len(nz) == 0:
+                    self._nonstd.append(e)
+                else:
+                    piv = int(nz[0])
+                    c = int(vec[piv])
+                    if c != 1:
+                        vec = self.ops.scale(self.ops.inv(c), vec)
+                    self._ech.append((piv, vec))
+                    self._std[e] = val
+                    self._rank += 1
+                    stdc += 1
+            self._std_count.append(stdc)
+            self._total_count.append(totc)
+            self._done = d
+
+    def dim_leq(self, j):
+        self._extend(j)
+        return sum(self._total_count[: j + 1]) - sum(self._std_count[: j + 1])
+
+    def max_gb_degree(self):
+        if self._max_gb is not None:
+            return self._max_gb
+        if self.npoints == 0:
+            self._max_gb = 0
+            return 0
+        # extend until the evaluation rank stabilizes at the point count,
+        # then one more degree: minimal staircase generators cannot appear
+        # beyond the last standard degree plus one
+        d = 0
+        while True:
+            self._extend(d)
+            if self._rank == self.npoints:
+                break
+            d += 1
+        self._extend(d + 1)
+        maxdeg = 0
+        for e in self._nonstd:
+            minimal = True
+            for v, a in enumerate(e):
+                if a:
+                    parent = list(e)
+                    parent[v] -= 1
+                    if tuple(parent) in self._std:
+                        continue
+                    minimal = False
+                    break
+            if minimal:
+                maxdeg = max(maxdeg, sum(e))
+        self._max_gb = maxdeg
+        return maxdeg

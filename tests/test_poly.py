@@ -5,6 +5,7 @@ import random
 import pytest
 
 from lastfall import MultiPoly, NEG_INF, PolySystem, Ring, RingMismatch, UnassignedVariable
+from lastfall.poly import DESCENDING_KEYS, ORDER_KEYS, monomials_up_to
 from oracles import random_system
 
 
@@ -154,3 +155,10 @@ def test_kprime_level_rejects_top_field_coeffs(gf4):
     ring = Ring(gf4, "kprime", ["X0"])
     with pytest.raises(ValueError):
         ring.constant(gf4.gen())
+
+
+@pytest.mark.parametrize("order", sorted(ORDER_KEYS))
+def test_descending_keys_reverse_the_order(order):
+    monos = monomials_up_to(3, 4, order)
+    assert (sorted(monos, key=DESCENDING_KEYS[order])
+            == sorted(monos, key=ORDER_KEYS[order], reverse=True))

@@ -23,7 +23,7 @@ FIELDS = {"GF(2)": (2, 1, 1), "GF(3)": (3, 1, 1), "GF(4)": (2, 2, 1), "GF(9)": (
 # table fields, so the larger fields stop earlier
 CAPS = {"GF(2)": 4, "GF(3)": 4, "GF(4)": 3, "GF(9)": 3}
 
-PROPERTY = settings(max_examples=12, deadline=None, derandomize=True)
+PROPERTY = settings(max_examples=12)
 
 
 @pytest.fixture(scope="module")
