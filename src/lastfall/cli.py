@@ -8,12 +8,15 @@ with wall-clock timings kept to the JSON summaries.
 
 import argparse
 import csv
+import inspect
 import io
 import json
+import os
 import random
 import sys
 import time
 from dataclasses import dataclass
+from itertools import product
 
 from . import univar
 from .descent import (build_F1, build_Fprime, build_Fprime1, f1_points,
@@ -68,6 +71,14 @@ def linearized_system_poly(F, field, m):
 
 # -- campaigns -------------------------------------------------------------------
 
+# the largest degree of a thm11 system, the number of draws a campaign makes
+# per combination before giving up, and the largest W^m enumerated to
+# cross-check a non-reducible solver row
+_DEGREE_MAX = 3
+_THM26_MAX_ATTEMPTS = 200
+_EXAMPLE_MAX_ATTEMPTS = 400
+_POINT_BUDGET = 4096
+
 
 @dataclass
 class CampaignResult:
@@ -75,9 +86,18 @@ class CampaignResult:
     columns: tuple
     rows: list          # list of dicts matching columns (deterministic)
     timings_ms: list
-    passed: int
-    failed: int
-    inconclusive: int
+
+    @property
+    def passed(self):
+        return sum(r["status"] == "pass" for r in self.rows)
+
+    @property
+    def failed(self):
+        return sum(r["status"] == "fail" for r in self.rows)
+
+    @property
+    def inconclusive(self):
+        return sum(r["status"] == "inconclusive" for r in self.rows)
 
     @property
     def ok(self):
@@ -94,286 +114,229 @@ class CampaignResult:
         }
 
 
-def _tally(rows):
-    passed = sum(1 for r in rows if r["status"] == "pass")
-    failed = sum(1 for r in rows if r["status"] == "fail")
-    inconc = sum(1 for r in rows if r["status"] == "inconclusive")
-    return passed, failed, inconc
+def _run_campaign(name, columns, rows):
+    """Collect a campaign's rows, numbered from 0 in the `instance` column.
+    Each row is timed as the time spent producing it, rejected draws
+    included."""
+    out, timings = [], []
+    t0 = time.perf_counter()
+    for row in rows:
+        timings.append((time.perf_counter() - t0) * 1000)
+        out.append({"instance": len(out), **row})
+        t0 = time.perf_counter()
+    return CampaignResult(name, ("instance",) + columns, out, timings)
+
+
+def _status(certified, ok):
+    """Rows resting on a cap-limited profile are never passes."""
+    if not certified:
+        return "inconclusive"
+    return "pass" if ok else "fail"
+
+
+def _points_profile(system, points, cap=None):
+    """Fall profile certified against the system's full zero set."""
+    return last_fall_degree(system, cap=cap, oracle=PointsOracle(system.ring, points))
+
+
+def _kprime_span(field, generators, m):
+    """Every k'-combination of the generators (m-tuples of k codes), with
+    the coefficients in product order."""
+    for combo in product(range(field.q), repeat=len(generators)):
+        point = [0] * m
+        for c, gen in zip(combo, generators):
+            if c:
+                for i in range(m):
+                    point[i] = field.add(point[i], field.mul(c, gen[i]))
+        yield tuple(point)
 
 
 _THM11_COMBOS = tuple((p, n, m) for p in (2, 3) for n in (2, 3) for m in (1, 2))
 
 
-def verify_thm_1_1(seed=0, per_combo=25, combos=_THM11_COMBOS, degree_max=3,
-                   certifier="points", cap=None):
+def verify_thm_1_1(seed=0, per_combo=25, combos=_THM11_COMBOS, cap=None):
     """Exact equality of max(fall degree, q*deg) across the descent, on seeded
     random systems.  Rows with an uncertified side are inconclusive."""
-    rows = []
-    timings = []
-    fields = {}
-    instance = 0
-    for (p, n, m) in combos:
-        key = (p, n)
-        if key not in fields:
-            fields[key] = make_field(p, 1, n)
-        field = fields[key]
-        ctx = make_descent_context(field, m)
-        for j in range(per_combo):
-            t0 = time.perf_counter()
-            rng = random.Random(f"{seed}:thm11:{p}:{n}:{m}:{j}")
-            degree = rng.randint(1, degree_max)
-            F = gen_random_system(ctx.ring_original, degree, m, rng)
-            dF = int(F.degree)
-            F1 = build_F1(F, ctx)
-            Fp1 = build_Fprime1(F, ctx)
-            if certifier == "points":
-                o1 = PointsOracle(F1.ring, f1_points(F, ctx))
-                o2 = PointsOracle(Fp1.ring, fprime1_points(F, ctx))
-            else:
-                o1 = o2 = None
-            prof1 = last_fall_degree(F1, cap=cap, oracle=o1)
-            prof2 = last_fall_degree(Fp1, cap=cap, oracle=o2)
-            qd = field.q * dF
-            lhs = max(prof1.last_fall_degree, qd)
-            rhs = max(prof2.last_fall_degree, qd)
-            if not (prof1.certified and prof2.certified):
-                status = "inconclusive"
-            else:
-                status = "pass" if lhs == rhs else "fail"
-            rows.append({
-                "instance": instance, "p": p, "e": 1, "n": n, "m": m,
-                "deg_F": dF, "d_F1": prof1.last_fall_degree,
-                "d_Fprime1": prof2.last_fall_degree, "q_deg_F": qd,
-                "lhs": lhs, "rhs": rhs,
-                "cert_F1": int(prof1.certified), "cert_Fprime1": int(prof2.certified),
-                "status": status,
-            })
-            timings.append((time.perf_counter() - t0) * 1000)
-            instance += 1
-    passed, failed, inconc = _tally(rows)
-    cols = ("instance", "p", "e", "n", "m", "deg_F", "d_F1", "d_Fprime1",
-            "q_deg_F", "lhs", "rhs", "cert_F1", "cert_Fprime1", "status")
-    return CampaignResult("thm11", cols, rows, timings, passed, failed, inconc)
+    def rows():
+        for (p, n, m) in combos:
+            field = make_field(p, 1, n)
+            ctx = make_descent_context(field, m)
+            for j in range(per_combo):
+                rng = random.Random(f"{seed}:thm11:{p}:{n}:{m}:{j}")
+                degree = rng.randint(1, _DEGREE_MAX)
+                F = gen_random_system(ctx.ring_original, degree, m, rng)
+                dF = int(F.degree)
+                prof1 = _points_profile(build_F1(F, ctx), f1_points(F, ctx), cap)
+                prof2 = _points_profile(build_Fprime1(F, ctx), fprime1_points(F, ctx), cap)
+                qd = field.q * dF
+                lhs = max(prof1.last_fall_degree, qd)
+                rhs = max(prof2.last_fall_degree, qd)
+                yield {
+                    "p": p, "e": 1, "n": n, "m": m,
+                    "deg_F": dF, "d_F1": prof1.last_fall_degree,
+                    "d_Fprime1": prof2.last_fall_degree, "q_deg_F": qd,
+                    "lhs": lhs, "rhs": rhs,
+                    "cert_F1": int(prof1.certified), "cert_Fprime1": int(prof2.certified),
+                    "status": _status(prof1.certified and prof2.certified, lhs == rhs),
+                }
+    return _run_campaign("thm11", ("p", "e", "n", "m", "deg_F", "d_F1", "d_Fprime1",
+                                   "q_deg_F", "lhs", "rhs", "cert_F1", "cert_Fprime1",
+                                   "status"), rows())
 
 
 _THM26_COMBOS = tuple((n, m, c) for n in (2, 3, 4) for m in (1, 2) for c in (1, 2))
 
 
-def verify_thm_2_6(seed=0, per_combo=9, combos=_THM26_COMBOS, certifier="points",
-                   max_attempts=200):
+def verify_thm_2_6(seed=0, per_combo=9, combos=_THM26_COMBOS):
     """Fall-degree bound for descended linearized systems that pass the
     reducibility test for W = k (q = 2)."""
-    rows = []
-    timings = []
-    instance = 0
-    for (n, m, c) in combos:
-        field = make_field(2, 1, n)
-        space = full_space(field)
-        ctx = make_descent_context(field, m)
-        accepted = 0
-        attempt = 0
-        while accepted < per_combo and attempt < max_attempts:
-            t0 = time.perf_counter()
-            rng = random.Random(f"{seed}:thm26:{n}:{m}:{c}:{attempt}")
-            attempt += 1
-            npolys = rng.randint(1, m)
-            F = gen_random_linearized(field, m, c + 1, npolys, rng)
-            try:
-                rep = reducibility_check(F, space, m=m, seed=rng.randrange(2**30))
-            except SearchBudgetExceeded:
-                continue
-            if not rep.reducible:
-                continue
-            accepted += 1
-            Fsys = linearized_system_poly(F, field, m)
-            dF = int(Fsys.degree)
-            Fp1 = build_Fprime1(Fsys, ctx)
-            oracle = (PointsOracle(Fp1.ring, fprime1_points(Fsys, ctx))
-                      if certifier == "points" else None)
-            prof = last_fall_degree(Fp1, oracle=oracle)
-            bound = max((field.q - 1) * m + 1, field.q * dF)
-            if not prof.certified:
-                status = "inconclusive"
-            else:
-                status = "pass" if prof.last_fall_degree <= bound else "fail"
-            rows.append({
-                "instance": instance, "p": 2, "e": 1, "n": n, "m": m,
-                "npolys": npolys, "deg_F": dF, "reducible": 1,
-                "d_Fprime1": prof.last_fall_degree, "bound": bound,
-                "cert": int(prof.certified), "status": status,
-            })
-            timings.append((time.perf_counter() - t0) * 1000)
-            instance += 1
-    passed, failed, inconc = _tally(rows)
-    cols = ("instance", "p", "e", "n", "m", "npolys", "deg_F", "reducible",
-            "d_Fprime1", "bound", "cert", "status")
-    return CampaignResult("thm26", cols, rows, timings, passed, failed, inconc)
+    def rows():
+        for (n, m, c) in combos:
+            field = make_field(2, 1, n)
+            space = full_space(field)
+            ctx = make_descent_context(field, m)
+            accepted = 0
+            attempt = 0
+            while accepted < per_combo and attempt < _THM26_MAX_ATTEMPTS:
+                rng = random.Random(f"{seed}:thm26:{n}:{m}:{c}:{attempt}")
+                attempt += 1
+                npolys = rng.randint(1, m)
+                F = gen_random_linearized(field, m, c + 1, npolys, rng)
+                try:
+                    rep = reducibility_check(F, space, m=m, seed=rng.randrange(2**30))
+                except SearchBudgetExceeded:
+                    continue
+                if not rep.reducible:
+                    continue
+                accepted += 1
+                Fsys = linearized_system_poly(F, field, m)
+                dF = int(Fsys.degree)
+                prof = _points_profile(build_Fprime1(Fsys, ctx), fprime1_points(Fsys, ctx))
+                bound = max((field.q - 1) * m + 1, field.q * dF)
+                yield {
+                    "p": 2, "e": 1, "n": n, "m": m,
+                    "npolys": npolys, "deg_F": dF, "reducible": 1,
+                    "d_Fprime1": prof.last_fall_degree, "bound": bound,
+                    "cert": int(prof.certified),
+                    "status": _status(prof.certified, prof.last_fall_degree <= bound),
+                }
+    return _run_campaign("thm26", ("p", "e", "n", "m", "npolys", "deg_F", "reducible",
+                                   "d_Fprime1", "bound", "cert", "status"), rows())
 
 
 _SOLVER_COMBOS = tuple((n, m) for n in (2, 3, 4) for m in (1, 2))
 
 
-def verify_solver(seed=0, per_combo=84, combos=_SOLVER_COMBOS, check_fall_bound=True,
-                  point_budget=4096):
-    """Structured solver vs the stacked-kernel oracle on random (F, W)."""
-    rows = []
-    timings = []
-    instance = 0
-    for (n, m) in combos:
-        field = make_field(2, 1, n)
-        divisors = [d for d in univar.monic_divisors(field.kprime,
-                                                     univar.x_pow_n_minus_one(field.kprime, field.n))
-                    if univar.degree(d) >= 1]
-        spaces = {tuple(d): subspace_from_fW(d, field) for d in divisors}
-        for j in range(per_combo):
-            t0 = time.perf_counter()
-            rng = random.Random(f"{seed}:solver:{n}:{m}:{j}")
-            fw = divisors[rng.randrange(len(divisors))]
-            space = spaces[tuple(fw)]
-            npolys = rng.randint(1, 2)
-            F = gen_random_linearized(field, m, field.n, npolys, rng, exact_top=False)
-            oracle_sb = brute_force_solve(F, space, m=m)
-            row = {
-                "instance": instance, "p": 2, "e": 1, "n": n, "m": m,
-                "fW": "".join(str(c) for c in fw), "nprime": space.nprime,
-                "npolys": npolys, "dim_oracle": oracle_sb.dim,
-            }
-            try:
-                rep = reducibility_check(F, space, m=m, seed=rng.randrange(2**30))
-            except SearchBudgetExceeded:
-                rep = None
-            if rep is not None and rep.reducible:
-                sb = solve_structured(F, space, m=m, report=rep)
-                equal = subspace_equal(sb, oracle_sb)
-                fall_ok = 1
-                if check_fall_bound:
-                    fall_ok = int(_gbar_fall_bound_holds(F, space, m))
-                row.update({
-                    "reducible": 1, "dim_structured": sb.dim,
-                    "equal": int(equal), "fall_bound_ok": fall_ok,
-                })
-                row["status"] = "pass" if (equal and fall_ok) else "fail"
-            else:
-                crosscheck = 1
-                if field.q ** (m * space.nprime) <= point_budget:
-                    pts = set(enumerate_solutions(F, space, m=m, budget=point_budget))
-                    crosscheck = int(_points_match_basis(pts, oracle_sb, space, m))
-                row.update({
-                    "reducible": 0, "dim_structured": -1,
-                    "equal": -1, "fall_bound_ok": crosscheck,
-                })
-                row["status"] = "pass" if crosscheck else "fail"
-            rows.append(row)
-            timings.append((time.perf_counter() - t0) * 1000)
-            instance += 1
-    passed, failed, inconc = _tally(rows)
-    cols = ("instance", "p", "e", "n", "m", "fW", "nprime", "npolys",
-            "dim_oracle", "reducible", "dim_structured", "equal",
-            "fall_bound_ok", "status")
-    return CampaignResult("solver", cols, rows, timings, passed, failed, inconc)
+def verify_solver(seed=0, per_combo=84, combos=_SOLVER_COMBOS, check_fall_bound=True):
+    """Structured solver vs the stacked-kernel oracle on random (F, W).  A
+    reducible row whose rewritten system has a cap-limited profile is
+    inconclusive, with fall_bound_ok = -1."""
+    def rows():
+        for (n, m) in combos:
+            field = make_field(2, 1, n)
+            xn1 = univar.x_pow_n_minus_one(field.kprime, n)
+            divisors = [d for d in univar.monic_divisors(field.kprime, xn1)
+                        if univar.degree(d) >= 1]
+            spaces = {tuple(d): subspace_from_fW(d, field) for d in divisors}
+            for j in range(per_combo):
+                rng = random.Random(f"{seed}:solver:{n}:{m}:{j}")
+                fw = divisors[rng.randrange(len(divisors))]
+                space = spaces[tuple(fw)]
+                npolys = rng.randint(1, 2)
+                F = gen_random_linearized(field, m, field.n, npolys, rng, exact_top=False)
+                oracle_sb = brute_force_solve(F, space, m=m)
+                row = {
+                    "p": 2, "e": 1, "n": n, "m": m,
+                    "fW": "".join(str(c) for c in fw), "nprime": space.nprime,
+                    "npolys": npolys, "dim_oracle": oracle_sb.dim,
+                }
+                try:
+                    rep = reducibility_check(F, space, m=m, seed=rng.randrange(2**30))
+                except SearchBudgetExceeded:
+                    rep = None
+                if rep is not None and rep.reducible:
+                    sb = solve_structured(F, space, m=m, report=rep)
+                    equal = subspace_equal(sb, oracle_sb)
+                    certified, fall_ok = True, 1
+                    if check_fall_bound:
+                        prof = _gbar_profile(F, space, m, oracle_sb)
+                        certified = prof.certified
+                        fall_ok = (int(prof.last_fall_degree <= (field.q - 1) * m + 1)
+                                   if certified else -1)
+                    row.update({
+                        "reducible": 1, "dim_structured": sb.dim,
+                        "equal": int(equal), "fall_bound_ok": fall_ok,
+                        "status": _status(certified, fall_ok == 1) if equal else "fail",
+                    })
+                else:
+                    crosscheck = 1
+                    if field.q ** (m * space.nprime) <= _POINT_BUDGET:
+                        pts = set(enumerate_solutions(F, space, m=m, budget=_POINT_BUDGET))
+                        crosscheck = int(pts == set(_kprime_span(field, oracle_sb.generators, m)))
+                    row.update({
+                        "reducible": 0, "dim_structured": -1,
+                        "equal": -1, "fall_bound_ok": crosscheck,
+                        "status": _status(True, crosscheck),
+                    })
+                yield row
+    return _run_campaign("solver", ("p", "e", "n", "m", "fW", "nprime", "npolys",
+                                    "dim_oracle", "reducible", "dim_structured", "equal",
+                                    "fall_bound_ok", "status"), rows())
 
 
-def _gbar_fall_bound_holds(F, space, m):
-    """d of (input forms + rewriting relations) <= (q-1)m + 1 when certified."""
-    field = space.field
+def _gbar_profile(F, space, m, basis):
+    """Points-certified profile of the input forms plus the rewriting
+    relations; `basis` spans their zero set."""
     forms = [linearized_to_form(lp, space) for lp in F if not lp.is_zero()]
     system = gbar_system(forms, space, m)
-    pts = _gbar_points(F, space, m)
-    prof = last_fall_degree(system, oracle=PointsOracle(system.ring, pts))
-    if not prof.certified:
-        return True  # uncertified rows are not counted against the bound
-    return prof.last_fall_degree <= (field.q - 1) * m + 1
+    return _points_profile(system, _gbar_points(basis, space, m))
 
 
-def _gbar_points(F, space, m):
-    """Zero set of the rewritten system from the oracle's solution basis."""
+def _gbar_points(basis, space, m):
+    """Zero set of the rewritten system: each solution x in the span of the
+    basis, as the flat point (x_i^{q^j}) over i < m, j < n'."""
     field = space.field
-    sols = brute_force_solve(F, space, m=m)
-    pts = []
-    from itertools import product as iproduct
-
-    gens = sols.generators
-    for combo in iproduct(range(field.q), repeat=len(gens)):
-        point = [0] * m
-        for c, gen in zip(combo, gens):
-            if c == 0:
-                continue
-            for i in range(m):
-                point[i] = field.add(point[i], field.mul(c, gen[i]))
-        flat = []
-        for i in range(m):
-            for jj in range(space.nprime):
-                flat.append(field.frob(point[i], jj))
-        pts.append(tuple(flat))
-    return pts
+    return [tuple(field.frob(x, j) for x in point for j in range(space.nprime))
+            for point in _kprime_span(field, basis.generators, m)]
 
 
-def _points_match_basis(points, basis, space, m):
-    """The enumerated zero set must be exactly the span of the basis."""
-    field = space.field
-    from itertools import product as iproduct
-
-    span = set()
-    for combo in iproduct(range(field.q), repeat=basis.dim):
-        point = [0] * m
-        for c, gen in zip(combo, basis.generators):
-            if c == 0:
-                continue
-            for i in range(m):
-                point[i] = field.add(point[i], field.mul(c, gen[i]))
-        span.add(tuple(point))
-    return span == set(points)
-
-
-def verify_example(seed=0, per_n=10, ns=(3, 5), certifier="points", max_attempts=400):
+def verify_example(seed=0, per_n=10, ns=(3, 5)):
     """The bivariate shape a x^{q^2} + b x^q + c x + u y^{q^2} + v y^q + w y at
     q = 2: whenever one of the univariate companions is coprime to x^n - 1,
     the descended-plus-field-equations system falls no later than 2q."""
-    rows = []
-    timings = []
-    instance = 0
     q = 2
-    for n in ns:
-        field = make_field(2, 1, n)
-        ctx = make_descent_context(field, 2)
-        xn1 = tuple(univar.x_pow_n_minus_one(field.k, n))
-        accepted = 0
-        attempt = 0
-        while accepted < per_n and attempt < max_attempts:
-            rng = random.Random(f"{seed}:example:{n}:{attempt}")
-            attempt += 1
-            a, b, c = (rng.randrange(field.order) for _ in range(3))
-            u, v, w = (rng.randrange(field.order) for _ in range(3))
-            gcd_x = univar.gcd(field.k, (c, b, a), xn1)
-            gcd_y = univar.gcd(field.k, (w, v, u), xn1)
-            if gcd_x != (1,) and gcd_y != (1,):
-                continue
-            accepted += 1
-            t0 = time.perf_counter()
-            lp = LinearizedPoly(field, [(c, b, a), (w, v, u)], bound=3)
-            Fsys = linearized_system_poly([lp], field, 2)
-            Fp1 = build_Fprime1(Fsys, ctx)
-            oracle = (PointsOracle(Fp1.ring, fprime1_points(Fsys, ctx))
-                      if certifier == "points" else None)
-            prof = last_fall_degree(Fp1, oracle=oracle)
-            if not prof.certified:
-                status = "inconclusive"
-            else:
-                status = "pass" if prof.last_fall_degree <= 2 * q else "fail"
-            rows.append({
-                "instance": instance, "n": n,
-                "gcd_x_trivial": int(gcd_x == (1,)), "gcd_y_trivial": int(gcd_y == (1,)),
-                "d_Fprime1": prof.last_fall_degree, "bound": 2 * q,
-                "cert": int(prof.certified), "status": status,
-            })
-            timings.append((time.perf_counter() - t0) * 1000)
-            instance += 1
-        if accepted < per_n:
-            raise RuntimeError(f"could not draw {per_n} admissible instances at n={n}")
-    passed, failed, inconc = _tally(rows)
-    cols = ("instance", "n", "gcd_x_trivial", "gcd_y_trivial", "d_Fprime1",
-            "bound", "cert", "status")
-    return CampaignResult("example", cols, rows, timings, passed, failed, inconc)
+
+    def rows():
+        for n in ns:
+            field = make_field(2, 1, n)
+            ctx = make_descent_context(field, 2)
+            xn1 = tuple(univar.x_pow_n_minus_one(field.k, n))
+            accepted = 0
+            attempt = 0
+            while accepted < per_n and attempt < _EXAMPLE_MAX_ATTEMPTS:
+                rng = random.Random(f"{seed}:example:{n}:{attempt}")
+                attempt += 1
+                a, b, c = (rng.randrange(field.order) for _ in range(3))
+                u, v, w = (rng.randrange(field.order) for _ in range(3))
+                gcd_x = univar.gcd(field.k, (c, b, a), xn1)
+                gcd_y = univar.gcd(field.k, (w, v, u), xn1)
+                if gcd_x != (1,) and gcd_y != (1,):
+                    continue
+                accepted += 1
+                lp = LinearizedPoly(field, [(c, b, a), (w, v, u)], bound=3)
+                Fsys = linearized_system_poly([lp], field, 2)
+                prof = _points_profile(build_Fprime1(Fsys, ctx), fprime1_points(Fsys, ctx))
+                yield {
+                    "n": n,
+                    "gcd_x_trivial": int(gcd_x == (1,)), "gcd_y_trivial": int(gcd_y == (1,)),
+                    "d_Fprime1": prof.last_fall_degree, "bound": 2 * q,
+                    "cert": int(prof.certified),
+                    "status": _status(prof.certified, prof.last_fall_degree <= 2 * q),
+                }
+            if accepted < per_n:
+                raise RuntimeError(f"could not draw {per_n} admissible instances at n={n}")
+    return _run_campaign("example", ("n", "gcd_x_trivial", "gcd_y_trivial", "d_Fprime1",
+                                     "bound", "cert", "status"), rows())
 
 
 # -- output ----------------------------------------------------------------------
@@ -399,8 +362,6 @@ def campaign_json(result):
 
 
 def write_campaign(result, outdir):
-    import os
-
     os.makedirs(outdir, exist_ok=True)
     csv_path = os.path.join(outdir, f"{result.name}.csv")
     json_path = os.path.join(outdir, f"{result.name}.json")
@@ -473,8 +434,6 @@ def cmd_lastfall(args):
                             order=args.order)
     payload = json.dumps(prof.to_json_obj(), indent=2, sort_keys=True)
     if args.out:
-        import os
-
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "lastfall.json"), "w") as fh:
             fh.write(payload + "\n")
@@ -541,7 +500,13 @@ def cmd_verify(args):
     kwargs = dict(cfg.get(args.campaign, {}))
     if args.seed is not None:
         kwargs["seed"] = args.seed
-    result = _CAMPAIGNS[args.campaign](**kwargs)
+    campaign = _CAMPAIGNS[args.campaign]
+    unknown = sorted(set(kwargs) - set(inspect.signature(campaign).parameters))
+    if unknown:
+        print(f"lastfall verify {args.campaign}: unknown config key(s): "
+              f"{', '.join(unknown)}", file=sys.stderr)
+        return 2
+    result = campaign(**kwargs)
     if args.out:
         write_campaign(result, args.out)
     if args.format == "json" or not args.out:

@@ -195,9 +195,6 @@ class _SpanEngine:
             return self.deg_start[j + 1]
         return sum(1 for d in self.row_deg if d <= j)
 
-    def full_dim_leq(self, j):
-        return self.deg_start[min(j, self.level) + 1]
-
 
 class DegreeSpan:
     """Snapshot of the closed span at a degree cap: the canonical reduced row

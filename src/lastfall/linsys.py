@@ -101,6 +101,15 @@ def symbolic_ext_gcd(field, f, g):
 # -- core data types -----------------------------------------------------------
 
 
+def apply_companion(field, companion, x):
+    """L(companion)(x) = sum_j a_j x^{q^j} for conventional coefficients a_j."""
+    acc = 0
+    for j, a in enumerate(companion):
+        if a:
+            acc = field.add(acc, field.mul(a, field.frob(x, j)))
+    return acc
+
+
 class LinearizedPoly:
     """L(f) for f = sum_i f_i(x_i); rows are the conventional coefficients."""
 
@@ -126,9 +135,7 @@ class LinearizedPoly:
         f = self.field
         acc = 0
         for i, row in enumerate(self.coeffs):
-            for j, a in enumerate(row):
-                if a:
-                    acc = f.add(acc, f.mul(a, f.frob(point[i], j)))
+            acc = f.add(acc, apply_companion(f, row, point[i]))
         return acc
 
     def to_poly(self, ring):
@@ -178,10 +185,6 @@ class LinearForm:
                 return i
         return self.m
 
-    def in_stage(self, r):
-        """Membership in the stage-r tail module (zero on all stages < r)."""
-        return self.min_stage() >= r
-
     def add(self, other):
         f = self.field
         return LinearForm(f, [
@@ -201,25 +204,10 @@ class LinearForm:
         return LinearForm(f, [tuple(f.mul(c, a) for a in r) for r in self.coeffs],
                           self.nprime)
 
-    def eval_flat(self, values):
-        """Evaluate at a flat (m * nprime)-tuple of k codes."""
-        f = self.field
-        acc = 0
-        for i, row in enumerate(self.coeffs):
-            for j, a in enumerate(row):
-                if a:
-                    acc = f.add(acc, f.mul(a, values[i * self.nprime + j]))
-        return acc
-
     def eval_at_subspace_point(self, point):
-        """Evaluate with x_{ij} = point_i^{q^j}."""
-        f = self.field
-        acc = 0
-        for i, row in enumerate(self.coeffs):
-            for j, a in enumerate(row):
-                if a:
-                    acc = f.add(acc, f.mul(a, f.frob(point[i], j)))
-        return acc
+        """Evaluate with x_{ij} = point_i^{q^j}: the linearized polynomial
+        with the same rows, at the point."""
+        return self.to_linearized().eval(point)
 
     def to_poly(self, ring):
         terms = {}
@@ -295,13 +283,7 @@ class InvariantSubspace:
     def operator_matrix(self, companion):
         """Matrix over k' of w -> L(companion)(w), W -> k, in coordinates."""
         f = self.field
-        cols = []
-        for w in self.basis_W:
-            acc = 0
-            for j, a in enumerate(univar.trim(companion)):
-                if a:
-                    acc = f.add(acc, f.mul(a, f.frob(w, j)))
-            cols.append(f.coords(acc))
+        cols = [f.coords(apply_companion(f, companion, w)) for w in self.basis_W]
         return np.array([[cols[t][i] for t in range(self.nprime)]
                          for i in range(f.n)], dtype=np.int16)
 
@@ -567,47 +549,32 @@ def reducibility_check(F, space, m=None, seed=0, draws=64, exhaustive_dim_cap=16
     for stage in active:
         rows = [[int(x) for x in R[r]] for r, s in enumerate(stage_of) if s == stage]
 
-        def companion_of(combo):
-            vec = [0] * (m * n1)
-            hit = False
-            for c, row in zip(combo, rows):
-                if c == 0:
-                    continue
-                hit = True
-                for t, x in enumerate(row):
-                    if x:
-                        vec[t] = field.add(vec[t], field.mul(c, x))
-            return vec if hit else None
-
-        def stage_poly(vec):
-            return univar.trim(int(x) for x in vec[stage * n1:(stage + 1) * n1])
-
-        found = None
-        for _ in range(draws):
-            combo = [rng.randrange(field.order) for _ in rows]
-            vec = companion_of(combo)
-            if vec is None:
-                continue
-            gii = stage_poly(vec)
-            if gii and symbolic_gcd(field, gii, fw_k) == (1,):
-                found = vec
-                break
-        if found is None:
+        def candidates():
+            for _ in range(draws):
+                yield [rng.randrange(field.order) for _ in rows]
             kdim = field.n * len(rows)
             if kdim > exhaustive_dim_cap:
                 raise SearchBudgetExceeded(
                     f"stage {stage}: candidate space k'-dim {kdim} > {exhaustive_dim_cap}")
-            for combo in product(range(field.order), repeat=len(rows)):
-                vec = companion_of(list(combo))
-                if vec is None:
-                    continue
-                gii = stage_poly(vec)
-                if gii and symbolic_gcd(field, gii, fw_k) == (1,):
-                    found = vec
-                    break
-            if found is None:
-                return ReducibilityReport(False, witnesses, active, tuple(counts),
-                                          failed_stage=stage, forms_matrix=R)
+            yield from product(range(field.order), repeat=len(rows))
+
+        found = None
+        for combo in candidates():
+            if not any(combo):
+                continue
+            vec = [0] * (m * n1)
+            for c, row in zip(combo, rows):
+                if c:
+                    for t, x in enumerate(row):
+                        if x:
+                            vec[t] = field.add(vec[t], field.mul(c, x))
+            gii = univar.trim(vec[stage * n1:(stage + 1) * n1])
+            if gii and symbolic_gcd(field, gii, fw_k) == (1,):
+                found = vec
+                break
+        if found is None:
+            return ReducibilityReport(False, witnesses, active, tuple(counts),
+                                      failed_stage=stage, forms_matrix=R)
         per_var = [univar.trim(int(x) for x in found[i * n1:(i + 1) * n1])
                    for i in range(m)]
         witnesses[stage] = LinearizedPoly(field, per_var, bound=n1)
@@ -844,24 +811,17 @@ def brute_force_solve(F, space, m=None):
     if m is None:
         m = max((lp.m for lp in F), default=1)
     n1 = space.nprime
-    rows = []
+    blocks = []
     for lp in F:
         if lp.is_zero():
             continue
-        ar = field.k
-        per_var = [univar.mod(ar, lp.per_var(i), tuple(space.fW)) for i in range(lp.m)]
-        block = [[0] * (m * n1) for _ in range(field.n)]
+        block = np.zeros((field.n, m * n1), dtype=DTYPE)
         for s in range(lp.m):
-            for t, w in enumerate(space.basis_W):
-                acc = 0
-                for j, a in enumerate(per_var[s]):
-                    if a:
-                        acc = field.add(acc, field.mul(a, field.frob(w, j)))
-                for r, c in enumerate(field.coords(acc)):
-                    block[r][s * n1 + t] = c
-        rows.extend(block)
-    if rows:
-        ker = kernel_basis(np.array(rows, dtype=DTYPE), field.kprime, ncols=m * n1)
+            companion = univar.mod(field.k, lp.per_var(s), tuple(space.fW))
+            block[:, s * n1:(s + 1) * n1] = space.operator_matrix(companion)
+        blocks.append(block)
+    if blocks:
+        ker = kernel_basis(np.concatenate(blocks), field.kprime, ncols=m * n1)
     else:
         ker = kernel_basis([], field.kprime, ncols=m * n1)
     raw = []

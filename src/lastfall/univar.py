@@ -52,13 +52,6 @@ def scale(ar, c, f):
     return trim(ar.mul(c, a) for a in f)
 
 
-def shift(f, k):
-    """Multiply by x^k."""
-    if not f:
-        return ZERO
-    return (0,) * k + tuple(f)
-
-
 def mul(ar, f, g):
     if not f or not g:
         return ZERO

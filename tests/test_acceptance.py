@@ -8,20 +8,29 @@ Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 import random
 import time
 from itertools import product
+from pathlib import Path
 
 from lastfall import (Ring, build_F1, build_Fprime1, groebner_toy,
                       last_fall_degree, make_descent_context, make_field,
                       span_closure, subspace_from_fW, weil_descend)
 from lastfall import univar
-from lastfall.cli import (verify_example, verify_solver, verify_thm_1_1,
-                          verify_thm_2_6)
+from lastfall.cli import (campaign_csv, verify_example, verify_solver,
+                          verify_thm_1_1, verify_thm_2_6)
 from lastfall.descent import substituted_generator, zk_points
-from lastfall.linsys import (LinearizedPoly, full_space, gbar_system,
-                             linearized_to_form)
+from lastfall.linsys import (LinearizedPoly, brute_force_solve, full_space,
+                             gbar_system, linearized_to_form)
 from lastfall.falldeg import PointsOracle
 from lastfall.cli import _gbar_points
 from oracles import (count_zeros, naive_closure_dim, random_invertible_matrix,
                      random_system, recombine)
+
+
+REFERENCE = Path(__file__).parent.parent / "bench" / "reference" / "seed0"
+
+
+def _assert_reference_csv(res):
+    """Seed-0 campaign output is byte-identical to the recorded reference."""
+    assert campaign_csv(res) == (REFERENCE / f"{res.name}.csv").read_text()
 
 
 def _report(name, ok, detail=""):
@@ -47,6 +56,7 @@ def test_criterion_1_descent_equality():
           and certified >= 0.95 * total and elapsed <= 30 * 60)
     assert _report("criterion 1: theorem-level equality across the descent", ok,
                    f"{total} rows, {certified} certified, {elapsed:.1f}s")
+    _assert_reference_csv(res)
 
 
 def test_criterion_2_fall_degree_bound():
@@ -61,6 +71,7 @@ def test_criterion_2_fall_degree_bound():
           and bound_ok and elapsed <= 15 * 60)
     assert _report("criterion 2: descended linearized fall-degree bound", ok,
                    f"{total} rows, {elapsed:.1f}s")
+    _assert_reference_csv(res)
 
 
 def test_criterion_3_bivariate_example():
@@ -76,6 +87,7 @@ def test_criterion_3_bivariate_example():
     assert _report("criterion 3: bivariate example fall bound 2q", ok,
                    f"{total} rows, max d = {max(r['d_Fprime1'] for r in res.rows)}, "
                    f"{elapsed:.1f}s")
+    _assert_reference_csv(res)
 
 
 def test_criterion_4_solver_oracle_equivalence():
@@ -91,6 +103,7 @@ def test_criterion_4_solver_oracle_equivalence():
     ok = (total >= 500 and res.failed == 0 and equal_ok and elapsed <= 10 * 60)
     assert _report("criterion 4: solver vs oracle subspace equality", ok,
                    f"{total} rows ({len(reducible)} reducible), {elapsed:.1f}s")
+    _assert_reference_csv(res)
 
 
 def test_criterion_5_span_closure_oracle_equivalence():
@@ -304,7 +317,8 @@ def _prop_gbar_fall_bound():
         forms = [linearized_to_form(lp, W) for lp in F]
         system = gbar_system(forms, W, m)
         prof = last_fall_degree(
-            system, oracle=PointsOracle(system.ring, _gbar_points(F, W, m)))
+            system, oracle=PointsOracle(system.ring,
+                                        _gbar_points(brute_force_solve(F, W, m=m), W, m)))
         assert prof.certified
         assert prof.last_fall_degree <= (field.q - 1) * m + 1
         checked += 1

@@ -1,9 +1,13 @@
 """Command line surface and campaign plumbing."""
 
 import json
+import time
 
-from lastfall.cli import (campaign_csv, gen_random_system, main, verify_solver,
-                          verify_thm_1_1, write_campaign)
+from lastfall import cli
+from lastfall.cli import (_run_campaign, campaign_csv, campaign_json,
+                          gen_random_system, main, verify_solver, verify_thm_1_1,
+                          write_campaign)
+from lastfall.falldeg import PointsOracle
 from lastfall.poly import PolySystem, Ring
 
 import random
@@ -163,3 +167,67 @@ def test_cli_verify_csv_format(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0].startswith("instance,p,e,n,m,")
     assert (tmp_path / "o" / "thm11.csv").read_text() == out
+
+
+def test_run_campaign_numbers_times_and_counts():
+    statuses = ["pass", "fail", "inconclusive", "pass", "pass"]
+
+    def rows():
+        for v, status in enumerate(statuses):
+            if v == 1:
+                time.sleep(0.02)   # work before a yield is that row's time
+            yield {"v": v, "status": status}
+
+    res = _run_campaign("toy", ("v", "status"), rows())
+    assert res.columns == ("instance", "v", "status")
+    assert [r["instance"] for r in res.rows] == list(range(len(statuses)))
+    assert [r["v"] for r in res.rows] == list(range(len(statuses)))
+    assert len(res.timings_ms) == len(res.rows)
+    assert res.timings_ms[1] >= 20
+    assert (res.passed, res.failed, res.inconclusive) == tuple(
+        statuses.count(s) for s in ("pass", "fail", "inconclusive"))
+    assert not res.ok
+    assert campaign_csv(res).splitlines()[2] == "1,1,fail"
+    payload = json.loads(campaign_json(res))
+    assert [("wall_ms" in r) for r in payload["rows"]] == [True] * len(statuses)
+    assert payload["summary"]["total"] == len(statuses)
+
+
+def test_cli_verify_rejects_unknown_config_keys(tmp_path, capsys):
+    for campaign, cfg in (("thm11", {"bogus": 3}),
+                          ("thm26", {"per_combo": 1, "certifier": "points"}),
+                          ("example", {"max_attempts": 5, "zzz": 1})):
+        path = tmp_path / f"{campaign}.json"
+        path.write_text(json.dumps({campaign: cfg}))
+        rc = main(["--config", str(path), "verify", campaign])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        unknown = sorted(set(cfg) - {"per_combo"})
+        assert captured.err.splitlines() == [
+            f"lastfall verify {campaign}: unknown config key(s): {', '.join(unknown)}"]
+
+
+class _NeverCertifies(PointsOracle):
+    """A points oracle whose staircase bound no cap reaches."""
+
+    def max_gb_degree(self):
+        return 10**9
+
+
+def test_solver_uncertified_fall_bound_is_inconclusive(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "PointsOracle", _NeverCertifies)
+    res = verify_solver(seed=0, per_combo=4, combos=((2, 2),))
+    reducible = [r for r in res.rows if r["reducible"]]
+    assert reducible
+    for row in reducible:
+        assert row["equal"] == 1
+        assert row["fall_bound_ok"] == -1
+        assert row["status"] == "inconclusive"
+    assert res.inconclusive == len(reducible)
+
+    cfg = tmp_path / "verify.json"
+    cfg.write_text(json.dumps({"solver": {"per_combo": 4, "combos": [[2, 2]]}}))
+    assert main(["--config", str(cfg), "--seed", "0", "verify", "solver"]) == 1
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["inconclusive"] == len(reducible)

@@ -3,6 +3,7 @@
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
 from lastfall import (DegreeExceedsBound, GcdConditionFailed, NotADivisor,
@@ -13,8 +14,9 @@ from lastfall import (DegreeExceedsBound, GcdConditionFailed, NotADivisor,
                       solve_structured, subfield_space, subspace_equal,
                       subspace_from_fW, symbolic_ext_gcd, symbolic_gcd,
                       symbolic_mul, symbolic_rdivmod)
-from lastfall import univar
-from lastfall.linsys import LinearizedPoly, linearized_to_form
+from lastfall import Ring, univar
+from lastfall.linalg import DTYPE
+from lastfall.linsys import LinearizedPoly, apply_companion, linearized_to_form
 from lastfall.errors import SearchBudgetExceeded
 
 
@@ -216,6 +218,49 @@ def test_linearity_of_evaluation(gf4, gf9):
                     cx = tuple(field.mul(c, u) for u in x)
                     assert lp.eval(cx) == field.mul(c, lp.eval(x))
 
+
+
+@pytest.mark.parametrize("spec", [(2, 1, 2), (2, 1, 3), (2, 1, 4), (2, 2, 2), (3, 1, 2)])
+def test_apply_companion_matches_polynomial_evaluation(spec):
+    """apply_companion and LinearizedPoly.eval, which read the Frobenius
+    tables, against the polynomial sum a_ij X_i^{q^j} evaluated through
+    FieldOps.pow, at every point; the bound n + 1 includes x^{q^n} = x."""
+    field = make_field(*spec)
+    rng = random.Random(f"apply:{spec}")
+    ring1 = Ring(field, "k", ["X0"])
+    ring2 = Ring(field, "k", ["X0", "X1"])
+    for _ in range(4):
+        lp = random_linearized(field, 2, field.n + 1, rng)
+        row_poly = LinearizedPoly(field, [lp.coeffs[0]]).to_poly(ring1)
+        for x in range(field.order):
+            assert apply_companion(field, lp.coeffs[0], x) == row_poly.eval((x,))
+        poly = lp.to_poly(ring2)
+        for pt in product(range(field.order), repeat=2):
+            assert lp.eval(pt) == poly.eval(pt)
+
+
+def test_operator_matrix_columns_are_images(gf8, gf16, gf9):
+    """Column t is the image of the t-th basis vector of W, and the matrix
+    maps the coordinates of every w in W to those of L(companion)(w)."""
+    for field in (gf8, gf16, gf9):
+        rng = random.Random(field.order)
+        kp = field.kprime
+        ring = Ring(field, "k", ["X0"])
+        for fw in univar.monic_divisors(kp, univar.x_pow_n_minus_one(kp, field.n)):
+            if univar.degree(fw) < 1:
+                continue
+            W = subspace_from_fW(fw, field)
+            for length in (field.n, field.n + 2):
+                companion = tuple(rng.randrange(field.order) for _ in range(length))
+                image = LinearizedPoly(field, [companion]).to_poly(ring)
+                mat = W.operator_matrix(companion)
+                assert mat.shape == (field.n, W.nprime)
+                for t, w in enumerate(W.basis_W):
+                    assert list(mat[:, t]) == list(field.coords(image.eval((w,))))
+                for w in W.elements():
+                    coords = np.array(W.coords_of(w), dtype=DTYPE)
+                    assert (list(kp.matvec(mat, coords))
+                            == list(field.coords(image.eval((w,)))))
 
 # -- rewriting relations ----------------------------------------------------------
 
