@@ -2,9 +2,9 @@
 
 from .errors import (CoordinateNotInField, DegreeExceedsBound, DegreeTooHigh,
                      DivisionByZero, GcdConditionFailed, LastfallError,
-                     NonPrimeCharacteristic, NotABasis, NotADivisor, NotCoprime,
-                     NotReducible, OracleInconsistent, ReducibleModulus, RingMismatch,
-                     SearchBudgetExceeded, StepBudgetExceeded,
+                     MalformedInput, NonPrimeCharacteristic, NotABasis, NotADivisor,
+                     NotCoprime, NotReducible, OracleInconsistent, ReducibleModulus,
+                     RingMismatch, SearchBudgetExceeded, StepBudgetExceeded,
                      UnassignedVariable, UnsupportedField)
 from .gf import FieldElement, FieldSpec, FrobeniusMatrix, frobenius_q, make_field, moore_matrix
 from .poly import NEG_INF, MultiPoly, PolySystem, Ring

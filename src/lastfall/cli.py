@@ -21,7 +21,7 @@ from itertools import product
 from . import univar
 from .descent import (build_F1, build_Fprime, build_Fprime1, f1_points,
                       fprime1_points, make_descent_context)
-from .errors import SearchBudgetExceeded
+from .errors import LastfallError, NotReducible, SearchBudgetExceeded
 from .falldeg import PointsOracle, last_fall_degree
 from .gf import make_field
 from .linsys import (LinearizedPoly, brute_force_solve, enumerate_solutions,
@@ -555,9 +555,16 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command; a LastfallError it raises becomes one stderr line
+    and exit code 2."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except LastfallError as exc:
+        hint = "; --oracle solves it by brute force" if isinstance(exc, NotReducible) else ""
+        print(f"lastfall {args.command}: {exc}{hint}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -76,8 +76,19 @@ class SearchBudgetExceeded(LastfallError):
 
 
 class NotReducible(LastfallError):
-    pass
+    """The companions of one elimination stage share a nonzero kernel vector
+    in W; carries the stage and their monic symbolic gcd with f_W."""
+
+    def __init__(self, stage, gcd):
+        self.stage = stage
+        self.gcd = tuple(gcd)
+        super().__init__(f"not reducible at stage {stage}: the stage companions "
+                         f"and f_W have a symbolic gcd of degree {len(self.gcd) - 1}")
 
 
 class CoordinateNotInField(LastfallError):
     pass
+
+
+class MalformedInput(LastfallError, ValueError):
+    """Input that describes no valid object, such as a negative exponent."""

@@ -328,9 +328,6 @@ class FieldElement:
             out.append(tuple(digs))
         return tuple(out)
 
-    def in_subfield(self):
-        return self.field.lies_in_subfield(self.code)
-
     def _check(self, other):
         if not isinstance(other, FieldElement) or other.field != self.field:
             raise TypeError("operands from different fields")

@@ -484,12 +484,24 @@ def gbar_system(forms, space, m):
 
 @dataclass
 class ReducibilityReport:
+    """Outcome of :func:`reducibility_check`.
+
+    For a non-reducible system, `certificate` is the monic symbolic gcd of
+    f_W and the companions of `failed_stage`, and `kernel_vector` a nonzero
+    w in W that every one of those companions annihilates.  `draws_tried`
+    and `candidates_tried` count the random and the exhaustive combinations
+    tested over all stages.
+    """
     reducible: bool
     witnesses: dict
     active_stages: tuple
     stage_pivot_counts: tuple
     failed_stage: object = None
     forms_matrix: object = None
+    certificate: tuple = None
+    kernel_vector: int = None
+    draws_tried: int = 0
+    candidates_tried: int = 0
 
 
 def _extract_linear_forms(span, m, nprime):
@@ -515,15 +527,41 @@ def _extract_linear_forms(span, m, nprime):
 
 
 def reducibility_check(F, space, m=None, seed=0, draws=64, exhaustive_dim_cap=16):
-    """Stage-by-stage witness search.
+    """Stage-by-stage witness search, decided by one symbolic gcd per stage.
 
-    The candidate space at stage i is the span of the echelon rows of
+    The candidate space at stage i is the k-span of the echelon rows of
     V cap S_1 whose pivot sits in stage i; a witness is any combination
     whose stage-i companion has trivial symbolic gcd with f_W (equivalently,
-    acts injectively on W).  Sampling is randomized first (`draws` pulls),
-    then exhaustive when the k'-dimension of the candidate space is at most
-    `exhaustive_dim_cap`; otherwise SearchBudgetExceeded distinguishes a
-    blown budget from a definitive negative.
+    acts injectively on W).
+
+    Lemma.  Let g_1..g_r be the stage-i companions and A_r = L(g_r)|_W, the
+    k'-linear maps W -> k.  Some combination sum c_r A_r, c in k^r, is
+    injective on W iff the A_r have no common nonzero kernel vector in W,
+    iff the monic symbolic gcd of f_W, g_1, ..., g_r is 1.
+
+    Proof.  A common kernel vector is killed by every combination.
+    Conversely, let U be the k-span of the A_r inside Hom_k'(W, k), the
+    k-dual of W (x) k, and u = dim_k U >= 1.  Evaluation w -> (A -> A(w))
+    maps W k'-linearly into U^* = k^u, with kernel the common kernel, so
+    injectively.  A nonzero A in U is a hyperplane of U^*, and A is
+    injective on W iff that hyperplane contains no k'-line of W.  With
+    Q = q^n, W has at most (q^d - 1)/(q - 1) <= Q - 1 k'-lines (d <= n),
+    each inside (Q^{u-1} - 1)/(Q - 1) hyperplanes, so at most Q^{u-1} - 1 of
+    the (Q^u - 1)/(Q - 1) hyperplanes are bad and some A is a witness.  For
+    the gcd: L(f_W) splits in k with simple roots (its x-coefficient is
+    nonzero, as f_W divides x^n - 1), so a right component d of f_W has
+    exactly q^{deg d} roots, all in W; for d the gcd these are the common
+    kernel.
+
+    So the gcd decides first: when it is not 1 the report is non-reducible
+    with the gcd and a kernel vector as certificate, and no search runs.
+    Otherwise `draws` random combinations are tried, then, when the
+    k'-dimension of the candidate space is at most `exhaustive_dim_cap`,
+    the projective combinations in lex order (first nonzero coordinate 1).
+    Dividing a witness by its first nonzero coordinate gives a lex-smaller
+    witness, so the lex-first witness of the full product is projective and
+    is the one found.  SearchBudgetExceeded therefore means only that a
+    witness exists but none was found within the budget.
     """
     field = space.field
     if m is None:
@@ -546,39 +584,62 @@ def reducibility_check(F, space, m=None, seed=0, draws=64, exhaustive_dim_cap=16
     rng = random.Random(seed)
     fw_k = tuple(space.fW)
     witnesses = {}
+    draws_tried = candidates_tried = 0
     for stage in active:
         rows = [[int(x) for x in R[r]] for r, s in enumerate(stage_of) if s == stage]
-
-        def candidates():
-            for _ in range(draws):
-                yield [rng.randrange(field.order) for _ in rows]
+        gcd = fw_k
+        for row in rows:
+            gcd = symbolic_gcd(field, gcd, univar.trim(row[stage * n1:(stage + 1) * n1]))
+        if gcd != (1,):
+            w = space.from_coords(tuple(int(c) for c in space.kernel_in_W(gcd)[0]))
+            return ReducibilityReport(
+                False, witnesses, active, tuple(counts), failed_stage=stage,
+                forms_matrix=R, certificate=gcd, kernel_vector=w,
+                draws_tried=draws_tried, candidates_tried=candidates_tried)
+        found, tried = _first_witness(
+            field, rows, stage, n1, fw_k,
+            ([rng.randrange(field.order) for _ in rows] for _ in range(draws)))
+        draws_tried += tried
+        if found is None:
             kdim = field.n * len(rows)
             if kdim > exhaustive_dim_cap:
                 raise SearchBudgetExceeded(
-                    f"stage {stage}: candidate space k'-dim {kdim} > {exhaustive_dim_cap}")
-            yield from product(range(field.order), repeat=len(rows))
-
-        found = None
-        for combo in candidates():
-            if not any(combo):
-                continue
-            vec = [0] * (m * n1)
-            for c, row in zip(combo, rows):
-                if c:
-                    for t, x in enumerate(row):
-                        if x:
-                            vec[t] = field.add(vec[t], field.mul(c, x))
-            gii = univar.trim(vec[stage * n1:(stage + 1) * n1])
-            if gii and symbolic_gcd(field, gii, fw_k) == (1,):
-                found = vec
-                break
-        if found is None:
-            return ReducibilityReport(False, witnesses, active, tuple(counts),
-                                      failed_stage=stage, forms_matrix=R)
+                    f"stage {stage}: a witness exists, but the candidate space "
+                    f"k'-dim {kdim} > {exhaustive_dim_cap}")
+            r = len(rows)
+            found, tried = _first_witness(
+                field, rows, stage, n1, fw_k,
+                ((0,) * lead + (1,) + tail for lead in reversed(range(r))
+                 for tail in product(range(field.order), repeat=r - 1 - lead)))
+            candidates_tried += tried
+            if found is None:
+                raise RuntimeError(f"stage {stage}: gcd 1 but no projective witness")
         per_var = [univar.trim(int(x) for x in found[i * n1:(i + 1) * n1])
                    for i in range(m)]
         witnesses[stage] = LinearizedPoly(field, per_var, bound=n1)
-    return ReducibilityReport(True, witnesses, active, tuple(counts), forms_matrix=R)
+    return ReducibilityReport(True, witnesses, active, tuple(counts), forms_matrix=R,
+                              draws_tried=draws_tried, candidates_tried=candidates_tried)
+
+
+def _first_witness(field, rows, stage, n1, fw_k, combos):
+    """The first combination of `rows` whose stage block is symbolically
+    coprime to f_W, as a stacked row (None if there is none), and the number
+    of combinations tried."""
+    tried = 0
+    for combo in combos:
+        tried += 1
+        if not any(combo):
+            continue
+        vec = [0] * len(rows[0])
+        for c, row in zip(combo, rows):
+            if c:
+                for t, x in enumerate(row):
+                    if x:
+                        vec[t] = field.add(vec[t], field.mul(c, x))
+        gii = univar.trim(vec[stage * n1:(stage + 1) * n1])
+        if gii and symbolic_gcd(field, gii, fw_k) == (1,):
+            return vec, tried
+    return None, tried
 
 
 def eliminate_stage(stage, witness, space):
@@ -704,7 +765,7 @@ def solve_structured(F, space, m=None, seed=0, report=None,
     if report is None:
         report = reducibility_check(F_live, space, m=m, seed=seed)
     if not report.reducible:
-        raise NotReducible(f"witness search failed at stage {report.failed_stage}")
+        raise NotReducible(report.failed_stage, report.certificate)
 
     gamma = {}
     for stage in report.active_stages:

@@ -13,9 +13,10 @@ vector the rightmost entries correspond to the largest monomials.
 
 import functools
 import json
+import operator
 from itertools import combinations_with_replacement
 
-from .errors import RingMismatch, UnassignedVariable
+from .errors import MalformedInput, RingMismatch, UnassignedVariable
 
 NEG_INF = float("-inf")
 
@@ -119,9 +120,14 @@ class Ring:
     def from_terms(self, terms):
         out = {}
         for exps, c in terms:
-            exps = tuple(int(x) for x in exps)
+            try:
+                exps = tuple(map(operator.index, exps))
+            except TypeError:
+                raise MalformedInput(f"exponents {list(exps)} are not all integers") from None
             if len(exps) != self.nvars:
-                raise ValueError("exponent vector has the wrong length")
+                raise MalformedInput("exponent vector has the wrong length")
+            if exps and min(exps) < 0:
+                raise MalformedInput(f"negative exponent in {list(exps)}")
             c = self.check_coeff(c)
             if c == 0:
                 continue

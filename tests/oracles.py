@@ -539,3 +539,42 @@ class ReferencePointsOracle:
                 maxdeg = max(maxdeg, sum(e))
         self._max_gb = maxdeg
         return maxdeg
+
+
+# -- reducibility by exhaustive search -----------------------------------------
+
+
+def brute_force_reducibility(forms_matrix, space, m, budget=4096):
+    """Stage-by-stage witness search over every combination of the echelon
+    rows, in itertools.product order, with injectivity on W tested by the
+    rank of the operator matrix; no symbolic gcd is computed.
+
+    A row belongs to the stage of its first nonzero column; stages m - 1
+    and later are never searched.  Returns the first stage without a
+    witness (None if every stage has one) and the lex-first witness of each
+    stage before it, as a stacked row.  A stage that tries more than
+    `budget` combinations raises ValueError.
+    """
+    from itertools import product
+
+    field = space.field
+    n1 = space.nprime
+    rows = [[int(x) for x in r] for r in forms_matrix]
+    stage_of = [next(t for t, x in enumerate(r) if x) // n1 for r in rows]
+    witnesses = {}
+    for stage in sorted({s for s in stage_of if s < m - 1}):
+        block = [r for r, s in zip(rows, stage_of) if s == stage]
+        for tried, combo in enumerate(product(range(field.order), repeat=len(block))):
+            if tried == budget:
+                raise ValueError(f"stage {stage}: more than {budget} combinations")
+            vec = [0] * len(rows[0])
+            for c, row in zip(combo, block):
+                for t, x in enumerate(row):
+                    vec[t] = field.add(vec[t], field.mul(c, x))
+            image = space.operator_matrix(vec[stage * n1:(stage + 1) * n1])
+            if local_rank(image.tolist(), field.kprime) == n1:
+                witnesses[stage] = vec
+                break
+        else:
+            return stage, witnesses
+    return None, witnesses

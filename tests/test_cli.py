@@ -231,3 +231,36 @@ def test_solver_uncertified_fall_bound_is_inconclusive(tmp_path, capsys, monkeyp
     assert main(["--config", str(cfg), "--seed", "0", "verify", "solver"]) == 1
     summary = json.loads(capsys.readouterr().out)
     assert summary["inconclusive"] == len(reducible)
+
+
+def test_cli_refuses_non_reducible_system(tmp_path, capsys):
+    """x_0 (t x_0 + x_0^2) + x_1^2 over GF(4) fails at stage 0 with a gcd
+    of degree 1; the structured path refuses it, the oracle path solves it."""
+    cfg = tmp_path / "solve.json"
+    cfg.write_text(json.dumps({
+        "field": {"p": 2, "e": 1, "n": 2},
+        "m": 2,
+        "coeffs": [[[2, 1], [0, 1]]],
+        "fw": [1, 0, 1],
+    }))
+    rc = main(["--config", str(cfg), "solve-linearized"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "lastfall solve-linearized: not reducible at stage 0: the stage companions "
+        "and f_W have a symbolic gcd of degree 1; --oracle solves it by brute force"]
+    assert main(["--config", str(cfg), "solve-linearized", "--oracle"]) == 0
+
+
+def test_cli_lastfall_refuses_malformed_exponents(tmp_path, capsys):
+    for exps in ([1.5, 0], [-1, 2]):
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps({
+            "field": {"p": 2, "e": 1, "n": 1}, "level": "k", "vars": ["X0", "X1"],
+            "polys": [[{"coeff": [1], "exps": exps}]]}))
+        rc = main(["--out", str(tmp_path / "prof"), "lastfall", str(path)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("lastfall lastfall: ")
+        assert not (tmp_path / "prof").exists()

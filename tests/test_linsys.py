@@ -5,6 +5,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lastfall import (DegreeExceedsBound, GcdConditionFailed, NotADivisor,
                       NotCoprime, NotReducible, bezout, brute_force_solve,
@@ -18,6 +20,8 @@ from lastfall import Ring, univar
 from lastfall.linalg import DTYPE
 from lastfall.linsys import LinearizedPoly, apply_companion, linearized_to_form
 from lastfall.errors import SearchBudgetExceeded
+
+from oracles import brute_force_reducibility
 
 
 def random_linearized(field, m, bound, rng):
@@ -682,13 +686,84 @@ def test_solver_q_ceiling(gf8):
 
 
 def test_search_budget_exceeded(gf4):
+    W = full_space(gf4)
+    lp = LinearizedPoly(gf4, [(1,), (0, 1)], bound=2)   # x_0 + x_1^2
+    assert reducibility_check([lp], W, m=2).reducible
+    with pytest.raises(SearchBudgetExceeded):
+        # a witness exists, but no draws and the zero cap forbid the search
+        reducibility_check([lp], W, m=2, draws=0, exhaustive_dim_cap=0)
+
+
+def assert_certificate(rep, space, m):
+    """The non-reducible report's gcd and kernel vector check out against
+    every echelon row of the failed stage."""
+    field, n1, stage = space.field, space.nprime, rep.failed_stage
+    assert rep.certificate != (1,) and rep.certificate[-1] == 1
+    w = rep.kernel_vector
+    assert w != 0 and space.contains(w)
+    rows = [[int(x) for x in r] for r in rep.forms_matrix]
+    stage_rows = [r for r in rows if next(t for t, x in enumerate(r) if x) // n1 == stage]
+    assert stage_rows
+    for row in stage_rows:
+        assert apply_companion(field, row[stage * n1:(stage + 1) * n1], w) == 0
+    assert apply_companion(field, rep.certificate, w) == 0
+
+
+def test_non_reducible_certificate(gf4):
+    """x_0 (alpha x_0 + x_0^2) + x_1^2 has no witness: the gcd says so
+    before any combination is tried, and the kernel vector shows why."""
     alpha = gf4.gen()
     W = full_space(gf4)
     lp = LinearizedPoly(gf4, [(alpha, 1), (0, 1)], bound=2)
-    with pytest.raises(SearchBudgetExceeded):
-        # the instance has no witness at all, so the random draws must fail
-        # and the zero cap forbids the exhaustive fallback
-        reducibility_check([lp], W, m=2, draws=4, exhaustive_dim_cap=0)
+    for draws, cap in ((4, 0), (64, 16)):
+        rep = reducibility_check([lp], W, m=2, draws=draws, exhaustive_dim_cap=cap)
+        assert not rep.reducible and rep.failed_stage == 0
+        assert (rep.draws_tried, rep.candidates_tried) == (0, 0)
+        assert_certificate(rep, W, 2)
+    with pytest.raises(NotReducible, match="stage 0.*gcd of degree 1"):
+        solve_structured([lp], W, m=2)
+
+
+def _divisor_spaces():
+    """(field spec, f_W) for every monic divisor of x^n - 1 of GF(4), GF(8),
+    GF(16) and the GF(4) < GF(16) tower."""
+    out = []
+    for spec in ((2, 1, 2), (2, 1, 3), (2, 1, 4), (2, 2, 2)):
+        kp = make_field(*spec).kprime
+        xn1 = univar.x_pow_n_minus_one(kp, spec[2])
+        for d in univar.monic_divisors(kp, xn1):
+            if univar.degree(d) >= 1:
+                name = "-".join(map(str, spec)) + "-fw" + "".join(map(str, d))
+                out.append(pytest.param(spec, tuple(d), id=name))
+    return out
+
+
+@pytest.mark.parametrize("spec,fw", _divisor_spaces())
+@settings(max_examples=8)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_gcd_decision_matches_exhaustive_search(spec, fw, seed):
+    """The gcd decision equals the exhaustive injectivity search, and with
+    no draws the projective pass finds the lex-first witness of the full
+    product."""
+    field = make_field(*spec)
+    W = subspace_from_fW(fw, field)
+    rng = random.Random(seed)
+    m = rng.randint(2, 3)
+    F = [LinearizedPoly(field, [tuple(rng.randrange(field.order) for _ in range(bound))
+                                for _ in range(m)], bound=bound)
+         for bound in (rng.randint(1, field.n) for _ in range(rng.randint(1, 3)))]
+    rep = reducibility_check(F, W, m=m, seed=seed)
+    failed, lex_first = brute_force_reducibility(rep.forms_matrix, W, m)
+    assert rep.reducible == (failed is None)
+    if rep.reducible:
+        exhaustive = reducibility_check(F, W, m=m, draws=0, exhaustive_dim_cap=64)
+        got = {s: [x for row in lp.coeffs for x in row]
+               for s, lp in exhaustive.witnesses.items()}
+        assert got == lex_first
+        assert exhaustive.draws_tried == 0 and exhaustive.candidates_tried >= len(got)
+    else:
+        assert rep.failed_stage == failed
+        assert_certificate(rep, W, m)
 
 
 def test_tau_matrix_annihilated_by_fw(gf8, gf16):

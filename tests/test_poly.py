@@ -1,10 +1,12 @@
 """Sparse polynomial arithmetic, substitution and the Galois action."""
 
+import json
 import random
 
 import pytest
 
-from lastfall import MultiPoly, NEG_INF, PolySystem, Ring, RingMismatch, UnassignedVariable
+from lastfall import (MalformedInput, MultiPoly, NEG_INF, PolySystem, Ring, RingMismatch,
+                      UnassignedVariable)
 from lastfall.poly import DESCENDING_KEYS, ORDER_KEYS, monomials_up_to
 from oracles import random_system
 
@@ -162,3 +164,16 @@ def test_descending_keys_reverse_the_order(order):
     monos = monomials_up_to(3, 4, order)
     assert (sorted(monos, key=DESCENDING_KEYS[order])
             == sorted(monos, key=ORDER_KEYS[order], reverse=True))
+
+
+@pytest.mark.parametrize("exps", [[1.5, 0], [-1, 2], ["1", 0], [1]])
+def test_malformed_exponents_are_refused(gf4, exps):
+    """A fractional exponent was once truncated to another monomial, and a
+    negative one accepted until the span engine failed on it."""
+    ring = Ring(gf4, "k", ["X0", "X1"])
+    doc = json.dumps({"field": gf4.to_json(), "level": "k", "vars": ["X0", "X1"],
+                      "polys": [[{"coeff": [1, 0], "exps": exps}]]})
+    with pytest.raises(MalformedInput):
+        PolySystem.from_json_str(doc)
+    with pytest.raises(MalformedInput):
+        ring.from_terms([(exps, 1)])
