@@ -4,7 +4,7 @@ from .errors import (CoordinateNotInField, DegreeExceedsBound, DegreeTooHigh,
                      DivisionByZero, GcdConditionFailed, LastfallError,
                      MalformedInput, NonPrimeCharacteristic, NotABasis, NotADivisor,
                      NotCoprime, NotReducible, OracleInconsistent, ReducibleModulus,
-                     RingMismatch, SearchBudgetExceeded, StepBudgetExceeded,
+                     RingMismatch, StepBudgetExceeded,
                      UnassignedVariable, UnsupportedField)
 from .gf import FieldElement, FieldSpec, FrobeniusMatrix, frobenius_q, make_field, moore_matrix
 from .poly import NEG_INF, MultiPoly, PolySystem, Ring

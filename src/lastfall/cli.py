@@ -21,7 +21,7 @@ from itertools import product
 from . import univar
 from .descent import (build_F1, build_Fprime, build_Fprime1, f1_points,
                       fprime1_points, make_descent_context)
-from .errors import LastfallError, NotReducible, SearchBudgetExceeded
+from .errors import LastfallError, NotReducible
 from .falldeg import PointsOracle, last_fall_degree
 from .gf import make_field
 from .linsys import (LinearizedPoly, brute_force_solve, enumerate_solutions,
@@ -202,11 +202,7 @@ def verify_thm_2_6(seed=0, per_combo=9, combos=_THM26_COMBOS):
                 attempt += 1
                 npolys = rng.randint(1, m)
                 F = gen_random_linearized(field, m, c + 1, npolys, rng)
-                try:
-                    rep = reducibility_check(F, space, m=m, seed=rng.randrange(2**30))
-                except SearchBudgetExceeded:
-                    continue
-                if not rep.reducible:
+                if not reducibility_check(F, space, m=m).reducible:
                     continue
                 accepted += 1
                 Fsys = linearized_system_poly(F, field, m)
@@ -250,11 +246,8 @@ def verify_solver(seed=0, per_combo=84, combos=_SOLVER_COMBOS, check_fall_bound=
                     "fW": "".join(str(c) for c in fw), "nprime": space.nprime,
                     "npolys": npolys, "dim_oracle": oracle_sb.dim,
                 }
-                try:
-                    rep = reducibility_check(F, space, m=m, seed=rng.randrange(2**30))
-                except SearchBudgetExceeded:
-                    rep = None
-                if rep is not None and rep.reducible:
+                rep = reducibility_check(F, space, m=m)
+                if rep.reducible:
                     sb = solve_structured(F, space, m=m, report=rep)
                     equal = subspace_equal(sb, oracle_sb)
                     certified, fall_ok = True, 1
@@ -455,14 +448,13 @@ def cmd_solve_linearized(args):
     m = cfg["m"]
     F = [LinearizedPoly(field, rows) for rows in cfg["coeffs"]]
     space = subspace_from_fW(tuple(cfg["fw"]), field)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     result = {}
     oracle_sb = brute_force_solve(F, space, m=m)
     if args.oracle:
         chosen = oracle_sb
         result["mode"] = "oracle"
     else:
-        sb = solve_structured(F, space, m=m, seed=seed)
+        sb = solve_structured(F, space, m=m)
         chosen = sb
         result["mode"] = "structured"
         result["trace"] = {

@@ -71,10 +71,6 @@ class GcdConditionFailed(LastfallError):
     pass
 
 
-class SearchBudgetExceeded(LastfallError):
-    pass
-
-
 class NotReducible(LastfallError):
     """The companions of one elimination stage share a nonzero kernel vector
     in W; carries the stage and their monic symbolic gcd with f_W."""

@@ -20,12 +20,13 @@ cross-check path.
 """
 
 import json
+import operator
 
 import numpy as np
 
 from . import univar
-from .errors import (DivisionByZero, NonPrimeCharacteristic, NotABasis,
-                     ReducibleModulus, UnsupportedField)
+from .errors import (DivisionByZero, MalformedInput, NonPrimeCharacteristic,
+                     NotABasis, ReducibleModulus, UnsupportedField)
 from .linalg import DTYPE, rank
 
 MAX_ORDER = 1024
@@ -254,10 +255,18 @@ class FieldSpec:
         return tuple(digits)
 
     def from_coords(self, digits):
+        """Code of the element with k'-coordinates `digits`: n integer codes
+        of k'; anything else raises MalformedInput."""
+        try:
+            digits = [operator.index(c) for c in digits]
+        except TypeError:
+            raise MalformedInput(f"coordinates {digits!r} are not all integers") from None
+        if len(digits) != self.n:
+            raise MalformedInput(f"{len(digits)} coordinates {digits}, expected n = {self.n}")
         code = 0
         for j, c in enumerate(digits):
             if not 0 <= c < self.q:
-                raise ValueError(f"coordinate {c} is not a k' code")
+                raise MalformedInput(f"coordinate {c} is not a k' code")
             code += c * self.q**j
         return code
 

@@ -19,13 +19,12 @@ final collapse of the solver relies on.
 
 from dataclasses import dataclass
 from itertools import product
-import random
 
 import numpy as np
 
 from . import univar
 from .errors import (DegreeExceedsBound, GcdConditionFailed, NotADivisor,
-                     NotCoprime, NotReducible, SearchBudgetExceeded)
+                     NotCoprime, NotReducible)
 from .falldeg import span_closure
 from .linalg import DTYPE, kernel_basis, rref, solve
 from .poly import PolySystem, Ring
@@ -488,9 +487,9 @@ class ReducibilityReport:
 
     For a non-reducible system, `certificate` is the monic symbolic gcd of
     f_W and the companions of `failed_stage`, and `kernel_vector` a nonzero
-    w in W that every one of those companions annihilates.  `draws_tried`
-    and `candidates_tried` count the random and the exhaustive combinations
-    tested over all stages.
+    w in W that every one of those companions annihilates.
+    `candidates_tried` counts the scalars tried while building the witnesses
+    of the stages before the first failure (of every stage when reducible).
     """
     reducible: bool
     witnesses: dict
@@ -500,7 +499,6 @@ class ReducibilityReport:
     forms_matrix: object = None
     certificate: tuple = None
     kernel_vector: int = None
-    draws_tried: int = 0
     candidates_tried: int = 0
 
 
@@ -526,42 +524,42 @@ def _extract_linear_forms(span, m, nprime):
     return np.array(rows, dtype=np.int16).reshape(len(rows), cols)
 
 
-def reducibility_check(F, space, m=None, seed=0, draws=64, exhaustive_dim_cap=16):
-    """Stage-by-stage witness search, decided by one symbolic gcd per stage.
+def reducibility_check(F, space, m=None):
+    """Stage-by-stage witness construction, decided by one symbolic gcd per
+    stage.
 
     The candidate space at stage i is the k-span of the echelon rows of
     V cap S_1 whose pivot sits in stage i; a witness is any combination
     whose stage-i companion has trivial symbolic gcd with f_W (equivalently,
     acts injectively on W).
 
-    Lemma.  Let g_1..g_r be the stage-i companions and A_r = L(g_r)|_W, the
-    k'-linear maps W -> k.  Some combination sum c_r A_r, c in k^r, is
-    injective on W iff the A_r have no common nonzero kernel vector in W,
+    Lemma.  Let g_1..g_r be the stage-i companions and A_j = L(g_j)|_W, the
+    k'-linear maps W -> k.  Some combination sum c_j A_j, c in k^r, is
+    injective on W iff the A_j have no common nonzero kernel vector in W,
     iff the monic symbolic gcd of f_W, g_1, ..., g_r is 1.
 
     Proof.  A common kernel vector is killed by every combination.
-    Conversely, let U be the k-span of the A_r inside Hom_k'(W, k), the
-    k-dual of W (x) k, and u = dim_k U >= 1.  Evaluation w -> (A -> A(w))
-    maps W k'-linearly into U^* = k^u, with kernel the common kernel, so
-    injectively.  A nonzero A in U is a hyperplane of U^*, and A is
-    injective on W iff that hyperplane contains no k'-line of W.  With
-    Q = q^n, W has at most (q^d - 1)/(q - 1) <= Q - 1 k'-lines (d <= n),
-    each inside (Q^{u-1} - 1)/(Q - 1) hyperplanes, so at most Q^{u-1} - 1 of
-    the (Q^u - 1)/(Q - 1) hyperplanes are bad and some A is a witness.  For
-    the gcd: L(f_W) splits in k with simple roots (its x-coefficient is
-    nonzero, as f_W divides x^n - 1), so a right component d of f_W has
-    exactly q^{deg d} roots, all in W; for d the gcd these are the common
-    kernel.
+    Conversely, build the combination one A_j at a time.  Let B be a
+    combination of A_1..A_{j-1} whose kernel in W is their common kernel K
+    (B = 0 for j = 1), and A = A_j.  Every B + cA, c in k, kills
+    K cap ker A.  If it also kills some w in W outside K cap ker A, then
+    A(w) != 0 (else B(w) = 0 too) and c = -B(w)/A(w), a value that is
+    constant on the k'-line of w.  With d = dim W <= n, at most
+    (q^d - 1)/(q - 1) < q^n scalars c are bad, and every other c gives
+    ker(B + cA) = K cap ker A.  After A_r the kernel is the common kernel
+    of all the A_j.  For the gcd: L(f_W) splits in k with simple roots (its
+    x-coefficient is nonzero, as f_W divides x^n - 1), so a right component
+    d of f_W has exactly q^{deg d} roots, all in W; for d the gcd of f_W
+    with some companions these are the common kernel of the companions in
+    W, and its k'-dimension is deg d.
 
-    So the gcd decides first: when it is not 1 the report is non-reducible
-    with the gcd and a kernel vector as certificate, and no search runs.
-    Otherwise `draws` random combinations are tried, then, when the
-    k'-dimension of the candidate space is at most `exhaustive_dim_cap`,
-    the projective combinations in lex order (first nonzero coordinate 1).
-    Dividing a witness by its first nonzero coordinate gives a lex-smaller
-    witness, so the lex-first witness of the full product is projective and
-    is the one found.  SearchBudgetExceeded therefore means only that a
-    witness exists but none was found within the budget.
+    So the code folds `symbolic_gcd` over f_W and the stage companions and
+    keeps the prefix gcds.  When the last one is not 1 the report is
+    non-reducible, with the gcd and a kernel vector as certificate.
+    Otherwise the proof runs as written: for each echelon row in turn, the
+    scalar codes c = 0, 1, 2, ... are tried until gcd(f_W, companion of
+    acc + c row) has the degree of the next prefix gcd.  That takes at most
+    (q^d - 1)/(q - 1) + 1 scalars per row.
     """
     field = space.field
     if m is None:
@@ -581,65 +579,47 @@ def reducibility_check(F, space, m=None, seed=0, draws=64, exhaustive_dim_cap=16
     counts = [stage_of.count(i) for i in range(m)]
     active = tuple(i for i in range(m - 1) if counts[i] > 0)
 
-    rng = random.Random(seed)
-    fw_k = tuple(space.fW)
     witnesses = {}
-    draws_tried = candidates_tried = 0
+    tried = 0
     for stage in active:
         rows = [[int(x) for x in R[r]] for r, s in enumerate(stage_of) if s == stage]
-        gcd = fw_k
-        for row in rows:
-            gcd = symbolic_gcd(field, gcd, univar.trim(row[stage * n1:(stage + 1) * n1]))
-        if gcd != (1,):
+        gcd, found, scalars = _stage_witness(space, rows, stage)
+        tried += scalars
+        if found is None:
             w = space.from_coords(tuple(int(c) for c in space.kernel_in_W(gcd)[0]))
             return ReducibilityReport(
                 False, witnesses, active, tuple(counts), failed_stage=stage,
-                forms_matrix=R, certificate=gcd, kernel_vector=w,
-                draws_tried=draws_tried, candidates_tried=candidates_tried)
-        found, tried = _first_witness(
-            field, rows, stage, n1, fw_k,
-            ([rng.randrange(field.order) for _ in rows] for _ in range(draws)))
-        draws_tried += tried
-        if found is None:
-            kdim = field.n * len(rows)
-            if kdim > exhaustive_dim_cap:
-                raise SearchBudgetExceeded(
-                    f"stage {stage}: a witness exists, but the candidate space "
-                    f"k'-dim {kdim} > {exhaustive_dim_cap}")
-            r = len(rows)
-            found, tried = _first_witness(
-                field, rows, stage, n1, fw_k,
-                ((0,) * lead + (1,) + tail for lead in reversed(range(r))
-                 for tail in product(range(field.order), repeat=r - 1 - lead)))
-            candidates_tried += tried
-            if found is None:
-                raise RuntimeError(f"stage {stage}: gcd 1 but no projective witness")
-        per_var = [univar.trim(int(x) for x in found[i * n1:(i + 1) * n1])
-                   for i in range(m)]
-        witnesses[stage] = LinearizedPoly(field, per_var, bound=n1)
+                forms_matrix=R, certificate=gcd, kernel_vector=w, candidates_tried=tried)
+        witnesses[stage] = LinearizedPoly(
+            field, [found[i * n1:(i + 1) * n1] for i in range(m)], bound=n1)
     return ReducibilityReport(True, witnesses, active, tuple(counts), forms_matrix=R,
-                              draws_tried=draws_tried, candidates_tried=candidates_tried)
+                              candidates_tried=tried)
 
 
-def _first_witness(field, rows, stage, n1, fw_k, combos):
-    """The first combination of `rows` whose stage block is symbolically
-    coprime to f_W, as a stacked row (None if there is none), and the number
-    of combinations tried."""
+def _stage_witness(space, rows, stage):
+    """(gcd, witness, tried) for the stacked rows of one stage, built as in
+    the proof in :func:`reducibility_check`: the monic symbolic gcd of f_W
+    and the stage companions, a combination of the rows whose companion is
+    coprime to f_W (None when the gcd is not 1), and the scalars tried."""
+    field, n1, fw_k = space.field, space.nprime, tuple(space.fW)
+    block = lambda row: univar.trim(row[stage * n1:(stage + 1) * n1])
+    prefix = [fw_k]
+    for row in rows:
+        prefix.append(symbolic_gcd(field, prefix[-1], block(row)))
+    if prefix[-1] != (1,):
+        return prefix[-1], None, 0
+    acc = [0] * len(rows[0])
     tried = 0
-    for combo in combos:
-        tried += 1
-        if not any(combo):
-            continue
-        vec = [0] * len(rows[0])
-        for c, row in zip(combo, rows):
-            if c:
-                for t, x in enumerate(row):
-                    if x:
-                        vec[t] = field.add(vec[t], field.mul(c, x))
-        gii = univar.trim(vec[stage * n1:(stage + 1) * n1])
-        if gii and symbolic_gcd(field, gii, fw_k) == (1,):
-            return vec, tried
-    return None, tried
+    for row, target in zip(rows, prefix[1:]):
+        for c in range(field.order):
+            tried += 1
+            vec = [field.add(a, field.mul(c, x)) for a, x in zip(acc, row)]
+            if len(symbolic_gcd(field, fw_k, block(vec))) == len(target):
+                acc = vec
+                break
+        else:
+            raise RuntimeError(f"stage {stage}: no scalar keeps the common kernel")
+    return prefix[-1], acc, tried
 
 
 def eliminate_stage(stage, witness, space):
@@ -744,15 +724,14 @@ def _canonical_basis(space, m, raw_generators, trace=None, reducible=None):
     return SolutionBasis(space, m, gens, R, trace=trace, reducible=reducible)
 
 
-def solve_structured(F, space, m=None, seed=0, report=None,
-                     q_ceiling=7, allow_large_q=False):
+def solve_structured(F, space, m=None, report=None, q_ceiling=7, allow_large_q=False):
     """Build a k'-basis of the common kernel inside W^m by stage elimination.
 
-    Requires the reducibility witness search to succeed (NotReducible
-    otherwise).  Stages with no new linear relations keep their coordinates
-    free; eliminated stages are back-substituted from the elimination trace;
-    the last stage collapses to the kernel of the symbolic gcd of the pushed
-    down companions together with f_W.
+    Requires the system to be reducible (NotReducible otherwise).  Stages
+    with no new linear relations keep their coordinates free; eliminated
+    stages are back-substituted from the elimination trace; the last stage
+    collapses to the kernel of the symbolic gcd of the pushed down
+    companions together with f_W.
     """
     field = space.field
     if field.q > q_ceiling and not allow_large_q:
@@ -763,7 +742,7 @@ def solve_structured(F, space, m=None, seed=0, report=None,
     n1 = space.nprime
     F_live = [lp for lp in F if not lp.is_zero()]
     if report is None:
-        report = reducibility_check(F_live, space, m=m, seed=seed)
+        report = reducibility_check(F_live, space, m=m)
     if not report.reducible:
         raise NotReducible(report.failed_stage, report.certificate)
 

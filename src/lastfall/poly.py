@@ -67,10 +67,10 @@ class Ring:
 
     def __init__(self, field, level, variables):
         if level not in ("k", "kprime"):
-            raise ValueError("level must be 'k' or 'kprime'")
+            raise MalformedInput(f"level {level!r} is neither 'k' nor 'kprime'")
         variables = tuple(variables)
         if len(set(variables)) != len(variables):
-            raise ValueError("variable names must be unique")
+            raise MalformedInput(f"variable names {list(variables)} are not unique")
         self.field = field
         self.level = level
         self.ops = field.kprime if level == "kprime" else field.k

@@ -544,10 +544,19 @@ class ReferencePointsOracle:
 # -- reducibility by exhaustive search -----------------------------------------
 
 
+def is_stage_witness(row, stage, space):
+    """Whether the stacked row is a witness at `stage`: its stage block acts
+    injectively on W, i.e. its operator matrix has full rank n'.  No
+    symbolic gcd is computed."""
+    n1 = space.nprime
+    image = space.operator_matrix(list(row[stage * n1:(stage + 1) * n1]))
+    return local_rank(image.tolist(), space.field.kprime) == n1
+
+
 def brute_force_reducibility(forms_matrix, space, m, budget=4096):
     """Stage-by-stage witness search over every combination of the echelon
-    rows, in itertools.product order, with injectivity on W tested by the
-    rank of the operator matrix; no symbolic gcd is computed.
+    rows, in itertools.product order, with injectivity on W tested by
+    :func:`is_stage_witness`.
 
     A row belongs to the stage of its first nonzero column; stages m - 1
     and later are never searched.  Returns the first stage without a
@@ -571,8 +580,7 @@ def brute_force_reducibility(forms_matrix, space, m, budget=4096):
             for c, row in zip(combo, block):
                 for t, x in enumerate(row):
                     vec[t] = field.add(vec[t], field.mul(c, x))
-            image = space.operator_matrix(vec[stage * n1:(stage + 1) * n1])
-            if local_rank(image.tolist(), field.kprime) == n1:
+            if is_stage_witness(vec, stage, space):
                 witnesses[stage] = vec
                 break
         else:

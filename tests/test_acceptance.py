@@ -311,7 +311,7 @@ def _prop_gbar_fall_bound():
         F = [LinearizedPoly(field,
                             [tuple(rng.randrange(field.order) for _ in range(field.n))
                              for _ in range(m)], bound=field.n)]
-        rep = reducibility_check(F, W, m=m, seed=trial)
+        rep = reducibility_check(F, W, m=m)
         if not rep.reducible:
             continue
         forms = [linearized_to_form(lp, W) for lp in F]

@@ -264,3 +264,37 @@ def test_cli_lastfall_refuses_malformed_exponents(tmp_path, capsys):
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("lastfall lastfall: ")
         assert not (tmp_path / "prof").exists()
+
+
+def test_cli_lastfall_refuses_malformed_coefficients(tmp_path, capsys):
+    """Over GF(2) a digit of 3 once ended in a traceback and exit code 1,
+    and 1.5 or a two-digit vector loaded silently."""
+    for coeff in ([3], [1.5], [1, 0]):
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps({
+            "field": {"p": 2, "e": 1, "n": 1}, "level": "k", "vars": ["X0", "X1"],
+            "polys": [[{"coeff": coeff, "exps": [1, 0]}]]}))
+        rc = main(["--out", str(tmp_path / "prof"), "lastfall", str(path)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("lastfall lastfall: ")
+        assert not (tmp_path / "prof").exists()
+
+
+def test_cli_solve_linearized_ignores_seed(tmp_path, capsys):
+    """The structured solution and its elimination trace do not depend on
+    --seed; this instance once printed a different substitution per seed."""
+    cfg = tmp_path / "solve.json"
+    cfg.write_text(json.dumps({
+        "field": {"p": 2, "e": 1, "n": 3},
+        "m": 2,
+        "coeffs": [[[6, 0, 4], [7, 6, 4]], [[7, 5, 3], [2, 4, 2]]],
+        "fw": [1, 0, 0, 1],
+    }))
+    outs = []
+    for seed in ("1", "2", "3"):
+        assert main(["--seed", seed, "--config", str(cfg), "solve-linearized",
+                     "--compare"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == outs[2]
+    assert json.loads(outs[0])["agrees_with_oracle"] is True

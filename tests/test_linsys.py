@@ -18,10 +18,10 @@ from lastfall import (DegreeExceedsBound, GcdConditionFailed, NotADivisor,
                       symbolic_mul, symbolic_rdivmod)
 from lastfall import Ring, univar
 from lastfall.linalg import DTYPE
-from lastfall.linsys import LinearizedPoly, apply_companion, linearized_to_form
-from lastfall.errors import SearchBudgetExceeded
+from lastfall.linsys import (LinearizedPoly, _stage_witness, apply_companion,
+                            linearized_to_form)
 
-from oracles import brute_force_reducibility
+from oracles import brute_force_reducibility, is_stage_witness, local_rank
 
 
 def random_linearized(field, m, bound, rng):
@@ -494,7 +494,7 @@ def test_eliminate_stage_solution_preserving(gf4, gf8):
             fw = divisors[rng.randrange(len(divisors))]
             W = subspace_from_fW(fw, field)
             F = [random_linearized(field, 2, field.n, rng)]
-            rep = reducibility_check(F, W, m=2, seed=17)
+            rep = reducibility_check(F, W, m=2)
             if not rep.reducible or not rep.active_stages:
                 continue
             stage = rep.active_stages[0]
@@ -574,10 +574,7 @@ def test_solver_oracle_battery(gf4, gf8, gf16):
             F = [random_linearized(field, m, field.n, rng)
                  for _ in range(rng.randint(1, 2))]
             ob = brute_force_solve(F, W, m=m)
-            try:
-                rep = reducibility_check(F, W, m=m, seed=trial)
-            except SearchBudgetExceeded:
-                continue
+            rep = reducibility_check(F, W, m=m)
             if not rep.reducible:
                 continue
             sb = solve_structured(F, W, m=m, report=rep)
@@ -589,8 +586,8 @@ def test_solver_reproducible(gf8):
     W = full_space(gf8)
     rng = random.Random(16)
     F = [random_linearized(gf8, 2, 3, rng)]
-    a = solve_structured(F, W, m=2, seed=5)
-    b = solve_structured(F, W, m=2, seed=5)
+    a = solve_structured(F, W, m=2)
+    b = solve_structured(F, W, m=2)
     assert a.coord_matrix.tolist() == b.coord_matrix.tolist()
     assert a.generators == b.generators
 
@@ -604,7 +601,7 @@ def test_irreducible_fw_witness_property(gf8):
     seen_reducible = 0
     for trial in range(60):
         F = [random_linearized(gf8, 2, 2, rng) for _ in range(rng.randint(1, 3))]
-        rep = reducibility_check(F, W, m=2, seed=trial)
+        rep = reducibility_check(F, W, m=2)
         R = rep.forms_matrix
         if R is None or not len(R):
             continue
@@ -661,7 +658,7 @@ def test_elimination_forms_in_degree_q_span(gf4, gf8):
         checked = 0
         for trial in range(12):
             F = [random_linearized(field, 2, field.n, rng)]
-            rep = reducibility_check(F, W, m=2, seed=trial)
+            rep = reducibility_check(F, W, m=2)
             if not rep.reducible or not rep.active_stages:
                 continue
             stage = rep.active_stages[0]
@@ -685,13 +682,59 @@ def test_solver_q_ceiling(gf8):
     assert sb.dim == 1
 
 
-def test_search_budget_exceeded(gf4):
+def stage_rows(rep, space, stage):
+    """The echelon rows of `forms_matrix` whose pivot lies in `stage`."""
+    n1 = space.nprime
+    rows = [[int(x) for x in r] for r in rep.forms_matrix]
+    return [r for r in rows if next(t for t, x in enumerate(r) if x) // n1 == stage]
+
+
+def scalars_per_row(space):
+    """(q^{n'} - 1)/(q - 1) + 1: at most one bad scalar for each k'-line of
+    W, then the one kept."""
+    q = space.field.q
+    return (q**space.nprime - 1) // (q - 1) + 1
+
+
+def candidates_bound(rep, space):
+    """scalars_per_row times the echelon rows of the stages built."""
+    built = [s for s in rep.active_stages if rep.reducible or s < rep.failed_stage]
+    return scalars_per_row(space) * sum(rep.stage_pivot_counts[s] for s in built)
+
+
+def assert_witnesses(rep, space):
+    """Every active stage of a reducible report has a witness in the k-span
+    of its echelon rows that acts injectively on W, and the scalars tried
+    stay within the bound."""
+    assert rep.reducible and set(rep.witnesses) == set(rep.active_stages)
+    for stage, lp in rep.witnesses.items():
+        vec = [x for row in lp.coeffs for x in row]
+        rows = stage_rows(rep, space, stage)
+        assert local_rank(rows + [vec], space.field.k) == len(rows)
+        assert is_stage_witness(vec, stage, space)
+    assert rep.candidates_tried <= candidates_bound(rep, space)
+
+
+def test_witness_without_search_budget(gf4):
+    """The witness is constructed, whatever the size of the candidate space:
+    x_0 + x_1^2 over GF(4), and over GF(2^8) a stage with 8 echelon rows, a
+    k'-dimension of 64."""
     W = full_space(gf4)
     lp = LinearizedPoly(gf4, [(1,), (0, 1)], bound=2)   # x_0 + x_1^2
-    assert reducibility_check([lp], W, m=2).reducible
-    with pytest.raises(SearchBudgetExceeded):
-        # a witness exists, but no draws and the zero cap forbid the search
-        reducibility_check([lp], W, m=2, draws=0, exhaustive_dim_cap=0)
+    rep = reducibility_check([lp], W, m=2)
+    assert rep.active_stages == (0,)
+    assert_witnesses(rep, W)
+
+    f256 = make_field(2, 1, 8)
+    W = full_space(f256)
+    t = f256.gen()
+    F = [LinearizedPoly(f256, [(t,), (0, 1), (0, 0, 1)], bound=3),   # t x_0 + x_1^2 + x_2^4
+         LinearizedPoly(f256, [(0,), (1,), (0, t)], bound=2)]        # x_1 + t x_2^2
+    rep = reducibility_check(F, W, m=3)
+    assert rep.stage_pivot_counts[0] == 8
+    assert_witnesses(rep, W)
+    assert subspace_equal(solve_structured(F, W, m=3, report=rep),
+                          brute_force_solve(F, W, m=3))
 
 
 def assert_certificate(rep, space, m):
@@ -701,10 +744,9 @@ def assert_certificate(rep, space, m):
     assert rep.certificate != (1,) and rep.certificate[-1] == 1
     w = rep.kernel_vector
     assert w != 0 and space.contains(w)
-    rows = [[int(x) for x in r] for r in rep.forms_matrix]
-    stage_rows = [r for r in rows if next(t for t, x in enumerate(r) if x) // n1 == stage]
-    assert stage_rows
-    for row in stage_rows:
+    rows = stage_rows(rep, space, stage)
+    assert rows
+    for row in rows:
         assert apply_companion(field, row[stage * n1:(stage + 1) * n1], w) == 0
     assert apply_companion(field, rep.certificate, w) == 0
 
@@ -715,11 +757,10 @@ def test_non_reducible_certificate(gf4):
     alpha = gf4.gen()
     W = full_space(gf4)
     lp = LinearizedPoly(gf4, [(alpha, 1), (0, 1)], bound=2)
-    for draws, cap in ((4, 0), (64, 16)):
-        rep = reducibility_check([lp], W, m=2, draws=draws, exhaustive_dim_cap=cap)
-        assert not rep.reducible and rep.failed_stage == 0
-        assert (rep.draws_tried, rep.candidates_tried) == (0, 0)
-        assert_certificate(rep, W, 2)
+    rep = reducibility_check([lp], W, m=2)
+    assert not rep.reducible and rep.failed_stage == 0
+    assert rep.candidates_tried == 0
+    assert_certificate(rep, W, 2)
     with pytest.raises(NotReducible, match="stage 0.*gcd of degree 1"):
         solve_structured([lp], W, m=2)
 
@@ -742,9 +783,9 @@ def _divisor_spaces():
 @settings(max_examples=8)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_gcd_decision_matches_exhaustive_search(spec, fw, seed):
-    """The gcd decision equals the exhaustive injectivity search, and with
-    no draws the projective pass finds the lex-first witness of the full
-    product."""
+    """The gcd decision equals the exhaustive injectivity search, and each
+    constructed witness is a combination of its stage rows that is
+    injective on W, found within the bound on scalars tried."""
     field = make_field(*spec)
     W = subspace_from_fW(fw, field)
     rng = random.Random(seed)
@@ -752,18 +793,44 @@ def test_gcd_decision_matches_exhaustive_search(spec, fw, seed):
     F = [LinearizedPoly(field, [tuple(rng.randrange(field.order) for _ in range(bound))
                                 for _ in range(m)], bound=bound)
          for bound in (rng.randint(1, field.n) for _ in range(rng.randint(1, 3)))]
-    rep = reducibility_check(F, W, m=m, seed=seed)
-    failed, lex_first = brute_force_reducibility(rep.forms_matrix, W, m)
+    rep = reducibility_check(F, W, m=m)
+    failed, _ = brute_force_reducibility(rep.forms_matrix, W, m)
     assert rep.reducible == (failed is None)
     if rep.reducible:
-        exhaustive = reducibility_check(F, W, m=m, draws=0, exhaustive_dim_cap=64)
-        got = {s: [x for row in lp.coeffs for x in row]
-               for s, lp in exhaustive.witnesses.items()}
-        assert got == lex_first
-        assert exhaustive.draws_tried == 0 and exhaustive.candidates_tried >= len(got)
+        assert_witnesses(rep, W)
     else:
         assert rep.failed_stage == failed
         assert_certificate(rep, W, m)
+
+    # The echelon rows of a stage that has a witness always include one whose
+    # companion is 1, so the construction is also run on row pairs that are
+    # not closed under the Frobenius and have large kernels one by one.
+    for _ in range(4):
+        rows = [kernel_heavy_row(W, rng) for _ in range(2)]
+        gcd, found, tried = _stage_witness(W, rows, 0)
+        failed, _ = brute_force_reducibility(rows, W, 2)
+        assert (found is None) == (failed == 0) == (gcd != (1,))
+        if found is not None:
+            assert local_rank(rows + [found], field.k) == local_rank(rows, field.k)
+            assert is_stage_witness(found, 0, W)
+            assert tried <= 2 * scalars_per_row(W)
+
+
+def kernel_heavy_row(space, rng):
+    """A stacked row over two stages whose stage-0 companion is a random left
+    multiple of the subspace polynomial of a random k'-subspace U < W, so
+    that it kills U; its stage-1 block is random."""
+    field, n1 = space.field, space.nprime
+    h = (1,)
+    for _ in range(rng.randrange(n1)):
+        w = space.from_coords(tuple(rng.randrange(field.q) for _ in range(n1)))
+        c = apply_companion(field, h, w)
+        if c:   # L(x^q - c^{q-1} x) kills exactly k' c, so the new h kills U + k' w
+            h = symbolic_mul(field, (field.neg(field.pow(c, field.q - 1)), 1), h)
+    g = [rng.randrange(field.order) for _ in range(n1 - len(h))] + [rng.randrange(1, field.order)]
+    block = symbolic_mul(field, g, h)
+    return (list(block) + [0] * (n1 - len(block))
+            + [rng.randrange(field.order) for _ in range(n1)])
 
 
 def test_tau_matrix_annihilated_by_fw(gf8, gf16):
@@ -791,7 +858,7 @@ def test_subfield_space_always_reducible(gf4, gf8):
         W = subfield_space(field)
         for trial in range(20):
             F = [random_linearized(field, 2, field.n, rng)]
-            rep = reducibility_check(F, W, m=2, seed=trial)
+            rep = reducibility_check(F, W, m=2)
             assert rep.reducible
             sb = solve_structured(F, W, m=2, report=rep)
             ob = brute_force_solve(F, W, m=2)

@@ -177,3 +177,21 @@ def test_malformed_exponents_are_refused(gf4, exps):
         PolySystem.from_json_str(doc)
     with pytest.raises(MalformedInput):
         ring.from_terms([(exps, 1)])
+
+
+@pytest.mark.parametrize("coeff", [[1.5, 0], [1, 0, 0], [1], [2, 0], ["1", 0]])
+def test_malformed_coefficients_are_refused(gf4, coeff):
+    """A fractional digit was once read as 1 and a vector longer than n
+    accepted; a digit outside k' died as a plain ValueError."""
+    doc = json.dumps({"field": gf4.to_json(), "level": "k", "vars": ["X0"],
+                      "polys": [[{"coeff": coeff, "exps": [1]}]]})
+    with pytest.raises(MalformedInput):
+        PolySystem.from_json_str(doc)
+    with pytest.raises(MalformedInput):
+        gf4.from_coords(coeff)
+
+
+@pytest.mark.parametrize("level,names", [("K", ["X0"]), ("k", ["X0", "X0"])])
+def test_malformed_rings_are_refused(gf4, level, names):
+    with pytest.raises(MalformedInput):
+        Ring(gf4, level, names)
