@@ -291,6 +291,8 @@ class FieldSpec:
 
     @classmethod
     def from_json(cls, obj):
+        if not {"p", "e", "n"} <= obj.keys():
+            raise MalformedInput(f"field {obj} lacks one of the keys p, e, n")
         return make_field(obj["p"], obj["e"], obj["n"],
                           m1=obj.get("m1"), m2=obj.get("m2"))
 

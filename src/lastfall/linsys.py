@@ -488,8 +488,6 @@ class ReducibilityReport:
     For a non-reducible system, `certificate` is the monic symbolic gcd of
     f_W and the companions of `failed_stage`, and `kernel_vector` a nonzero
     w in W that every one of those companions annihilates.
-    `candidates_tried` counts the scalars tried while building the witnesses
-    of the stages before the first failure (of every stage when reducible).
     """
     reducible: bool
     witnesses: dict
@@ -499,7 +497,6 @@ class ReducibilityReport:
     forms_matrix: object = None
     certificate: tuple = None
     kernel_vector: int = None
-    candidates_tried: int = 0
 
 
 def _extract_linear_forms(span, m, nprime):
@@ -525,41 +522,41 @@ def _extract_linear_forms(span, m, nprime):
 
 
 def reducibility_check(F, space, m=None):
-    """Stage-by-stage witness construction, decided by one symbolic gcd per
-    stage.
+    """Stage-by-stage witnesses, decided by the pivot count of each stage.
 
     The candidate space at stage i is the k-span of the echelon rows of
-    V cap S_1 whose pivot sits in stage i; a witness is any combination
-    whose stage-i companion has trivial symbolic gcd with f_W (equivalently,
-    acts injectively on W).
+    V_q cap S_1 (the linear forms of the degree-q closed span) whose pivot
+    sits in stage i; a witness is any combination whose stage-i companion
+    has trivial symbolic gcd with f_W (equivalently, acts injectively on W).
 
-    Lemma.  Let g_1..g_r be the stage-i companions and A_j = L(g_j)|_W, the
-    k'-linear maps W -> k.  Some combination sum c_j A_j, c in k^r, is
-    injective on W iff the A_j have no common nonzero kernel vector in W,
-    iff the monic symbolic gcd of f_W, g_1, ..., g_r is 1.
+    Lemma.  For every active stage i, the number of echelon rows with pivot
+    in stage i is n' - deg h, where h is the monic right symbolic gcd of f_W
+    and the stage-i companions.  So stage i has a witness iff it has n'
+    echelon rows.  Then the stage-i blocks of those RREF rows are the unit
+    vectors, and the first of them, whose stage companion is 1, is the
+    witness.
 
-    Proof.  A common kernel vector is killed by every combination.
-    Conversely, build the combination one A_j at a time.  Let B be a
-    combination of A_1..A_{j-1} whose kernel in W is their common kernel K
-    (B = 0 for j = 1), and A = A_j.  Every B + cA, c in k, kills
-    K cap ker A.  If it also kills some w in W outside K cap ker A, then
-    A(w) != 0 (else B(w) = 0 too) and c = -B(w)/A(w), a value that is
-    constant on the k'-line of w.  With d = dim W <= n, at most
-    (q^d - 1)/(q - 1) < q^n scalars c are bad, and every other c gives
-    ker(B + cA) = K cap ker A.  After A_r the kernel is the common kernel
-    of all the A_j.  For the gcd: L(f_W) splits in k with simple roots (its
-    x-coefficient is nonzero, as f_W divides x^n - 1), so a right component
-    d of f_W has exactly q^{deg d} roots, all in W; for d the gcd of f_W
-    with some companions these are the common kernel of the companions in
-    W, and its k'-dimension is deg d.
+    Proof.  Every row of `span_closure(..., q)` of degree < q is multiplied
+    by every variable while the degree stays <= q, so for a linear form l in
+    the span, l^q is in the span.  l^q minus `frobenius_step(l)` is a
+    k-combination of the `build_Qbar` relations, which all have degree q,
+    so V_q cap S_1 is closed under the Frobenius step.  On a stage block
+    that step is left multiplication by x in k[x;sigma] modulo the left
+    ideal k[x;sigma] f_W (f_W has k' coefficients), and it preserves stage
+    support.  Hence the stage-i projections P_i of the forms of
+    V_q cap S_1 that vanish on the stages before i form a left
+    k[x;sigma]-submodule of k[x;sigma]/k[x;sigma] f_W, the one the stage-i
+    companions generate.  Every left ideal of k[x;sigma] is principal, so
+    P_i = k[x;sigma] h / k[x;sigma] f_W, of k-dimension n' - deg h.  In
+    RREF, dim_k P_i is the number of rows whose pivot lies in stage i.
 
-    So the code folds `symbolic_gcd` over f_W and the stage companions and
-    keeps the prefix gcds.  When the last one is not 1 the report is
-    non-reducible, with the gcd and a kernel vector as certificate.
-    Otherwise the proof runs as written: for each echelon row in turn, the
-    scalar codes c = 0, 1, 2, ... are tried until gcd(f_W, companion of
-    acc + c row) has the degree of the next prefix gcd.  That takes at most
-    (q^d - 1)/(q - 1) + 1 scalars per row.
+    For the certificate: L(f_W) splits in k with simple roots (its
+    x-coefficient is nonzero, as f_W divides x^n - 1), so the right
+    component h of f_W has exactly q^{deg h} roots, all in W; they are the
+    common kernel of the stage companions in W.  So a stage with fewer than
+    n' rows folds `symbolic_gcd` over f_W and its companions and returns
+    the non-reducible report with h and a kernel vector; the degree of h is
+    computed and checked against the pivot count, not assumed.
     """
     field = space.field
     if m is None:
@@ -580,46 +577,23 @@ def reducibility_check(F, space, m=None):
     active = tuple(i for i in range(m - 1) if counts[i] > 0)
 
     witnesses = {}
-    tried = 0
     for stage in active:
         rows = [[int(x) for x in R[r]] for r, s in enumerate(stage_of) if s == stage]
-        gcd, found, scalars = _stage_witness(space, rows, stage)
-        tried += scalars
-        if found is None:
-            w = space.from_coords(tuple(int(c) for c in space.kernel_in_W(gcd)[0]))
-            return ReducibilityReport(
-                False, witnesses, active, tuple(counts), failed_stage=stage,
-                forms_matrix=R, certificate=gcd, kernel_vector=w, candidates_tried=tried)
-        witnesses[stage] = LinearizedPoly(
-            field, [found[i * n1:(i + 1) * n1] for i in range(m)], bound=n1)
-    return ReducibilityReport(True, witnesses, active, tuple(counts), forms_matrix=R,
-                              candidates_tried=tried)
-
-
-def _stage_witness(space, rows, stage):
-    """(gcd, witness, tried) for the stacked rows of one stage, built as in
-    the proof in :func:`reducibility_check`: the monic symbolic gcd of f_W
-    and the stage companions, a combination of the rows whose companion is
-    coprime to f_W (None when the gcd is not 1), and the scalars tried."""
-    field, n1, fw_k = space.field, space.nprime, tuple(space.fW)
-    block = lambda row: univar.trim(row[stage * n1:(stage + 1) * n1])
-    prefix = [fw_k]
-    for row in rows:
-        prefix.append(symbolic_gcd(field, prefix[-1], block(row)))
-    if prefix[-1] != (1,):
-        return prefix[-1], None, 0
-    acc = [0] * len(rows[0])
-    tried = 0
-    for row, target in zip(rows, prefix[1:]):
-        for c in range(field.order):
-            tried += 1
-            vec = [field.add(a, field.mul(c, x)) for a, x in zip(acc, row)]
-            if len(symbolic_gcd(field, fw_k, block(vec))) == len(target):
-                acc = vec
-                break
-        else:
-            raise RuntimeError(f"stage {stage}: no scalar keeps the common kernel")
-    return prefix[-1], acc, tried
+        if counts[stage] == n1:
+            witnesses[stage] = LinearizedPoly(
+                field, [rows[0][i * n1:(i + 1) * n1] for i in range(m)], bound=n1)
+            continue
+        gcd = tuple(space.fW)
+        for row in rows:
+            gcd = symbolic_gcd(field, gcd, row[stage * n1:(stage + 1) * n1])
+        if univar.degree(gcd) != n1 - counts[stage]:
+            raise RuntimeError(f"stage {stage}: gcd degree {univar.degree(gcd)} != "
+                               f"n' - pivot count {n1 - counts[stage]}")
+        w = space.from_coords(tuple(int(c) for c in space.kernel_in_W(gcd)[0]))
+        return ReducibilityReport(
+            False, witnesses, active, tuple(counts), failed_stage=stage,
+            forms_matrix=R, certificate=gcd, kernel_vector=w)
+    return ReducibilityReport(True, witnesses, active, tuple(counts), forms_matrix=R)
 
 
 def eliminate_stage(stage, witness, space):

@@ -69,8 +69,8 @@ class Ring:
         if level not in ("k", "kprime"):
             raise MalformedInput(f"level {level!r} is neither 'k' nor 'kprime'")
         variables = tuple(variables)
-        if len(set(variables)) != len(variables):
-            raise MalformedInput(f"variable names {list(variables)} are not unique")
+        if not all(isinstance(v, str) for v in variables) or len(set(variables)) != len(variables):
+            raise MalformedInput(f"variable names {list(variables)} are not unique strings")
         self.field = field
         self.level = level
         self.ops = field.kprime if level == "kprime" else field.k
@@ -84,7 +84,7 @@ class Ring:
 
     def check_coeff(self, c):
         if not 0 <= c < self.coeff_order:
-            raise ValueError(f"coefficient code {c} outside the {self.level} domain")
+            raise MalformedInput(f"coefficient code {c} outside the {self.level} domain")
         return int(c)
 
     def var_index(self, name):
@@ -352,28 +352,25 @@ class MultiPoly:
 
     @classmethod
     def from_text(cls, ring, text):
+        """Parse the `to_text` format; any other shape raises MalformedInput."""
         text = text.strip()
         if text == "0":
             return ring.zero()
-        field = ring.field
         terms = []
         for chunk in text.split("+"):
             chunk = chunk.strip()
-            coord_part, mono_part = chunk.split("*", 1)
+            coord_part, star, mono_part = chunk.partition("*")
             coord_part = coord_part.strip()
-            if not (coord_part.startswith("(") and coord_part.endswith(")")):
-                raise ValueError(f"bad coefficient {coord_part!r}")
-            digits = [int(x) for x in coord_part[1:-1].split(",")]
-            code = field.from_coords(digits)
+            if not (star and coord_part.startswith("(") and coord_part.endswith(")")):
+                raise MalformedInput(f"term {chunk!r} is not (coordinates)*monomial")
+            digits = [_parse_int(x, chunk) for x in coord_part[1:-1].split(",")]
+            code = ring.field.from_coords(digits)
             e = [0] * ring.nvars
             mono_part = mono_part.strip()
             if mono_part != "1":
                 for atom in mono_part.split():
-                    if "^" in atom:
-                        name, expo = atom.split("^")
-                        e[ring.var_index(name)] += int(expo)
-                    else:
-                        e[ring.var_index(atom)] += 1
+                    name, caret, expo = atom.partition("^")
+                    e[ring.var_index(name)] += _parse_int(expo, chunk) if caret else 1
             terms.append((tuple(e), code))
         return ring.from_terms(terms)
 
@@ -385,11 +382,30 @@ class MultiPoly:
     @classmethod
     def from_json_obj(cls, ring, obj):
         field = ring.field
+        if not isinstance(obj, list):
+            raise MalformedInput(f"a polynomial must be a list of terms, got {type(obj).__name__}")
         return ring.from_terms(
-            (tuple(t["exps"]), field.from_coords(t["coeff"])) for t in obj)
+            (tuple(_json_value(t, "exps", list)), field.from_coords(_json_value(t, "coeff", list)))
+            for t in obj)
 
     def __repr__(self):
         return f"MultiPoly({self.to_text()})"
+
+
+def _parse_int(s, chunk):
+    try:
+        return int(s)
+    except ValueError:
+        raise MalformedInput(f"{s!r} in term {chunk!r} is not an integer") from None
+
+
+def _json_value(obj, key, kind=None):
+    """obj[key], refusing a non-object, a missing key or a value not of `kind`."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise MalformedInput(f"missing key {key!r}")
+    if kind is not None and not isinstance(obj[key], kind):
+        raise MalformedInput(f"{key!r} must be a {kind.__name__}, got {type(obj[key]).__name__}")
+    return obj[key]
 
 
 class PolySystem:
@@ -435,13 +451,18 @@ class PolySystem:
         from .gf import FieldSpec
 
         if field is None:
-            field = FieldSpec.from_json(obj["field"])
-        ring = Ring(field, obj["level"], obj["vars"])
-        return cls(ring, [MultiPoly.from_json_obj(ring, p) for p in obj["polys"]])
+            field = FieldSpec.from_json(_json_value(obj, "field", dict))
+        ring = Ring(field, _json_value(obj, "level"), _json_value(obj, "vars", list))
+        return cls(ring, [MultiPoly.from_json_obj(ring, p)
+                          for p in _json_value(obj, "polys", list)])
 
     def to_json_str(self):
         return json.dumps(self.to_json_obj(), sort_keys=True)
 
     @classmethod
     def from_json_str(cls, s):
-        return cls.from_json_obj(json.loads(s))
+        try:
+            obj = json.loads(s)
+        except json.JSONDecodeError as exc:
+            raise MalformedInput(f"not JSON: {exc}") from None
+        return cls.from_json_obj(obj)

@@ -142,6 +142,29 @@ def random_system(ring, degree, count, rng):
     return PolySystem(ring, polys)
 
 
+def malformed_system_docs(field):
+    """JSON system documents over `field` (n = 2), each missing a key or
+    holding a value of the wrong type, by name."""
+    good = {"field": field.to_json(), "level": "k", "vars": ["X0"],
+            "polys": [[{"coeff": [1, 0], "exps": [1]}]]}
+    docs = {f"no-{key}": {k: v for k, v in good.items() if k != key} for key in good}
+    for name, change in (("polys-object", {"polys": {"X0": 1}}),
+                         ("vars-string", {"vars": "X0"}),
+                         ("vars-nested", {"vars": [["X0"]]}),
+                         ("poly-not-list", {"polys": [{"coeff": [1, 0], "exps": [1]}]}),
+                         ("term-list", {"polys": [[[1, 0]]]}),
+                         ("no-coeff", {"polys": [[{"exps": [1]}]]}),
+                         ("no-exps", {"polys": [[{"coeff": [1, 0]}]]}),
+                         ("coeff-int", {"polys": [[{"coeff": 1, "exps": [1]}]]}),
+                         ("exps-int", {"polys": [[{"coeff": [1, 0], "exps": 1}]]}),
+                         ("field-no-e", {"field": {"p": 2, "n": 2}}),
+                         ("field-list", {"field": [2, 1, 2]}),
+                         ("kprime-top-coeff", {"level": "kprime",
+                                               "polys": [[{"coeff": [0, 1], "exps": [1]}]]})):
+        docs[name] = dict(good, **change)
+    return docs
+
+
 def random_invertible_matrix(field, size, rng):
     """Random invertible matrix over the (top) field, by rejection."""
     while True:

@@ -3,7 +3,7 @@
 import json
 import time
 
-from lastfall import cli
+from lastfall import cli, make_field
 from lastfall.cli import (_run_campaign, campaign_csv, campaign_json,
                           gen_random_system, main, verify_solver, verify_thm_1_1,
                           write_campaign)
@@ -11,6 +11,8 @@ from lastfall.falldeg import PointsOracle
 from lastfall.poly import PolySystem, Ring
 
 import random
+
+from oracles import malformed_system_docs
 
 
 def test_gen_deterministic(gf9):
@@ -278,6 +280,22 @@ def test_cli_lastfall_refuses_malformed_coefficients(tmp_path, capsys):
         assert rc == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("lastfall lastfall: ")
+        assert not (tmp_path / "prof").exists()
+
+
+def test_cli_lastfall_refuses_malformed_documents(tmp_path, capsys):
+    """A missing key or a value of the wrong type once ended in a KeyError
+    or TypeError traceback instead of one line and exit code 2."""
+    texts = {name: json.dumps(doc)
+             for name, doc in malformed_system_docs(make_field(2, 1, 2)).items()}
+    texts["not-json"] = '{"field": '
+    path = tmp_path / "system.json"
+    for name, text in texts.items():
+        path.write_text(text)
+        rc = main(["--out", str(tmp_path / "prof"), "lastfall", str(path)])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2, name
+        assert len(err) == 1 and err[0].startswith("lastfall lastfall: "), name
         assert not (tmp_path / "prof").exists()
 
 

@@ -18,10 +18,9 @@ from lastfall import (DegreeExceedsBound, GcdConditionFailed, NotADivisor,
                       symbolic_mul, symbolic_rdivmod)
 from lastfall import Ring, univar
 from lastfall.linalg import DTYPE
-from lastfall.linsys import (LinearizedPoly, _stage_witness, apply_companion,
-                            linearized_to_form)
+from lastfall.linsys import LinearizedPoly, apply_companion, linearized_to_form
 
-from oracles import brute_force_reducibility, is_stage_witness, local_rank
+from oracles import brute_force_reducibility, is_stage_witness
 
 
 def random_linearized(field, m, bound, rng):
@@ -689,36 +688,23 @@ def stage_rows(rep, space, stage):
     return [r for r in rows if next(t for t, x in enumerate(r) if x) // n1 == stage]
 
 
-def scalars_per_row(space):
-    """(q^{n'} - 1)/(q - 1) + 1: at most one bad scalar for each k'-line of
-    W, then the one kept."""
-    q = space.field.q
-    return (q**space.nprime - 1) // (q - 1) + 1
-
-
-def candidates_bound(rep, space):
-    """scalars_per_row times the echelon rows of the stages built."""
-    built = [s for s in rep.active_stages if rep.reducible or s < rep.failed_stage]
-    return scalars_per_row(space) * sum(rep.stage_pivot_counts[s] for s in built)
-
-
 def assert_witnesses(rep, space):
-    """Every active stage of a reducible report has a witness in the k-span
-    of its echelon rows that acts injectively on W, and the scalars tried
-    stay within the bound."""
+    """Every active stage of a reducible report has n' echelon rows, and its
+    witness is the first of them, with stage companion 1, injective on W."""
     assert rep.reducible and set(rep.witnesses) == set(rep.active_stages)
     for stage, lp in rep.witnesses.items():
         vec = [x for row in lp.coeffs for x in row]
         rows = stage_rows(rep, space, stage)
-        assert local_rank(rows + [vec], space.field.k) == len(rows)
+        assert len(rows) == space.nprime
+        assert vec == rows[0]
+        assert lp.per_var(stage) == (1,)
         assert is_stage_witness(vec, stage, space)
-    assert rep.candidates_tried <= candidates_bound(rep, space)
 
 
 def test_witness_without_search_budget(gf4):
-    """The witness is constructed, whatever the size of the candidate space:
-    x_0 + x_1^2 over GF(4), and over GF(2^8) a stage with 8 echelon rows, a
-    k'-dimension of 64."""
+    """The witness is the first echelon row, whatever the size of the
+    candidate space: x_0 + x_1^2 over GF(4), and over GF(2^8) a stage with 8
+    echelon rows, a k'-dimension of 64."""
     W = full_space(gf4)
     lp = LinearizedPoly(gf4, [(1,), (0, 1)], bound=2)   # x_0 + x_1^2
     rep = reducibility_check([lp], W, m=2)
@@ -752,14 +738,15 @@ def assert_certificate(rep, space, m):
 
 
 def test_non_reducible_certificate(gf4):
-    """x_0 (alpha x_0 + x_0^2) + x_1^2 has no witness: the gcd says so
-    before any combination is tried, and the kernel vector shows why."""
+    """x_0 (alpha x_0 + x_0^2) + x_1^2 has no witness: its stage has fewer
+    than n' echelon rows, the gcd degree makes up the difference, and the
+    kernel vector shows why."""
     alpha = gf4.gen()
     W = full_space(gf4)
     lp = LinearizedPoly(gf4, [(alpha, 1), (0, 1)], bound=2)
     rep = reducibility_check([lp], W, m=2)
     assert not rep.reducible and rep.failed_stage == 0
-    assert rep.candidates_tried == 0
+    assert len(rep.certificate) - 1 == W.nprime - rep.stage_pivot_counts[0]
     assert_certificate(rep, W, 2)
     with pytest.raises(NotReducible, match="stage 0.*gcd of degree 1"):
         solve_structured([lp], W, m=2)
@@ -767,9 +754,9 @@ def test_non_reducible_certificate(gf4):
 
 def _divisor_spaces():
     """(field spec, f_W) for every monic divisor of x^n - 1 of GF(4), GF(8),
-    GF(16) and the GF(4) < GF(16) tower."""
+    GF(16), the GF(4) < GF(16) tower, GF(9) and GF(27)."""
     out = []
-    for spec in ((2, 1, 2), (2, 1, 3), (2, 1, 4), (2, 2, 2)):
+    for spec in ((2, 1, 2), (2, 1, 3), (2, 1, 4), (2, 2, 2), (3, 1, 2), (3, 1, 3)):
         kp = make_field(*spec).kprime
         xn1 = univar.x_pow_n_minus_one(kp, spec[2])
         for d in univar.monic_divisors(kp, xn1):
@@ -783,9 +770,10 @@ def _divisor_spaces():
 @settings(max_examples=8)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_gcd_decision_matches_exhaustive_search(spec, fw, seed):
-    """The gcd decision equals the exhaustive injectivity search, and each
-    constructed witness is a combination of its stage rows that is
-    injective on W, found within the bound on scalars tried."""
+    """The pivot-count decision equals the exhaustive injectivity search,
+    each witness is the first echelon row of its stage, and every active
+    stage is n' - deg h rows short of n', h the gcd of f_W and its
+    companions."""
     field = make_field(*spec)
     W = subspace_from_fW(fw, field)
     rng = random.Random(seed)
@@ -801,36 +789,12 @@ def test_gcd_decision_matches_exhaustive_search(spec, fw, seed):
     else:
         assert rep.failed_stage == failed
         assert_certificate(rep, W, m)
-
-    # The echelon rows of a stage that has a witness always include one whose
-    # companion is 1, so the construction is also run on row pairs that are
-    # not closed under the Frobenius and have large kernels one by one.
-    for _ in range(4):
-        rows = [kernel_heavy_row(W, rng) for _ in range(2)]
-        gcd, found, tried = _stage_witness(W, rows, 0)
-        failed, _ = brute_force_reducibility(rows, W, 2)
-        assert (found is None) == (failed == 0) == (gcd != (1,))
-        if found is not None:
-            assert local_rank(rows + [found], field.k) == local_rank(rows, field.k)
-            assert is_stage_witness(found, 0, W)
-            assert tried <= 2 * scalars_per_row(W)
-
-
-def kernel_heavy_row(space, rng):
-    """A stacked row over two stages whose stage-0 companion is a random left
-    multiple of the subspace polynomial of a random k'-subspace U < W, so
-    that it kills U; its stage-1 block is random."""
-    field, n1 = space.field, space.nprime
-    h = (1,)
-    for _ in range(rng.randrange(n1)):
-        w = space.from_coords(tuple(rng.randrange(field.q) for _ in range(n1)))
-        c = apply_companion(field, h, w)
-        if c:   # L(x^q - c^{q-1} x) kills exactly k' c, so the new h kills U + k' w
-            h = symbolic_mul(field, (field.neg(field.pow(c, field.q - 1)), 1), h)
-    g = [rng.randrange(field.order) for _ in range(n1 - len(h))] + [rng.randrange(1, field.order)]
-    block = symbolic_mul(field, g, h)
-    return (list(block) + [0] * (n1 - len(block))
-            + [rng.randrange(field.order) for _ in range(n1)])
+    n1 = W.nprime
+    for stage in rep.active_stages:
+        h = tuple(W.fW)
+        for row in stage_rows(rep, W, stage):
+            h = symbolic_gcd(field, h, row[stage * n1:(stage + 1) * n1])
+        assert n1 - rep.stage_pivot_counts[stage] == univar.degree(h)
 
 
 def test_tau_matrix_annihilated_by_fw(gf8, gf16):

@@ -8,7 +8,7 @@ import pytest
 from lastfall import (MalformedInput, MultiPoly, NEG_INF, PolySystem, Ring, RingMismatch,
                       UnassignedVariable)
 from lastfall.poly import DESCENDING_KEYS, ORDER_KEYS, monomials_up_to
-from oracles import random_system
+from oracles import malformed_system_docs, random_system
 
 
 @pytest.fixture
@@ -189,6 +189,25 @@ def test_malformed_coefficients_are_refused(gf4, coeff):
         PolySystem.from_json_str(doc)
     with pytest.raises(MalformedInput):
         gf4.from_coords(coeff)
+
+
+@pytest.mark.parametrize("text", ["(1.5)*X0", "1*X0", "X0", "(1)*X0^x", "(1)*X0^", "(1,)*X0"])
+def test_malformed_text_is_refused(gf2, text):
+    """Each of these once died as a plain ValueError from int() or a tuple
+    unpacking; an unknown name stays UnassignedVariable."""
+    ring = Ring(gf2, "k", ["X0"])
+    with pytest.raises(MalformedInput):
+        MultiPoly.from_text(ring, text)
+    with pytest.raises(UnassignedVariable):
+        MultiPoly.from_text(ring, "(1)*Y")
+
+
+def test_malformed_system_json_is_refused(gf4):
+    for doc in malformed_system_docs(gf4).values():
+        with pytest.raises(MalformedInput):
+            PolySystem.from_json_obj(doc)
+    with pytest.raises(MalformedInput):
+        PolySystem.from_json_str('{"field": ')
 
 
 @pytest.mark.parametrize("level,names", [("K", ["X0"]), ("k", ["X0", "X0"])])
