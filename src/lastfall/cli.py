@@ -21,13 +21,13 @@ from itertools import product
 from . import univar
 from .descent import (build_F1, build_Fprime, build_Fprime1, f1_points,
                       fprime1_points, make_descent_context)
-from .errors import LastfallError, NotReducible
+from .errors import LastfallError, MalformedInput, NotReducible
 from .falldeg import PointsOracle, last_fall_degree
 from .gf import make_field
 from .linsys import (LinearizedPoly, brute_force_solve, enumerate_solutions,
                      full_space, gbar_system, linearized_to_form, reducibility_check,
                      solve_structured, subspace_from_fW, subspace_equal)
-from .poly import PolySystem, Ring, monomials_up_to
+from .poly import PolySystem, Ring, _json_value, monomials_up_to
 
 
 # -- instance generation --------------------------------------------------------
@@ -370,11 +370,14 @@ def write_campaign(result, outdir):
 
 def _load_json_arg(path):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise MalformedInput(f"{path} is not JSON: {exc}") from None
 
 
 def _field_from_config(cfg):
-    return make_field(cfg["p"], cfg.get("e", 1), cfg["n"],
+    return make_field(_json_value(cfg, "p"), cfg.get("e", 1), _json_value(cfg, "n"),
                       m1=cfg.get("m1"), m2=cfg.get("m2"))
 
 
@@ -444,10 +447,10 @@ def cmd_lastfall(args):
 
 def cmd_solve_linearized(args):
     cfg = _load_json_arg(args.config)
-    field = _field_from_config(cfg["field"])
-    m = cfg["m"]
-    F = [LinearizedPoly(field, rows) for rows in cfg["coeffs"]]
-    space = subspace_from_fW(tuple(cfg["fw"]), field)
+    field = _field_from_config(_json_value(cfg, "field", dict))
+    m = _json_value(cfg, "m")
+    F = [LinearizedPoly(field, rows) for rows in _json_value(cfg, "coeffs", list)]
+    space = subspace_from_fW(tuple(_json_value(cfg, "fw", list)), field)
     result = {}
     oracle_sb = brute_force_solve(F, space, m=m)
     if args.oracle:

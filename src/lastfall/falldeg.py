@@ -18,6 +18,18 @@ determines its degree and no combination of rows can cancel leading
 monomials, so the dimension of the space intersected with the polynomials of
 degree <= j is simply the number of pivots of degree <= j.
 
+The rows live in one of two stores behind the same four operations (shifted
+candidate, vector of a polynomial, reduce-insert, dense snapshot), picked
+from the coefficient field alone.  Over GF(2) a row is a Python int with bit
+c set for column c (the row packing of M4RI; Albrecht, Bard & Hart, ACM TOMS
+2010), so the pivot is the top bit, and a candidate is reduced by XOR-ing in
+the row of each of its set pivot bits.  One pass over those bits suffices:
+a fully reduced row has no pivot column set but its own, so XOR-ing it in
+changes no other pivot bit.  Over any other field a row is an int16 code
+vector and the reduction is the vectorised step above.  Both stores hold the
+same canonical basis, and ``span_closure`` unpacks it to the same int16
+matrix.
+
 A fall at degree i means that closing at degree i produced new elements of
 degree <= i-1 beyond the closure at i-1; the last fall degree is the largest
 such i (0 when no fall ever happens, a convention that keeps max() formulas
@@ -66,100 +78,45 @@ def _insert(rows, pivcols, n, vec, p, ops):
     pivcols[n] = p
 
 
-class _SpanEngine:
-    """Incremental span closure, one degree level at a time."""
+class _DenseRows:
+    """Basis rows of any field as int16 code vectors, one per row of a
+    growing matrix, with the pivot column of each row kept alongside."""
 
-    def __init__(self, system, order="grevlex", unit_shortcut=False):
-        ring = system.ring
-        self.ring = ring
-        self.order = order
-        self.ops = ring.ops
-        self.by_degree = {}
-        for f in system.polys:
-            if f.is_zero():
-                continue
-            self.by_degree.setdefault(int(f.degree), []).append(f)
-        self.level = -1
-        self.monos = []
-        self.col_of = {}
-        self.col_deg = np.zeros(0, dtype=np.int16)
-        self.deg_start = [0]  # deg_start[d+1] = number of columns of degree <= d
-        self.shifts = [np.zeros(0, dtype=np.int64) for _ in range(ring.nvars)]
+    def __init__(self, ops):
+        self.ops = ops
         self.mat = np.zeros((16, 0), dtype=DTYPE)
-        self.pivcols = np.zeros(16, dtype=np.int64)  # pivot column of each row
+        self.pivcols = np.zeros(16, dtype=np.int64)
         self.nrows = 0
-        self.row_deg = []
-        self.unit = False
-        self.unit_shortcut = unit_shortcut
-        self.saturated = False
+        self.shifts = []
 
-    # -- level processing --------------------------------------------------
+    def add_columns(self, ncols, ext):
+        """Widen the rows to ncols columns; ext[v] maps the columns of the
+        previous degree block to their product with variable v."""
+        grown = np.zeros((self.mat.shape[0], ncols), dtype=DTYPE)
+        grown[: self.nrows, : self.mat.shape[1]] = self.mat[: self.nrows]
+        self.mat = grown
+        ext = [np.array(e, dtype=np.int64) for e in ext]
+        self.shifts = ([np.concatenate(pair) for pair in zip(self.shifts, ext)]
+                       if self.shifts else ext)
 
-    def advance(self):
-        i = self.level + 1
-        block = monomials_of_degree(self.ring.nvars, i, self.order)
-        old_cols = len(self.monos)
-        for e in block:
-            self.col_of[e] = len(self.monos)
-            self.monos.append(e)
-        ncols = len(self.monos)
-        self.col_deg = np.concatenate(
-            [self.col_deg, np.full(len(block), i, dtype=np.int16)])
-        self.deg_start.append(ncols)
-        self.level = i
-        if self.saturated:
-            return
-        if ncols != self.mat.shape[1]:
-            grown = np.zeros((self.mat.shape[0], ncols), dtype=DTYPE)
-            grown[: self.nrows, :old_cols] = self.mat[: self.nrows, :old_cols]
-            self.mat = grown
-        if i >= 1:
-            lo, hi = self.deg_start[i - 1], self.deg_start[i]
-            for v in range(self.ring.nvars):
-                ext = np.empty(hi - lo, dtype=np.int64)
-                for idx in range(lo, hi):
-                    e = list(self.monos[idx])
-                    e[v] += 1
-                    ext[idx - lo] = self.col_of[tuple(e)]
-                self.shifts[v] = np.concatenate([self.shifts[v], ext])
-
-        queue = deque()
-        for r in range(self.nrows):
-            if self.row_deg[r] == i - 1:
-                for v in range(self.ring.nvars):
-                    queue.append((r, v))
-        for f in self.by_degree.get(i, []):
-            queue.append((f, None))
-        while queue:
-            a, v = queue.popleft()
-            if v is None:
-                vec = self._vector_of(a)
-            else:
-                row = self.mat[a]
-                support = row.nonzero()[0]
-                vec = np.zeros(ncols, dtype=DTYPE)
-                if len(support):
-                    vec[self.shifts[v][support]] = row[support]
-            new_row = self._reduce_insert(vec)
-            if new_row is None:
-                continue
-            if self.unit and self.unit_shortcut:
-                self.saturated = True
-                return
-            if self.row_deg[new_row] <= i - 1:
-                for w in range(self.ring.nvars):
-                    queue.append((new_row, w))
-
-    def _vector_of(self, f):
-        vec = np.zeros(len(self.monos), dtype=DTYPE)
-        for e, c in f.terms.items():
-            vec[self.col_of[e]] = c
+    def vector(self, terms, col_of):
+        vec = np.zeros(self.mat.shape[1], dtype=DTYPE)
+        for e, c in terms.items():
+            vec[col_of[e]] = c
         return vec
 
-    def _reduce_insert(self, vec):
+    def shifted(self, r, v):
+        row = self.mat[r]
+        support = row.nonzero()[0]
+        vec = np.zeros(self.mat.shape[1], dtype=DTYPE)
+        vec[self.shifts[v][support]] = row[support]
+        return vec
+
+    def reduce_insert(self, vec):
         """Insert the residual of vec as a new row, keeping the basis in RREF:
         the pivot is the residual's largest monomial, scaled to 1 and cleared
-        from every other row."""
+        from every other row.  Returns the pivot column, or None when vec
+        lies in the span."""
         ops = self.ops
         n = self.nrows
         vec = _reduce(vec, self.mat[:n], self.pivcols[:n], ops)
@@ -174,18 +131,192 @@ class _SpanEngine:
             self.mat = grown
             self.pivcols = np.resize(self.pivcols, size)
         _insert(self.mat, self.pivcols, n, vec, p, ops)
-        self.row_deg.append(int(self.col_deg[p]))
-        if p == 0:
-            self.unit = True
         self.nrows += 1
-        return n
+        return p
+
+    def snapshot(self):
+        """(pivots, matrix): the rows sorted by pivot column, as int16."""
+        perm = np.argsort(self.pivcols[: self.nrows])
+        return self.pivcols[perm].tolist(), self.mat[perm]
+
+
+class _BitRows:
+    """Basis rows over GF(2) as Python ints, bit c set for column c.
+
+    In RREF a row's pivot is its top bit.  ``owner[c]`` is the row whose
+    pivot is column c, and ``holders[c]`` the bitset of rows with column c
+    set, so an insertion finds the rows to clear without scanning them.
+    """
+
+    def __init__(self):
+        self.rows = []
+        self.pivmask = 0
+        self.owner = []
+        self.holders = []
+        self.shifts = []
+
+    def add_columns(self, ncols, ext):
+        """As ``_DenseRows.add_columns``; a bitset needs no widening."""
+        grow = ncols - len(self.owner)
+        self.owner.extend([None] * grow)
+        self.holders.extend([0] * grow)
+        if not self.shifts:
+            self.shifts = [[] for _ in ext]
+        for s, e in zip(self.shifts, ext):
+            s.extend(e)
+
+    def vector(self, terms, col_of):
+        vec = 0
+        for e, c in terms.items():
+            if c:  # the one nonzero code is 1
+                vec |= 1 << col_of[e]
+        return vec
+
+    def shifted(self, r, v):
+        row, shift, vec = self.rows[r], self.shifts[v], 0
+        while row:
+            low = row & -row
+            vec |= 1 << shift[low.bit_length() - 1]
+            row ^= low
+        return vec
+
+    def reduce_insert(self, vec):
+        """As ``_DenseRows.reduce_insert``.  One pass over the pivot bits of
+        vec is a full reduction: a fully reduced row has no pivot column but
+        its own set, so XOR-ing it in flips no other pivot bit."""
+        rows, owner = self.rows, self.owner
+        hit = vec & self.pivmask
+        while hit:
+            low = hit & -hit
+            vec ^= rows[owner[low.bit_length() - 1]]
+            hit ^= low
+        if not vec:
+            return None
+        p = vec.bit_length() - 1
+        n = len(rows)
+        # the rows holding column p lose it; each of them, and the new row,
+        # flips every column of vec
+        clear = self.holders[p]
+        h = clear
+        while h:
+            low = h & -h
+            rows[low.bit_length() - 1] ^= vec
+            h ^= low
+        flip = clear | 1 << n
+        holders, x = self.holders, vec
+        while x:
+            low = x & -x
+            holders[low.bit_length() - 1] ^= flip
+            x ^= low
+        rows.append(vec)
+        owner[p] = n
+        self.pivmask |= 1 << p
+        return p
+
+    def snapshot(self):
+        """As ``_DenseRows.snapshot``, unpacked from the bitsets."""
+        rows = sorted(self.rows)  # the top bit is the pivot
+        ncols = len(self.owner)
+        width = (ncols + 7) // 8
+        packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in rows),
+                               dtype=np.uint8).reshape(len(rows), width)
+        bits = np.unpackbits(packed, axis=1, count=ncols, bitorder="little")
+        return [r.bit_length() - 1 for r in rows], bits.astype(DTYPE)
+
+
+def _row_store(ops):
+    """An empty row store for the field of ``ops``: bitsets over GF(2)."""
+    return _BitRows() if ops.order == 2 else _DenseRows(ops)
+
+
+class _SpanEngine:
+    """Incremental span closure, one degree level at a time.
+
+    Candidates (the generators of each degree, then every row one degree
+    below the level times each variable) wait in a FIFO queue and are
+    reduce-inserted into a row store.  The store is picked from the field:
+    over GF(2) a row is a Python int bitset (``_BitRows``), over any other
+    field an int16 code vector (``_DenseRows``).  Both keep the basis in
+    RREF with the pivot at the largest monomial, so they hold the same rows.
+    """
+
+    def __init__(self, system, order="grevlex", unit_shortcut=False):
+        ring = system.ring
+        self.ring = ring
+        self.order = order
+        self.store = _row_store(ring.ops)
+        self.by_degree = {}
+        for f in system.polys:
+            if f.is_zero():
+                continue
+            self.by_degree.setdefault(int(f.degree), []).append(f)
+        self.level = -1
+        self.monos = []
+        self.col_of = {}
+        self.col_deg = []  # degree of each column
+        self.deg_start = [0]  # deg_start[d+1] = number of columns of degree <= d
+        self.row_deg = []  # degree of each row, in insertion order
+        self.unit = False
+        self.unit_shortcut = unit_shortcut
+        self.saturated = False
+
+    # -- level processing --------------------------------------------------
+
+    def advance(self):
+        i = self.level + 1
+        block = monomials_of_degree(self.ring.nvars, i, self.order)
+        for e in block:
+            self.col_of[e] = len(self.monos)
+            self.monos.append(e)
+        ncols = len(self.monos)
+        self.col_deg.extend([i] * len(block))
+        self.deg_start.append(ncols)
+        self.level = i
+        if self.saturated:
+            return
+        ext = [[] for _ in range(self.ring.nvars)]
+        if i >= 1:
+            for e in self.monos[self.deg_start[i - 1]: self.deg_start[i]]:
+                for v, col in enumerate(ext):
+                    up = list(e)
+                    up[v] += 1
+                    col.append(self.col_of[tuple(up)])
+        store = self.store
+        store.add_columns(ncols, ext)
+
+        queue = deque()
+        for r, d in enumerate(self.row_deg):
+            if d == i - 1:
+                for v in range(self.ring.nvars):
+                    queue.append((r, v))
+        for f in self.by_degree.get(i, []):
+            queue.append((f, None))
+        while queue:
+            a, v = queue.popleft()
+            if v is None:
+                vec = store.vector(a.terms, self.col_of)
+            else:
+                vec = store.shifted(a, v)
+            p = store.reduce_insert(vec)
+            if p is None:
+                continue
+            new_row = len(self.row_deg)
+            self.row_deg.append(self.col_deg[p])
+            if p == 0:
+                self.unit = True
+                if self.unit_shortcut:
+                    self.saturated = True
+                    return
+            if self.col_deg[p] <= i - 1:
+                for w in range(self.ring.nvars):
+                    queue.append((new_row, w))
 
     # -- dimensions ----------------------------------------------------------
 
     def dim(self):
         if self.saturated:
             return self.deg_start[self.level + 1]
-        return self.nrows
+        return len(self.row_deg)
 
     def dim_leq(self, j):
         j = min(j, self.level)
@@ -257,9 +388,9 @@ def span_closure(system, cap, order="grevlex"):
     eng = _SpanEngine(system, order=order, unit_shortcut=False)
     for _ in range(cap + 1):
         eng.advance()
-    perm = np.argsort(eng.pivcols[: eng.nrows])
-    return DegreeSpan(system.ring, cap, order, eng.monos, eng.mat[perm],
-                      eng.pivcols[perm].tolist(), [eng.row_deg[r] for r in perm])
+    pivots, matrix = eng.store.snapshot()
+    return DegreeSpan(system.ring, cap, order, eng.monos, matrix, pivots,
+                      [eng.col_deg[p] for p in pivots])
 
 
 def equiv_mod(f, g, i, system, order="grevlex"):

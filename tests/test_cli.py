@@ -255,6 +255,29 @@ def test_cli_refuses_non_reducible_system(tmp_path, capsys):
     assert main(["--config", str(cfg), "solve-linearized", "--oracle"]) == 0
 
 
+def test_cli_solve_linearized_refuses_incomplete_config(tmp_path, capsys):
+    """A config without field, m, coeffs, fw or the field's p or n, or one
+    that is not JSON, once ended in a traceback instead of one line and exit
+    code 2."""
+    good = {"field": {"p": 2, "e": 1, "n": 2}, "m": 2,
+            "coeffs": [[[1, 0], [1, 0]]], "fw": [1, 0, 1]}
+    configs = [{"m": 2, "coeffs": [[[1], [1]]], "fw": [1, 1]}]
+    configs += [{k: v for k, v in good.items() if k != key} for key in good]
+    configs += [{**good, "field": {k: v for k, v in good["field"].items() if k != key}}
+                for key in ("p", "n")]
+    configs.append({**good, "coeffs": 3})
+    texts = [json.dumps(doc) for doc in configs] + ['{"field": ']
+    cfg = tmp_path / "solve.json"
+    for text in texts:
+        cfg.write_text(text)
+        rc = main(["--config", str(cfg), "solve-linearized"])
+        captured = capsys.readouterr()
+        assert rc == 2, text
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("lastfall solve-linearized: "), text
+
+
 def test_cli_lastfall_refuses_malformed_exponents(tmp_path, capsys):
     for exps in ([1.5, 0], [-1, 2]):
         path = tmp_path / "system.json"

@@ -4,16 +4,22 @@ The property tests run over one field per row kernel of ``gf.FieldOps``:
 GF(2) (XOR), GF(3) (modular arithmetic), GF(4) built as a tower over GF(2)
 (a table field with p = 2, whose codes add by XOR) and GF(9) built as a
 tower over GF(3) (a table field with odd p).
+
+Over GF(2) the engine keeps its rows as Python-int bitsets (``_BitRows``),
+over the other fields as int16 code vectors (``_DenseRows``).  Besides the
+checks against the naive closure above, a differential test runs both
+stores on the same GF(2) systems and requires identical spans and profiles.
 """
 
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lastfall import PolySystem, Ring, make_field, span_closure
+from lastfall import PolySystem, Ring, falldeg, last_fall_degree, make_field, span_closure
 from lastfall.linalg import DTYPE
 from oracles import naive_closure_dim, random_invertible_matrix, random_system, recombine
 
@@ -97,6 +103,46 @@ def test_reduce_clears_every_pivot(fields, name, seed):
         for v in range(ring.nvars):
             if g.degree + 1 <= cap:
                 assert span.contains(g * ring.variable(v))
+
+
+# -- GF(2): the bitset row store against the dense one ------------------------
+
+
+STORES = {"dense": falldeg._DenseRows, "bits": lambda ops: falldeg._BitRows()}
+
+
+def draw_gf2_system(field, seed):
+    """A random GF(2) system in 2-6 variables and a cap of 0-5.  Some
+    systems gain the constant 1, or f + 1 for one of their generators f, so
+    that 1 enters the span at degree 0 or deg f and the unit shortcut
+    saturates the engine there."""
+    rng = random.Random(seed)
+    ring = Ring(field, "k", [f"X{i}" for i in range(rng.randint(2, 6))])
+    system = random_system(ring, rng.randint(1, 3), rng.randint(1, 3), rng)
+    if rng.random() < 0.3:
+        one = ring.constant(1)
+        extra = one if rng.random() < 0.3 else rng.choice(system.polys) + one
+        system = PolySystem(ring, system.polys + (extra,))
+    return system, rng.randint(0, 5)
+
+
+def with_store(name, run):
+    with mock.patch.object(falldeg, "_row_store", STORES[name]):
+        return run()
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_bitset_store_matches_dense_store(fields, seed):
+    system, cap = draw_gf2_system(fields["GF(2)"], seed)
+    dense, bits = (with_store(name, lambda: span_closure(system, cap)) for name in STORES)
+    assert bits.matrix.dtype == dense.matrix.dtype == DTYPE
+    assert np.array_equal(bits.matrix, dense.matrix)
+    assert bits.pivots == dense.pivots
+    assert bits.row_degrees == dense.row_degrees
+    dense, bits = (with_store(name, lambda: last_fall_degree(system, max(cap, 1), certify=False))
+                   for name in STORES)
+    assert bits == dense
 
 
 @pytest.mark.parametrize("spec", [(2, 1, 1), (3, 1, 1), (2, 2, 1), (3, 2, 1), (251, 1, 1)])
