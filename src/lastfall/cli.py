@@ -376,6 +376,15 @@ def _load_json_arg(path):
             raise MalformedInput(f"{path} is not JSON: {exc}") from None
 
 
+def _emit(text, path):
+    """Write `text` and a newline to `path`, or print it if there is none."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
+
+
 def _field_from_config(cfg):
     return make_field(_json_value(cfg, "p"), cfg.get("e", 1), _json_value(cfg, "n"),
                       m1=cfg.get("m1"), m2=cfg.get("m2"))
@@ -395,12 +404,7 @@ def cmd_gen(args):
     else:
         ring = Ring(field, "k", [f"X{i}" for i in range(m)])
         system = gen_random_system(ring, degree, count, rng)
-    out = system.to_json_str()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out + "\n")
-    else:
-        print(out)
+    _emit(system.to_json_str(), args.out)
     return 0
 
 
@@ -415,12 +419,7 @@ def cmd_descend(args):
         out = build_Fprime1(system, ctx)
     else:
         out = build_F1(system, ctx)
-    text = out.to_json_str()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _emit(out.to_json_str(), args.out)
     return 0
 
 
@@ -431,26 +430,34 @@ def cmd_lastfall(args):
     payload = json.dumps(prof.to_json_obj(), indent=2, sort_keys=True)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "lastfall.json"), "w") as fh:
-            fh.write(payload + "\n")
+        _emit(payload, os.path.join(args.out, "lastfall.json"))
         with open(os.path.join(args.out, "lastfall.csv"), "w") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            for row in prof.csv_rows():
-                writer.writerow(row)
+            csv.writer(fh, lineterminator="\n").writerows(prof.csv_rows())
     else:
         print(payload)
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        for row in prof.csv_rows():
-            writer.writerow(row)
+        csv.writer(sys.stdout, lineterminator="\n").writerows(prof.csv_rows())
     return 0
+
+
+def _codes(value, order, what):
+    """`value` if it is a list of integer codes below `order`."""
+    if isinstance(value, list) and all(type(c) is int and 0 <= c < order for c in value):
+        return value
+    raise MalformedInput(f"{what} {value!r} is not a list of codes below {order}")
 
 
 def cmd_solve_linearized(args):
     cfg = _load_json_arg(args.config)
     field = _field_from_config(_json_value(cfg, "field", dict))
     m = _json_value(cfg, "m")
-    F = [LinearizedPoly(field, rows) for rows in _json_value(cfg, "coeffs", list)]
-    space = subspace_from_fW(tuple(_json_value(cfg, "fw", list)), field)
+    if type(m) is not int or m < 1:
+        raise MalformedInput(f"'m' must be an integer of at least 1, got {m!r}")
+    F = []
+    for rows in _json_value(cfg, "coeffs", list):
+        if not isinstance(rows, list) or len(rows) != m:
+            raise MalformedInput(f"a polynomial must be a list of m = {m} rows, got {rows!r}")
+        F.append(LinearizedPoly(field, [_codes(row, field.order, "row") for row in rows]))
+    space = subspace_from_fW(tuple(_codes(_json_value(cfg, "fw", list), field.q, "fw")), field)
     result = {}
     oracle_sb = brute_force_solve(F, space, m=m)
     if args.oracle:
@@ -473,12 +480,7 @@ def cmd_solve_linearized(args):
     result["dim"] = chosen.dim
     result["generators"] = [[field.coords(v) for v in gen] for gen in chosen.generators]
     result["coord_matrix"] = [[int(c) for c in row] for row in chosen.coord_matrix]
-    text = json.dumps(result, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _emit(json.dumps(result, indent=2, sort_keys=True), args.out)
     return 0
 
 

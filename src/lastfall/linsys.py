@@ -23,9 +23,8 @@ from itertools import product
 import numpy as np
 
 from . import univar
-from .errors import (DegreeExceedsBound, GcdConditionFailed, NotADivisor,
-                     NotCoprime, NotReducible)
-from .falldeg import span_closure
+from .errors import (DegreeExceedsBound, GcdConditionFailed, MalformedInput,
+                     NotADivisor, NotCoprime, NotReducible)
 from .linalg import DTYPE, kernel_basis, rref, solve
 from .poly import PolySystem, Ring
 
@@ -238,7 +237,7 @@ def zero_form(field, m, nprime):
 class InvariantSubspace:
     """W = ker f_W(tau) for a monic divisor f_W of x^n - 1 over k'."""
 
-    def __init__(self, field, fW, basis_W, tau_matrix):
+    def __init__(self, field, fW, basis_W):
         self.field = field
         self.fW = tuple(fW)
         self.nprime = len(fW) - 1
@@ -246,7 +245,6 @@ class InvariantSubspace:
         gw = [kp.neg(c) for c in fW[: self.nprime]]
         self.gW = univar.trim(gw)
         self.basis_W = tuple(basis_W)
-        self.tau_matrix = tau_matrix
         self._B = np.array(
             [[field.coords(w)[i] for w in basis_W] for i in range(field.n)],
             dtype=DTYPE)
@@ -305,9 +303,9 @@ def subspace_from_fW(fW, field):
     kp = field.kprime
     fW = univar.trim(fW)
     if not fW or fW[-1] != 1:
-        raise ValueError("fW must be monic")
+        raise MalformedInput(f"fW {list(fW)} is not monic")
     if univar.degree(fW) < 1:
-        raise ValueError("fW must have degree >= 1")
+        raise MalformedInput(f"fW {list(fW)} has degree < 1")
     xn1 = univar.x_pow_n_minus_one(kp, field.n)
     if not univar.divides(kp, fW, xn1):
         raise NotADivisor(f"{list(fW)} does not divide x^{field.n} - 1 over k'")
@@ -327,15 +325,9 @@ def subspace_from_fW(fW, field):
         raise RuntimeError(
             f"kernel dimension {len(ker)} != deg fW {univar.degree(fW)}")
     basis_W = [field.from_coords(tuple(int(c) for c in v)) for v in ker]
-    space = InvariantSubspace(field, fW, basis_W, None)
-    # matrix of tau restricted to W, in the W basis
-    tmat = []
-    for w in basis_W:
-        co = space.coords_of(field.frob(w, 1))
-        if co is None:
-            raise RuntimeError("W is not stable under the Frobenius")
-        tmat.append(co)
-    space.tau_matrix = tuple(tuple(int(c) for c in row) for row in zip(*tmat))
+    space = InvariantSubspace(field, fW, basis_W)
+    if not all(space.contains(field.frob(w, 1)) for w in basis_W):
+        raise RuntimeError("W is not stable under the Frobenius")
     return space
 
 
@@ -499,79 +491,83 @@ class ReducibilityReport:
     kernel_vector: int = None
 
 
-def _extract_linear_forms(span, m, nprime):
-    """Rows of the closed span that are linear forms, as a coefficient matrix
-    over k with stage-major columns."""
-    cols = m * nprime
-    var_col = {}
-    for flat in range(cols):
-        e = [0] * cols
-        e[flat] = 1
-        var_col[flat] = span._col_of[tuple(e)]
-    rows = []
-    for r, d in enumerate(span.row_degrees):
-        if d > 1:
-            continue
-        vec = span.matrix[r]
-        # the relations vanish at the origin, so the span holds neither the
-        # unit (a degree-0 row) nor a linear row with a constant part
-        if d == 0 or vec[0] != 0:
-            raise RuntimeError("row of degree <= 1 with constant part; inconsistent relations")
-        rows.append([int(vec[var_col[flat]]) for flat in range(cols)])
-    return np.array(rows, dtype=np.int16).reshape(len(rows), cols)
+def _frobenius_closure(forms, space, m):
+    """RREF and pivots of U, the smallest k-space of linear forms that holds
+    `forms` and is closed under `frobenius_step`, in stage-major columns.
+    The step is additive and sends c l to c^q step(l), so a round that steps
+    every echelon row without raising the rank ends at a closed span; the
+    rank grows at most m n' times."""
+    field, n1 = space.field, space.nprime
+    mat = np.zeros((len(forms), m * n1), dtype=DTYPE)
+    for r, form in enumerate(forms):
+        mat[r, :form.m * n1] = np.ravel(form.coeffs)
+    R, pivots = rref(mat, field.k)
+    while True:
+        steps = [frobenius_step(LinearForm(field, row.reshape(m, n1).tolist(), n1), space).coeffs
+                 for row in R]
+        grown = np.concatenate([R, np.array(steps, dtype=DTYPE).reshape(len(R), m * n1)])
+        grown, grown_pivots = rref(grown, field.k)
+        if len(grown_pivots) == len(pivots):
+            return R, pivots
+        R, pivots = grown, grown_pivots
 
 
 def reducibility_check(F, space, m=None):
     """Stage-by-stage witnesses, decided by the pivot count of each stage.
 
-    The candidate space at stage i is the k-span of the echelon rows of
-    V_q cap S_1 (the linear forms of the degree-q closed span) whose pivot
-    sits in stage i; a witness is any combination whose stage-i companion
-    has trivial symbolic gcd with f_W (equivalently, acts injectively on W).
+    `forms_matrix` is the RREF of U (`_frobenius_closure`) for the input
+    forms, their companions reduced mod f_W.  The candidate space at stage i
+    is the k-span of the rows whose pivot sits in stage i; a witness is any
+    combination whose stage-i companion has trivial symbolic gcd with f_W
+    (equivalently, acts injectively on W).
+
+    U = V_q cap S_1, the linear forms of the degree-q closed span of the
+    forms plus the `build_Qbar` relations, on which the test is stated.
+    U lies in V_q cap S_1: every row of `span_closure(..., q)` of degree < q
+    is multiplied by every variable while the degree stays <= q, so l^q is
+    in the span for a linear form l in it, and l^q - step(l) is a
+    k-combination of the relations, which have degree q.  Conversely, the
+    relations are a Groebner basis (their leading terms x_{ij}^q are
+    pairwise coprime) whose q^{mn'} standard monomials match the q^{mn'}
+    distinct k-rational points of W^m, so k[x]/(Qbar) is the ring of
+    k-valued functions on W^m.  So J = (U, Qbar), which holds V_q, is
+    radical, and its linear forms are those that vanish on Z, the common
+    zeros of U in W^m.  A linear form is a map in Hom_k'(W^m, k) =
+    Hom_k'(W^m, k') (x) k, on which the step acts as sigma on k.  By Galois
+    descent the sigma-stable U is U_0 (x) k, so Z = Ann(U_0), and a form
+    that vanishes on Z has every k'-component in Ann(Ann(U_0)) = U_0.
 
     Lemma.  For every active stage i, the number of echelon rows with pivot
     in stage i is n' - deg h, where h is the monic right symbolic gcd of f_W
     and the stage-i companions.  So stage i has a witness iff it has n'
-    echelon rows.  Then the stage-i blocks of those RREF rows are the unit
+    echelon rows; then the stage-i blocks of those rows are the unit
     vectors, and the first of them, whose stage companion is 1, is the
     witness.
 
-    Proof.  Every row of `span_closure(..., q)` of degree < q is multiplied
-    by every variable while the degree stays <= q, so for a linear form l in
-    the span, l^q is in the span.  l^q minus `frobenius_step(l)` is a
-    k-combination of the `build_Qbar` relations, which all have degree q,
-    so V_q cap S_1 is closed under the Frobenius step.  On a stage block
-    that step is left multiplication by x in k[x;sigma] modulo the left
-    ideal k[x;sigma] f_W (f_W has k' coefficients), and it preserves stage
-    support.  Hence the stage-i projections P_i of the forms of
-    V_q cap S_1 that vanish on the stages before i form a left
-    k[x;sigma]-submodule of k[x;sigma]/k[x;sigma] f_W, the one the stage-i
-    companions generate.  Every left ideal of k[x;sigma] is principal, so
-    P_i = k[x;sigma] h / k[x;sigma] f_W, of k-dimension n' - deg h.  In
-    RREF, dim_k P_i is the number of rows whose pivot lies in stage i.
+    Proof.  On a stage block the step is left multiplication by x in
+    k[x;sigma] modulo the left ideal k[x;sigma] f_W (f_W has k'
+    coefficients), and it preserves stage support.  Hence the stage-i
+    projections P_i of the forms of U that vanish on the stages before i
+    form the left submodule of k[x;sigma]/k[x;sigma] f_W that the stage-i
+    companions generate.  Every left ideal of k[x;sigma] is principal (Ore,
+    Trans. AMS 1933), so P_i = k[x;sigma] h / k[x;sigma] f_W, of
+    k-dimension n' - deg h, which in RREF is the number of rows whose pivot
+    lies in stage i.
 
     For the certificate: L(f_W) splits in k with simple roots (its
     x-coefficient is nonzero, as f_W divides x^n - 1), so the right
     component h of f_W has exactly q^{deg h} roots, all in W; they are the
-    common kernel of the stage companions in W.  So a stage with fewer than
-    n' rows folds `symbolic_gcd` over f_W and its companions and returns
-    the non-reducible report with h and a kernel vector; the degree of h is
-    computed and checked against the pivot count, not assumed.
+    common kernel of the stage companions in W.  A stage with fewer than n'
+    rows returns h, folded by `symbolic_gcd` and checked against the pivot
+    count rather than assumed, with a kernel vector.
     """
     field = space.field
     if m is None:
         m = max((lp.m for lp in F), default=1)
-    forms = [linearized_to_form(lp, space) for lp in F if not lp.is_zero()]
     n1 = space.nprime
     if m == 1:
         return ReducibilityReport(True, {}, (), (0,))
-    system = gbar_system(forms, space, m)
-    span = span_closure(system, field.q)
-    mat = _extract_linear_forms(span, m, n1)
-    if mat.shape[0]:
-        R, pivots = rref(mat, field.k)
-    else:
-        R, pivots = mat, []
+    R, pivots = _frobenius_closure([linearized_to_form(lp, space) for lp in F], space, m)
     stage_of = [p // n1 for p in pivots]
     counts = [stage_of.count(i) for i in range(m)]
     active = tuple(i for i in range(m - 1) if counts[i] > 0)

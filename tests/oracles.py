@@ -9,8 +9,9 @@ import numpy as np
 
 from lastfall import univar
 from lastfall.errors import DivisionByZero, StepBudgetExceeded
-from lastfall.falldeg import GroebnerBasis
-from lastfall.linalg import DTYPE
+from lastfall.falldeg import GroebnerBasis, span_closure
+from lastfall.linalg import DTYPE, rref
+from lastfall.linsys import gbar_system, linearized_to_form
 from lastfall.poly import ORDER_KEYS, MultiPoly, PolySystem, monomials_of_degree, monomials_up_to
 from lastfall.poly import grevlex_key
 
@@ -609,3 +610,40 @@ def brute_force_reducibility(forms_matrix, space, m, budget=4096):
         else:
             return stage, witnesses
     return None, witnesses
+
+
+# -- the linear forms of the degree-q span closure -----------------------------
+
+
+def _extract_linear_forms(span, m, nprime):
+    """Rows of the closed span that are linear forms, as a coefficient matrix
+    over k with stage-major columns."""
+    cols = m * nprime
+    var_col = {}
+    for flat in range(cols):
+        e = [0] * cols
+        e[flat] = 1
+        var_col[flat] = span._col_of[tuple(e)]
+    rows = []
+    for r, d in enumerate(span.row_degrees):
+        if d > 1:
+            continue
+        vec = span.matrix[r]
+        # the relations vanish at the origin, so the span holds neither the
+        # unit (a degree-0 row) nor a linear row with a constant part
+        if d == 0 or vec[0] != 0:
+            raise RuntimeError("row of degree <= 1 with constant part; inconsistent relations")
+        rows.append([int(vec[var_col[flat]]) for flat in range(cols)])
+    return np.array(rows, dtype=np.int16).reshape(len(rows), cols)
+
+
+def span_linear_forms(F, space, m):
+    """RREF and pivots of V_q cap S_1, the linear rows of the degree-q span
+    closure of the input forms plus the rewriting relations: the reference
+    for the Frobenius closure of `reducibility_check`."""
+    forms = [linearized_to_form(lp, space) for lp in F if not lp.is_zero()]
+    span = span_closure(gbar_system(forms, space, m), space.field.q)
+    mat = _extract_linear_forms(span, m, space.nprime)
+    if mat.shape[0]:
+        return rref(mat, space.field.k)
+    return mat, []

@@ -3,6 +3,8 @@
 import json
 import time
 
+import pytest
+
 from lastfall import cli, make_field
 from lastfall.cli import (_run_campaign, campaign_csv, campaign_json,
                           gen_random_system, main, verify_solver, verify_thm_1_1,
@@ -255,12 +257,15 @@ def test_cli_refuses_non_reducible_system(tmp_path, capsys):
     assert main(["--config", str(cfg), "solve-linearized", "--oracle"]) == 0
 
 
+_SOLVE_GOOD = {"field": {"p": 2, "e": 1, "n": 2}, "m": 2,
+               "coeffs": [[[1, 0], [1, 0]]], "fw": [1, 0, 1]}
+
+
 def test_cli_solve_linearized_refuses_incomplete_config(tmp_path, capsys):
     """A config without field, m, coeffs, fw or the field's p or n, or one
     that is not JSON, once ended in a traceback instead of one line and exit
     code 2."""
-    good = {"field": {"p": 2, "e": 1, "n": 2}, "m": 2,
-            "coeffs": [[[1, 0], [1, 0]]], "fw": [1, 0, 1]}
+    good = _SOLVE_GOOD
     configs = [{"m": 2, "coeffs": [[[1], [1]]], "fw": [1, 1]}]
     configs += [{k: v for k, v in good.items() if k != key} for key in good]
     configs += [{**good, "field": {k: v for k, v in good["field"].items() if k != key}}
@@ -276,6 +281,33 @@ def test_cli_solve_linearized_refuses_incomplete_config(tmp_path, capsys):
         assert captured.out == ""
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("lastfall solve-linearized: "), text
+
+
+@pytest.mark.parametrize("doc", [
+    pytest.param({**_SOLVE_GOOD, "m": 1}, id="two-rows-for-m-1"),
+    pytest.param({**_SOLVE_GOOD, "coeffs": [[[1, 0]]]}, id="one-row-for-m-2"),
+    pytest.param({**_SOLVE_GOOD, "m": 0}, id="m-0"),
+    pytest.param({**_SOLVE_GOOD, "m": "2"}, id="m-string"),
+    pytest.param({**_SOLVE_GOOD, "m": True}, id="m-boolean"),
+    pytest.param({**_SOLVE_GOOD, "coeffs": [[[7, 0], [1, 0]]]}, id="code-7-over-gf4"),
+    pytest.param({**_SOLVE_GOOD, "coeffs": [[[True, 0], [1, 0]]]}, id="code-boolean"),
+    pytest.param({"field": {"p": 2, "e": 1, "n": 1}, "m": 2, "coeffs": [[[1], [1]]],
+                  "fw": [5, 1]}, id="fw-code-5-over-gf2"),
+    pytest.param({**_SOLVE_GOOD, "coeffs": [[1, 0]]}, id="rows-not-lists"),
+    pytest.param({**_SOLVE_GOOD, "fw": []}, id="fw-empty"),
+])
+def test_cli_solve_linearized_refuses_malformed_config(tmp_path, capsys, doc):
+    """Each of these configs once ended in a numpy, index or type error
+    traceback, or (one row for m = 2) solved as if the missing row were
+    zero."""
+    cfg = tmp_path / "solve.json"
+    cfg.write_text(json.dumps(doc))
+    rc = main(["--config", str(cfg), "solve-linearized"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("lastfall solve-linearized: ")
 
 
 def test_cli_lastfall_refuses_malformed_exponents(tmp_path, capsys):

@@ -20,7 +20,7 @@ from lastfall import Ring, univar
 from lastfall.linalg import DTYPE
 from lastfall.linsys import LinearizedPoly, apply_companion, linearized_to_form
 
-from oracles import brute_force_reducibility, is_stage_witness
+from oracles import brute_force_reducibility, is_stage_witness, span_linear_forms
 
 
 def random_linearized(field, m, bound, rng):
@@ -797,6 +797,35 @@ def test_gcd_decision_matches_exhaustive_search(spec, fw, seed):
         assert n1 - rep.stage_pivot_counts[stage] == univar.degree(h)
 
 
+@pytest.mark.parametrize("spec,fw", _divisor_spaces())
+@settings(max_examples=12)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_frobenius_closure_matches_span_closure(spec, fw, seed):
+    """`forms_matrix` and its pivots equal the RREF of the linear rows of
+    the degree-q span closure, on random forms, kernel-heavy ones (left
+    multiples of divisors of f_W) and forms that are zero mod f_W."""
+    field = make_field(*spec)
+    W = subspace_from_fW(fw, field)
+    divisors = univar.monic_divisors(field.kprime, fw)
+    rng = random.Random(seed)
+    m = rng.randint(2, 3)
+    F = []
+    for _ in range(rng.randint(1, 3)):
+        right = {"random": (1,), "kernel": rng.choice(divisors), "zero": fw}[
+            rng.choice(("random", "kernel", "zero"))]
+        rows = [symbolic_mul(field, tuple(rng.randrange(field.order)
+                                          for _ in range(rng.randint(1, field.n))), right)
+                for _ in range(m)]
+        F.append(LinearizedPoly(field, [r or (0,) for r in rows]))
+    rep = reducibility_check(F, W, m=m)
+    R, pivots = span_linear_forms(F, W, m)
+    assert rep.forms_matrix.dtype == R.dtype and rep.forms_matrix.shape == R.shape
+    assert np.array_equal(rep.forms_matrix, R)
+    assert [int(np.flatnonzero(row)[0]) for row in rep.forms_matrix] == pivots
+    assert rep.stage_pivot_counts == tuple(
+        sum(p // W.nprime == i for p in pivots) for i in range(m))
+
+
 def test_tau_matrix_annihilated_by_fw(gf8, gf16):
     for field in (gf8, gf16):
         kp = field.kprime
@@ -831,7 +860,8 @@ def test_subfield_space_always_reducible(gf4, gf8):
 
 def test_extract_linear_forms_refuses_constant_rows(gf4):
     from lastfall import PolySystem, span_closure
-    from lastfall.linsys import _extract_linear_forms, make_s_ring
+    from lastfall.linsys import make_s_ring
+    from oracles import _extract_linear_forms
 
     ring = make_s_ring(gf4, 1, 2)
     x0, x1 = ring.variable(0), ring.variable(1)
