@@ -1,11 +1,10 @@
 """Weil descent, last fall degrees and linearized systems over small fields."""
 
 from .errors import (CoordinateNotInField, DegreeExceedsBound, DegreeTooHigh,
-                     DivisionByZero, GcdConditionFailed, LastfallError,
-                     MalformedInput, NonPrimeCharacteristic, NotABasis, NotADivisor,
-                     NotCoprime, NotReducible, OracleInconsistent, ReducibleModulus,
-                     RingMismatch, StepBudgetExceeded,
-                     UnassignedVariable, UnsupportedField)
+                     DivisionByZero, LastfallError, MalformedInput,
+                     NonPrimeCharacteristic, NotABasis, NotADivisor, NotCoprime,
+                     NotReducible, OracleInconsistent, ReducibleModulus, RingMismatch,
+                     StepBudgetExceeded, UnassignedVariable, UnsupportedField)
 from .gf import FieldElement, FieldSpec, FrobeniusMatrix, frobenius_q, make_field, moore_matrix
 from .poly import NEG_INF, MultiPoly, PolySystem, Ring
 from .falldeg import (DegreeSpan, FallProfile, GroebnerOracle, PointsOracle,
@@ -16,10 +15,9 @@ from .descent import (DescentContext, build_F1, build_Fprime, build_Fprime1,
                       make_descent_context, solution_transport, weil_descend)
 from .linsys import (InvariantSubspace, LinearForm, LinearizedPoly,
                      SolutionBasis, bezout, brute_force_solve, build_Qbar,
-                     compose, ell_op, eliminate_stage, enumerate_solutions,
-                     frobenius_step, full_space, L_op, lcompose_reduce,
-                     reducibility_check, solve_structured, subfield_space,
-                     subspace_equal, subspace_from_fW, symbolic_ext_gcd,
+                     compose, ell_op, enumerate_solutions, frobenius_step,
+                     full_space, L_op, reducibility_check, solve_structured,
+                     subfield_space, subspace_equal, subspace_from_fW,
                      symbolic_gcd, symbolic_mul, symbolic_rdivmod)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -67,10 +67,6 @@ class NotCoprime(LastfallError):
         super().__init__(f"polynomials are not coprime, gcd has degree {len(self.gcd) - 1}")
 
 
-class GcdConditionFailed(LastfallError):
-    pass
-
-
 class NotReducible(LastfallError):
     """The companions of one elimination stage share a nonzero kernel vector
     in W; carries the stage and their monic symbolic gcd with f_W."""

@@ -185,11 +185,12 @@ def _extend(base, degree, modulus, which):
     the lexicographically least monic irreducible of the degree."""
     if modulus is None:
         modulus = univar.first_irreducible(base, degree) if degree > 1 else (0, 1)
+    elif not (isinstance(modulus, (list, tuple))
+              and all(type(c) is int and 0 <= c < base.order for c in modulus)):
+        raise MalformedInput(f"{which} = {modulus!r} is not a list of codes below {base.order}")
     modulus = univar.trim(modulus)
     if univar.degree(modulus) != degree:
-        raise ValueError(f"{which} must have degree {degree}")
-    if any(not 0 <= c < base.order for c in modulus):
-        raise ValueError(f"{which} coefficients must be codes of its base field")
+        raise MalformedInput(f"{which} = {list(modulus)} does not have degree {degree}")
     if degree == 1:  # base[t]/(t - c) is the base field itself
         return modulus, base
     if not univar.is_irreducible(base, modulus):
@@ -206,6 +207,9 @@ class FieldSpec:
     """
 
     def __init__(self, p, e, n, m1=None, m2=None):
+        for name, value in (("p", p), ("e", e), ("n", n)):
+            if type(value) is not int:
+                raise MalformedInput(f"{name} = {value!r} is not an integer")
         # e*n is bounded before p**(e*n) is formed, since p >= 2
         if e < 1 or n < 1 or e * n >= MAX_ORDER.bit_length() or p**(e * n) > MAX_ORDER:
             raise UnsupportedField(f"p = {p}, e = {e}, n = {n}: supported are e >= 1, "
@@ -291,7 +295,7 @@ class FieldSpec:
 
     @classmethod
     def from_json(cls, obj):
-        if not {"p", "e", "n"} <= obj.keys():
+        if not isinstance(obj, dict) or not {"p", "e", "n"} <= obj.keys():
             raise MalformedInput(f"field {obj} lacks one of the keys p, e, n")
         return make_field(obj["p"], obj["e"], obj["n"],
                           m1=obj.get("m1"), m2=obj.get("m2"))
@@ -311,7 +315,9 @@ class FieldSpec:
 def make_field(p, e, n, m1=None, m2=None):
     """Construct the tower GF(p) < GF(p^e) < GF(p^(e*n)); see :class:`FieldSpec`
     for the default moduli.  Shapes outside e >= 1, n >= 1 and order <=
-    ``MAX_ORDER`` raise :class:`UnsupportedField` before any work is done."""
+    ``MAX_ORDER`` raise :class:`UnsupportedField` before any work is done; a
+    p, e or n that is not an int, or a modulus that is not a list of codes of
+    its base field of the right degree, raises :class:`MalformedInput`."""
     return FieldSpec(p, e, n, m1=m1, m2=m2)
 
 

@@ -9,12 +9,11 @@ k'-dimension deg f_W.
 Composition of linearized maps corresponds to the *symbolic* product of the
 companion polynomials, (f * g)_l = sum_{i+j=l} f_i g_j^{q^i}, not to the
 plain product: the coefficient twist matters as soon as coefficients leave
-the subfield.  Right division, gcd and the extended-Euclid certificate in
-that twisted sense are what make the stage elimination sound; the plain
-extended Euclid over k[x] is also provided (`bezout`) for the commutative
-certificates.  The kernel of the symbolic gcd of a family of companions is
-exactly the intersection of the kernels of the family, which is what the
-final collapse of the solver relies on.
+the subfield.  Right division and gcd in that twisted sense decide
+reducibility and the last stage of the structured solver: the kernel of the
+symbolic gcd of a family of companions is exactly the intersection of the
+kernels of the family.  The plain extended Euclid over k[x] is also
+provided (`bezout`) for the commutative certificates.
 """
 
 from dataclasses import dataclass
@@ -23,8 +22,8 @@ from itertools import product
 import numpy as np
 
 from . import univar
-from .errors import (DegreeExceedsBound, GcdConditionFailed, MalformedInput,
-                     NotADivisor, NotCoprime, NotReducible)
+from .errors import (DegreeExceedsBound, MalformedInput, NotADivisor, NotCoprime,
+                     NotReducible)
 from .linalg import DTYPE, kernel_basis, rref, solve
 from .poly import PolySystem, Ring
 
@@ -77,23 +76,6 @@ def symbolic_gcd(field, f, g):
         return univar.ZERO
     c = field.inv(f[-1])
     return univar.trim(field.mul(c, a) for a in f)
-
-
-def symbolic_ext_gcd(field, f, g):
-    """(d, u, v) with symbolic u*f + v*g = d, d the monic symbolic gcd."""
-    r0, r1 = univar.trim(f), univar.trim(g)
-    u0, u1 = (1,), univar.ZERO
-    v0, v1 = univar.ZERO, (1,)
-    while r1:
-        c, r = symbolic_rdivmod(field, r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, univar.sub(field.k, u0, symbolic_mul(field, c, u1))
-        v0, v1 = v1, univar.sub(field.k, v0, symbolic_mul(field, c, v1))
-    if not r0:
-        return univar.ZERO, univar.ZERO, univar.ZERO
-    ic = field.inv(r0[-1])
-    scale = lambda h: univar.trim(field.mul(ic, a) for a in h)
-    return scale(r0), scale(u0), scale(v0)
 
 
 # -- core data types -----------------------------------------------------------
@@ -177,36 +159,6 @@ class LinearForm:
     def is_zero(self):
         return all(c == 0 for row in self.coeffs for c in row)
 
-    def min_stage(self):
-        for i, row in enumerate(self.coeffs):
-            if any(row):
-                return i
-        return self.m
-
-    def add(self, other):
-        f = self.field
-        return LinearForm(f, [
-            tuple(f.add(a, b) for a, b in zip(r1, r2))
-            for r1, r2 in zip(self.coeffs, other.coeffs)
-        ], self.nprime)
-
-    def sub(self, other):
-        f = self.field
-        return LinearForm(f, [
-            tuple(f.sub(a, b) for a, b in zip(r1, r2))
-            for r1, r2 in zip(self.coeffs, other.coeffs)
-        ], self.nprime)
-
-    def scale(self, c):
-        f = self.field
-        return LinearForm(f, [tuple(f.mul(c, a) for a in r) for r in self.coeffs],
-                          self.nprime)
-
-    def eval_at_subspace_point(self, point):
-        """Evaluate with x_{ij} = point_i^{q^j}: the linearized polynomial
-        with the same rows, at the point."""
-        return self.to_linearized().eval(point)
-
     def to_poly(self, ring):
         terms = {}
         f = self.field
@@ -218,20 +170,12 @@ class LinearForm:
                     terms[tuple(e)] = a
         return ring.from_terms(terms.items())
 
-    def to_linearized(self):
-        return LinearizedPoly(self.field, [univar.trim(r) for r in self.coeffs],
-                              bound=self.nprime)
-
     def __eq__(self, other):
         return (isinstance(other, LinearForm) and other.field == self.field
                 and other.coeffs == self.coeffs)
 
     def __repr__(self):
         return f"LinearForm({self.coeffs})"
-
-
-def zero_form(field, m, nprime):
-    return LinearForm(field, [(0,) * nprime for _ in range(m)], nprime)
 
 
 class InvariantSubspace:
@@ -422,22 +366,6 @@ def frobenius_step(form, space):
     return LinearForm(f, [tuple(r) for r in out], n1)
 
 
-def lcompose_reduce(g, form, space):
-    """Linear form congruent to L(g) applied on top of `form`: the sum of
-    g_r-scaled r-fold Frobenius steps.  Evaluates identically to
-    v -> L(g)(form(v)) on W^m."""
-    field = form.field
-    gt = univar.trim(g)
-    acc = zero_form(field, form.m, form.nprime)
-    cur = form
-    for r, c in enumerate(gt):
-        if c:
-            acc = acc.add(cur.scale(c))
-        if r < len(gt) - 1:
-            cur = frobenius_step(cur, space)
-    return acc
-
-
 def bezout(f0, fW, field):
     """Plain extended Euclid over k[x]: (A, B) with A f0 + B fW = 1 and
     deg A < deg fW; raises NotCoprime with the gcd as witness."""
@@ -512,6 +440,17 @@ def _frobenius_closure(forms, space, m):
         R, pivots = grown, grown_pivots
 
 
+def _num_vars(F, m):
+    """`m`, or the largest row count in F when m is None; a polynomial with
+    more than m rows raises MalformedInput."""
+    if m is None:
+        return max((lp.m for lp in F), default=1)
+    for lp in F:
+        if lp.m > m:
+            raise MalformedInput(f"a polynomial has {lp.m} rows, more than m = {m}")
+    return m
+
+
 def reducibility_check(F, space, m=None):
     """Stage-by-stage witnesses, decided by the pivot count of each stage.
 
@@ -562,8 +501,7 @@ def reducibility_check(F, space, m=None):
     count rather than assumed, with a kernel vector.
     """
     field = space.field
-    if m is None:
-        m = max((lp.m for lp in F), default=1)
+    m = _num_vars(F, m)
     n1 = space.nprime
     if m == 1:
         return ReducibilityReport(True, {}, (), (0,))
@@ -592,61 +530,10 @@ def reducibility_check(F, space, m=None):
     return ReducibilityReport(True, witnesses, active, tuple(counts), forms_matrix=R)
 
 
-def eliminate_stage(stage, witness, space):
-    """Substitutions x_{stage,j} -> linear form over later stages.
-
-    Uses the symbolic extended Euclid against f_W on the stage companion and
-    the Frobenius-step chain for the remaining indices.  Raises
-    GcdConditionFailed when the stage companion shares a kernel vector with
-    f_W inside W.
-    """
-    field = space.field
-    n1 = space.nprime
-    fw_k = tuple(space.fW)
-    gii = univar.mod(field.k, witness.per_var(stage), fw_k)
-    d, u, _ = symbolic_ext_gcd(field, gii, fw_k)
-    if d != (1,):
-        raise GcdConditionFailed(
-            f"stage {stage} companion shares kernel with f_W (gcd degree {len(d) - 1})")
-    phi = linearized_to_form(witness, space)
-    psi = lcompose_reduce(u, phi, space)
-    expected = (1,) + (0,) * (n1 - 1)
-    if psi.coeffs[stage] != expected:
-        raise RuntimeError("stage inversion did not isolate the leading variable")
-    if psi.min_stage() < stage:
-        raise RuntimeError("stage inversion leaked into earlier stages")
-    # ell_0 = x_{stage,0} - psi lives strictly in later stages
-    f = field
-    neg_rows = [tuple(f.neg(c) for c in row) for row in psi.coeffs]
-    rows = [list(r) for r in neg_rows]
-    rows[stage] = [0] * n1
-    ell = LinearForm(field, [tuple(r) for r in rows], n1)
-    subs = {(stage, 0): ell}
-    cur = ell
-    for j in range(1, n1):
-        cur = frobenius_step(cur, space)
-        subs[(stage, j)] = cur
-    return subs
-
-
-def _substitute_stages(form, gamma, n1):
-    """Replace every x_{ij} with gamma[(i, j)] wherever defined."""
-    field = form.field
-    out = zero_form(field, form.m, n1)
-    rows = [list(r) for r in form.coeffs]
-    for (i, j), g in gamma.items():
-        c = rows[i][j]
-        if c:
-            rows[i][j] = 0
-            out = out.add(g.scale(c))
-    base = LinearForm(field, [tuple(r) for r in rows], n1)
-    return base.add(out)
-
-
 @dataclass
 class EliminationTrace:
-    substitutions: dict      # stage -> LinearizedPoly over the remaining variables
-    final_gcd: tuple         # conventional companion of the collapsed ideal
+    substitutions: dict      # stage s -> LinearizedPoly over the remaining stages, x_s on Z
+    final_gcd: tuple         # companion whose kernel in W is the last coordinate on Z
     active_stages: tuple
 
 
@@ -694,123 +581,77 @@ def _canonical_basis(space, m, raw_generators, trace=None, reducible=None):
     return SolutionBasis(space, m, gens, R, trace=trace, reducible=reducible)
 
 
-def solve_structured(F, space, m=None, report=None, q_ceiling=7, allow_large_q=False):
-    """Build a k'-basis of the common kernel inside W^m by stage elimination.
+def solve_structured(F, space, m=None, report=None):
+    """A k'-basis of Z, the common zeros of F in W^m, read off the echelon
+    rows of U (`report.forms_matrix`, see :func:`reducibility_check`).
 
-    Requires the system to be reducible (NotReducible otherwise).  Stages
-    with no new linear relations keep their coordinates free; eliminated
-    stages are back-substituted from the elimination trace; the last stage
-    collapses to the kernel of the symbolic gcd of the pushed down
-    companions together with f_W.
+    Requires the system to be reducible (NotReducible otherwise).  Its
+    active stages are eliminated; the other stages before m - 1 are free.
+
+    * An eliminated stage s has n' echelon rows, so its stage block is the
+      identity.  Every column of an eliminated stage is a pivot column, so
+      the first of those rows, the witness, is zero on every earlier stage
+      and every other eliminated stage: it reads x_{s,0} + l_s with l_s a
+      linear form on the free stages and the last stage alone.  On Z
+      therefore x_s = -l_s(x), and `trace.substitutions[s]` is -l_s;
+      nothing needs composing.
+    * The rows whose pivot lies in the last stage are zero on every earlier
+      stage, so on Z the last coordinate lies in the kernel in W of g =
+      `trace.final_gcd`, the symbolic gcd of f_W and their last-stage
+      blocks.  For m = 1 there is no closure, and the input companions
+      generate the same gcd.
+
+    So the projection of Z onto its free and last coordinates is injective
+    (each eliminated x_s is -l_s of them) and lands in W^#free x ker L(g).
+    The pivot-count lemma, whose proof holds for the last stage as well,
+    gives dim_k U = #eliminated n' + n' - deg g; Z = Ann(U_0) has
+    k'-dimension m n' - dim_k U = #free n' + deg g, the dimension of that
+    target.  So the projection is a bijection, and filling x_s = -l_s(x)
+    into a basis of the target gives a basis of Z, inside W^m.
     """
     field = space.field
-    if field.q > q_ceiling and not allow_large_q:
-        raise ValueError(f"q = {field.q} above the configured ceiling {q_ceiling}; "
-                         "pass allow_large_q=True to override")
-    if m is None:
-        m = max((lp.m for lp in F), default=1)
-    n1 = space.nprime
+    m = _num_vars(F, m)
+    n1, last = space.nprime, m - 1
     F_live = [lp for lp in F if not lp.is_zero()]
     if report is None:
         report = reducibility_check(F_live, space, m=m)
     if not report.reducible:
         raise NotReducible(report.failed_stage, report.certificate)
 
-    gamma = {}
-    for stage in report.active_stages:
-        subs = eliminate_stage(stage, report.witnesses[stage], space)
-        gamma.update(subs)
-    # compose: push later-stage substitutions through earlier ones
-    for stage in sorted(report.active_stages, reverse=True):
-        later = {k: v for k, v in gamma.items() if k[0] > stage}
-        for j in range(n1):
-            gamma[(stage, j)] = _substitute_stages(gamma[(stage, j)], later, n1)
-
-    eliminated = set(report.active_stages)
-    remaining = [s for s in range(m) if s not in eliminated]
-    last = m - 1
-
-    # push every input form and the rewriting relations of eliminated stages
-    # down to the last stage
-    companions = []
-    for lp in F_live:
-        form = linearized_to_form(lp, space)
-        pushed = _substitute_stages(form, gamma, n1)
-        if pushed.is_zero():
-            continue
-        _require_last_stage_only(pushed, remaining, last)
-        companions.append(univar.trim(pushed.coeffs[last]))
-    for stage in report.active_stages:
-        for j in range(n1):
-            g_j = gamma[(stage, j)]
-            stepped = frobenius_step(g_j, space)
-            if j < n1 - 1:
-                target = gamma[(stage, j + 1)]
-            else:
-                target = zero_form(field, m, n1)
-                for l, c in enumerate(space.gW):
-                    if c:
-                        target = target.add(gamma[(stage, l)].scale(c))
-            h = stepped.sub(target)
-            if h.is_zero():
-                continue
-            h = _substitute_stages(h, gamma, n1)
-            if h.is_zero():
-                continue
-            _require_last_stage_only(h, remaining, last)
-            companions.append(univar.trim(h.coeffs[last]))
-
+    if report.forms_matrix is None:
+        last_blocks = [linearized_to_form(lp, space).coeffs[0] for lp in F_live]
+    else:
+        last_blocks = [row[last * n1:] for row in report.forms_matrix.tolist()
+                       if not any(row[:last * n1])]
     g = tuple(space.fW)
-    for h in companions:
-        g = symbolic_gcd(field, g, h)
+    for block in last_blocks:
+        g = symbolic_gcd(field, g, block)
     kernel_coords = space.kernel_in_W(g)
     if len(kernel_coords) != univar.degree(g):
         raise RuntimeError(
             f"kernel dimension {len(kernel_coords)} != deg g = {univar.degree(g)}")
 
+    substitutions = {}
+    for s in report.active_stages:
+        rows = [[field.neg(c) for c in row] for row in report.witnesses[s].coeffs]
+        rows[s] = []
+        substitutions[s] = LinearizedPoly(field, rows, bound=n1)
+    starts = [(s, w) for s in range(last) if s not in substitutions for w in space.basis_W]
+    starts += [(last, space.from_coords(tuple(int(c) for c in co))) for co in kernel_coords]
     raw = []
-    free_stages = [s for s in remaining if s != last]
-    for s in free_stages:
-        for w in space.basis_W:
-            point = [0] * m
-            point[s] = w
-            _fill_eliminated(point, gamma, report.active_stages, field, n1)
-            raw.append(tuple(point))
-    for co in kernel_coords:
+    for s, w in starts:
         point = [0] * m
-        point[last] = space.from_coords(tuple(int(c) for c in co))
-        _fill_eliminated(point, gamma, report.active_stages, field, n1)
+        point[s] = w
+        for t, sub in substitutions.items():
+            point[t] = sub.eval(point)
         raw.append(tuple(point))
 
     for gen in raw:
         for lp in F_live:
             if lp.eval(gen) != 0:
                 raise RuntimeError("structured solution fails an input polynomial")
-
-    trace = EliminationTrace(
-        substitutions={s: gamma[(s, 0)].to_linearized() for s in report.active_stages},
-        final_gcd=g,
-        active_stages=report.active_stages,
-    )
+    trace = EliminationTrace(substitutions, g, report.active_stages)
     return _canonical_basis(space, m, raw, trace=trace, reducible=True)
-
-
-def _require_last_stage_only(form, remaining, last):
-    for s in remaining:
-        if s == last:
-            continue
-        if any(form.coeffs[s]):
-            raise RuntimeError(
-                f"pushed-down form has support on free stage {s}; "
-                "elimination structure violated")
-    for s in range(form.m):
-        if s not in remaining and any(form.coeffs[s]):
-            raise RuntimeError("pushed-down form still mentions an eliminated stage")
-
-
-def _fill_eliminated(point, gamma, active, field, n1):
-    for s in active:
-        point[s] = gamma[(s, 0)].eval_at_subspace_point(point)
 
 
 def brute_force_solve(F, space, m=None):
@@ -818,8 +659,7 @@ def brute_force_solve(F, space, m=None):
     k'-linear map into k, so the solution set is the kernel of one stacked
     matrix over k'.  No reducibility assumption."""
     field = space.field
-    if m is None:
-        m = max((lp.m for lp in F), default=1)
+    m = _num_vars(F, m)
     n1 = space.nprime
     blocks = []
     for lp in F:
@@ -855,8 +695,7 @@ def subspace_equal(a, b):
 def enumerate_solutions(F, space, m=None, budget=4096):
     """All points of W^m annihilated by F, by exhaustive enumeration."""
     field = space.field
-    if m is None:
-        m = max((lp.m for lp in F), default=1)
+    m = _num_vars(F, m)
     total = field.q ** (space.nprime * m)
     if total > budget:
         raise ValueError(f"{total} points exceed the enumeration budget")

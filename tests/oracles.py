@@ -8,10 +8,13 @@ dimensions with its own one-shot elimination.
 import numpy as np
 
 from lastfall import univar
-from lastfall.errors import DivisionByZero, StepBudgetExceeded
+from lastfall.errors import DivisionByZero, LastfallError, NotReducible, StepBudgetExceeded
 from lastfall.falldeg import GroebnerBasis, span_closure
 from lastfall.linalg import DTYPE, rref
-from lastfall.linsys import gbar_system, linearized_to_form
+from lastfall.linsys import (EliminationTrace, LinearForm, LinearizedPoly, _canonical_basis,
+                             frobenius_step, gbar_system, linearized_to_form,
+                             reducibility_check, symbolic_gcd, symbolic_mul,
+                             symbolic_rdivmod)
 from lastfall.poly import ORDER_KEYS, MultiPoly, PolySystem, monomials_of_degree, monomials_up_to
 from lastfall.poly import grevlex_key
 
@@ -647,3 +650,256 @@ def span_linear_forms(F, space, m):
     if mat.shape[0]:
         return rref(mat, space.field.k)
     return mat, []
+
+
+# -- the stage-elimination solver ----------------------------------------------
+#
+# The structured solver as it was before it read the solution off the
+# echelon form: a symbolic ext-gcd inverts each stage companion, Frobenius
+# steps give the rest of the stage, the substitutions are composed, and
+# every input form and rewriting relation is pushed down to the last stage.
+# It is the reference for `solve_structured`.  Linear forms are combined by
+# the helper functions below.
+
+
+class GcdConditionFailed(LastfallError):
+    """A stage companion shares a kernel vector with f_W inside W."""
+
+
+def zero_form(field, m, nprime):
+    return LinearForm(field, [(0,) * nprime for _ in range(m)], nprime)
+
+
+def form_min_stage(form):
+    for i, row in enumerate(form.coeffs):
+        if any(row):
+            return i
+    return form.m
+
+
+def form_add(a, b):
+    f = a.field
+    return LinearForm(f, [tuple(f.add(x, y) for x, y in zip(r1, r2))
+                          for r1, r2 in zip(a.coeffs, b.coeffs)], a.nprime)
+
+
+def form_sub(a, b):
+    f = a.field
+    return LinearForm(f, [tuple(f.sub(x, y) for x, y in zip(r1, r2))
+                          for r1, r2 in zip(a.coeffs, b.coeffs)], a.nprime)
+
+
+def form_scale(form, c):
+    f = form.field
+    return LinearForm(f, [tuple(f.mul(c, a) for a in r) for r in form.coeffs], form.nprime)
+
+
+def form_to_linearized(form):
+    return LinearizedPoly(form.field, [univar.trim(r) for r in form.coeffs],
+                          bound=form.nprime)
+
+
+def form_eval_at_subspace_point(form, point):
+    """Evaluate with x_{ij} = point_i^{q^j}: the linearized polynomial with
+    the same rows, at the point."""
+    return form_to_linearized(form).eval(point)
+
+
+def symbolic_ext_gcd(field, f, g):
+    """(d, u, v) with symbolic u*f + v*g = d, d the monic symbolic gcd."""
+    r0, r1 = univar.trim(f), univar.trim(g)
+    u0, u1 = (1,), univar.ZERO
+    v0, v1 = univar.ZERO, (1,)
+    while r1:
+        c, r = symbolic_rdivmod(field, r0, r1)
+        r0, r1 = r1, r
+        u0, u1 = u1, univar.sub(field.k, u0, symbolic_mul(field, c, u1))
+        v0, v1 = v1, univar.sub(field.k, v0, symbolic_mul(field, c, v1))
+    if not r0:
+        return univar.ZERO, univar.ZERO, univar.ZERO
+    ic = field.inv(r0[-1])
+    scale = lambda h: univar.trim(field.mul(ic, a) for a in h)
+    return scale(r0), scale(u0), scale(v0)
+
+
+def lcompose_reduce(g, form, space):
+    """Linear form congruent to L(g) applied on top of `form`: the sum of
+    g_r-scaled r-fold Frobenius steps.  Evaluates identically to
+    v -> L(g)(form(v)) on W^m."""
+    field = form.field
+    gt = univar.trim(g)
+    acc = zero_form(field, form.m, form.nprime)
+    cur = form
+    for r, c in enumerate(gt):
+        if c:
+            acc = form_add(acc, form_scale(cur, c))
+        if r < len(gt) - 1:
+            cur = frobenius_step(cur, space)
+    return acc
+
+
+def eliminate_stage(stage, witness, space):
+    """Substitutions x_{stage,j} -> linear form over later stages.
+
+    Uses the symbolic extended Euclid against f_W on the stage companion and
+    the Frobenius-step chain for the remaining indices.  Raises
+    GcdConditionFailed when the stage companion shares a kernel vector with
+    f_W inside W.
+    """
+    field = space.field
+    n1 = space.nprime
+    fw_k = tuple(space.fW)
+    gii = univar.mod(field.k, witness.per_var(stage), fw_k)
+    d, u, _ = symbolic_ext_gcd(field, gii, fw_k)
+    if d != (1,):
+        raise GcdConditionFailed(
+            f"stage {stage} companion shares kernel with f_W (gcd degree {len(d) - 1})")
+    phi = linearized_to_form(witness, space)
+    psi = lcompose_reduce(u, phi, space)
+    expected = (1,) + (0,) * (n1 - 1)
+    if psi.coeffs[stage] != expected:
+        raise RuntimeError("stage inversion did not isolate the leading variable")
+    if form_min_stage(psi) < stage:
+        raise RuntimeError("stage inversion leaked into earlier stages")
+    # ell_0 = x_{stage,0} - psi lives strictly in later stages
+    f = field
+    neg_rows = [tuple(f.neg(c) for c in row) for row in psi.coeffs]
+    rows = [list(r) for r in neg_rows]
+    rows[stage] = [0] * n1
+    ell = LinearForm(field, [tuple(r) for r in rows], n1)
+    subs = {(stage, 0): ell}
+    cur = ell
+    for j in range(1, n1):
+        cur = frobenius_step(cur, space)
+        subs[(stage, j)] = cur
+    return subs
+
+
+def _substitute_stages(form, gamma, n1):
+    """Replace every x_{ij} with gamma[(i, j)] wherever defined."""
+    field = form.field
+    out = zero_form(field, form.m, n1)
+    rows = [list(r) for r in form.coeffs]
+    for (i, j), g in gamma.items():
+        c = rows[i][j]
+        if c:
+            rows[i][j] = 0
+            out = form_add(out, form_scale(g, c))
+    base = LinearForm(field, [tuple(r) for r in rows], n1)
+    return form_add(base, out)
+
+
+def stage_elimination_solve(F, space, m=None, report=None):
+    """Build a k'-basis of the common kernel inside W^m by stage elimination.
+
+    Requires the system to be reducible (NotReducible otherwise).  Stages
+    with no new linear relations keep their coordinates free; eliminated
+    stages are back-substituted from the elimination trace; the last stage
+    collapses to the kernel of the symbolic gcd of the pushed down
+    companions together with f_W.
+    """
+    field = space.field
+    if m is None:
+        m = max((lp.m for lp in F), default=1)
+    n1 = space.nprime
+    F_live = [lp for lp in F if not lp.is_zero()]
+    if report is None:
+        report = reducibility_check(F_live, space, m=m)
+    if not report.reducible:
+        raise NotReducible(report.failed_stage, report.certificate)
+
+    gamma = {}
+    for stage in report.active_stages:
+        subs = eliminate_stage(stage, report.witnesses[stage], space)
+        gamma.update(subs)
+    # compose: push later-stage substitutions through earlier ones
+    for stage in sorted(report.active_stages, reverse=True):
+        later = {k: v for k, v in gamma.items() if k[0] > stage}
+        for j in range(n1):
+            gamma[(stage, j)] = _substitute_stages(gamma[(stage, j)], later, n1)
+
+    eliminated = set(report.active_stages)
+    remaining = [s for s in range(m) if s not in eliminated]
+    last = m - 1
+
+    # push every input form and the rewriting relations of eliminated stages
+    # down to the last stage
+    companions = []
+    for lp in F_live:
+        form = linearized_to_form(lp, space)
+        pushed = _substitute_stages(form, gamma, n1)
+        if pushed.is_zero():
+            continue
+        _require_last_stage_only(pushed, remaining, last)
+        companions.append(univar.trim(pushed.coeffs[last]))
+    for stage in report.active_stages:
+        for j in range(n1):
+            g_j = gamma[(stage, j)]
+            stepped = frobenius_step(g_j, space)
+            if j < n1 - 1:
+                target = gamma[(stage, j + 1)]
+            else:
+                target = zero_form(field, m, n1)
+                for l, c in enumerate(space.gW):
+                    if c:
+                        target = form_add(target, form_scale(gamma[(stage, l)], c))
+            h = form_sub(stepped, target)
+            if h.is_zero():
+                continue
+            h = _substitute_stages(h, gamma, n1)
+            if h.is_zero():
+                continue
+            _require_last_stage_only(h, remaining, last)
+            companions.append(univar.trim(h.coeffs[last]))
+
+    g = tuple(space.fW)
+    for h in companions:
+        g = symbolic_gcd(field, g, h)
+    kernel_coords = space.kernel_in_W(g)
+    if len(kernel_coords) != univar.degree(g):
+        raise RuntimeError(
+            f"kernel dimension {len(kernel_coords)} != deg g = {univar.degree(g)}")
+
+    raw = []
+    free_stages = [s for s in remaining if s != last]
+    for s in free_stages:
+        for w in space.basis_W:
+            point = [0] * m
+            point[s] = w
+            _fill_eliminated(point, gamma, report.active_stages, field, n1)
+            raw.append(tuple(point))
+    for co in kernel_coords:
+        point = [0] * m
+        point[last] = space.from_coords(tuple(int(c) for c in co))
+        _fill_eliminated(point, gamma, report.active_stages, field, n1)
+        raw.append(tuple(point))
+
+    for gen in raw:
+        for lp in F_live:
+            if lp.eval(gen) != 0:
+                raise RuntimeError("structured solution fails an input polynomial")
+
+    trace = EliminationTrace(
+        substitutions={s: form_to_linearized(gamma[(s, 0)]) for s in report.active_stages},
+        final_gcd=g,
+        active_stages=report.active_stages,
+    )
+    return _canonical_basis(space, m, raw, trace=trace, reducible=True)
+
+
+def _require_last_stage_only(form, remaining, last):
+    for s in remaining:
+        if s == last:
+            continue
+        if any(form.coeffs[s]):
+            raise RuntimeError(
+                f"pushed-down form has support on free stage {s}; "
+                "elimination structure violated")
+    for s in range(form.m):
+        if s not in remaining and any(form.coeffs[s]):
+            raise RuntimeError("pushed-down form still mentions an eliminated stage")
+
+
+def _fill_eliminated(point, gamma, active, field, n1):
+    for s in active:
+        point[s] = form_eval_at_subspace_point(gamma[(s, 0)], point)

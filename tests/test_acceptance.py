@@ -21,8 +21,8 @@ from lastfall.linsys import (LinearizedPoly, brute_force_solve, full_space,
                              gbar_system, linearized_to_form)
 from lastfall.falldeg import PointsOracle
 from lastfall.cli import _gbar_points
-from oracles import (count_zeros, naive_closure_dim, random_invertible_matrix,
-                     random_system, recombine)
+from oracles import (count_zeros, form_eval_at_subspace_point, naive_closure_dim,
+                     random_invertible_matrix, random_system, recombine)
 
 
 REFERENCE = Path(__file__).parent.parent / "bench" / "reference" / "seed0"
@@ -280,7 +280,7 @@ def _prop_l_ell_pointwise():
             lp = LinearizedPoly(field, rows, bound=W.nprime)
             lf = linearized_to_form(lp, W)
             for pt in product(list(W.elements()), repeat=2):
-                assert lf.eval_at_subspace_point(pt) == lp.eval(pt)
+                assert form_eval_at_subspace_point(lf, pt) == lp.eval(pt)
 
 
 def _prop_kernel_dimension():

@@ -1,9 +1,15 @@
 """Command line surface and campaign plumbing."""
 
+import contextlib
+import io
 import json
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lastfall import cli, make_field
 from lastfall.cli import (_run_campaign, campaign_csv, campaign_json,
@@ -102,6 +108,17 @@ def test_cli_solve_linearized(tmp_path, capsys):
     out2 = json.loads(capsys.readouterr().out)
     assert out2["mode"] == "oracle"
     assert out2["coord_matrix"] == out["coord_matrix"]
+
+
+def test_cli_solve_linearized_q_above_7(tmp_path, capsys):
+    """q = 9 (k' = GF(9)) solves and agrees with the oracle; a ceiling of
+    q = 7 on the structured solver once ended it in a ValueError
+    traceback."""
+    cfg = tmp_path / "solve.json"
+    cfg.write_text(json.dumps({"field": {"p": 3, "e": 2, "n": 2}, "m": 1,
+                               "coeffs": [[[1, 1]]], "fw": [2, 1]}))
+    assert main(["--config", str(cfg), "solve-linearized", "--compare"]) == 0
+    assert json.loads(capsys.readouterr().out)["agrees_with_oracle"] is True
 
 
 def test_campaign_csv_reproducible(tmp_path):
@@ -371,3 +388,40 @@ def test_cli_solve_linearized_ignores_seed(tmp_path, capsys):
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1] == outs[2]
     assert json.loads(outs[0])["agrees_with_oracle"] is True
+
+
+_DELETE = object()
+_FIELD_PATHS = [(key,) for key in ("p", "e", "n", "m1", "m2")] + [
+    ("m1", 0), ("m1", 1), ("m2", 0), ("m2", 1), ("m2", 2)]
+_FIELD_VALUES = st.one_of(
+    st.just(_DELETE), st.none(), st.booleans(), st.integers(-2, 12), st.just(10**30),
+    st.floats(-2, 12), st.text(max_size=3), st.lists(st.integers(-1, 10), max_size=4),
+    st.dictionaries(st.text(max_size=1), st.integers(0, 3), max_size=2))
+
+
+@settings(max_examples=150)
+@given(path=st.sampled_from(_FIELD_PATHS), value=_FIELD_VALUES)
+def test_cli_lastfall_field_fuzz(path, value):
+    """A GF(9) system document with one field value replaced or deleted
+    either runs or is refused with one stderr line and exit code 2; a
+    non-integer p, e or n, or a bad modulus, once ended in a traceback."""
+    doc = {"field": make_field(3, 1, 2).to_json(), "level": "k", "vars": ["X0", "X1"],
+           "polys": [[{"coeff": [1, 1], "exps": [2, 0]}, {"coeff": [2, 0], "exps": [0, 1]}],
+                     [{"coeff": [0, 1], "exps": [1, 1]}, {"coeff": [1, 0], "exps": [0, 0]}]]}
+    *parents, last = path
+    target = doc["field"]
+    for key in parents:
+        target = target[key]
+    if value is _DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as d:
+        system = Path(d) / "system.json"
+        system.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(["--out", str(Path(d) / "prof"), "lastfall", str(system), "--cap", "4"])
+    lines = err.getvalue().splitlines()
+    assert (rc, lines) == (0, []) or (rc == 2 and len(lines) == 1
+                                      and lines[0].startswith("lastfall lastfall: ")), doc

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from lastfall import (DivisionByZero, LastfallError, NonPrimeCharacteristic, NotABasis,
-                      ReducibleModulus, UnsupportedField, frobenius_q, make_field,
-                      moore_matrix)
+from lastfall import (DivisionByZero, FieldSpec, LastfallError, MalformedInput,
+                      NonPrimeCharacteristic, NotABasis, ReducibleModulus, UnsupportedField,
+                      frobenius_q, make_field, moore_matrix)
 from lastfall.gf import field_from_json_str, field_to_json_str
 
 
@@ -62,6 +62,35 @@ def test_make_field_refuses_order_above_bound_before_any_search(monkeypatch):
         make_field(2, 5, 40)
     with pytest.raises(UnsupportedField):
         make_field(1031, 1, 1)
+
+
+@pytest.mark.parametrize("kwargs", [
+    pytest.param(dict(p="3", e=1, n=2), id="p-string"),
+    pytest.param(dict(p=3.0, e=1, n=2), id="p-float"),
+    pytest.param(dict(p=3, e=True, n=2), id="e-boolean"),
+    pytest.param(dict(p=3, e=1, n=None), id="n-none"),
+    pytest.param(dict(p=3, e=1, n=[2]), id="n-list"),
+    pytest.param(dict(p=3, e=1, n=2, m2=[1, 0]), id="m2-degree-1"),
+    pytest.param(dict(p=3, e=1, n=2, m2=[1, 0, 3]), id="m2-code-3"),
+    pytest.param(dict(p=3, e=1, n=2, m2=[1, 0, True]), id="m2-boolean-code"),
+    pytest.param(dict(p=3, e=1, n=2, m2=[1.0, 0, 1]), id="m2-float-code"),
+    pytest.param(dict(p=3, e=1, n=2, m2=7), id="m2-int"),
+    pytest.param(dict(p=3, e=1, n=2, m2={"0": 1}), id="m2-object"),
+    pytest.param(dict(p=3, e=2, n=1, m1=[1, 1, 1, 1]), id="m1-degree-3"),
+    pytest.param(dict(p=3, e=1, n=2, m1=[]), id="m1-empty"),
+])
+def test_make_field_refuses_malformed_spec(kwargs):
+    """Each of these once raised a TypeError, a plain ValueError or
+    nothing (a boolean e, a boolean code) instead of MalformedInput."""
+    with pytest.raises(MalformedInput):
+        make_field(**kwargs)
+    with pytest.raises(MalformedInput):
+        FieldSpec.from_json(kwargs)
+
+
+def test_field_from_json_refuses_non_object():
+    with pytest.raises(MalformedInput):
+        FieldSpec.from_json([3, 1, 2])
 
 
 def test_arith_examples(gf4, gf9):

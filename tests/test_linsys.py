@@ -8,19 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lastfall import (DegreeExceedsBound, GcdConditionFailed, NotADivisor,
-                      NotCoprime, NotReducible, bezout, brute_force_solve,
-                      build_Qbar, compose, ell_op, eliminate_stage,
-                      enumerate_solutions, frobenius_step, full_space, L_op,
-                      lcompose_reduce, make_field, reducibility_check,
-                      solve_structured, subfield_space, subspace_equal,
-                      subspace_from_fW, symbolic_ext_gcd, symbolic_gcd,
-                      symbolic_mul, symbolic_rdivmod)
+from lastfall import (DegreeExceedsBound, MalformedInput, NotADivisor, NotCoprime,
+                      NotReducible, bezout, brute_force_solve, build_Qbar, compose,
+                      ell_op, enumerate_solutions, frobenius_step, full_space, L_op,
+                      make_field, reducibility_check, solve_structured,
+                      subfield_space, subspace_equal, subspace_from_fW,
+                      symbolic_gcd, symbolic_mul, symbolic_rdivmod)
 from lastfall import Ring, univar
 from lastfall.linalg import DTYPE
 from lastfall.linsys import LinearizedPoly, apply_companion, linearized_to_form
 
-from oracles import brute_force_reducibility, is_stage_witness, span_linear_forms
+from oracles import (GcdConditionFailed, brute_force_reducibility, eliminate_stage,
+                     form_eval_at_subspace_point, form_min_stage, is_stage_witness,
+                     lcompose_reduce, span_linear_forms, stage_elimination_solve,
+                     symbolic_ext_gcd)
 
 
 def random_linearized(field, m, bound, rng):
@@ -204,7 +205,7 @@ def test_L_ell_pointwise_correspondence(gf8):
                 lp = random_linearized(gf8, m, W.nprime, rng)
                 lf = linearized_to_form(lp, W)
                 for pt in product(list(W.elements()), repeat=m):
-                    assert lf.eval_at_subspace_point(pt) == lp.eval(pt)
+                    assert form_eval_at_subspace_point(lf, pt) == lp.eval(pt)
 
 
 def test_linearity_of_evaluation(gf4, gf9):
@@ -310,7 +311,7 @@ def test_frobenius_step_n_fold_identity(gf4):
             g = frobenius_step(g, W)
         # pointwise: stepping n times squares values back to themselves
         for pt in product(range(gf4.order), repeat=2):
-            assert g.eval_at_subspace_point(pt) == f.eval_at_subspace_point(pt)
+            assert form_eval_at_subspace_point(g, pt) == form_eval_at_subspace_point(f, pt)
         # exact form equality: coefficients are sigma_n-fixed and indices wrap
         assert g == f
 
@@ -318,8 +319,8 @@ def test_frobenius_step_n_fold_identity(gf4):
 def test_frobenius_step_preserves_stage(gf8):
     W = full_space(gf8)
     f = ell_op(gf8, [(0, 0, 0), (1, 2, 3)], bound=3)
-    assert f.min_stage() == 1
-    assert frobenius_step(f, W).min_stage() == 1
+    assert form_min_stage(f) == 1
+    assert form_min_stage(frobenius_step(f, W)) == 1
 
 
 def test_frobenius_step_matches_q_power(gf8):
@@ -332,8 +333,8 @@ def test_frobenius_step_matches_q_power(gf8):
             f = linearized_to_form(lp, W)
             g = frobenius_step(f, W)
             for w in W.elements():
-                assert g.eval_at_subspace_point((w,)) == gf8.frob(
-                    f.eval_at_subspace_point((w,)), 1)
+                assert form_eval_at_subspace_point(g, (w,)) == gf8.frob(
+                    form_eval_at_subspace_point(f, (w,)), 1)
 
 
 def test_lcompose_reduce_examples(gf4):
@@ -358,8 +359,8 @@ def test_lcompose_reduce_pointwise(gf8):
         out = lcompose_reduce(g, f, W)
         lg = LinearizedPoly(gf8, [g])
         for pt in product(list(W.elements()), repeat=2):
-            inner = f.eval_at_subspace_point(pt)
-            assert out.eval_at_subspace_point(pt) == lg.eval((inner,))
+            inner = form_eval_at_subspace_point(f, pt)
+            assert form_eval_at_subspace_point(out, pt) == lg.eval((inner,))
 
 
 # -- bezout ----------------------------------------------------------------------
@@ -500,7 +501,7 @@ def test_eliminate_stage_solution_preserving(gf4, gf8):
             subs = eliminate_stage(stage, rep.witnesses[stage], W)
             for pt in enumerate_solutions(F, W, m=2):
                 for (i, j), form in subs.items():
-                    assert field.frob(pt[i], j) == form.eval_at_subspace_point(pt)
+                    assert field.frob(pt[i], j) == form_eval_at_subspace_point(form, pt)
 
 
 def test_eliminate_stage_gcd_failure(gf4):
@@ -672,13 +673,36 @@ def test_elimination_forms_in_degree_q_span(gf4, gf8):
         assert checked >= 3
 
 
-def test_solver_q_ceiling(gf8):
-    f8 = make_field(2, 3, 1)  # q = 8 > the default ceiling
-    W = subfield_space(f8)
-    with pytest.raises(ValueError):
-        solve_structured([], W, m=1)
-    sb = solve_structured([], W, m=1, allow_large_q=True)
+def test_solver_large_q():
+    """Fields with q = 8 solve and agree with the oracle; a ceiling of
+    q = 7 once refused them."""
+    W = subfield_space(make_field(2, 3, 1))
+    sb = solve_structured([], W, m=1)
     assert sb.dim == 1
+    assert subspace_equal(sb, brute_force_solve([], W, m=1))
+    field = make_field(2, 3, 2)
+    W = full_space(field)
+    rng = random.Random(21)
+    solved = 0
+    for m in (1, 2, 2, 2):
+        F = [random_linearized(field, m, field.n, rng)]
+        rep = reducibility_check(F, W, m=m)
+        if rep.reducible:
+            assert subspace_equal(solve_structured(F, W, m=m, report=rep),
+                                  brute_force_solve(F, W, m=m))
+            solved += 1
+    assert solved >= 3
+
+
+def test_solvers_refuse_more_rows_than_m(gf4):
+    """A polynomial with more rows than m once ended every solver in a
+    numpy broadcast or index error."""
+    W = full_space(gf4)
+    F = [LinearizedPoly(gf4, [(1,), (0, 1), (1, 1)])]
+    for solver in (reducibility_check, brute_force_solve, solve_structured,
+                   enumerate_solutions):
+        with pytest.raises(MalformedInput, match="3 rows, more than m = 2"):
+            solver(F, W, m=2)
 
 
 def stage_rows(rep, space, stage):
@@ -752,11 +776,12 @@ def test_non_reducible_certificate(gf4):
         solve_structured([lp], W, m=2)
 
 
-def _divisor_spaces():
-    """(field spec, f_W) for every monic divisor of x^n - 1 of GF(4), GF(8),
-    GF(16), the GF(4) < GF(16) tower, GF(9) and GF(27)."""
+def _divisor_spaces(specs=((2, 1, 2), (2, 1, 3), (2, 1, 4), (2, 2, 2), (3, 1, 2), (3, 1, 3))):
+    """(field spec, f_W) for every monic divisor of x^n - 1 of each field;
+    by default GF(4), GF(8), GF(16), the GF(4) < GF(16) tower, GF(9) and
+    GF(27)."""
     out = []
-    for spec in ((2, 1, 2), (2, 1, 3), (2, 1, 4), (2, 2, 2), (3, 1, 2), (3, 1, 3)):
+    for spec in specs:
         kp = make_field(*spec).kprime
         xn1 = univar.x_pow_n_minus_one(kp, spec[2])
         for d in univar.monic_divisors(kp, xn1):
@@ -797,6 +822,23 @@ def test_gcd_decision_matches_exhaustive_search(spec, fw, seed):
         assert n1 - rep.stage_pivot_counts[stage] == univar.degree(h)
 
 
+def mixed_system(W, m, count, rng):
+    """`count` linearized polynomials with m rows each, of one kind each:
+    random, kernel-heavy (left multiples of a divisor of f_W) or zero mod
+    f_W."""
+    field = W.field
+    divisors = univar.monic_divisors(field.kprime, W.fW)
+    F = []
+    for _ in range(count):
+        right = {"random": (1,), "kernel": rng.choice(divisors), "zero": W.fW}[
+            rng.choice(("random", "kernel", "zero"))]
+        rows = [symbolic_mul(field, tuple(rng.randrange(field.order)
+                                          for _ in range(rng.randint(1, field.n))), right)
+                for _ in range(m)]
+        F.append(LinearizedPoly(field, [r or (0,) for r in rows]))
+    return F
+
+
 @pytest.mark.parametrize("spec,fw", _divisor_spaces())
 @settings(max_examples=12)
 @given(seed=st.integers(0, 2**32 - 1))
@@ -806,17 +848,9 @@ def test_frobenius_closure_matches_span_closure(spec, fw, seed):
     multiples of divisors of f_W) and forms that are zero mod f_W."""
     field = make_field(*spec)
     W = subspace_from_fW(fw, field)
-    divisors = univar.monic_divisors(field.kprime, fw)
     rng = random.Random(seed)
     m = rng.randint(2, 3)
-    F = []
-    for _ in range(rng.randint(1, 3)):
-        right = {"random": (1,), "kernel": rng.choice(divisors), "zero": fw}[
-            rng.choice(("random", "kernel", "zero"))]
-        rows = [symbolic_mul(field, tuple(rng.randrange(field.order)
-                                          for _ in range(rng.randint(1, field.n))), right)
-                for _ in range(m)]
-        F.append(LinearizedPoly(field, [r or (0,) for r in rows]))
+    F = mixed_system(W, m, rng.randint(1, 3), rng)
     rep = reducibility_check(F, W, m=m)
     R, pivots = span_linear_forms(F, W, m)
     assert rep.forms_matrix.dtype == R.dtype and rep.forms_matrix.shape == R.shape
@@ -824,6 +858,37 @@ def test_frobenius_closure_matches_span_closure(spec, fw, seed):
     assert [int(np.flatnonzero(row)[0]) for row in rep.forms_matrix] == pivots
     assert rep.stage_pivot_counts == tuple(
         sum(p // W.nprime == i for p in pivots) for i in range(m))
+
+
+@pytest.mark.parametrize("spec,fw", _divisor_spaces(
+    ((2, 1, 2), (2, 1, 3), (2, 1, 4), (3, 1, 2), (3, 1, 3), (5, 1, 2), (2, 2, 2), (2, 3, 2))))
+@settings(max_examples=18)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_solver_matches_stage_elimination(spec, fw, seed):
+    """Reading the solution off the echelon form gives the generators,
+    coordinate matrix, trace and refusals of the stage-elimination
+    reference, with m = 1, 2 and 3 on empty, random, kernel-heavy and
+    zero-row systems."""
+    field = make_field(*spec)
+    W = subspace_from_fW(fw, field)
+    rng = random.Random(seed)
+    m = rng.randint(1, 3)
+    F = mixed_system(W, m, rng.randint(0, 3), rng)
+    try:
+        want = stage_elimination_solve(F, W, m=m)
+    except NotReducible as exc:
+        with pytest.raises(NotReducible) as info:
+            solve_structured(F, W, m=m)
+        assert (info.value.stage, info.value.gcd) == (exc.stage, exc.gcd)
+        return
+    got = solve_structured(F, W, m=m)
+    assert got.generators == want.generators
+    assert got.coord_matrix.dtype == want.coord_matrix.dtype
+    assert got.coord_matrix.shape == want.coord_matrix.shape
+    assert np.array_equal(got.coord_matrix, want.coord_matrix)
+    assert got.trace.substitutions == want.trace.substitutions
+    assert got.trace.final_gcd == want.trace.final_gcd
+    assert got.trace.active_stages == want.trace.active_stages
 
 
 def test_tau_matrix_annihilated_by_fw(gf8, gf16):
