@@ -2,8 +2,8 @@
 
 from .errors import (CoordinateNotInField, DegreeExceedsBound, DegreeTooHigh,
                      DivisionByZero, LastfallError, MalformedInput,
-                     NonPrimeCharacteristic, NotABasis, NotADivisor, NotCoprime,
-                     NotReducible, OracleInconsistent, ReducibleModulus, RingMismatch,
+                     NonPrimeCharacteristic, NotABasis, NotADivisor, NotReducible,
+                     OracleInconsistent, ReducibleModulus, RingMismatch,
                      StepBudgetExceeded, UnassignedVariable, UnsupportedField)
 from .gf import FieldElement, FieldSpec, FrobeniusMatrix, frobenius_q, make_field, moore_matrix
 from .poly import NEG_INF, MultiPoly, PolySystem, Ring
@@ -13,12 +13,11 @@ from .falldeg import (DegreeSpan, FallProfile, GroebnerOracle, PointsOracle,
 from .descent import (DescentContext, build_F1, build_Fprime, build_Fprime1,
                       build_G1, build_G2, build_sigma_orbit_G,
                       make_descent_context, solution_transport, weil_descend)
-from .linsys import (InvariantSubspace, LinearForm, LinearizedPoly,
-                     SolutionBasis, bezout, brute_force_solve, build_Qbar,
-                     compose, ell_op, enumerate_solutions, frobenius_step,
-                     full_space, L_op, reducibility_check, solve_structured,
-                     subfield_space, subspace_equal, subspace_from_fW,
-                     symbolic_gcd, symbolic_mul, symbolic_rdivmod)
+from .linsys import (InvariantSubspace, LinearizedPoly, SolutionBasis,
+                     brute_force_solve, build_Qbar, enumerate_solutions,
+                     frobenius_step, full_space, reducibility_check,
+                     solve_structured, subfield_space, subspace_equal,
+                     subspace_from_fW, symbolic_gcd, symbolic_mul, symbolic_rdivmod)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

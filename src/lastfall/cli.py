@@ -36,6 +36,8 @@ from .poly import PolySystem, Ring, _json_value, monomials_up_to
 def gen_random_system(ring, degree, count, rng):
     """Dense uniform systems: every monomial of degree <= `degree` gets a
     uniform coefficient; all-zero polynomials are redrawn."""
+    if degree < 0:
+        raise MalformedInput(f"degree {degree} is negative")
     monos = monomials_up_to(ring.nvars, degree)
     out = []
     for _ in range(count):
@@ -49,6 +51,8 @@ def gen_random_system(ring, degree, count, rng):
 
 def gen_random_linearized(field, m, bound, count, rng, exact_top=True):
     """Random linearized polynomials, coefficient rows uniform over k."""
+    if bound < 1 or m < 1:
+        raise MalformedInput(f"bound {bound} and m {m} must both be at least 1")
     out = []
     for _ in range(count):
         while True:
@@ -280,8 +284,7 @@ def verify_solver(seed=0, per_combo=84, combos=_SOLVER_COMBOS, check_fall_bound=
 def _gbar_profile(F, space, m, basis):
     """Points-certified profile of the input forms plus the rewriting
     relations; `basis` spans their zero set."""
-    forms = [linearized_to_form(lp, space) for lp in F if not lp.is_zero()]
-    system = gbar_system(forms, space, m)
+    system = gbar_system([linearized_to_form(lp, space, m) for lp in F], space, m)
     return _points_profile(system, _gbar_points(basis, space, m))
 
 
@@ -390,16 +393,26 @@ def _field_from_config(cfg):
                       m1=cfg.get("m1"), m2=cfg.get("m2"))
 
 
+def _at_least(value, key, least):
+    """`value` if it is an int (not a bool) of at least `least`."""
+    if type(value) is not int or value < least:
+        raise MalformedInput(f"{key!r} must be an integer of at least {least}, got {value!r}")
+    return value
+
+
 def cmd_gen(args):
     cfg = _load_json_arg(args.config) if args.config else {}
+    if not isinstance(cfg, dict):
+        raise MalformedInput(f"the config must be a JSON object, got {type(cfg).__name__}")
     field = _field_from_config(cfg.get("field", {"p": 2, "e": 1, "n": 2}))
-    m = cfg.get("m", 1)
-    degree = cfg.get("degree", 2)
-    count = cfg.get("count", m)
+    m = _at_least(cfg.get("m", 1), "m", 1)
+    degree = _at_least(cfg.get("degree", 2), "degree", 0)
+    count = _at_least(cfg.get("count", m), "count", 0)
+    bound = _at_least(cfg.get("bound", field.n), "bound", 1)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     rng = random.Random(f"{seed}:gen")
     if cfg.get("linearized"):
-        F = gen_random_linearized(field, m, cfg.get("bound", field.n), count, rng)
+        F = gen_random_linearized(field, m, bound, count, rng)
         system = linearized_system_poly(F, field, m)
     else:
         ring = Ring(field, "k", [f"X{i}" for i in range(m)])
@@ -411,7 +424,10 @@ def cmd_gen(args):
 def cmd_descend(args):
     system = PolySystem.from_json_str(open(args.system).read())
     field = system.ring.field
-    basis = json.loads(args.basis) if args.basis else None
+    try:
+        basis = json.loads(args.basis) if args.basis else None
+    except json.JSONDecodeError as exc:
+        raise MalformedInput(f"--basis is not JSON: {exc}") from None
     ctx = make_descent_context(field, system.ring.nvars, basis=basis)
     if args.emit == "Fprime":
         out = build_Fprime(system, ctx).descended
@@ -449,9 +465,7 @@ def _codes(value, order, what):
 def cmd_solve_linearized(args):
     cfg = _load_json_arg(args.config)
     field = _field_from_config(_json_value(cfg, "field", dict))
-    m = _json_value(cfg, "m")
-    if type(m) is not int or m < 1:
-        raise MalformedInput(f"'m' must be an integer of at least 1, got {m!r}")
+    m = _at_least(_json_value(cfg, "m"), "m", 1)
     F = []
     for rows in _json_value(cfg, "coeffs", list):
         if not isinstance(rows, list) or len(rows) != m:

@@ -19,7 +19,7 @@ X_i) so emitted systems are byte-stable.
 
 import numpy as np
 
-from .errors import CoordinateNotInField, NotABasis
+from .errors import CoordinateNotInField, MalformedInput, NotABasis
 from .gf import FieldElement, moore_matrix
 from .linalg import DTYPE, solve
 from .poly import PolySystem, Ring
@@ -34,6 +34,10 @@ class DescentContext:
         n = field.n
         if basis is None:
             basis = [field.pow(field.gen(), j) for j in range(n)]
+        if not (isinstance(basis, (list, tuple)) and len(basis) == n and all(
+                isinstance(b, (int, np.integer)) and not isinstance(b, bool)
+                and 0 <= b < field.order for b in basis)):
+            raise MalformedInput(f"basis {basis!r} is not a list of {n} codes below {field.order}")
         self.basis = tuple(int(b) for b in basis)
         self.gamma = moore_matrix([FieldElement(field, b) for b in self.basis])
         # coordinate matrix of the basis over k' and its inverse, used to

@@ -59,14 +59,6 @@ class DegreeExceedsBound(LastfallError):
     pass
 
 
-class NotCoprime(LastfallError):
-    """gcd was expected to be 1; carries the offending gcd as witness."""
-
-    def __init__(self, gcd_coeffs):
-        self.gcd = tuple(gcd_coeffs)
-        super().__init__(f"polynomials are not coprime, gcd has degree {len(self.gcd) - 1}")
-
-
 class NotReducible(LastfallError):
     """The companions of one elimination stage share a nonzero kernel vector
     in W; carries the stage and their monic symbolic gcd with f_W."""

@@ -26,9 +26,9 @@ c set for column c (the row packing of M4RI; Albrecht, Bard & Hart, ACM TOMS
 the row of each of its set pivot bits.  One pass over those bits suffices:
 a fully reduced row has no pivot column set but its own, so XOR-ing it in
 changes no other pivot bit.  Over any other field a row is an int16 code
-vector and the reduction is the vectorised step above.  Both stores hold the
-same canonical basis, and ``span_closure`` unpacks it to the same int16
-matrix.
+vector, reduced and inserted by the shared kernel of ``linalg``.  Both
+stores hold the same canonical basis, and ``span_closure`` unpacks it to the
+same int16 matrix.
 
 A fall at degree i means that closing at degree i produced new elements of
 degree <= i-1 beyond the closure at i-1; the last fall degree is the largest
@@ -48,34 +48,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegreeTooHigh, OracleInconsistent, StepBudgetExceeded
-from .linalg import DTYPE
+from .errors import DegreeTooHigh, MalformedInput, OracleInconsistent, StepBudgetExceeded
+from .linalg import DTYPE, insert_row, reduce_row
 from .poly import DESCENDING_KEYS, NEG_INF, ORDER_KEYS, MultiPoly, monomials_of_degree
-
-
-def _reduce(vec, rows, pivcols, ops):
-    """vec minus the combination of the fully reduced rows that clears every
-    pivot column; one vectorised step, since each pivot column holds a single
-    1 in its own row."""
-    coef = vec[pivcols]
-    hit = coef.nonzero()[0]
-    if len(hit) == 0:
-        return vec
-    return ops.sub_combination(vec, coef[hit], rows[hit])
-
-
-def _insert(rows, pivcols, n, vec, p, ops):
-    """Store vec, already reduced against rows[:n], as row n with pivot
-    column p: scaled to 1 there, and p cleared from every other row."""
-    c = int(vec[p])
-    if c != 1:
-        vec = ops.scale(ops.inv(c), vec)
-    col = rows[:n, p]
-    hits = col.nonzero()[0]
-    if len(hits):
-        rows[hits] = ops.rows_sub_scaled(rows[hits], col[hits].copy(), vec)
-    rows[n] = vec
-    pivcols[n] = p
 
 
 class _DenseRows:
@@ -119,7 +94,7 @@ class _DenseRows:
         lies in the span."""
         ops = self.ops
         n = self.nrows
-        vec = _reduce(vec, self.mat[:n], self.pivcols[:n], ops)
+        vec = reduce_row(vec, self.mat[:n], self.pivcols[:n], ops)
         nz = vec.nonzero()[0]
         if len(nz) == 0:
             return None
@@ -130,7 +105,7 @@ class _DenseRows:
             grown[:n] = self.mat[:n]
             self.mat = grown
             self.pivcols = np.resize(self.pivcols, size)
-        _insert(self.mat, self.pivcols, n, vec, p, ops)
+        insert_row(self.mat, self.pivcols, n, vec, p, ops)
         self.nrows += 1
         return p
 
@@ -362,7 +337,7 @@ class DegreeSpan:
 
     def reduce(self, f):
         """Residual of f against the basis (zero vector iff f is in the span)."""
-        return _reduce(self.vector_of(f), self.matrix, self._pivcols, self.ring.ops)
+        return reduce_row(self.vector_of(f), self.matrix, self._pivcols, self.ring.ops)
 
     def contains(self, f):
         return not np.any(self.reduce(f))
@@ -384,7 +359,7 @@ def span_closure(system, cap, order="grevlex"):
     identical matrices.
     """
     if cap < 0:
-        raise ValueError("cap must be >= 0")
+        raise MalformedInput(f"cap must be >= 0, got {cap}")
     eng = _SpanEngine(system, order=order, unit_shortcut=False)
     for _ in range(cap + 1):
         eng.advance()
@@ -468,7 +443,7 @@ def last_fall_degree(system, cap=None, certify=True, order="grevlex", oracle=Non
     if cap is None:
         cap = default_cap(system)
     if cap < 1:
-        raise ValueError("cap must be >= 1")
+        raise MalformedInput(f"cap must be >= 1, got {cap}")
     eng = _SpanEngine(system, order=order, unit_shortcut=True)
     eng.advance()
     records = []
@@ -501,8 +476,6 @@ def last_fall_degree(system, cap=None, certify=True, order="grevlex", oracle=Non
                 certified_at = i
                 break
     status = "certified" if (certify and certified_at is not None) else "cap-limited"
-    if not certify:
-        status = "cap-limited"
     return FallProfile(tuple(records), last_fall, status, certified_at, cap, order)
 
 
@@ -845,12 +818,12 @@ class PointsOracle:
                         continue
                     val = ops.vmul(pvec, self._coord_vals[v])
                 n = self._rank
-                vec = _reduce(val, self._rows[:n], self._pivcols[:n], ops)
+                vec = reduce_row(val, self._rows[:n], self._pivcols[:n], ops)
                 nz = np.flatnonzero(vec)
                 if len(nz) == 0:
                     self._nonstd.append(e)
                     continue
-                _insert(self._rows, self._pivcols, n, vec, int(nz[0]), ops)
+                insert_row(self._rows, self._pivcols, n, vec, int(nz[0]), ops)
                 self._std[e] = val
                 self._rank += 1
                 stdc += 1

@@ -19,7 +19,6 @@ coordinate vectors, with plain exponentiation kept as an independent
 cross-check path.
 """
 
-import json
 import operator
 
 import numpy as np
@@ -420,11 +419,3 @@ def moore_matrix(basis):
     if gamma.rank() != n:
         raise NotABasis("Moore matrix is singular; elements are k'-dependent")
     return gamma
-
-
-def field_to_json_str(field):
-    return json.dumps(field.to_json(), sort_keys=True)
-
-
-def field_from_json_str(s):
-    return FieldSpec.from_json(json.loads(s))

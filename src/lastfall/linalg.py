@@ -3,11 +3,40 @@
 Matrices are numpy int16 arrays of codes.  Every function takes the
 arithmetic of the coefficient field as one ``gf.FieldOps`` object
 (``field.k`` or ``field.kprime``), whose row operations do the elimination.
+
+Besides the one-shot ``rref``, this module holds the incremental echelon
+kernel (``reduce_row``, ``insert_row``) that the span engine's dense store,
+the points oracle and the Frobenius closure of ``linsys`` share.
 """
 
 import numpy as np
 
 DTYPE = np.int16
+
+
+def reduce_row(vec, rows, pivcols, ops):
+    """vec minus the combination of the fully reduced rows that clears every
+    pivot column; one vectorised step, since each pivot column holds a single
+    1 in its own row."""
+    coef = vec[pivcols]
+    hit = coef.nonzero()[0]
+    if len(hit) == 0:
+        return vec
+    return ops.sub_combination(vec, coef[hit], rows[hit])
+
+
+def insert_row(rows, pivcols, n, vec, p, ops):
+    """Store vec, already reduced against rows[:n], as row n with pivot
+    column p: scaled to 1 there, and p cleared from every other row."""
+    c = int(vec[p])
+    if c != 1:
+        vec = ops.scale(ops.inv(c), vec)
+    col = rows[:n, p]
+    hits = col.nonzero()[0]
+    if len(hits):
+        rows[hits] = ops.rows_sub_scaled(rows[hits], col[hits].copy(), vec)
+    rows[n] = vec
+    pivcols[n] = p
 
 
 def rref(mat, ops):

@@ -4,7 +4,8 @@ A q-linearized polynomial sum a_ij x_i^{q^j} acts k'-linearly on k^m and is
 stored through its conventional companion rows a_i = (a_i0, a_i1, ...).  The
 subspaces of k stable under x -> x^q are cut out by the monic divisors f_W of
 x^n - 1 over k'; W is the kernel of f_W applied to the Frobenius and has
-k'-dimension deg f_W.
+k'-dimension deg f_W.  A linear form over the x_{ij} (j < n' = deg f_W) is
+an int16 row of m n' codes in stage-major order.
 
 Composition of linearized maps corresponds to the *symbolic* product of the
 companion polynomials, (f * g)_l = sum_{i+j=l} f_i g_j^{q^i}, not to the
@@ -12,19 +13,18 @@ plain product: the coefficient twist matters as soon as coefficients leave
 the subfield.  Right division and gcd in that twisted sense decide
 reducibility and the last stage of the structured solver: the kernel of the
 symbolic gcd of a family of companions is exactly the intersection of the
-kernels of the family.  The plain extended Euclid over k[x] is also
-provided (`bezout`) for the commutative certificates.
+kernels of the family.
 """
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from . import univar
-from .errors import (DegreeExceedsBound, MalformedInput, NotADivisor, NotCoprime,
-                     NotReducible)
-from .linalg import DTYPE, kernel_basis, rref, solve
+from .errors import DegreeExceedsBound, MalformedInput, NotADivisor, NotReducible
+from .linalg import DTYPE, insert_row, kernel_basis, reduce_row, rref, solve
 from .poly import PolySystem, Ring
 
 
@@ -140,44 +140,6 @@ class LinearizedPoly:
         return f"LinearizedPoly(m={self.m}, bound={self.bound})"
 
 
-class LinearForm:
-    """An element of the module of linear forms over the x_{ij}."""
-
-    __slots__ = ("field", "m", "nprime", "coeffs")
-
-    def __init__(self, field, coeffs, nprime=None):
-        coeffs = [tuple(r) for r in coeffs]
-        if nprime is None:
-            nprime = len(coeffs[0]) if coeffs else 0
-        if any(len(r) != nprime for r in coeffs):
-            raise ValueError("ragged coefficient rows")
-        self.field = field
-        self.m = len(coeffs)
-        self.nprime = nprime
-        self.coeffs = tuple(coeffs)
-
-    def is_zero(self):
-        return all(c == 0 for row in self.coeffs for c in row)
-
-    def to_poly(self, ring):
-        terms = {}
-        f = self.field
-        for i, row in enumerate(self.coeffs):
-            for j, a in enumerate(row):
-                if a:
-                    e = [0] * ring.nvars
-                    e[i * self.nprime + j] = 1
-                    terms[tuple(e)] = a
-        return ring.from_terms(terms.items())
-
-    def __eq__(self, other):
-        return (isinstance(other, LinearForm) and other.field == self.field
-                and other.coeffs == self.coeffs)
-
-    def __repr__(self):
-        return f"LinearForm({self.coeffs})"
-
-
 class InvariantSubspace:
     """W = ker f_W(tau) for a monic divisor f_W of x^n - 1 over k'."""
 
@@ -285,35 +247,7 @@ def subfield_space(field):
     return subspace_from_fW((field.kprime.neg(1), 1), field)
 
 
-# -- the L / ell correspondence and the rewriting relations --------------------
-
-
-def L_op(field, per_var, bound):
-    """Relabel conventional rows as the linearized polynomial they index."""
-    return LinearizedPoly(field, per_var, bound=bound)
-
-
-def ell_op(field, per_var, bound):
-    """Relabel the same rows as a linear form over the x_{ij}."""
-    rows = [univar.trim(r) for r in per_var]
-    for r in rows:
-        if len(r) > bound:
-            raise DegreeExceedsBound(f"row degree {len(r) - 1} >= bound {bound}")
-    return LinearForm(field, [tuple(r) + (0,) * (bound - len(r)) for r in rows], bound)
-
-
-def compose(g, per_var, field):
-    """Plain per-variable composition g(f_i(x_i)) of conventional polynomials."""
-    ar = field.k
-    out = []
-    for fi in per_var:
-        acc = univar.ZERO
-        for c in reversed(univar.trim(g)):
-            acc = univar.mul(ar, acc, univar.trim(fi))
-            if c:
-                acc = univar.add(ar, acc, (c,))
-        out.append(acc)
-    return out
+# -- linear forms and the rewriting relations ----------------------------------
 
 
 def make_s_ring(field, m, nprime, level="k"):
@@ -345,60 +279,40 @@ def build_Qbar(space, m):
     return polys
 
 
-def frobenius_step(form, space):
-    """The image of form^q as a linear form: coefficients go to their q-th
-    power, indices shift, and the top index rewrites through gW.  Stage
-    support is preserved."""
-    f = form.field
-    n1 = form.nprime
-    out = [[0] * n1 for _ in range(form.m)]
-    for i, row in enumerate(form.coeffs):
-        for j, b in enumerate(row):
-            if not b:
-                continue
-            bq = f.frob(b, 1)
-            if j < n1 - 1:
-                out[i][j + 1] = f.add(out[i][j + 1], bq)
-            else:
-                for l, g in enumerate(space.gW):
-                    if g:
-                        out[i][l] = f.add(out[i][l], f.mul(bq, g))
-    return LinearForm(f, [tuple(r) for r in out], n1)
+def linearized_to_form(lp, space, m):
+    """lp as a stage-major row of m n' codes: stage i holds companion i
+    reduced mod f_W (the same function on W), x_{ij} standing for x_i^{q^j}."""
+    n1 = space.nprime
+    row = np.zeros(m * n1, dtype=DTYPE)
+    for i in range(lp.m):
+        rem = univar.mod(lp.field.k, lp.per_var(i), tuple(space.fW))
+        row[i * n1:i * n1 + len(rem)] = rem
+    return row
 
 
-def bezout(f0, fW, field):
-    """Plain extended Euclid over k[x]: (A, B) with A f0 + B fW = 1 and
-    deg A < deg fW; raises NotCoprime with the gcd as witness."""
-    ar = field.k
-    d, u, v = univar.ext_gcd(ar, f0, fW)
-    if d != (1,):
-        raise NotCoprime(d)
-    if univar.degree(fW) >= 1 and univar.degree(u) >= univar.degree(fW):
-        q_, u = univar.divmod_poly(ar, u, fW)
-        # fold the quotient into B to keep the identity exact
-        v = univar.add(ar, v, univar.mul(ar, q_, f0))
-    return u, v
+def frobenius_step(rows, space):
+    """The forms l^q of a matrix of stage-major rows l, rewritten as linear
+    forms: every coefficient goes to its q-th power, x_{ij} to x_{i,j+1},
+    and x_{i,n'-1} to sum_l gW_l x_{il}.  Stage support is preserved."""
+    field, n1 = space.field, space.nprime
+    blocks = field.frob_tables[1 % field.n][rows].reshape(-1, n1)
+    out = np.zeros_like(blocks)
+    out[:, 1:] = blocks[:, :-1]
+    for l, g in enumerate(space.gW):
+        out[:, l] = field.k.sub_scaled(out[:, l], field.k.neg(g), blocks[:, -1])
+    return out.reshape(rows.shape)
+
+
+def gbar_system(rows, space, m):
+    """The span-closure input: the nonzero forms plus the rewriting relations."""
+    ring = make_s_ring(space.field, m, space.nprime)
+    units = np.eye(ring.nvars, dtype=int)
+    polys = [ring.from_terms(zip(units, row)) for row in rows if row.any()]
+    polys.extend(build_Qbar(space, m))
+    return PolySystem(ring, polys)
 
 
 # -- reducibility and the structured solver ------------------------------------
-
-
-def linearized_to_form(lp, space):
-    """Companion rows reduced mod f_W (same function on W), as a linear form."""
-    ar = lp.field.k
-    fw_k = tuple(space.fW)
-    rows = []
-    for i in range(lp.m):
-        rows.append(univar.mod(ar, lp.per_var(i), fw_k))
-    return ell_op(lp.field, rows, space.nprime)
-
-
-def gbar_system(forms, space, m):
-    """The span-closure input: input forms plus the rewriting relations."""
-    ring = make_s_ring(space.field, m, space.nprime)
-    polys = [f.to_poly(ring) for f in forms if not f.is_zero()]
-    polys.extend(build_Qbar(space, m))
-    return PolySystem(ring, polys)
 
 
 @dataclass
@@ -419,25 +333,33 @@ class ReducibilityReport:
     kernel_vector: int = None
 
 
-def _frobenius_closure(forms, space, m):
+def _frobenius_closure(rows, space, m):
     """RREF and pivots of U, the smallest k-space of linear forms that holds
-    `forms` and is closed under `frobenius_step`, in stage-major columns.
-    The step is additive and sends c l to c^q step(l), so a round that steps
-    every echelon row without raising the rank ends at a closed span; the
-    rank grows at most m n' times."""
-    field, n1 = space.field, space.nprime
-    mat = np.zeros((len(forms), m * n1), dtype=DTYPE)
-    for r, form in enumerate(forms):
-        mat[r, :form.m * n1] = np.ravel(form.coeffs)
-    R, pivots = rref(mat, field.k)
-    while True:
-        steps = [frobenius_step(LinearForm(field, row.reshape(m, n1).tolist(), n1), space).coeffs
-                 for row in R]
-        grown = np.concatenate([R, np.array(steps, dtype=DTYPE).reshape(len(R), m * n1)])
-        grown, grown_pivots = rref(grown, field.k)
-        if len(grown_pivots) == len(pivots):
-            return R, pivots
-        R, pivots = grown, grown_pivots
+    `rows` and is closed under `frobenius_step`, in stage-major columns.
+
+    A worklist grows a fully reduced basis with leftmost pivots: a queued
+    row is reduced against it, a nonzero residual joins it, and the step of
+    that residual is queued, so each row that joins is stepped once.  Every
+    queued row lies in U, and the residuals span the basis, which is closed:
+    the step is additive and sends c l to c^q step(l), so it maps a
+    combination of residuals to the q-power combination of their steps,
+    each reduced to zero or joined.  A fully reduced basis is unique, so the
+    rows sorted by pivot are the RREF."""
+    ops, width = space.field.k, m * space.nprime
+    basis = np.zeros((width, width), dtype=DTYPE)
+    pivcols = np.zeros(width, dtype=np.int64)
+    n = 0
+    queue = deque(rows)
+    while queue:
+        vec = reduce_row(queue.popleft(), basis[:n], pivcols[:n], ops)
+        nz = np.flatnonzero(vec)
+        if len(nz) == 0:
+            continue
+        insert_row(basis, pivcols, n, vec, int(nz[0]), ops)
+        queue.append(frobenius_step(basis[n:n + 1], space)[0])
+        n += 1
+    perm = np.argsort(pivcols[:n])
+    return basis[perm], pivcols[perm].tolist()
 
 
 def _num_vars(F, m):
@@ -505,7 +427,7 @@ def reducibility_check(F, space, m=None):
     n1 = space.nprime
     if m == 1:
         return ReducibilityReport(True, {}, (), (0,))
-    R, pivots = _frobenius_closure([linearized_to_form(lp, space) for lp in F], space, m)
+    R, pivots = _frobenius_closure([linearized_to_form(lp, space, m) for lp in F], space, m)
     stage_of = [p // n1 for p in pivots]
     counts = [stage_of.count(i) for i in range(m)]
     active = tuple(i for i in range(m - 1) if counts[i] > 0)
@@ -619,7 +541,7 @@ def solve_structured(F, space, m=None, report=None):
         raise NotReducible(report.failed_stage, report.certificate)
 
     if report.forms_matrix is None:
-        last_blocks = [linearized_to_form(lp, space).coeffs[0] for lp in F_live]
+        last_blocks = [linearized_to_form(lp, space, 1).tolist() for lp in F_live]
     else:
         last_blocks = [row[last * n1:] for row in report.forms_matrix.tolist()
                        if not any(row[:last * n1])]

@@ -283,28 +283,6 @@ class MultiPoly:
         f = self.ring.field
         return MultiPoly(self.ring, {e: f.frob(c, i) for e, c in self.terms.items()})
 
-    def normal_form_field_eqs(self, relations):
-        """Reduce exponents by per-variable rules x^a -> x^b (a > b >= 1)."""
-        rules = {}
-        for name, (a, b) in relations.items():
-            if not a > b >= 1:
-                raise ValueError("relation must have a > b >= 1")
-            rules[self.ring.var_index(name)] = (a, b)
-        f = self.ring.field
-        out = {}
-        for e, c in self.terms.items():
-            e = list(e)
-            for i, (a, b) in rules.items():
-                while e[i] >= a:
-                    e[i] = e[i] - a + b
-            e = tuple(e)
-            s = f.add(out.get(e, 0), c)
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return MultiPoly(self.ring, out)
-
     def lies_in_subfield(self):
         q = self.ring.field.q
         return all(c < q for c in self.terms.values())

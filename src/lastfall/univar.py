@@ -8,7 +8,7 @@ identity).  This is the workhorse behind modulus selection, divisor lattices
 of x^n - 1 and the extended-Euclid certificates.
 """
 
-from .errors import DivisionByZero, NotCoprime
+from .errors import DivisionByZero
 
 ZERO = ()
 
@@ -114,21 +114,6 @@ def ext_gcd(ar, f, g):
         return ZERO, ZERO, ZERO
     c = ar.inv(r0[-1])
     return scale(ar, c, r0), scale(ar, c, u0), scale(ar, c, v0)
-
-
-def bezout_pair(ar, f, g):
-    """Certificate (u, v) with u*f + v*g = 1; raises NotCoprime otherwise."""
-    d, u, v = ext_gcd(ar, f, g)
-    if d != (1,):
-        raise NotCoprime(d)
-    return u, v
-
-
-def eval_at(ar, f, x):
-    acc = 0
-    for c in reversed(f):
-        acc = ar.add(ar.mul(acc, x), c)
-    return acc
 
 
 def divides(ar, f, g):

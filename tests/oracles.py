@@ -5,14 +5,18 @@ bookkeeping: it multiplies whole polynomial lists breadth-first and measures
 dimensions with its own one-shot elimination.
 """
 
+import json
+from itertools import product
+
 import numpy as np
 
-from lastfall import univar
-from lastfall.errors import DivisionByZero, LastfallError, NotReducible, StepBudgetExceeded
+from lastfall import linsys, univar
+from lastfall.errors import (DegreeExceedsBound, DivisionByZero, LastfallError, NotReducible,
+                             StepBudgetExceeded)
 from lastfall.falldeg import GroebnerBasis, span_closure
+from lastfall.gf import FieldSpec
 from lastfall.linalg import DTYPE, rref
-from lastfall.linsys import (EliminationTrace, LinearForm, LinearizedPoly, _canonical_basis,
-                             frobenius_step, gbar_system, linearized_to_form,
+from lastfall.linsys import (EliminationTrace, LinearizedPoly, _canonical_basis, gbar_system,
                              reducibility_check, symbolic_gcd, symbolic_mul,
                              symbolic_rdivmod)
 from lastfall.poly import ORDER_KEYS, MultiPoly, PolySystem, monomials_of_degree, monomials_up_to
@@ -205,6 +209,91 @@ def zero_points(system, order=None):
 def count_zeros(system, order=None):
     """Exhaustive point count of a system over its coefficient domain."""
     return len(zero_points(system, order))
+
+
+# -- helpers with no caller in the library --------------------------------------
+
+
+class NotCoprime(LastfallError):
+    """gcd was expected to be 1; carries the offending gcd as witness."""
+
+    def __init__(self, gcd_coeffs):
+        self.gcd = tuple(gcd_coeffs)
+        super().__init__(f"polynomials are not coprime, gcd has degree {len(self.gcd) - 1}")
+
+
+def bezout_pair(ar, f, g):
+    """Certificate (u, v) with u*f + v*g = 1; raises NotCoprime otherwise."""
+    d, u, v = univar.ext_gcd(ar, f, g)
+    if d != (1,):
+        raise NotCoprime(d)
+    return u, v
+
+
+def eval_at(ar, f, x):
+    acc = 0
+    for c in reversed(f):
+        acc = ar.add(ar.mul(acc, x), c)
+    return acc
+
+
+def bezout(f0, fW, field):
+    """Plain extended Euclid over k[x]: (A, B) with A f0 + B fW = 1 and
+    deg A < deg fW; raises NotCoprime with the gcd as witness."""
+    ar = field.k
+    d, u, v = univar.ext_gcd(ar, f0, fW)
+    if d != (1,):
+        raise NotCoprime(d)
+    if univar.degree(fW) >= 1 and univar.degree(u) >= univar.degree(fW):
+        q_, u = univar.divmod_poly(ar, u, fW)
+        # fold the quotient into B to keep the identity exact
+        v = univar.add(ar, v, univar.mul(ar, q_, f0))
+    return u, v
+
+
+def compose(g, per_var, field):
+    """Plain per-variable composition g(f_i(x_i)) of conventional polynomials."""
+    ar = field.k
+    out = []
+    for fi in per_var:
+        acc = univar.ZERO
+        for c in reversed(univar.trim(g)):
+            acc = univar.mul(ar, acc, univar.trim(fi))
+            if c:
+                acc = univar.add(ar, acc, (c,))
+        out.append(acc)
+    return out
+
+
+def normal_form_field_eqs(poly, relations):
+    """Reduce exponents by per-variable rules x^a -> x^b (a > b >= 1)."""
+    rules = {}
+    for name, (a, b) in relations.items():
+        if not a > b >= 1:
+            raise ValueError("relation must have a > b >= 1")
+        rules[poly.ring.var_index(name)] = (a, b)
+    f = poly.ring.field
+    out = {}
+    for e, c in poly.terms.items():
+        e = list(e)
+        for i, (a, b) in rules.items():
+            while e[i] >= a:
+                e[i] = e[i] - a + b
+        e = tuple(e)
+        s = f.add(out.get(e, 0), c)
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return MultiPoly(poly.ring, out)
+
+
+def field_to_json_str(field):
+    return json.dumps(field.to_json(), sort_keys=True)
+
+
+def field_from_json_str(s):
+    return FieldSpec.from_json(json.loads(s))
 
 
 # -- reference field tables ----------------------------------------------------
@@ -644,12 +733,130 @@ def span_linear_forms(F, space, m):
     """RREF and pivots of V_q cap S_1, the linear rows of the degree-q span
     closure of the input forms plus the rewriting relations: the reference
     for the Frobenius closure of `reducibility_check`."""
-    forms = [linearized_to_form(lp, space) for lp in F if not lp.is_zero()]
-    span = span_closure(gbar_system(forms, space, m), space.field.q)
+    rows = [linsys.linearized_to_form(lp, space, m) for lp in F]
+    span = span_closure(gbar_system(rows, space, m), space.field.q)
     mat = _extract_linear_forms(span, m, space.nprime)
     if mat.shape[0]:
         return rref(mat, space.field.k)
     return mat, []
+
+
+# -- linear forms as coefficient tuples ----------------------------------------
+#
+# A linear form over the x_{ij} as `linsys` held it before a form became a
+# stage-major int16 row: m tuples of n' codes, stepped one coefficient at a
+# time, and closed under the step in rounds that re-row-reduce the whole
+# stack.  These are the references for `linsys.frobenius_step` and the
+# worklist `linsys._frobenius_closure`; the stage-elimination solver below
+# runs on them.
+
+
+class LinearForm:
+    """An element of the module of linear forms over the x_{ij}."""
+
+    __slots__ = ("field", "m", "nprime", "coeffs")
+
+    def __init__(self, field, coeffs, nprime=None):
+        coeffs = [tuple(r) for r in coeffs]
+        if nprime is None:
+            nprime = len(coeffs[0]) if coeffs else 0
+        if any(len(r) != nprime for r in coeffs):
+            raise ValueError("ragged coefficient rows")
+        self.field = field
+        self.m = len(coeffs)
+        self.nprime = nprime
+        self.coeffs = tuple(coeffs)
+
+    def is_zero(self):
+        return all(c == 0 for row in self.coeffs for c in row)
+
+    def to_poly(self, ring):
+        terms = {}
+        f = self.field
+        for i, row in enumerate(self.coeffs):
+            for j, a in enumerate(row):
+                if a:
+                    e = [0] * ring.nvars
+                    e[i * self.nprime + j] = 1
+                    terms[tuple(e)] = a
+        return ring.from_terms(terms.items())
+
+    def __eq__(self, other):
+        return (isinstance(other, LinearForm) and other.field == self.field
+                and other.coeffs == self.coeffs)
+
+    def __repr__(self):
+        return f"LinearForm({self.coeffs})"
+
+
+def ell_op(field, per_var, bound):
+    """Relabel the same rows as a linear form over the x_{ij}."""
+    rows = [univar.trim(r) for r in per_var]
+    for r in rows:
+        if len(r) > bound:
+            raise DegreeExceedsBound(f"row degree {len(r) - 1} >= bound {bound}")
+    return LinearForm(field, [tuple(r) + (0,) * (bound - len(r)) for r in rows], bound)
+
+
+def frobenius_step(form, space):
+    """The image of form^q as a linear form: coefficients go to their q-th
+    power, indices shift, and the top index rewrites through gW.  Stage
+    support is preserved."""
+    f = form.field
+    n1 = form.nprime
+    out = [[0] * n1 for _ in range(form.m)]
+    for i, row in enumerate(form.coeffs):
+        for j, b in enumerate(row):
+            if not b:
+                continue
+            bq = f.frob(b, 1)
+            if j < n1 - 1:
+                out[i][j + 1] = f.add(out[i][j + 1], bq)
+            else:
+                for l, g in enumerate(space.gW):
+                    if g:
+                        out[i][l] = f.add(out[i][l], f.mul(bq, g))
+    return LinearForm(f, [tuple(r) for r in out], n1)
+
+
+def row_eval_at_subspace_point(field, row, point):
+    """Evaluate a stage-major row with x_{ij} = point_i^{q^j}."""
+    nprime = len(row) // len(point)
+    acc = 0
+    for c, (i, j) in zip(row, product(range(len(point)), range(nprime))):
+        acc = field.add(acc, field.mul(int(c), field.frob(point[i], j)))
+    return acc
+
+
+def linearized_to_form(lp, space):
+    """Companion rows reduced mod f_W (same function on W), as a linear form."""
+    ar = lp.field.k
+    fw_k = tuple(space.fW)
+    rows = []
+    for i in range(lp.m):
+        rows.append(univar.mod(ar, lp.per_var(i), fw_k))
+    return ell_op(lp.field, rows, space.nprime)
+
+
+def _frobenius_closure(forms, space, m):
+    """RREF and pivots of U, the smallest k-space of linear forms that holds
+    `forms` and is closed under `frobenius_step`, in stage-major columns.
+    The step is additive and sends c l to c^q step(l), so a round that steps
+    every echelon row without raising the rank ends at a closed span; the
+    rank grows at most m n' times."""
+    field, n1 = space.field, space.nprime
+    mat = np.zeros((len(forms), m * n1), dtype=DTYPE)
+    for r, form in enumerate(forms):
+        mat[r, :form.m * n1] = np.ravel(form.coeffs)
+    R, pivots = rref(mat, field.k)
+    while True:
+        steps = [frobenius_step(LinearForm(field, row.reshape(m, n1).tolist(), n1), space).coeffs
+                 for row in R]
+        grown = np.concatenate([R, np.array(steps, dtype=DTYPE).reshape(len(R), m * n1)])
+        grown, grown_pivots = rref(grown, field.k)
+        if len(grown_pivots) == len(pivots):
+            return R, pivots
+        R, pivots = grown, grown_pivots
 
 
 # -- the stage-elimination solver ----------------------------------------------

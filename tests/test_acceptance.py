@@ -21,8 +21,8 @@ from lastfall.linsys import (LinearizedPoly, brute_force_solve, full_space,
                              gbar_system, linearized_to_form)
 from lastfall.falldeg import PointsOracle
 from lastfall.cli import _gbar_points
-from oracles import (count_zeros, form_eval_at_subspace_point, naive_closure_dim,
-                     random_invertible_matrix, random_system, recombine)
+from oracles import (count_zeros, naive_closure_dim, random_invertible_matrix, random_system,
+                     recombine, row_eval_at_subspace_point)
 
 
 REFERENCE = Path(__file__).parent.parent / "bench" / "reference" / "seed0"
@@ -278,9 +278,9 @@ def _prop_l_ell_pointwise():
             rows = [tuple(rng.randrange(field.order) for _ in range(W.nprime))
                     for _ in range(2)]
             lp = LinearizedPoly(field, rows, bound=W.nprime)
-            lf = linearized_to_form(lp, W)
+            row = linearized_to_form(lp, W, 2)
             for pt in product(list(W.elements()), repeat=2):
-                assert form_eval_at_subspace_point(lf, pt) == lp.eval(pt)
+                assert row_eval_at_subspace_point(field, row, pt) == lp.eval(pt)
 
 
 def _prop_kernel_dimension():
@@ -314,8 +314,7 @@ def _prop_gbar_fall_bound():
         rep = reducibility_check(F, W, m=m)
         if not rep.reducible:
             continue
-        forms = [linearized_to_form(lp, W) for lp in F]
-        system = gbar_system(forms, W, m)
+        system = gbar_system([linearized_to_form(lp, W, m) for lp in F], W, m)
         prof = last_fall_degree(
             system, oracle=PointsOracle(system.ring,
                                         _gbar_points(brute_force_solve(F, W, m=m), W, m)))

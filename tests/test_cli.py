@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -11,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lastfall import cli, make_field
+import lastfall
+from lastfall import MalformedInput, cli, make_field
 from lastfall.cli import (_run_campaign, campaign_csv, campaign_json,
                           gen_random_system, main, verify_solver, verify_thm_1_1,
                           write_campaign)
@@ -425,3 +429,97 @@ def test_cli_lastfall_field_fuzz(path, value):
     lines = err.getvalue().splitlines()
     assert (rc, lines) == (0, []) or (rc == 2 and len(lines) == 1
                                       and lines[0].startswith("lastfall lastfall: ")), doc
+
+
+def _run_isolated(argv, timeout=30):
+    """Run `python argv` on this package in a fresh interpreter, so an input
+    that once spun forever fails the test at the timeout instead of hanging
+    the suite."""
+    env = {**os.environ, "PYTHONPATH": str(Path(lastfall.__file__).parents[1])}
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          timeout=timeout, env=env)
+
+
+@pytest.mark.parametrize("config", [
+    pytest.param({"degree": -1}, id="degree-negative"),
+    pytest.param({"linearized": True, "bound": 0}, id="bound-0"),
+    pytest.param([1, 2], id="not-an-object"),
+    pytest.param({"m": "2"}, id="m-string"),
+    pytest.param({"count": "x"}, id="count-string"),
+    pytest.param({"degree": 1.5}, id="degree-float"),
+    pytest.param({"m": -1, "linearized": True}, id="m-negative"),
+    pytest.param({"m": True}, id="m-boolean"),
+])
+def test_cli_gen_refuses_malformed_config(tmp_path, config):
+    """Each of these gen configs once spun forever, ended in an AttributeError
+    or TypeError traceback, or (m = -1) wrote a system in no variables."""
+    cfg = tmp_path / "gen.json"
+    cfg.write_text(json.dumps(config))
+    done = _run_isolated(["-m", "lastfall.cli", "--config", str(cfg), "gen"])
+    assert done.returncode == 2
+    assert done.stdout == ""
+    err = done.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("lastfall gen: ")
+
+
+@pytest.mark.parametrize("call", [
+    "gen_random_system(Ring(make_field(2, 1, 2), 'k', ['X0']), -1, 1, random.Random(0))",
+    "gen_random_linearized(make_field(2, 1, 2), 1, 0, 1, random.Random(0))",
+    "gen_random_linearized(make_field(2, 1, 2), 0, 2, 1, random.Random(0))",
+], ids=["degree-negative", "bound-0", "m-0"])
+def test_generators_refuse_empty_draws(call):
+    """With no monomial or no coefficient to draw, the generators once
+    redrew an all-zero polynomial forever."""
+    code = ("import random\n"
+            "from lastfall import MalformedInput, Ring, make_field\n"
+            "from lastfall.cli import gen_random_linearized, gen_random_system\n"
+            f"try:\n    {call}\nexcept MalformedInput:\n    raise SystemExit(3)\n")
+    assert _run_isolated(["-c", code]).returncode == 3
+
+
+@pytest.mark.parametrize("basis", ["[1.5, 2]", "[true, 2]", "[1", '"x"', '{"a": 1}',
+                                   "[100, 2]", "[-1, 2]"])
+def test_cli_descend_refuses_malformed_basis(tmp_path, capsys, basis):
+    """A float or boolean code once truncated silently to another basis; the
+    others ended in a JSONDecodeError or ValueError traceback."""
+    system = tmp_path / "system.json"
+    system.write_text(PolySystem(Ring(make_field(2, 1, 2), "k", ["X0"]), []).to_json_str())
+    rc = main(["--out", str(tmp_path / "out.json"), "descend", str(system), "--basis", basis])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("lastfall descend: ")
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_cli_descend_accepts_a_basis(tmp_path):
+    system = tmp_path / "system.json"
+    system.write_text(PolySystem(Ring(make_field(2, 1, 2), "k", ["X0"]), []).to_json_str())
+    assert main(["--out", str(tmp_path / "out.json"), "descend", str(system),
+                 "--basis", "[2, 3]"]) == 0
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_cli_lastfall_refuses_bad_cap(tmp_path, capsys, cap):
+    """A cap below 1 once ended in a ValueError traceback and exit code 1."""
+    system = tmp_path / "system.json"
+    ring = Ring(make_field(2, 1, 1), "k", ["X0"])
+    system.write_text(PolySystem(ring, [ring.variable(0)]).to_json_str())
+    rc = main(["lastfall", str(system), "--cap", cap])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("lastfall lastfall: ")
+
+
+def test_caps_refused_with_malformed_input():
+    from lastfall import last_fall_degree, span_closure
+
+    ring = Ring(make_field(2, 1, 1), "k", ["X0"])
+    system = PolySystem(ring, [ring.variable(0)])
+    with pytest.raises(MalformedInput):
+        last_fall_degree(system, cap=0)
+    with pytest.raises(MalformedInput):
+        span_closure(system, -1)

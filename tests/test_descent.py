@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from lastfall import (CoordinateNotInField, PolySystem, Ring, build_F1, build_Fprime,
-                      build_Fprime1, build_G1, build_G2,
+from lastfall import (CoordinateNotInField, MalformedInput, PolySystem, Ring, build_F1,
+                      build_Fprime, build_Fprime1, build_G1, build_G2,
                       build_sigma_orbit_G, equiv_mod, last_fall_degree,
                       make_descent_context, make_field, solution_transport,
                       weil_descend)
@@ -239,3 +239,12 @@ def test_theorem_level_quantity_basis_independent(gf4):
             assert prof.certified
             vals.append(max(prof.last_fall_degree, qd))
         assert vals[0] == vals[1]
+
+
+@pytest.mark.parametrize("basis", [[1.5, 2], [True, 2], "x", {"a": 1}, [100, 2], [-1, 2],
+                                   [1, 2, 3]])
+def test_descent_context_refuses_malformed_basis(gf4, basis):
+    """A float or boolean code was once truncated by int() to another basis,
+    and the rest ended in a ValueError from int() or FieldElement."""
+    with pytest.raises(MalformedInput):
+        make_descent_context(gf4, 1, basis=basis)

@@ -7,7 +7,7 @@ import pytest
 from lastfall import (DivisionByZero, FieldSpec, LastfallError, MalformedInput,
                       NonPrimeCharacteristic, NotABasis, ReducibleModulus, UnsupportedField,
                       frobenius_q, make_field, moore_matrix)
-from lastfall.gf import field_from_json_str, field_to_json_str
+from oracles import field_from_json_str, field_to_json_str
 
 
 def test_make_field_gf4_default_modulus():

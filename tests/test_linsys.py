@@ -8,20 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lastfall import (DegreeExceedsBound, MalformedInput, NotADivisor, NotCoprime,
-                      NotReducible, bezout, brute_force_solve, build_Qbar, compose,
-                      ell_op, enumerate_solutions, frobenius_step, full_space, L_op,
-                      make_field, reducibility_check, solve_structured,
+from lastfall import (DegreeExceedsBound, MalformedInput, NotADivisor, NotReducible,
+                      brute_force_solve, build_Qbar, enumerate_solutions, frobenius_step,
+                      full_space, make_field, reducibility_check, solve_structured,
                       subfield_space, subspace_equal, subspace_from_fW,
                       symbolic_gcd, symbolic_mul, symbolic_rdivmod)
 from lastfall import Ring, univar
 from lastfall.linalg import DTYPE
-from lastfall.linsys import LinearizedPoly, apply_companion, linearized_to_form
+from lastfall.linsys import (LinearizedPoly, _frobenius_closure, apply_companion, gbar_system,
+                             linearized_to_form)
 
-from oracles import (GcdConditionFailed, brute_force_reducibility, eliminate_stage,
-                     form_eval_at_subspace_point, form_min_stage, is_stage_witness,
-                     lcompose_reduce, span_linear_forms, stage_elimination_solve,
-                     symbolic_ext_gcd)
+import oracles
+from oracles import (GcdConditionFailed, NotCoprime, bezout, brute_force_reducibility, compose,
+                     eliminate_stage, ell_op, form_eval_at_subspace_point, is_stage_witness,
+                     lcompose_reduce, row_eval_at_subspace_point, span_linear_forms,
+                     stage_elimination_solve, symbolic_ext_gcd)
 
 
 def random_linearized(field, m, bound, rng):
@@ -101,12 +102,12 @@ def test_symbolic_ext_gcd_certificate(gf8):
 
 
 def test_L_and_ell_relabel(gf4):
-    lp = L_op(gf4, [(0, 1)], bound=2)
-    lf = ell_op(gf4, [(0, 1)], bound=2)
+    W = full_space(gf4)
+    lp = LinearizedPoly(gf4, [(0, 1)], bound=2)
     assert lp.coeffs == ((0, 1),)
-    assert lf.coeffs == ((0, 1),)
+    assert linearized_to_form(lp, W, 1).tolist() == [0, 1]
     # f = x0: L = x0, ell = x00
-    lp0 = L_op(gf4, [(1,)], bound=2)
+    lp0 = LinearizedPoly(gf4, [(1,)], bound=2)
     assert lp0.coeffs == ((1, 0),)
 
 
@@ -114,7 +115,7 @@ def test_L_exponent_map(gf4):
     from lastfall import Ring
 
     alpha = gf4.gen()
-    lp = L_op(gf4, [(1, 0, alpha)], bound=3)
+    lp = LinearizedPoly(gf4, [(1, 0, alpha)], bound=3)
     ring = Ring(gf4, "k", ["x0"])
     poly = lp.to_poly(ring)
     assert poly.coeff_of((1,)) == 1
@@ -122,13 +123,13 @@ def test_L_exponent_map(gf4):
 
 
 def test_ell_two_variables(gf4):
-    lf = ell_op(gf4, [(1,), (1,)], bound=2)
-    assert lf.coeffs == ((1, 0), (1, 0))
+    lp = LinearizedPoly(gf4, [(1,), (1,)], bound=2)
+    assert linearized_to_form(lp, full_space(gf4), 2).tolist() == [1, 0, 1, 0]
 
 
 def test_degree_bound_enforced(gf4):
     with pytest.raises(DegreeExceedsBound):
-        L_op(gf4, [(1, 1, 1)], bound=2)
+        LinearizedPoly(gf4, [(1, 1, 1)], bound=2)
 
 
 def test_compose_identity_and_square(gf4):
@@ -203,9 +204,9 @@ def test_L_ell_pointwise_correspondence(gf8):
         for m in (1, 2):
             for _ in range(10):
                 lp = random_linearized(gf8, m, W.nprime, rng)
-                lf = linearized_to_form(lp, W)
+                row = linearized_to_form(lp, W, m)
                 for pt in product(list(W.elements()), repeat=m):
-                    assert form_eval_at_subspace_point(lf, pt) == lp.eval(pt)
+                    assert row_eval_at_subspace_point(gf8, row, pt) == lp.eval(pt)
 
 
 def test_linearity_of_evaluation(gf4, gf9):
@@ -291,13 +292,12 @@ def test_build_Qbar_quadratic_factor(gf8):
 
 def test_frobenius_step_examples(gf4):
     Wp = subfield_space(gf4)
-    f = ell_op(gf4, [(1,)], bound=1)
-    assert frobenius_step(f, Wp) == f  # n' = 1: the subfield equation fixes it
+    f = np.array([[1]], dtype=DTYPE)
+    assert frobenius_step(f, Wp).tolist() == [[1]]  # n' = 1: the subfield equation fixes it
 
     W = full_space(gf4)
-    f = ell_op(gf4, [(1,)], bound=2)
-    stepped = frobenius_step(f, W)
-    assert stepped.coeffs == ((0, 1),)
+    f = np.array([[1, 0]], dtype=DTYPE)
+    assert frobenius_step(f, W).tolist() == [[0, 1]]
 
 
 def test_frobenius_step_n_fold_identity(gf4):
@@ -305,22 +305,23 @@ def test_frobenius_step_n_fold_identity(gf4):
     rng = random.Random(7)
     for _ in range(20):
         lp = random_linearized(gf4, 2, 2, rng)
-        f = linearized_to_form(lp, W)
+        f = linearized_to_form(lp, W, 2)[None]
         g = f
         for _ in range(gf4.n):
             g = frobenius_step(g, W)
         # pointwise: stepping n times squares values back to themselves
         for pt in product(range(gf4.order), repeat=2):
-            assert form_eval_at_subspace_point(g, pt) == form_eval_at_subspace_point(f, pt)
+            assert (row_eval_at_subspace_point(gf4, g[0], pt)
+                    == row_eval_at_subspace_point(gf4, f[0], pt))
         # exact form equality: coefficients are sigma_n-fixed and indices wrap
-        assert g == f
+        assert np.array_equal(g, f)
 
 
 def test_frobenius_step_preserves_stage(gf8):
     W = full_space(gf8)
-    f = ell_op(gf8, [(0, 0, 0), (1, 2, 3)], bound=3)
-    assert form_min_stage(f) == 1
-    assert form_min_stage(frobenius_step(f, W)) == 1
+    f = np.array([[0, 0, 0, 1, 2, 3]], dtype=DTYPE)
+    assert np.flatnonzero(f[0])[0] // W.nprime == 1
+    assert np.flatnonzero(frobenius_step(f, W)[0])[0] // W.nprime == 1
 
 
 def test_frobenius_step_matches_q_power(gf8):
@@ -330,11 +331,11 @@ def test_frobenius_step_matches_q_power(gf8):
         W = subspace_from_fW(fw, gf8)
         for _ in range(10):
             lp = random_linearized(gf8, 1, W.nprime, rng)
-            f = linearized_to_form(lp, W)
-            g = frobenius_step(f, W)
+            f = linearized_to_form(lp, W, 1)
+            g = frobenius_step(f[None], W)[0]
             for w in W.elements():
-                assert form_eval_at_subspace_point(g, (w,)) == gf8.frob(
-                    form_eval_at_subspace_point(f, (w,)), 1)
+                assert row_eval_at_subspace_point(gf8, g, (w,)) == gf8.frob(
+                    row_eval_at_subspace_point(gf8, f, (w,)), 1)
 
 
 def test_lcompose_reduce_examples(gf4):
@@ -352,7 +353,7 @@ def test_lcompose_reduce_pointwise(gf8):
     rng = random.Random(9)
     for _ in range(20):
         lp = random_linearized(gf8, 2, 3, rng)
-        f = linearized_to_form(lp, W)
+        f = oracles.linearized_to_form(lp, W)
         g = univar.trim(tuple(rng.randrange(8) for _ in range(3)))
         if not g:
             continue
@@ -628,20 +629,18 @@ def test_lcompose_reduce_stays_in_degree_q_span(gf8):
     """If the input form lies in the degree-q span of the rewritten system,
     so does the reduced composition with any L(g)."""
     from lastfall import equiv_mod
-    from lastfall.linsys import gbar_system, make_s_ring
 
     rng = random.Random(19)
     for fw in [(1, 1, 1), tuple(univar.x_pow_n_minus_one(gf8.kprime, 3))]:
         W = subspace_from_fW(univar.trim(fw), gf8)
         for _ in range(4):
             F = [random_linearized(gf8, 2, W.nprime, rng)]
-            forms = [linearized_to_form(lp, W) for lp in F]
-            system = gbar_system(forms, W, 2)
+            system = gbar_system([linearized_to_form(lp, W, 2) for lp in F], W, 2)
             ring = system.ring
             g = univar.trim(tuple(rng.randrange(8) for _ in range(3)))
             if not g:
                 continue
-            out = lcompose_reduce(g, forms[0], W)
+            out = lcompose_reduce(g, oracles.linearized_to_form(F[0], W), W)
             assert equiv_mod(out.to_poly(ring), ring.zero(), gf8.q, system)
 
 
@@ -650,7 +649,6 @@ def test_elimination_forms_in_degree_q_span(gf4, gf8):
     span of the rewritten system, which is what lets the solver push every
     generator down to the last stage."""
     from lastfall import equiv_mod
-    from lastfall.linsys import gbar_system
 
     rng = random.Random(20)
     for field in (gf4, gf8):
@@ -663,8 +661,7 @@ def test_elimination_forms_in_degree_q_span(gf4, gf8):
                 continue
             stage = rep.active_stages[0]
             subs = eliminate_stage(stage, rep.witnesses[stage], W)
-            forms = [linearized_to_form(lp, W) for lp in F]
-            system = gbar_system(forms, W, 2)
+            system = gbar_system([linearized_to_form(lp, W, 2) for lp in F], W, 2)
             ring = system.ring
             for (i, j), gamma in subs.items():
                 rel = ring.variable(i * W.nprime + j) - gamma.to_poly(ring)
@@ -839,29 +836,63 @@ def mixed_system(W, m, count, rng):
     return F
 
 
-@pytest.mark.parametrize("spec,fw", _divisor_spaces())
-@settings(max_examples=12)
+# GF(4), GF(8), GF(16), GF(9), GF(27), GF(25), the GF(4) < GF(16) tower and
+# GF(64) over GF(8)
+EIGHT_FIELDS = ((2, 1, 2), (2, 1, 3), (2, 1, 4), (3, 1, 2), (3, 1, 3), (5, 1, 2), (2, 2, 2),
+                (2, 3, 2))
+
+
+@pytest.mark.parametrize("spec,fw", _divisor_spaces(EIGHT_FIELDS))
+@settings(max_examples=10)
 @given(seed=st.integers(0, 2**32 - 1))
-def test_frobenius_closure_matches_span_closure(spec, fw, seed):
-    """`forms_matrix` and its pivots equal the RREF of the linear rows of
-    the degree-q span closure, on random forms, kernel-heavy ones (left
-    multiples of divisors of f_W) and forms that are zero mod f_W."""
+def test_frobenius_step_matches_scalar_step(spec, fw, seed):
+    """The step of a matrix of stage-major rows equals the scalar step of
+    each row as a tuple form, with the dtype and shape of the input, on
+    0-row, 1-row and multi-row matrices."""
     field = make_field(*spec)
     W = subspace_from_fW(fw, field)
     rng = random.Random(seed)
-    m = rng.randint(2, 3)
+    m, n1 = rng.randint(1, 3), W.nprime
+    for nrows in (0, 1, rng.randint(2, 6)):
+        rows = np.array([rng.randrange(field.order) for _ in range(nrows * m * n1)],
+                        dtype=DTYPE).reshape(nrows, m * n1)
+        want = np.array(
+            [oracles.frobenius_step(oracles.LinearForm(field, row.reshape(m, n1).tolist()), W).coeffs
+             for row in rows], dtype=DTYPE).reshape(nrows, m * n1)
+        got = frobenius_step(rows, W)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("spec,fw", _divisor_spaces(EIGHT_FIELDS))
+@settings(max_examples=12)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_frobenius_closure_matches_span_closure(spec, fw, seed):
+    """The worklist closure equals the round-based closure and the RREF of
+    the linear rows of the degree-q span closure (matrix dtype, shape and
+    entries, and pivots), on random forms, kernel-heavy ones (left
+    multiples of divisors of f_W) and forms that are zero mod f_W; for
+    m > 1 it is the report's `forms_matrix`."""
+    field = make_field(*spec)
+    W = subspace_from_fW(fw, field)
+    rng = random.Random(seed)
+    m = rng.randint(1, 3)
     F = mixed_system(W, m, rng.randint(1, 3), rng)
-    rep = reducibility_check(F, W, m=m)
-    R, pivots = span_linear_forms(F, W, m)
-    assert rep.forms_matrix.dtype == R.dtype and rep.forms_matrix.shape == R.shape
-    assert np.array_equal(rep.forms_matrix, R)
-    assert [int(np.flatnonzero(row)[0]) for row in rep.forms_matrix] == pivots
-    assert rep.stage_pivot_counts == tuple(
-        sum(p // W.nprime == i for p in pivots) for i in range(m))
+    R, pivots = _frobenius_closure([linearized_to_form(lp, W, m) for lp in F], W, m)
+    rounds = oracles._frobenius_closure([oracles.linearized_to_form(lp, W) for lp in F], W, m)
+    for want, want_pivots in (rounds, span_linear_forms(F, W, m)):
+        assert R.dtype == want.dtype and R.shape == want.shape
+        assert np.array_equal(R, want)
+        assert pivots == want_pivots
+    assert [int(np.flatnonzero(row)[0]) for row in R] == pivots
+    if m > 1:
+        rep = reducibility_check(F, W, m=m)
+        assert rep.forms_matrix.dtype == R.dtype and np.array_equal(rep.forms_matrix, R)
+        assert rep.stage_pivot_counts == tuple(
+            sum(p // W.nprime == i for p in pivots) for i in range(m))
 
 
-@pytest.mark.parametrize("spec,fw", _divisor_spaces(
-    ((2, 1, 2), (2, 1, 3), (2, 1, 4), (3, 1, 2), (3, 1, 3), (5, 1, 2), (2, 2, 2), (2, 3, 2))))
+@pytest.mark.parametrize("spec,fw", _divisor_spaces(EIGHT_FIELDS))
 @settings(max_examples=18)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_solver_matches_stage_elimination(spec, fw, seed):
