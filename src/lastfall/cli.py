@@ -421,8 +421,13 @@ def cmd_gen(args):
     return 0
 
 
+def _load_system(path):
+    with open(path) as fh:
+        return PolySystem.from_json_str(fh.read())
+
+
 def cmd_descend(args):
-    system = PolySystem.from_json_str(open(args.system).read())
+    system = _load_system(args.system)
     field = system.ring.field
     try:
         basis = json.loads(args.basis) if args.basis else None
@@ -440,7 +445,7 @@ def cmd_descend(args):
 
 
 def cmd_lastfall(args):
-    system = PolySystem.from_json_str(open(args.system).read())
+    system = _load_system(args.system)
     prof = last_fall_degree(system, cap=args.cap, certify=args.certify,
                             order=args.order)
     payload = json.dumps(prof.to_json_obj(), indent=2, sort_keys=True)
@@ -473,9 +478,8 @@ def cmd_solve_linearized(args):
         F.append(LinearizedPoly(field, [_codes(row, field.order, "row") for row in rows]))
     space = subspace_from_fW(tuple(_codes(_json_value(cfg, "fw", list), field.q, "fw")), field)
     result = {}
-    oracle_sb = brute_force_solve(F, space, m=m)
     if args.oracle:
-        chosen = oracle_sb
+        chosen = brute_force_solve(F, space, m=m)
         result["mode"] = "oracle"
     else:
         sb = solve_structured(F, space, m=m)
@@ -490,7 +494,7 @@ def cmd_solve_linearized(args):
             },
         }
         if args.compare:
-            result["agrees_with_oracle"] = subspace_equal(sb, oracle_sb)
+            result["agrees_with_oracle"] = subspace_equal(sb, brute_force_solve(F, space, m=m))
     result["dim"] = chosen.dim
     result["generators"] = [[field.coords(v) for v in gen] for gen in chosen.generators]
     result["coord_matrix"] = [[int(c) for c in row] for row in chosen.coord_matrix]
@@ -506,17 +510,49 @@ _CAMPAIGNS = {
 }
 
 
+# the length of each `combos` entry of a campaign
+_COMBO_ARITY = {"thm11": 3, "thm26": 3, "solver": 2}
+
+
+def _check_campaign_values(campaign, kwargs):
+    """Refuse a config entry value that the campaign cannot run with."""
+    for key in ("seed", "per_combo", "per_n"):
+        if key in kwargs:
+            _at_least(kwargs[key], key, 0)
+    if kwargs.get("cap") is not None:
+        _at_least(kwargs["cap"], "cap", 1)
+    combos, arity = kwargs.get("combos", []), _COMBO_ARITY.get(campaign)
+    if not (isinstance(combos, list)
+            and all(isinstance(c, list) and len(c) == arity for c in combos)):
+        raise MalformedInput(f"'combos' must be a list of lists of {arity} integers, "
+                             f"got {combos!r}")
+    ns = kwargs.get("ns", [])
+    if not isinstance(ns, list):
+        raise MalformedInput(f"'ns' must be a list of integers, got {ns!r}")
+    for key, value in [("combos", v) for c in combos for v in c] + [("ns", v) for v in ns]:
+        _at_least(value, key, 1)
+    if type(kwargs.get("check_fall_bound", True)) is not bool:
+        raise MalformedInput(f"'check_fall_bound' must be true or false, "
+                             f"got {kwargs['check_fall_bound']!r}")
+
+
 def cmd_verify(args):
     cfg = _load_json_arg(args.config) if args.config else {}
-    kwargs = dict(cfg.get(args.campaign, {}))
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
+    if not isinstance(cfg, dict):
+        raise MalformedInput(f"the config must be a JSON object, got {type(cfg).__name__}")
+    kwargs = cfg.get(args.campaign, {})
+    if not isinstance(kwargs, dict):
+        raise MalformedInput(f"the {args.campaign!r} entry must be a JSON object, "
+                             f"got {type(kwargs).__name__}")
     campaign = _CAMPAIGNS[args.campaign]
     unknown = sorted(set(kwargs) - set(inspect.signature(campaign).parameters))
     if unknown:
         print(f"lastfall verify {args.campaign}: unknown config key(s): "
               f"{', '.join(unknown)}", file=sys.stderr)
         return 2
+    _check_campaign_values(args.campaign, kwargs)
+    if args.seed is not None:
+        kwargs["seed"] = args.seed
     result = campaign(**kwargs)
     if args.out:
         write_campaign(result, args.out)
@@ -566,13 +602,13 @@ def build_parser():
 
 
 def main(argv=None):
-    """Run one command; a LastfallError it raises becomes one stderr line
-    and exit code 2."""
+    """Run one command; a LastfallError or OSError (a missing or unreadable
+    file) it raises becomes one stderr line and exit code 2."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except LastfallError as exc:
+    except (LastfallError, OSError) as exc:
         hint = "; --oracle solves it by brute force" if isinstance(exc, NotReducible) else ""
         print(f"lastfall {args.command}: {exc}{hint}", file=sys.stderr)
         return 2

@@ -42,6 +42,7 @@ no fall can occur beyond D.
 """
 
 import heapq
+import math
 import operator
 from collections import deque
 from dataclasses import dataclass
@@ -765,9 +766,24 @@ class PointsOracle:
     """Truncation oracle for a radical zero-dimensional ideal given its full
     zero set, every coordinate lying in the coefficient field.
 
-    dim(I cap R_{<=j}) is the number of monomials of degree <= j minus the
-    rank of their evaluation vectors on the points; the staircase read off
-    the rank profile also bounds the reduced-basis degree.
+    A monomial is standard when its evaluation vector on the points is not
+    a combination of those of smaller monomials; dim(I cap R_{<=j}) is the
+    number of monomials of degree <= j minus the number of standard ones.
+    The non-standard monomials are the leading monomials of I, so a divisor
+    of a standard monomial is standard.
+
+    The staircase is walked from its border, as in Buchberger-Moeller
+    (Marinari, Moeller & Mora, AAECC 1993; Abbott, Bigatti, Kreuzer &
+    Robbiano, J. Symb. Comp. 30, 2000).  The parent of a monomial e != 1 is
+    e / x_v for the first variable x_v of e, and the children of s are
+    s * x_v for v up to the first variable of s (any v for s = 1), so each
+    monomial has one parent and no candidate is made twice.  The candidates
+    of degree d are the children of the standard monomials of degree d - 1:
+    a monomial whose parent is not standard is not standard, so it is never
+    tested.  Tested in ascending monomial order, the candidates give the
+    echelon and the standard set of testing every monomial.  The rejected
+    candidates form the border, which holds every minimal generator of the
+    leading ideal, since each of those has a standard parent.
     """
 
     def __init__(self, ring, points, order="grevlex"):
@@ -780,67 +796,52 @@ class PointsOracle:
             np.array([pt[v] for pt in self.points], dtype=DTYPE)
             for v in range(ring.nvars)
         ]
-        self._done = -1
-        self._std = {}          # exp -> evaluation vector (original, standard only)
-        self._std_count = []    # per degree
-        self._total_count = []
+        # per degree: standard exp -> its evaluation vector (not reduced)
+        self._std = []
+        self._border = []       # rejected candidates, in test order
         # fully reduced echelon of the standard monomials' evaluation
         # vectors: row r is 1 at pivcols[r] (its first nonzero entry) and
         # every pivot column is zero outside its own row; at most one row
         # per point
         self._rows = np.zeros((self.npoints, self.npoints), dtype=DTYPE)
         self._pivcols = np.zeros(self.npoints, dtype=np.int64)
-        self._nonstd = []
         self._rank = 0
         self._max_gb = None
 
     def _extend(self, j):
-        ops = self.ops
-        while self._done < j:
-            d = self._done + 1
-            stdc = 0
-            totc = 0
-            for e in monomials_of_degree(self.ring.nvars, d, self.order):
-                totc += 1
-                if self.npoints == 0:
-                    self._nonstd.append(e)
-                    continue
-                if d == 0:
-                    val = np.ones(self.npoints, dtype=DTYPE)
-                else:
-                    v = next(idx for idx, a in enumerate(e) if a)
-                    parent = list(e)
-                    parent[v] -= 1
-                    pvec = self._std.get(tuple(parent))
-                    if pvec is None:
-                        # parent not standard => e not standard either
-                        self._nonstd.append(e)
-                        continue
-                    val = ops.vmul(pvec, self._coord_vals[v])
+        ops, nvars, key = self.ops, self.ring.nvars, ORDER_KEYS[self.order]
+        while len(self._std) <= j:
+            if not self._std:
+                cands = [((0,) * nvars, np.ones(self.npoints, dtype=DTYPE))]
+            else:
+                cands = []
+                for s, val in self._std[-1].items():
+                    first = next((v for v, a in enumerate(s) if a), nvars - 1)
+                    for v in range(first + 1):
+                        e = s[:v] + (s[v] + 1,) + s[v + 1:]
+                        cands.append((e, ops.vmul(val, self._coord_vals[v])))
+                cands.sort(key=lambda c: key(c[0]))
+            std = {}
+            for e, val in cands:
                 n = self._rank
                 vec = reduce_row(val, self._rows[:n], self._pivcols[:n], ops)
                 nz = np.flatnonzero(vec)
                 if len(nz) == 0:
-                    self._nonstd.append(e)
+                    self._border.append(e)
                     continue
                 insert_row(self._rows, self._pivcols, n, vec, int(nz[0]), ops)
-                self._std[e] = val
+                std[e] = val
                 self._rank += 1
-                stdc += 1
-            self._std_count.append(stdc)
-            self._total_count.append(totc)
-            self._done = d
+            self._std.append(std)
 
     def dim_leq(self, j):
         self._extend(j)
-        return sum(self._total_count[: j + 1]) - sum(self._std_count[: j + 1])
+        nstd = sum(len(std) for std in self._std[: j + 1])
+        return math.comb(self.ring.nvars + j, j) - nstd
 
     def max_gb_degree(self):
         if self._max_gb is not None:
             return self._max_gb
-        if self.npoints == 0:
-            self._max_gb = 0
-            return 0
         # extend until the evaluation rank stabilizes at the point count,
         # then one more degree: minimal staircase generators cannot appear
         # beyond the last standard degree plus one
@@ -851,18 +852,9 @@ class PointsOracle:
                 break
             d += 1
         self._extend(d + 1)
-        maxdeg = 0
-        for e in self._nonstd:
-            minimal = True
-            for v, a in enumerate(e):
-                if a:
-                    parent = list(e)
-                    parent[v] -= 1
-                    if tuple(parent) in self._std:
-                        continue
-                    minimal = False
-                    break
-            if minimal:
-                maxdeg = max(maxdeg, sum(e))
-        self._max_gb = maxdeg
-        return maxdeg
+        self._max_gb = max(
+            (sum(e) for e in self._border
+             if all(e[:v] + (a - 1,) + e[v + 1:] in self._std[sum(e) - 1]
+                    for v, a in enumerate(e) if a)),
+            default=0)
+        return self._max_gb

@@ -2,7 +2,9 @@
 
 ``bench/tracing.py`` names its targets by module and attribute path; a
 rename in ``src/`` would otherwise surface only when ``bench/run.py --trace
-1`` fails.
+1`` fails.  The tracer reads a method from its class's own ``__dict__``, so
+a method that moves to a base class resolves by ``hasattr`` yet fails there;
+entering the real tracer catches that too.
 """
 
 import importlib
@@ -29,3 +31,14 @@ def test_trace_target_resolves(target):
         assert hasattr(obj, attr), f"{modname}.{path} is gone"
         obj = getattr(obj, attr)
     assert callable(obj)
+
+
+def test_tracer_wraps_and_restores_every_binding():
+    import lastfall.cli  # noqa: F401  (loads every module the targets name)
+
+    tracer = load_tracing().Tracer()
+    with tracer:
+        wrapped = list(tracer._undo)
+        assert wrapped
+        assert all(vars(owner)[attr] is not original for owner, attr, original in wrapped)
+    assert all(vars(owner)[attr] is original for owner, attr, original in wrapped)

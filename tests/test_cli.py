@@ -144,6 +144,10 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
     assert rc == 0
     assert (tmp_path / "o" / "thm11.csv").exists()
     capsys.readouterr()
+    # the config checks accept the one-element field GF(2)
+    cfg.write_text(json.dumps({"example": {"ns": [1], "per_n": 1}}))
+    assert main(["--config", str(cfg), "verify", "example"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] == 1
 
 
 def test_solver_subcommand_campaign_smoke():
@@ -231,6 +235,44 @@ def test_cli_verify_rejects_unknown_config_keys(tmp_path, capsys):
         unknown = sorted(set(cfg) - {"per_combo"})
         assert captured.err.splitlines() == [
             f"lastfall verify {campaign}: unknown config key(s): {', '.join(unknown)}"]
+
+
+_ONE_THM11 = {"per_combo": 1, "combos": [[2, 2, 1]]}
+
+
+@pytest.mark.parametrize("campaign,config", [
+    pytest.param("thm11", [1], id="config-not-object"),
+    pytest.param("thm11", {"thm11": [1]}, id="entry-not-object"),
+    pytest.param("thm11", {"thm11": {**_ONE_THM11, "seed": "x"}}, id="seed-string"),
+    pytest.param("thm11", {"thm11": {**_ONE_THM11, "seed": -1}}, id="seed-negative"),
+    pytest.param("thm11", {"thm11": {"per_combo": "x"}}, id="per-combo-string"),
+    pytest.param("thm11", {"thm11": {"per_combo": -1}}, id="per-combo-negative"),
+    pytest.param("thm11", {"thm11": {**_ONE_THM11, "per_combo": True}}, id="per-combo-bool"),
+    pytest.param("example", {"example": {"per_n": -1}}, id="per-n-negative"),
+    pytest.param("example", {"example": {"per_n": 1.5}}, id="per-n-float"),
+    pytest.param("thm11", {"thm11": {"cap": "x"}}, id="cap-string"),
+    pytest.param("thm11", {"thm11": {"combos": [[2, 2]]}}, id="combo-too-short"),
+    pytest.param("solver", {"solver": {"combos": [[2, 1, 1]], "per_combo": 1}},
+                 id="combo-too-long"),
+    pytest.param("thm11", {"thm11": {"combos": "x"}}, id="combos-string"),
+    pytest.param("thm11", {"thm11": {"combos": [[2, 2, 1.5]], "per_combo": 1}},
+                 id="combo-float"),
+    pytest.param("thm26", {"thm26": {"combos": [[2, 0, 1]]}}, id="combo-zero"),
+    pytest.param("example", {"example": {"ns": 3}}, id="ns-not-list"),
+    pytest.param("solver", {"solver": {"check_fall_bound": "no", "per_combo": 1,
+                                       "combos": [[2, 1]]}}, id="check-fall-bound-string"),
+])
+def test_cli_verify_refuses_malformed_config(tmp_path, capsys, campaign, config):
+    """Each of these configs once ended in a traceback, or ran (an empty
+    campaign for a negative count, a string read as true) and exited 0."""
+    path = tmp_path / "verify.json"
+    path.write_text(json.dumps(config))
+    rc = main(["--config", str(path), "verify", campaign])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("lastfall verify: ")
 
 
 class _NeverCertifies(PointsOracle):
@@ -523,3 +565,56 @@ def test_caps_refused_with_malformed_input():
         last_fall_degree(system, cap=0)
     with pytest.raises(MalformedInput):
         span_closure(system, -1)
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["lastfall", "{missing}"], id="lastfall"),
+    pytest.param(["descend", "{missing}"], id="descend"),
+    pytest.param(["lastfall", "{dir}"], id="lastfall-directory"),
+    pytest.param(["--config", "{missing}", "gen"], id="gen-config"),
+    pytest.param(["--config", "{missing}", "solve-linearized"], id="solve-linearized-config"),
+    pytest.param(["--config", "{missing}", "verify", "thm11"], id="verify-config"),
+])
+def test_cli_missing_file_exits_2(tmp_path, capsys, argv):
+    """A missing or unreadable file once ended in a FileNotFoundError (or
+    IsADirectoryError) traceback and exit code 1."""
+    argv = [a.format(missing=tmp_path / "missing.json", dir=tmp_path) for a in argv]
+    command = next(a for a in argv if not a.startswith("-") and "/" not in a)
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"lastfall {command}: ")
+    assert str(tmp_path) in err[0]
+
+
+def test_cli_closes_the_system_file(tmp_path, capsys):
+    """lastfall and descend once left the system file open."""
+    import warnings
+
+    system = tmp_path / "system.json"
+    ring = Ring(make_field(2, 1, 1), "k", ["X0"])
+    system.write_text(PolySystem(ring, [ring.variable(0)]).to_json_str())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert main(["lastfall", str(system)]) == 0
+        assert main(["descend", str(system)]) == 0
+    capsys.readouterr()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_cli_solve_linearized_runs_the_oracle_only_when_asked(tmp_path, capsys, monkeypatch):
+    """The plain structured request once ran the brute-force oracle too and
+    threw its answer away."""
+    cfg = tmp_path / "solve.json"
+    cfg.write_text(json.dumps(_SOLVE_GOOD))
+    assert main(["--config", str(cfg), "solve-linearized"]) == 0
+    want = capsys.readouterr().out
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("brute_force_solve ran")
+
+    monkeypatch.setattr(cli, "brute_force_solve", refuse)
+    assert main(["--config", str(cfg), "solve-linearized"]) == 0
+    assert capsys.readouterr().out == want
