@@ -371,12 +371,20 @@ def write_campaign(result, outdir):
 # -- command line ----------------------------------------------------------------
 
 
-def _load_json_arg(path):
-    with open(path) as fh:
+def _read_text(path):
+    """The contents of a UTF-8 text file; other bytes raise MalformedInput."""
+    with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MalformedInput(f"{path} is not JSON: {exc}") from None
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise MalformedInput(f"{path} is not UTF-8 text: {exc}") from None
+
+
+def _load_json_arg(path):
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise MalformedInput(f"{path} is not JSON: {exc}") from None
 
 
 def _emit(text, path):
@@ -422,8 +430,7 @@ def cmd_gen(args):
 
 
 def _load_system(path):
-    with open(path) as fh:
-        return PolySystem.from_json_str(fh.read())
+    return PolySystem.from_json_str(_read_text(path))
 
 
 def cmd_descend(args):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import CoordinateNotInField, MalformedInput, NotABasis
 from .gf import FieldElement, moore_matrix
-from .linalg import DTYPE, solve
+from .linalg import DTYPE, rref
 from .poly import PolySystem, Ring
 
 
@@ -40,19 +40,15 @@ class DescentContext:
             raise MalformedInput(f"basis {basis!r} is not a list of {n} codes below {field.order}")
         self.basis = tuple(int(b) for b in basis)
         self.gamma = moore_matrix([FieldElement(field, b) for b in self.basis])
-        # coordinate matrix of the basis over k' and its inverse, used to
-        # decompose k-coefficients once per descended term
+        # coordinate matrix A of the basis over k' and its inverse, read off
+        # the RREF of [A | I] and used to decompose k-coefficients once per
+        # descended term
         A = np.array([[field.coords(b)[i] for b in self.basis] for i in range(n)],
                      dtype=DTYPE)
-        inv_cols = []
-        for j in range(n):
-            rhs = np.zeros(n, dtype=DTYPE)
-            rhs[j] = 1
-            col = solve(A, rhs, field.kprime)
-            if col is None:
-                raise NotABasis("coordinate matrix is singular")
-            inv_cols.append(col)
-        self._A_inv = np.stack(inv_cols, axis=1)
+        R, pivots = rref(np.hstack([A, np.eye(n, dtype=DTYPE)]), field.kprime)
+        if pivots[:n] != list(range(n)):
+            raise NotABasis("coordinate matrix is singular")
+        self._A_inv = R[:, n:]
 
         self.ring_original = Ring(field, "k", [f"X{i}" for i in range(m)])
         svars = [f"X{i}_{j}" for i in range(m) for j in range(n)]

@@ -19,16 +19,18 @@ monomials, so the dimension of the space intersected with the polynomials of
 degree <= j is simply the number of pivots of degree <= j.
 
 The rows live in one of two stores behind the same four operations (shifted
-candidate, vector of a polynomial, reduce-insert, dense snapshot), picked
-from the coefficient field alone.  Over GF(2) a row is a Python int with bit
+candidate, vector of a polynomial, ``add``, ``sorted``), picked from the
+coefficient field alone.  Over GF(2) a row is a Python int with bit
 c set for column c (the row packing of M4RI; Albrecht, Bard & Hart, ACM TOMS
 2010), so the pivot is the top bit, and a candidate is reduced by XOR-ing in
 the row of each of its set pivot bits.  One pass over those bits suffices:
 a fully reduced row has no pivot column set but its own, so XOR-ing it in
 changes no other pivot bit.  Over any other field a row is an int16 code
-vector, reduced and inserted by the shared kernel of ``linalg``.  Both
-stores hold the same canonical basis, and ``span_closure`` unpacks it to the
-same int16 matrix.
+vector of a ``linalg.Echelon`` that pivots on the last nonzero column.
+Both stores hold the same canonical basis, and ``span_closure`` unpacks it
+to the same int16 matrix.  Once 1 enters the span, the span is the whole
+truncated ring at every later level, so the engine stops closing and
+``span_closure`` returns the identity.
 
 A fall at degree i means that closing at degree i produced new elements of
 degree <= i-1 beyond the closure at i-1; the last fall degree is the largest
@@ -50,70 +52,40 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegreeTooHigh, MalformedInput, OracleInconsistent, StepBudgetExceeded
-from .linalg import DTYPE, insert_row, reduce_row
+from .linalg import DTYPE, Echelon, reduce_row
 from .poly import DESCENDING_KEYS, NEG_INF, ORDER_KEYS, MultiPoly, monomials_of_degree
 
 
-class _DenseRows:
-    """Basis rows of any field as int16 code vectors, one per row of a
-    growing matrix, with the pivot column of each row kept alongside."""
+class _DenseRows(Echelon):
+    """Basis rows of any field as int16 code vectors: an ``Echelon`` whose
+    pivot is the largest monomial, the last nonzero column."""
+
+    PIVOT = -1
 
     def __init__(self, ops):
-        self.ops = ops
-        self.mat = np.zeros((16, 0), dtype=DTYPE)
-        self.pivcols = np.zeros(16, dtype=np.int64)
-        self.nrows = 0
+        super().__init__(ops, 0)
         self.shifts = []
 
     def add_columns(self, ncols, ext):
         """Widen the rows to ncols columns; ext[v] maps the columns of the
         previous degree block to their product with variable v."""
-        grown = np.zeros((self.mat.shape[0], ncols), dtype=DTYPE)
-        grown[: self.nrows, : self.mat.shape[1]] = self.mat[: self.nrows]
-        self.mat = grown
+        self.widen(ncols)
         ext = [np.array(e, dtype=np.int64) for e in ext]
         self.shifts = ([np.concatenate(pair) for pair in zip(self.shifts, ext)]
                        if self.shifts else ext)
 
     def vector(self, terms, col_of):
-        vec = np.zeros(self.mat.shape[1], dtype=DTYPE)
+        vec = np.zeros(self.rows.shape[1], dtype=DTYPE)
         for e, c in terms.items():
             vec[col_of[e]] = c
         return vec
 
     def shifted(self, r, v):
-        row = self.mat[r]
+        row = self.rows[r]
         support = row.nonzero()[0]
-        vec = np.zeros(self.mat.shape[1], dtype=DTYPE)
+        vec = np.zeros(self.rows.shape[1], dtype=DTYPE)
         vec[self.shifts[v][support]] = row[support]
         return vec
-
-    def reduce_insert(self, vec):
-        """Insert the residual of vec as a new row, keeping the basis in RREF:
-        the pivot is the residual's largest monomial, scaled to 1 and cleared
-        from every other row.  Returns the pivot column, or None when vec
-        lies in the span."""
-        ops = self.ops
-        n = self.nrows
-        vec = reduce_row(vec, self.mat[:n], self.pivcols[:n], ops)
-        nz = vec.nonzero()[0]
-        if len(nz) == 0:
-            return None
-        p = int(nz[-1])
-        if n == self.mat.shape[0]:
-            size = max(32, 2 * n)
-            grown = np.zeros((size, self.mat.shape[1]), dtype=DTYPE)
-            grown[:n] = self.mat[:n]
-            self.mat = grown
-            self.pivcols = np.resize(self.pivcols, size)
-        insert_row(self.mat, self.pivcols, n, vec, p, ops)
-        self.nrows += 1
-        return p
-
-    def snapshot(self):
-        """(pivots, matrix): the rows sorted by pivot column, as int16."""
-        perm = np.argsort(self.pivcols[: self.nrows])
-        return self.pivcols[perm].tolist(), self.mat[perm]
 
 
 class _BitRows:
@@ -156,10 +128,11 @@ class _BitRows:
             row ^= low
         return vec
 
-    def reduce_insert(self, vec):
-        """As ``_DenseRows.reduce_insert``.  One pass over the pivot bits of
-        vec is a full reduction: a fully reduced row has no pivot column but
-        its own set, so XOR-ing it in flips no other pivot bit."""
+    def add(self, vec):
+        """As ``Echelon.add``, with the pivot at the top bit.  One pass over
+        the pivot bits of vec is a full reduction: a fully reduced row has no
+        pivot column but its own set, so XOR-ing it in flips no other pivot
+        bit."""
         rows, owner = self.rows, self.owner
         hit = vec & self.pivmask
         while hit:
@@ -189,15 +162,15 @@ class _BitRows:
         self.pivmask |= 1 << p
         return p
 
-    def snapshot(self):
-        """As ``_DenseRows.snapshot``, unpacked from the bitsets."""
+    def sorted(self):
+        """As ``Echelon.sorted``, unpacked from the bitsets."""
         rows = sorted(self.rows)  # the top bit is the pivot
         ncols = len(self.owner)
         width = (ncols + 7) // 8
         packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in rows),
                                dtype=np.uint8).reshape(len(rows), width)
         bits = np.unpackbits(packed, axis=1, count=ncols, bitorder="little")
-        return [r.bit_length() - 1 for r in rows], bits.astype(DTYPE)
+        return bits.astype(DTYPE), [r.bit_length() - 1 for r in rows]
 
 
 def _row_store(ops):
@@ -209,14 +182,14 @@ class _SpanEngine:
     """Incremental span closure, one degree level at a time.
 
     Candidates (the generators of each degree, then every row one degree
-    below the level times each variable) wait in a FIFO queue and are
-    reduce-inserted into a row store.  The store is picked from the field:
+    below the level times each variable) wait in a FIFO queue and are added
+    to a row store.  The store is picked from the field:
     over GF(2) a row is a Python int bitset (``_BitRows``), over any other
     field an int16 code vector (``_DenseRows``).  Both keep the basis in
     RREF with the pivot at the largest monomial, so they hold the same rows.
     """
 
-    def __init__(self, system, order="grevlex", unit_shortcut=False):
+    def __init__(self, system, order="grevlex"):
         ring = system.ring
         self.ring = ring
         self.order = order
@@ -232,9 +205,9 @@ class _SpanEngine:
         self.col_deg = []  # degree of each column
         self.deg_start = [0]  # deg_start[d+1] = number of columns of degree <= d
         self.row_deg = []  # degree of each row, in insertion order
+        # 1 is in the span, which is then the whole truncated ring at every
+        # level from here on; the engine stops closing
         self.unit = False
-        self.unit_shortcut = unit_shortcut
-        self.saturated = False
 
     # -- level processing --------------------------------------------------
 
@@ -248,7 +221,7 @@ class _SpanEngine:
         self.col_deg.extend([i] * len(block))
         self.deg_start.append(ncols)
         self.level = i
-        if self.saturated:
+        if self.unit:
             return
         ext = [[] for _ in range(self.ring.nvars)]
         if i >= 1:
@@ -273,16 +246,14 @@ class _SpanEngine:
                 vec = store.vector(a.terms, self.col_of)
             else:
                 vec = store.shifted(a, v)
-            p = store.reduce_insert(vec)
+            p = store.add(vec)
             if p is None:
                 continue
             new_row = len(self.row_deg)
             self.row_deg.append(self.col_deg[p])
             if p == 0:
                 self.unit = True
-                if self.unit_shortcut:
-                    self.saturated = True
-                    return
+                return
             if self.col_deg[p] <= i - 1:
                 for w in range(self.ring.nvars):
                     queue.append((new_row, w))
@@ -290,7 +261,7 @@ class _SpanEngine:
     # -- dimensions ----------------------------------------------------------
 
     def dim(self):
-        if self.saturated:
+        if self.unit:
             return self.deg_start[self.level + 1]
         return len(self.row_deg)
 
@@ -298,7 +269,7 @@ class _SpanEngine:
         j = min(j, self.level)
         if j < 0:
             return 0
-        if self.saturated:
+        if self.unit:
             return self.deg_start[j + 1]
         return sum(1 for d in self.row_deg if d <= j)
 
@@ -361,10 +332,14 @@ def span_closure(system, cap, order="grevlex"):
     """
     if cap < 0:
         raise MalformedInput(f"cap must be >= 0, got {cap}")
-    eng = _SpanEngine(system, order=order, unit_shortcut=False)
+    eng = _SpanEngine(system, order=order)
     for _ in range(cap + 1):
         eng.advance()
-    pivots, matrix = eng.store.snapshot()
+    if eng.unit:
+        ncols = len(eng.monos)
+        matrix, pivots = np.eye(ncols, dtype=DTYPE), range(ncols)
+    else:
+        matrix, pivots = eng.store.sorted()
     return DegreeSpan(system.ring, cap, order, eng.monos, matrix, pivots,
                       [eng.col_deg[p] for p in pivots])
 
@@ -445,7 +420,7 @@ def last_fall_degree(system, cap=None, certify=True, order="grevlex", oracle=Non
         cap = default_cap(system)
     if cap < 1:
         raise MalformedInput(f"cap must be >= 1, got {cap}")
-    eng = _SpanEngine(system, order=order, unit_shortcut=True)
+    eng = _SpanEngine(system, order=order)
     eng.advance()
     records = []
     prev_dim = eng.dim()
@@ -799,13 +774,9 @@ class PointsOracle:
         # per degree: standard exp -> its evaluation vector (not reduced)
         self._std = []
         self._border = []       # rejected candidates, in test order
-        # fully reduced echelon of the standard monomials' evaluation
-        # vectors: row r is 1 at pivcols[r] (its first nonzero entry) and
-        # every pivot column is zero outside its own row; at most one row
-        # per point
-        self._rows = np.zeros((self.npoints, self.npoints), dtype=DTYPE)
-        self._pivcols = np.zeros(self.npoints, dtype=np.int64)
-        self._rank = 0
+        # the standard monomials' evaluation vectors, one row per standard
+        # monomial and at most one per point
+        self._ech = Echelon(self.ops, self.npoints)
         self._max_gb = None
 
     def _extend(self, j):
@@ -823,15 +794,10 @@ class PointsOracle:
                 cands.sort(key=lambda c: key(c[0]))
             std = {}
             for e, val in cands:
-                n = self._rank
-                vec = reduce_row(val, self._rows[:n], self._pivcols[:n], ops)
-                nz = np.flatnonzero(vec)
-                if len(nz) == 0:
+                if self._ech.add(val) is None:
                     self._border.append(e)
-                    continue
-                insert_row(self._rows, self._pivcols, n, vec, int(nz[0]), ops)
-                std[e] = val
-                self._rank += 1
+                else:
+                    std[e] = val
             self._std.append(std)
 
     def dim_leq(self, j):
@@ -848,7 +814,7 @@ class PointsOracle:
         d = 0
         while True:
             self._extend(d)
-            if self._rank == self.npoints:
+            if self._ech.n == self.npoints:
                 break
             d += 1
         self._extend(d + 1)

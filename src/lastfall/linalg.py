@@ -4,9 +4,10 @@ Matrices are numpy int16 arrays of codes.  Every function takes the
 arithmetic of the coefficient field as one ``gf.FieldOps`` object
 (``field.k`` or ``field.kprime``), whose row operations do the elimination.
 
-Besides the one-shot ``rref``, this module holds the incremental echelon
-kernel (``reduce_row``, ``insert_row``) that the span engine's dense store,
-the points oracle and the Frobenius closure of ``linsys`` share.
+Every elimination in the package is an ``Echelon``: a fully reduced row
+echelon basis grown one vector at a time.  ``rref`` adds the rows of a
+matrix to one; the span engine's dense store, the points oracle and the
+Frobenius closure of ``linsys`` keep one open.
 """
 
 import numpy as np
@@ -25,18 +26,64 @@ def reduce_row(vec, rows, pivcols, ops):
     return ops.sub_combination(vec, coef[hit], rows[hit])
 
 
-def insert_row(rows, pivcols, n, vec, p, ops):
-    """Store vec, already reduced against rows[:n], as row n with pivot
-    column p: scaled to 1 there, and p cleared from every other row."""
-    c = int(vec[p])
-    if c != 1:
-        vec = ops.scale(ops.inv(c), vec)
-    col = rows[:n, p]
-    hits = col.nonzero()[0]
-    if len(hits):
-        rows[hits] = ops.rows_sub_scaled(rows[hits], col[hits].copy(), vec)
-    rows[n] = vec
-    pivcols[n] = p
+class Echelon:
+    """A fully reduced row echelon basis of ``ncols``-column code vectors.
+
+    ``rows[:n]`` are the basis rows in insertion order and ``pivcols[:n]``
+    their pivot columns: each row is 1 at its pivot, and every pivot column
+    is zero outside its own row.  The pivot of a new row is its first
+    nonzero entry (``PIVOT = 0``); a subclass sets ``PIVOT = -1`` for the
+    last.  A fully reduced basis of a given span with a given pivot rule is
+    unique, so the order of insertion does not change ``sorted()``.
+    """
+
+    PIVOT = 0
+
+    def __init__(self, ops, ncols):
+        self.ops = ops
+        self.rows = np.zeros((0, ncols), dtype=DTYPE)
+        self.pivcols = np.zeros(0, dtype=np.int64)
+        self.n = 0
+
+    def add(self, vec):
+        """Reduce vec and store the residual as a new row, scaled to 1 at its
+        pivot, which is cleared from every other row.  Returns the pivot
+        column, or None when vec lies in the span."""
+        ops, n = self.ops, self.n
+        vec = reduce_row(vec, self.rows[:n], self.pivcols[:n], ops)
+        nz = vec.nonzero()[0]
+        if len(nz) == 0:
+            return None
+        p = int(nz[self.PIVOT])
+        c = int(vec[p])
+        if c != 1:
+            vec = ops.scale(ops.inv(c), vec)
+        col = self.rows[:n, p]
+        hits = col.nonzero()[0]
+        if len(hits):
+            self.rows[hits] = ops.rows_sub_scaled(self.rows[hits], col[hits].copy(), vec)
+        if n == len(self.rows):
+            # the rank never exceeds the column count
+            grown = np.zeros((min(max(16, 2 * n), self.rows.shape[1]), self.rows.shape[1]),
+                             dtype=DTYPE)
+            grown[:n] = self.rows
+            self.rows = grown
+            self.pivcols = np.resize(self.pivcols, len(grown))
+        self.rows[n] = vec
+        self.pivcols[n] = p
+        self.n = n + 1
+        return p
+
+    def widen(self, ncols):
+        """Append zero columns up to ncols."""
+        grown = np.zeros((len(self.rows), ncols), dtype=DTYPE)
+        grown[:, : self.rows.shape[1]] = self.rows
+        self.rows = grown
+
+    def sorted(self):
+        """(rows by ascending pivot, pivots), the rows as a new int16 matrix."""
+        perm = np.argsort(self.pivcols[: self.n])
+        return self.rows[perm], self.pivcols[perm].tolist()
 
 
 def rref(mat, ops):
@@ -47,30 +94,10 @@ def rref(mat, ops):
     m = np.array(mat, dtype=DTYPE)
     if m.ndim != 2:
         raise ValueError("matrix expected")
-    nrows, ncols = m.shape
-    rank = 0
-    pivots = []
-    for col in range(ncols):
-        sub = m[rank:, col]
-        nz = np.nonzero(sub)[0]
-        if len(nz) == 0:
-            continue
-        r = rank + int(nz[0])
-        if r != rank:
-            m[[rank, r]] = m[[r, rank]]
-        c = int(m[rank, col])
-        if c != 1:
-            m[rank] = ops.scale(ops.inv(c), m[rank])
-        colvals = m[:, col].copy()
-        colvals[rank] = 0
-        hit = np.nonzero(colvals)[0]
-        if len(hit):
-            m[hit] = ops.rows_sub_scaled(m[hit], colvals[hit], m[rank])
-        pivots.append(col)
-        rank += 1
-        if rank == nrows:
-            break
-    return m[:rank], pivots
+    ech = Echelon(ops, m.shape[1])
+    for row in m:
+        ech.add(row)
+    return ech.sorted()
 
 
 def rank(mat, ops):
@@ -96,19 +123,3 @@ def kernel_basis(mat, ops, ncols=None):
             v[pc] = ops.neg(int(r[row_idx, fc]))
         basis.append(v)
     return basis
-
-
-def solve(mat, rhs, ops):
-    """One solution of mat @ x = rhs, or None when inconsistent."""
-    m = np.array(mat, dtype=DTYPE)
-    b = np.array(rhs, dtype=DTYPE).reshape(-1, 1)
-    aug = np.hstack([m, b])
-    r, pivots = rref(aug, ops)
-    ncols = m.shape[1]
-    x = np.zeros(ncols, dtype=DTYPE)
-    for row_idx, pc in enumerate(pivots):
-        if pc == ncols:
-            return None
-        x[pc] = r[row_idx, ncols]
-    return x
-

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import univar
 from .errors import DegreeExceedsBound, MalformedInput, NotADivisor, NotReducible
-from .linalg import DTYPE, insert_row, kernel_basis, reduce_row, rref, solve
+from .linalg import DTYPE, Echelon, kernel_basis, rref
 from .poly import PolySystem, Ring
 
 
@@ -141,7 +141,12 @@ class LinearizedPoly:
 
 
 class InvariantSubspace:
-    """W = ker f_W(tau) for a monic divisor f_W of x^n - 1 over k'."""
+    """W = ker f_W(tau) for a monic divisor f_W of x^n - 1 over k'.
+
+    W has q^{n'} <= MAX_ORDER elements, so the k'-coordinates of every one
+    of them in the basis ``basis_W`` are tabulated once, in
+    ``itertools.product`` order; membership and coordinates are lookups.
+    """
 
     def __init__(self, field, fW, basis_W):
         self.field = field
@@ -151,9 +156,8 @@ class InvariantSubspace:
         gw = [kp.neg(c) for c in fW[: self.nprime]]
         self.gW = univar.trim(gw)
         self.basis_W = tuple(basis_W)
-        self._B = np.array(
-            [[field.coords(w)[i] for w in basis_W] for i in range(field.n)],
-            dtype=DTYPE)
+        self._coords = {self.from_coords(co): co
+                        for co in product(range(field.q), repeat=self.nprime)}
 
     @property
     def dim(self):
@@ -161,16 +165,10 @@ class InvariantSubspace:
 
     def coords_of(self, code):
         """k'-coordinates of an element in the W basis, or None if outside W."""
-        rhs = np.array(self.field.coords(code), dtype=DTYPE)
-        x = solve(self._B, rhs, self.field.kprime)
-        if x is None:
-            return None
-        if self.from_coords(tuple(int(c) for c in x)) != code:
-            return None
-        return tuple(int(c) for c in x)
+        return self._coords.get(code)
 
     def contains(self, code):
-        return self.coords_of(code) is not None
+        return code in self._coords
 
     def from_coords(self, coords):
         f = self.field
@@ -180,8 +178,7 @@ class InvariantSubspace:
         return acc
 
     def elements(self):
-        for coords in product(range(self.field.q), repeat=self.nprime):
-            yield self.from_coords(coords)
+        return iter(self._coords)
 
     def operator_matrix(self, companion):
         """Matrix over k' of w -> L(companion)(w), W -> k, in coordinates."""
@@ -337,29 +334,21 @@ def _frobenius_closure(rows, space, m):
     """RREF and pivots of U, the smallest k-space of linear forms that holds
     `rows` and is closed under `frobenius_step`, in stage-major columns.
 
-    A worklist grows a fully reduced basis with leftmost pivots: a queued
-    row is reduced against it, a nonzero residual joins it, and the step of
-    that residual is queued, so each row that joins is stepped once.  Every
-    queued row lies in U, and the residuals span the basis, which is closed:
-    the step is additive and sends c l to c^q step(l), so it maps a
+    A worklist grows a ``linalg.Echelon`` with leftmost pivots, since the
+    lemma of `reducibility_check` counts rows by the stage of their pivot: a
+    queued row is reduced against it, a nonzero residual joins it, and the
+    step of the new row is queued, so each row that joins is stepped once.
+    Every queued row lies in U, and the residuals span the basis, which is
+    closed: the step is additive and sends c l to c^q step(l), so it maps a
     combination of residuals to the q-power combination of their steps,
     each reduced to zero or joined.  A fully reduced basis is unique, so the
     rows sorted by pivot are the RREF."""
-    ops, width = space.field.k, m * space.nprime
-    basis = np.zeros((width, width), dtype=DTYPE)
-    pivcols = np.zeros(width, dtype=np.int64)
-    n = 0
+    ech = Echelon(space.field.k, m * space.nprime)
     queue = deque(rows)
     while queue:
-        vec = reduce_row(queue.popleft(), basis[:n], pivcols[:n], ops)
-        nz = np.flatnonzero(vec)
-        if len(nz) == 0:
-            continue
-        insert_row(basis, pivcols, n, vec, int(nz[0]), ops)
-        queue.append(frobenius_step(basis[n:n + 1], space)[0])
-        n += 1
-    perm = np.argsort(pivcols[:n])
-    return basis[perm], pivcols[perm].tolist()
+        if ech.add(queue.popleft()) is not None:
+            queue.append(frobenius_step(ech.rows[ech.n - 1:ech.n], space)[0])
+    return ech.sorted()
 
 
 def _num_vars(F, m):

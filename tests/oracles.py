@@ -15,12 +15,48 @@ from lastfall.errors import (DegreeExceedsBound, DivisionByZero, LastfallError, 
                              StepBudgetExceeded)
 from lastfall.falldeg import GroebnerBasis, span_closure
 from lastfall.gf import FieldSpec
-from lastfall.linalg import DTYPE, rref
+from lastfall.linalg import DTYPE
 from lastfall.linsys import (EliminationTrace, LinearizedPoly, _canonical_basis, gbar_system,
                              reducibility_check, symbolic_gcd, symbolic_mul,
                              symbolic_rdivmod)
 from lastfall.poly import ORDER_KEYS, MultiPoly, PolySystem, monomials_of_degree, monomials_up_to
 from lastfall.poly import grevlex_key
+
+
+def reference_rref(mat, ops):
+    """Reduced row echelon form with leftmost pivots, column by column: the
+    one-shot elimination `linalg.rref` did before it added rows to a
+    `linalg.Echelon`.
+
+    Returns (R, pivot_cols); R has the pivot rows first, zero rows dropped.
+    """
+    m = np.array(mat, dtype=DTYPE)
+    if m.ndim != 2:
+        raise ValueError("matrix expected")
+    nrows, ncols = m.shape
+    rank = 0
+    pivots = []
+    for col in range(ncols):
+        sub = m[rank:, col]
+        nz = np.nonzero(sub)[0]
+        if len(nz) == 0:
+            continue
+        r = rank + int(nz[0])
+        if r != rank:
+            m[[rank, r]] = m[[r, rank]]
+        c = int(m[rank, col])
+        if c != 1:
+            m[rank] = ops.scale(ops.inv(c), m[rank])
+        colvals = m[:, col].copy()
+        colvals[rank] = 0
+        hit = np.nonzero(colvals)[0]
+        if len(hit):
+            m[hit] = ops.rows_sub_scaled(m[hit], colvals[hit], m[rank])
+        pivots.append(col)
+        rank += 1
+        if rank == nrows:
+            break
+    return m[:rank], pivots
 
 
 def local_rank(rows, field):
@@ -737,7 +773,7 @@ def span_linear_forms(F, space, m):
     span = span_closure(gbar_system(rows, space, m), space.field.q)
     mat = _extract_linear_forms(span, m, space.nprime)
     if mat.shape[0]:
-        return rref(mat, space.field.k)
+        return reference_rref(mat, space.field.k)
     return mat, []
 
 
@@ -848,12 +884,12 @@ def _frobenius_closure(forms, space, m):
     mat = np.zeros((len(forms), m * n1), dtype=DTYPE)
     for r, form in enumerate(forms):
         mat[r, :form.m * n1] = np.ravel(form.coeffs)
-    R, pivots = rref(mat, field.k)
+    R, pivots = reference_rref(mat, field.k)
     while True:
         steps = [frobenius_step(LinearForm(field, row.reshape(m, n1).tolist(), n1), space).coeffs
                  for row in R]
         grown = np.concatenate([R, np.array(steps, dtype=DTYPE).reshape(len(R), m * n1)])
-        grown, grown_pivots = rref(grown, field.k)
+        grown, grown_pivots = reference_rref(grown, field.k)
         if len(grown_pivots) == len(pivots):
             return R, pivots
         R, pivots = grown, grown_pivots

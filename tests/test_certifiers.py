@@ -159,7 +159,7 @@ def assert_same_staircase(ring, points, top):
     assert set().union(*new._std) == set(ref._std)
     # the walk tests only the monomials whose parent is standard
     assert new._border == [e for e in ref._nonstd if not any(e) or parent(e) in ref._std]
-    assert new._rank == ref._rank == len(new.points)
+    assert new._ech.n == ref._rank == len(new.points)
 
 
 def parent(e):

@@ -473,6 +473,44 @@ def test_cli_lastfall_field_fuzz(path, value):
                                       and lines[0].startswith("lastfall lastfall: ")), doc
 
 
+_SOLVE_PATHS = [(key,) for key in _SOLVE_GOOD] + [("field", key) for key in ("p", "e", "n")] + [
+    ("coeffs", 0), ("coeffs", 0, 0), ("coeffs", 0, 1)] + [
+    ("coeffs", 0, r, c) for r in range(2) for c in range(2)] + [("fw", c) for c in range(3)]
+_SOLVE_VALUES = st.one_of(
+    st.just(_DELETE), st.none(), st.booleans(), st.sampled_from([0, 2, 99999]),
+    st.integers(-3, -1), st.floats(-2, 12), st.text(max_size=3),
+    st.lists(st.integers(-1, 4), max_size=3),
+    st.dictionaries(st.text(max_size=1), st.integers(0, 3), max_size=2))
+
+
+@settings(max_examples=150)
+@given(path=st.sampled_from(_SOLVE_PATHS), value=_SOLVE_VALUES)
+def test_cli_solve_linearized_config_fuzz(path, value):
+    """A solve-linearized config with one key or row entry replaced or
+    deleted either runs or is refused with one stderr line and exit code 2,
+    in the structured, --compare and --oracle modes."""
+    doc = json.loads(json.dumps(_SOLVE_GOOD))
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    if value is _DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    with tempfile.TemporaryDirectory() as d:
+        cfg = Path(d) / "solve.json"
+        cfg.write_text(json.dumps(doc))
+        for mode in ([], ["--compare"], ["--oracle"]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = main(["--config", str(cfg), "solve-linearized", *mode])
+            lines = err.getvalue().splitlines()
+            assert (rc, lines) == (0, []) or (
+                rc == 2 and len(lines) == 1
+                and lines[0].startswith("lastfall solve-linearized: ")), (doc, mode)
+
+
 def _run_isolated(argv, timeout=30):
     """Run `python argv` on this package in a fresh interpreter, so an input
     that once spun forever fails the test at the timeout instead of hanging
@@ -574,11 +612,21 @@ def test_caps_refused_with_malformed_input():
     pytest.param(["--config", "{missing}", "gen"], id="gen-config"),
     pytest.param(["--config", "{missing}", "solve-linearized"], id="solve-linearized-config"),
     pytest.param(["--config", "{missing}", "verify", "thm11"], id="verify-config"),
+    pytest.param(["lastfall", "{binary}"], id="lastfall-binary"),
+    pytest.param(["descend", "{binary}"], id="descend-binary"),
+    pytest.param(["--config", "{binary}", "gen"], id="gen-config-binary"),
+    pytest.param(["--config", "{binary}", "solve-linearized"],
+                 id="solve-linearized-config-binary"),
+    pytest.param(["--config", "{binary}", "verify", "thm11"], id="verify-config-binary"),
 ])
 def test_cli_missing_file_exits_2(tmp_path, capsys, argv):
     """A missing or unreadable file once ended in a FileNotFoundError (or
-    IsADirectoryError) traceback and exit code 1."""
-    argv = [a.format(missing=tmp_path / "missing.json", dir=tmp_path) for a in argv]
+    IsADirectoryError) traceback and exit code 1, and a file that is not
+    UTF-8 (the bytes ff fe) in a UnicodeDecodeError traceback."""
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe")
+    argv = [a.format(missing=tmp_path / "missing.json", dir=tmp_path, binary=binary)
+            for a in argv]
     command = next(a for a in argv if not a.startswith("-") and "/" not in a)
     rc = main(argv)
     captured = capsys.readouterr()

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from lastfall import (CoordinateNotInField, MalformedInput, PolySystem, Ring, build_F1,
+from lastfall import (CoordinateNotInField, MalformedInput, NotABasis, PolySystem, Ring, build_F1,
                       build_Fprime, build_Fprime1, build_G1, build_G2,
                       build_sigma_orbit_G, equiv_mod, last_fall_degree,
                       make_descent_context, make_field, solution_transport,
@@ -174,14 +174,17 @@ def test_G2_absorbs_G1(gf4):
 
 
 def test_solution_transport_round_trip(gf9):
-    ctx = make_descent_context(gf9, 2)
-    rng = random.Random(11)
-    assert solution_transport((0, 0), ctx, "descend") == (0,) * 4
-    for _ in range(20):
-        pt = tuple(rng.randrange(gf9.order) for _ in range(2))
-        down = solution_transport(pt, ctx, "descend")
-        assert all(gf9.lies_in_subfield(c) for c in down)
-        assert solution_transport(down, ctx, "lift") == pt
+    """Over the polynomial basis and over (1 + t, 2t)."""
+    t = gf9.gen()
+    for basis in (None, [gf9.add(1, t), gf9.mul(2, t)]):
+        ctx = make_descent_context(gf9, 2, basis=basis)
+        rng = random.Random(11)
+        assert solution_transport((0, 0), ctx, "descend") == (0,) * 4
+        for _ in range(20):
+            pt = tuple(rng.randrange(gf9.order) for _ in range(2))
+            down = solution_transport(pt, ctx, "descend")
+            assert all(gf9.lies_in_subfield(c) for c in down)
+            assert solution_transport(down, ctx, "lift") == pt
 
 
 def test_solution_transport_maps_solutions(gf4):
@@ -248,3 +251,11 @@ def test_descent_context_refuses_malformed_basis(gf4, basis):
     and the rest ended in a ValueError from int() or FieldElement."""
     with pytest.raises(MalformedInput):
         make_descent_context(gf4, 1, basis=basis)
+
+
+def test_descent_context_refuses_dependent_basis(gf4, gf8):
+    t = gf8.gen()
+    t2 = gf8.mul(t, t)
+    for field, basis in ((gf4, [1, 1]), (gf4, [0, 1]), (gf8, [t, t2, gf8.add(t, t2)])):
+        with pytest.raises(NotABasis):
+            make_descent_context(field, 1, basis=basis)

@@ -1,5 +1,6 @@
-"""The incremental echelon kernel of `linalg` against the one-shot `rref`
-and the plain elimination of `oracles.local_rank`."""
+"""`linalg.Echelon`, and `rref` built on it, against the column-wise
+elimination of `oracles.reference_rref` and the plain elimination of
+`oracles.local_rank`."""
 
 import random
 
@@ -7,9 +8,10 @@ import numpy as np
 import pytest
 
 from lastfall import make_field
-from lastfall.linalg import DTYPE, insert_row, kernel_basis, reduce_row, rref, solve
+from lastfall.falldeg import _DenseRows
+from lastfall.linalg import DTYPE, Echelon, kernel_basis, rref
 
-from oracles import local_rank
+from oracles import local_rank, reference_rref
 
 FIELDS = {"GF2": (2, 1, 1), "GF3": (3, 1, 1), "GF4": (2, 1, 2), "GF9": (3, 1, 2),
           "GF27": (3, 1, 3), "GF31^2": (31, 1, 2), "GF16-over-GF4": (2, 2, 2)}
@@ -49,41 +51,44 @@ def dot(field, row, x):
     return acc
 
 
-def insert_all(mat, ops, order):
-    """Reduce and insert the rows of mat in the given order, leftmost pivots;
-    returns the rows sorted by pivot, and their pivots."""
-    nrows, ncols = mat.shape
-    rows = np.zeros((nrows, ncols), dtype=DTYPE)
-    pivcols = np.zeros(nrows, dtype=np.int64)
-    n = 0
+def insert_all(ech, mat, order):
+    """Add the rows of mat to the echelon in the given order; returns the
+    rows sorted by pivot, and their pivots."""
     for r in order:
-        vec = reduce_row(mat[r], rows[:n], pivcols[:n], ops)
-        nz = np.flatnonzero(vec)
-        if len(nz):
-            insert_row(rows, pivcols, n, vec, int(nz[0]), ops)
-            n += 1
-    perm = np.argsort(pivcols[:n])
-    return rows[perm], pivcols[perm].tolist()
+        ech.add(mat[r])
+    return ech.sorted()
+
+
+def assert_same(got, want):
+    (R, pivots), (want_R, want_pivots) = got, want
+    assert R.dtype == want_R.dtype and R.shape == want_R.shape
+    assert np.array_equal(R, want_R)
+    assert pivots == want_pivots
 
 
 @pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("spec", FIELDS.values(), ids=FIELDS.keys())
 def test_kernel_matches_rref_rank_kernel_and_solve(spec, shape):
-    """Rows inserted in random order and sorted by pivot give exactly the
-    matrix and pivots of `rref`; the rank is the plain elimination's; every
-    `kernel_basis` vector is killed, and there are ncols - rank independent
-    ones; `solve` returns None exactly when the system is inconsistent."""
+    """`rref`, and an `Echelon` fed the rows in random order and sorted by
+    pivot, give exactly the matrix and pivots of the column-wise reference;
+    the span engine's `Echelon`, which pivots on the last nonzero column,
+    gives the reference of the column-reversed matrix with its rows and
+    columns reversed.  The rank is the plain elimination's, and every
+    `kernel_basis` vector is killed, with ncols - rank independent ones."""
     field = make_field(*spec)
     ops = field.k
     rng = random.Random(f"linalg:{spec}:{shape}")
     for _ in range(6):
         mat = draw_matrix(field, shape, rng)
         nrows, ncols = mat.shape
-        R, pivots = rref(mat, ops)
-        got, got_pivots = insert_all(mat, ops, rng.sample(range(nrows), nrows))
-        assert got.dtype == R.dtype and got.shape == R.shape
-        assert np.array_equal(got, R)
-        assert got_pivots == pivots
+        R, pivots = want = reference_rref(mat, ops)
+        assert_same(rref(mat, ops), want)
+        assert_same(insert_all(Echelon(ops, ncols), mat, rng.sample(range(nrows), nrows)), want)
+        rev_R, rev_pivots = reference_rref(mat[:, ::-1], ops)
+        rightmost = _DenseRows(ops)
+        rightmost.widen(ncols)
+        assert_same(insert_all(rightmost, mat, rng.sample(range(nrows), nrows)),
+                    (rev_R[::-1, ::-1], [ncols - 1 - p for p in rev_pivots[::-1]]))
         rank = local_rank(mat.tolist(), field)
         assert len(pivots) == rank
 
@@ -92,12 +97,3 @@ def test_kernel_matches_rref_rank_kernel_and_solve(spec, shape):
         assert local_rank([v.tolist() for v in kernel], field) == len(kernel)
         for v in kernel:
             assert all(dot(field, row, v) == 0 for row in mat)
-
-        x0 = [rng.randrange(field.order) for _ in range(ncols)]
-        for rhs in ([dot(field, row, x0) for row in mat],
-                    [rng.randrange(field.order) for _ in range(nrows)]):
-            x = solve(mat, rhs, ops)
-            augmented = [list(row) + [b] for row, b in zip(mat.tolist(), rhs)]
-            assert (x is None) == (local_rank(augmented, field) > rank)
-            if x is not None:
-                assert [dot(field, row, x) for row in mat] == rhs

@@ -267,6 +267,25 @@ def test_operator_matrix_columns_are_images(gf8, gf16, gf9):
                     assert (list(kp.matvec(mat, coords))
                             == list(field.coords(image.eval((w,)))))
 
+
+@pytest.mark.parametrize("spec", [(2, 1, 2), (2, 1, 3), (2, 1, 4), (3, 1, 2), (3, 1, 3),
+                                  (2, 2, 2)])
+def test_coordinate_lookup_is_the_kernel_of_fW(spec):
+    """For every monic f_W and every code x of k: coords_of(x) is None
+    exactly when L(f_W)(x) != 0, and otherwise from_coords inverts it."""
+    field = make_field(*spec)
+    kp = field.kprime
+    for fw in univar.monic_divisors(kp, univar.x_pow_n_minus_one(kp, field.n)):
+        if univar.degree(fw) < 1:
+            continue
+        W = subspace_from_fW(fw, field)
+        for x in range(field.order):
+            coords = W.coords_of(x)
+            assert (coords is None) == (apply_companion(field, W.fW, x) != 0)
+            assert W.contains(x) == (coords is not None)
+            if coords is not None:
+                assert W.from_coords(coords) == x
+
 # -- rewriting relations ----------------------------------------------------------
 
 

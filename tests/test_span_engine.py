@@ -37,10 +37,21 @@ def fields():
     return {name: make_field(*spec) for name, spec in FIELDS.items()}
 
 
+def with_unit(system, rng):
+    """The system, or with probability 0.3 the system plus the constant 1 or
+    f + 1 for one of its generators f, so that 1 enters the span at degree 0
+    or deg f and the engine stops closing there."""
+    if rng.random() >= 0.3:
+        return system
+    one = system.ring.constant(1)
+    extra = one if rng.random() < 0.3 else rng.choice(system.polys) + one
+    return PolySystem(system.ring, system.polys + (extra,))
+
+
 def draw_system(field, seed):
     rng = random.Random(seed)
     ring = Ring(field, "k", [f"X{i}" for i in range(rng.randint(2, 3))])
-    return random_system(ring, rng.randint(1, 2), rng.randint(1, 3), rng), rng
+    return with_unit(random_system(ring, rng.randint(1, 2), rng.randint(1, 3), rng), rng), rng
 
 
 def assert_canonical(span):
@@ -112,18 +123,12 @@ STORES = {"dense": falldeg._DenseRows, "bits": lambda ops: falldeg._BitRows()}
 
 
 def draw_gf2_system(field, seed):
-    """A random GF(2) system in 2-6 variables and a cap of 0-5.  Some
-    systems gain the constant 1, or f + 1 for one of their generators f, so
-    that 1 enters the span at degree 0 or deg f and the unit shortcut
-    saturates the engine there."""
+    """A random GF(2) system in 2-6 variables, some with a unit (see
+    `with_unit`), and a cap of 0-5."""
     rng = random.Random(seed)
     ring = Ring(field, "k", [f"X{i}" for i in range(rng.randint(2, 6))])
     system = random_system(ring, rng.randint(1, 3), rng.randint(1, 3), rng)
-    if rng.random() < 0.3:
-        one = ring.constant(1)
-        extra = one if rng.random() < 0.3 else rng.choice(system.polys) + one
-        system = PolySystem(ring, system.polys + (extra,))
-    return system, rng.randint(0, 5)
+    return with_unit(system, rng), rng.randint(0, 5)
 
 
 def with_store(name, run):
