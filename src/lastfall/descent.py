@@ -19,14 +19,22 @@ X_i) so emitted systems are byte-stable.
 
 import numpy as np
 
-from .errors import CoordinateNotInField, MalformedInput, NotABasis
-from .gf import FieldElement, moore_matrix
-from .linalg import DTYPE, rref
+from . import univar
+from .errors import CoordinateNotInField, MalformedInput
+from .linalg import DTYPE
+from .linsys import InvariantSubspace
 from .poly import PolySystem, Ring
 
 
 class DescentContext:
-    """Field, basis, Moore matrix and the precomputed coordinate solver."""
+    """Field, k/k' basis and the rings of the descent.
+
+    k is the subspace of itself cut out by f_W = x^n - 1, and any k'-basis
+    of k is a basis of it, so ``space`` is the ``InvariantSubspace`` of k in
+    the descent basis: it tabulates the k'-coordinates of all q^n elements
+    once, so decomposing a coefficient is a lookup, and it raises NotABasis
+    for a k'-dependent basis.
+    """
 
     def __init__(self, field, m, basis=None):
         self.field = field
@@ -39,16 +47,8 @@ class DescentContext:
                 and 0 <= b < field.order for b in basis)):
             raise MalformedInput(f"basis {basis!r} is not a list of {n} codes below {field.order}")
         self.basis = tuple(int(b) for b in basis)
-        self.gamma = moore_matrix([FieldElement(field, b) for b in self.basis])
-        # coordinate matrix A of the basis over k' and its inverse, read off
-        # the RREF of [A | I] and used to decompose k-coefficients once per
-        # descended term
-        A = np.array([[field.coords(b)[i] for b in self.basis] for i in range(n)],
-                     dtype=DTYPE)
-        R, pivots = rref(np.hstack([A, np.eye(n, dtype=DTYPE)]), field.kprime)
-        if pivots[:n] != list(range(n)):
-            raise NotABasis("coordinate matrix is singular")
-        self._A_inv = R[:, n:]
+        self.space = InvariantSubspace(field, univar.x_pow_n_minus_one(field.kprime, n),
+                                       self.basis)
 
         self.ring_original = Ring(field, "k", [f"X{i}" for i in range(m)])
         svars = [f"X{i}_{j}" for i in range(m) for j in range(n)]
@@ -56,21 +56,6 @@ class DescentContext:
         self.ring_descent = Ring(field, "kprime", svars)
         yvars = [f"Y{i}_{j}" for i in range(m) for j in range(1, n)]
         self.ring_chain = Ring(field, "k", [f"X{i}" for i in range(m)] + yvars)
-
-    def decompose(self, code):
-        """Coordinates of a k element in the descent basis (k' codes)."""
-        co = np.array(self.field.coords(code), dtype=DTYPE)
-        return tuple(self.field.kprime.matvec(self._A_inv, co).tolist())
-
-    def recompose(self, coords):
-        """Sum of basis elements weighted by k' codes."""
-        f = self.field
-        acc = 0
-        for c, b in zip(coords, self.basis):
-            if not f.lies_in_subfield(c):
-                raise CoordinateNotInField(f"{c} is not a k' code")
-            acc = f.add(acc, f.mul(c, b))
-        return acc
 
 
 def make_descent_context(field, m, basis=None):
@@ -101,7 +86,7 @@ def weil_descend(f, ctx):
     g = substituted_generator(f, ctx)
     components = [dict() for _ in range(n)]
     for e, c in g.terms.items():
-        for j, cj in enumerate(ctx.decompose(c)):
+        for j, cj in enumerate(ctx.space.coords_of(c)):
             if cj:
                 components[j][e] = cj
     ring = ctx.ring_descent
@@ -150,8 +135,12 @@ def build_F1(system, ctx):
     field = ctx.field
     ring = ctx.ring_chain
     m, n, q = ctx.m, field.n, field.q
-    rename = {name: ring.variable(i) for i, name in enumerate(system.ring.vars)}
-    polys = [f.substitute(rename) for f in system.polys]
+    if system.ring.nvars != m:
+        raise ValueError("system does not match the context's variable count")
+    # X_i keeps its place; the chain variables Y follow all of them
+    pad = (0,) * (m * (n - 1))
+    polys = [ring.from_terms((e + pad, c) for e, c in f.terms.items())
+             for f in system.polys]
 
     def yvar(i, j):
         return ring.variable(m + i * (n - 1) + (j - 1))
@@ -200,7 +189,10 @@ def solution_transport(point, ctx, direction):
     if direction == "descend":
         out = []
         for x in point:
-            out.extend(ctx.decompose(x))
+            co = ctx.space.coords_of(x)
+            if co is None:
+                raise MalformedInput(f"{x!r} is not a code of k")
+            out.extend(co)
         return tuple(out)
     if direction == "lift":
         n = ctx.field.n
@@ -209,7 +201,7 @@ def solution_transport(point, ctx, direction):
         for c in point:
             if not ctx.field.lies_in_subfield(c):
                 raise CoordinateNotInField(f"{c} is not a k' code")
-        return tuple(ctx.recompose(point[i * n:(i + 1) * n]) for i in range(ctx.m))
+        return tuple(ctx.space.from_coords(point[i * n:(i + 1) * n]) for i in range(ctx.m))
     raise ValueError("direction must be 'descend' or 'lift'")
 
 
@@ -245,7 +237,7 @@ def zk_points(system, budget=200_000):
             for i, a in enumerate(e):
                 if a:
                     mono = ops.vmul(mono, pow_t[grid[i], a])
-            acc = ops.sub_scaled(acc, ops.neg(c), mono)
+            acc = ops.sub_mul(acc, ops.neg(c), mono)
         zero &= acc == 0
     return [tuple(pt) for pt in grid[:, zero].T.tolist()]
 

@@ -9,14 +9,16 @@ elements of k' sitting inside k, so subfield membership is a comparison.
 All arithmetic of one tower level goes through one :class:`FieldOps` object,
 ``field.k`` for k and ``field.kprime`` for k'.  It serves scalar codes (for
 ``univar``, ``poly`` and ``linsys``) and numpy rows of codes (for ``linalg``,
-``falldeg`` and ``descent``), and picks its row kernels from facts about the
-field alone: codes add by XOR when p = 2, a prime field multiplies natively
-modulo p, and every other product is a gather from the tables.  The tables
-are built with numpy at construction, addition digit by digit from the level
-below and multiplication from the permutation "times t" of the codes.  The
-Frobenius x -> x^q is also materialised as an n x n matrix over k' acting on
-coordinate vectors, with plain exponentiation kept as an independent
-cross-check path.
+``falldeg`` and ``descent``).  It has one kernel per row operation,
+``vmul``, ``sub_mul``, ``sub_combination`` and ``matvec``, and each picks
+its path from facts about the field alone: codes add by XOR when p = 2, a
+prime field multiplies natively modulo p, and every other product is a
+gather from the tables.  The tables are built with numpy at construction,
+addition digit by digit from the level below and multiplication from the
+permutation "times t" of the codes.  The Frobenius x -> x^{q^i} is a
+permutation table of the codes, and every computation goes through it; its
+n x n matrix over k' on coordinate vectors (``frob_matrix``, applied by
+``frob_by_matrix``) is kept only as an independent cross-check path.
 """
 
 import operator
@@ -134,21 +136,7 @@ class FieldOps:
             return (np.multiply(x, y, dtype=np.int32) % self.p).astype(DTYPE)
         return self.mul_table[x, y]
 
-    def scale(self, c, x):
-        """c*x for a code c."""
-        return self.vmul(c, x)
-
-    def sub_scaled(self, y, c, x):
-        """y - c*x elementwise for a code c."""
-        if self.order == 2:  # c is 0 or 1, so no product needs forming
-            return y ^ x if c else y.copy()
-        return self._sub_mul(y, c, x)
-
-    def rows_sub_scaled(self, rows, factors, x):
-        """rows[r] - factors[r]*x for every r."""
-        return self._sub_mul(rows, factors[:, None], x)
-
-    def _sub_mul(self, y, c, x):
+    def sub_mul(self, y, c, x):
         """y - c*x elementwise; c is a code or a column of codes."""
         if self.p == 2:  # -1 = 1, and codes add digitwise by XOR
             return y ^ self.vmul(c, x)
@@ -170,13 +158,11 @@ class FieldOps:
         return y
 
     def matvec(self, mat, x):
-        """The matrix-vector product mat @ x."""
-        if self._native:
-            return (mat.astype(np.int64) @ x.astype(np.int64) % self.p).astype(DTYPE)
-        out = np.zeros(len(mat), dtype=DTYPE)
-        for col, c in zip(mat.T, x):
-            out = self.sub_scaled(out, self.neg_table[c], col)
-        return out
+        """The matrix-vector product mat @ x, as minus the combination of
+        the columns of mat by the negated nonzero entries of x."""
+        nz = np.flatnonzero(x)
+        return self.sub_combination(np.zeros(len(mat), dtype=DTYPE),
+                                    self.neg_table[x[nz]], mat.T[nz])
 
 
 def _extend(base, degree, modulus, which):

@@ -57,11 +57,11 @@ class Echelon:
         p = int(nz[self.PIVOT])
         c = int(vec[p])
         if c != 1:
-            vec = ops.scale(ops.inv(c), vec)
+            vec = ops.vmul(ops.inv(c), vec)
         col = self.rows[:n, p]
         hits = col.nonzero()[0]
         if len(hits):
-            self.rows[hits] = ops.rows_sub_scaled(self.rows[hits], col[hits].copy(), vec)
+            self.rows[hits] = ops.sub_mul(self.rows[hits], col[hits, None], vec)
         if n == len(self.rows):
             # the rank never exceeds the column count
             grown = np.zeros((min(max(16, 2 * n), self.rows.shape[1]), self.rows.shape[1]),

@@ -23,7 +23,7 @@ from itertools import product
 import numpy as np
 
 from . import univar
-from .errors import DegreeExceedsBound, MalformedInput, NotADivisor, NotReducible
+from .errors import DegreeExceedsBound, MalformedInput, NotABasis, NotADivisor, NotReducible
 from .linalg import DTYPE, Echelon, kernel_basis, rref
 from .poly import PolySystem, Ring
 
@@ -140,12 +140,21 @@ class LinearizedPoly:
         return f"LinearizedPoly(m={self.m}, bound={self.bound})"
 
 
+def _operator_matrix(field, companion, basis):
+    """Matrix over k' of x -> L(companion)(x) on the span of `basis`: column
+    j holds the k'-coordinates of the image of basis[j]."""
+    cols = [field.coords(apply_companion(field, companion, b)) for b in basis]
+    return np.array([[col[i] for col in cols] for i in range(field.n)], dtype=DTYPE)
+
+
 class InvariantSubspace:
     """W = ker f_W(tau) for a monic divisor f_W of x^n - 1 over k'.
 
     W has q^{n'} <= MAX_ORDER elements, so the k'-coordinates of every one
     of them in the basis ``basis_W`` are tabulated once, in
     ``itertools.product`` order; membership and coordinates are lookups.
+    The table has q^{n'} entries exactly when ``basis_W`` is k'-independent;
+    otherwise the constructor raises NotABasis.
     """
 
     def __init__(self, field, fW, basis_W):
@@ -158,6 +167,8 @@ class InvariantSubspace:
         self.basis_W = tuple(basis_W)
         self._coords = {self.from_coords(co): co
                         for co in product(range(field.q), repeat=self.nprime)}
+        if len(self._coords) < field.q**self.nprime:
+            raise NotABasis(f"{list(self.basis_W)} is not k'-independent")
 
     @property
     def dim(self):
@@ -182,10 +193,7 @@ class InvariantSubspace:
 
     def operator_matrix(self, companion):
         """Matrix over k' of w -> L(companion)(w), W -> k, in coordinates."""
-        f = self.field
-        cols = [f.coords(apply_companion(f, companion, w)) for w in self.basis_W]
-        return np.array([[cols[t][i] for t in range(self.nprime)]
-                         for i in range(f.n)], dtype=np.int16)
+        return _operator_matrix(self.field, companion, self.basis_W)
 
     def kernel_in_W(self, companion):
         """Elements of W killed by L(companion), as a k'-basis (W coordinates)."""
@@ -213,17 +221,9 @@ def subspace_from_fW(fW, field):
     if not univar.divides(kp, fW, xn1):
         raise NotADivisor(f"{list(fW)} does not divide x^{field.n} - 1 over k'")
     n = field.n
-    # matrix of f_W(tau) over k' from the Frobenius coordinate matrix, one
-    # column sum_i c_i tau^i e_j at a time
-    tau = np.array(field.frob_matrix, dtype=DTYPE)
-    cols = []
-    for unit in np.eye(n, dtype=DTYPE):
-        acc = np.zeros(n, dtype=DTYPE)
-        for c in fW:
-            acc = kp.sub_scaled(acc, kp.neg(c), unit)
-            unit = kp.matvec(tau, unit)
-        cols.append(acc)
-    ker = kernel_basis(np.stack(cols, axis=1), kp, ncols=n)
+    # f_W(tau) over k' on the polynomial basis t^j, whose code is q^j
+    mat = _operator_matrix(field, fW, [field.q**j for j in range(n)])
+    ker = kernel_basis(mat, kp, ncols=n)
     if len(ker) != univar.degree(fW):
         raise RuntimeError(
             f"kernel dimension {len(ker)} != deg fW {univar.degree(fW)}")
@@ -296,7 +296,7 @@ def frobenius_step(rows, space):
     out = np.zeros_like(blocks)
     out[:, 1:] = blocks[:, :-1]
     for l, g in enumerate(space.gW):
-        out[:, l] = field.k.sub_scaled(out[:, l], field.k.neg(g), blocks[:, -1])
+        out[:, l] = field.k.sub_mul(out[:, l], field.k.neg(g), blocks[:, -1])
     return out.reshape(rows.shape)
 
 

@@ -46,17 +46,34 @@ def reference_rref(mat, ops):
             m[[rank, r]] = m[[r, rank]]
         c = int(m[rank, col])
         if c != 1:
-            m[rank] = ops.scale(ops.inv(c), m[rank])
+            m[rank] = ops.vmul(ops.inv(c), m[rank])
         colvals = m[:, col].copy()
         colvals[rank] = 0
         hit = np.nonzero(colvals)[0]
         if len(hit):
-            m[hit] = ops.rows_sub_scaled(m[hit], colvals[hit], m[rank])
+            m[hit] = ops.sub_mul(m[hit], colvals[hit, None], m[rank])
         pivots.append(col)
         rank += 1
         if rank == nrows:
             break
     return m[:rank], pivots
+
+
+def reference_fw_matrix(fW, field):
+    """The matrix of f_W(tau) over k' from the Frobenius coordinate matrix,
+    one column sum_i c_i tau^i e_j at a time: the loop `subspace_from_fW`
+    ran before it built the matrix from the images of the polynomial basis."""
+    kp = field.kprime
+    n = field.n
+    tau = np.array(field.frob_matrix, dtype=DTYPE)
+    cols = []
+    for unit in np.eye(n, dtype=DTYPE):
+        acc = np.zeros(n, dtype=DTYPE)
+        for c in fW:
+            acc = kp.sub_mul(acc, kp.neg(c), unit)
+            unit = kp.matvec(tau, unit)
+        cols.append(acc)
+    return np.stack(cols, axis=1)
 
 
 def local_rank(rows, field):
@@ -639,7 +656,7 @@ class ReferencePointsOracle:
                 for piv, row in self._ech:
                     c = int(vec[piv])
                     if c:
-                        vec = self.ops.sub_scaled(vec, c, row)
+                        vec = self.ops.sub_mul(vec, c, row)
                 nz = np.flatnonzero(vec)
                 if len(nz) == 0:
                     self._nonstd.append(e)
@@ -647,7 +664,7 @@ class ReferencePointsOracle:
                     piv = int(nz[0])
                     c = int(vec[piv])
                     if c != 1:
-                        vec = self.ops.scale(self.ops.inv(c), vec)
+                        vec = self.ops.vmul(self.ops.inv(c), vec)
                     self._ech.append((piv, vec))
                     self._std[e] = val
                     self._rank += 1

@@ -2,15 +2,17 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from lastfall import (CoordinateNotInField, MalformedInput, NotABasis, PolySystem, Ring, build_F1,
                       build_Fprime, build_Fprime1, build_G1, build_G2,
                       build_sigma_orbit_G, equiv_mod, last_fall_degree,
-                      make_descent_context, make_field, solution_transport,
-                      weil_descend)
+                      make_descent_context, make_field, moore_matrix,
+                      solution_transport, weil_descend)
 from lastfall.descent import substituted_generator, zk_points
-from oracles import count_zeros, random_system, zero_points
+from lastfall.linalg import DTYPE
+from oracles import count_zeros, random_system, reference_rref, zero_points
 
 
 @pytest.fixture
@@ -78,6 +80,14 @@ def test_build_F1_shapes(gf4, gf8):
     assert [p.to_text() for p in F1.polys] == ["(1)*X0", "(1)*X0^2 + (1)*X0"]
 
 
+def test_build_F1_refuses_other_variable_count(gf4):
+    """A second variable was once renamed to the chain variable Y0_1."""
+    ctx = make_descent_context(gf4, 1)
+    R2 = Ring(gf4, "k", ["X0", "X1"])
+    with pytest.raises(ValueError):
+        build_F1(PolySystem(R2, [R2.variable(1)]), ctx)
+
+
 def test_build_Fprime1_trivial(ctx4):
     R = ctx4.ring_original
     system = build_Fprime1(PolySystem(R, [R.variable(0)]), ctx4)
@@ -128,6 +138,7 @@ def test_sigma_orbit_matrix_identity(gf4):
     rng = random.Random(8)
     for m in (1, 2):
         ctx = make_descent_context(gf4, m)
+        gamma = moore_matrix([gf4.element(b) for b in ctx.basis])
         for _ in range(6):
             f = random_system(ctx.ring_original, 2, 1, rng).polys[0]
             comps = weil_descend(f, ctx)
@@ -136,7 +147,7 @@ def test_sigma_orbit_matrix_identity(gf4):
             for i in range(gf4.n):
                 acc = ctx.ring_descent_k.zero()
                 for j in range(gf4.n):
-                    acc = acc + lifted[j].scale(ctx.gamma.entries[i][j])
+                    acc = acc + lifted[j].scale(gamma.entries[i][j])
                 assert acc == g.apply_sigma(i)
 
 
@@ -196,6 +207,40 @@ def test_solution_transport_maps_solutions(gf4):
         for pt in zk_points(F):
             down = solution_transport(pt, ctx, "descend")
             assert all(f.eval(down) == 0 for f in Fp1.polys)
+
+
+def test_transport_refuses_code_outside_k(gf4):
+    """4, 99 and -1 once descended to (0, 0), (1, 1) and (1, 1)."""
+    ctx = make_descent_context(gf4, 1)
+    for code in (4, 99, -1):
+        with pytest.raises(MalformedInput, match=str(code)):
+            solution_transport((code,), ctx, "descend")
+
+
+@pytest.mark.parametrize("spec", [(2, 1, 2), (2, 1, 3), (3, 1, 2), (3, 1, 3), (2, 1, 5),
+                                  (2, 2, 2)])
+def test_descent_coordinates_solve_the_basis_system(spec):
+    """Over the polynomial basis and a random independent one, the
+    coordinates of every code x are the solution of A c = coords(x), A the
+    coordinate matrix of the basis, found by an elimination without tables."""
+    field = make_field(*spec)
+    n = field.n
+    rng = random.Random(str(spec))
+
+    def coord_matrix(basis):
+        return np.array([field.coords(b) for b in basis], dtype=DTYPE).T
+
+    while True:
+        random_basis = [rng.randrange(field.order) for _ in range(n)]
+        if len(reference_rref(coord_matrix(random_basis), field.kprime)[1]) == n:
+            break
+    for basis in (None, random_basis):
+        ctx = make_descent_context(field, 1, basis=basis)
+        A = coord_matrix(ctx.basis)
+        for x in range(field.order):
+            R, pivots = reference_rref(np.column_stack([A, field.coords(x)]), field.kprime)
+            assert pivots == list(range(n))
+            assert ctx.space.coords_of(x) == tuple(R[:, n].tolist())
 
 
 def test_transport_rejects_non_subfield(gf4):

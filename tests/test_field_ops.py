@@ -81,13 +81,13 @@ def test_row_ops_agree_with_scalar_ops(name):
     for c in {0, 1, ops.order - 1, int(x[0])}:
         # scalar inputs are np.int16 codes taken from rows, as callers pass them
         c = DTYPE(c)
-        assert ops.scale(c, x).tolist() == [ops.mul(c, a) for a in x]
-        assert ops.sub_scaled(y, c, x).tolist() == [
+        assert ops.vmul(c, x).tolist() == [ops.mul(c, a) for a in x]
+        assert ops.sub_mul(y, c, x).tolist() == [
             ops.sub(b, ops.mul(c, a)) for a, b in zip(x, y)]
     assert ops.vmul(x, y).tolist() == [ops.mul(a, b) for a, b in zip(x, y)]
     expect = [[ops.sub(b, ops.mul(c, a)) for a, b in zip(x, row)]
               for c, row in zip(factors, rows)]
-    assert ops.rows_sub_scaled(rows, factors, x).tolist() == expect
+    assert ops.sub_mul(rows, factors[:, None], x).tolist() == expect
     acc = y.tolist()
     for c, row in zip(factors, rows):
         acc = [ops.sub(b, ops.mul(c, a)) for a, b in zip(row, acc)]
@@ -99,7 +99,19 @@ def test_row_ops_agree_with_scalar_ops(name):
             s = ops.add(s, ops.mul(a, b))
         expect.append(s)
     assert ops.matvec(mat, x[:5]).tolist() == expect
-    for out in (ops.scale(DTYPE(2 % ops.order), x), ops.vmul(x, y),
-                ops.sub_scaled(y, DTYPE(1), x), ops.rows_sub_scaled(rows, factors, x),
+    for out in (ops.vmul(DTYPE(2 % ops.order), x), ops.vmul(x, y),
+                ops.sub_mul(y, DTYPE(1), x), ops.sub_mul(rows, factors[:, None], x),
                 ops.sub_combination(y, factors, rows), ops.matvec(mat, x[:5])):
         assert out.dtype == DTYPE
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+def test_sub_mul_by_column_matches_rows(name):
+    ops = make_field(*KERNEL_FIELDS[name]).k
+    gen = np.random.default_rng(6)
+    rows = gen.integers(0, ops.order, (5, 60)).astype(DTYPE)
+    x = gen.integers(0, ops.order, 60).astype(DTYPE)
+    factors = gen.integers(0, ops.order, 5).astype(DTYPE)
+    got = ops.sub_mul(rows, factors[:, None], x)
+    assert got.dtype == DTYPE
+    assert got.tolist() == [ops.sub_mul(row, c, x).tolist() for c, row in zip(factors, rows)]

@@ -8,15 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lastfall import (DegreeExceedsBound, MalformedInput, NotADivisor, NotReducible,
+from lastfall import (DegreeExceedsBound, MalformedInput, NotABasis, NotADivisor, NotReducible,
                       brute_force_solve, build_Qbar, enumerate_solutions, frobenius_step,
                       full_space, make_field, reducibility_check, solve_structured,
                       subfield_space, subspace_equal, subspace_from_fW,
                       symbolic_gcd, symbolic_mul, symbolic_rdivmod)
 from lastfall import Ring, univar
-from lastfall.linalg import DTYPE
-from lastfall.linsys import (LinearizedPoly, _frobenius_closure, apply_companion, gbar_system,
-                             linearized_to_form)
+from lastfall.linalg import DTYPE, kernel_basis
+from lastfall.linsys import (InvariantSubspace, LinearizedPoly, _frobenius_closure,
+                             _operator_matrix, apply_companion, gbar_system, linearized_to_form)
 
 import oracles
 from oracles import (GcdConditionFailed, NotCoprime, bezout, brute_force_reducibility, compose,
@@ -285,6 +285,33 @@ def test_coordinate_lookup_is_the_kernel_of_fW(spec):
             assert W.contains(x) == (coords is not None)
             if coords is not None:
                 assert W.from_coords(coords) == x
+
+
+def test_invariant_subspace_refuses_dependent_basis(gf8):
+    t = gf8.gen()
+    t2 = gf8.mul(t, t)
+    with pytest.raises(NotABasis):
+        InvariantSubspace(gf8, (1, 0, 0, 1), [t, t2, gf8.add(t, t2)])
+
+
+@pytest.mark.parametrize("spec", [(2, 1, 2), (2, 1, 3), (2, 1, 4), (3, 1, 2), (3, 1, 3),
+                                  (2, 2, 2), (2, 3, 2)])
+def test_fw_matrix_matches_tau_power_reference(spec):
+    """For every monic f_W: f_W(tau) from the images of the polynomial basis
+    t^j (code q^j) equals the tau-power loop over the Frobenius matrix, and
+    basis_W is the kernel of that reference matrix."""
+    field = make_field(*spec)
+    kp = field.kprime
+    for fw in univar.monic_divisors(kp, univar.x_pow_n_minus_one(kp, field.n)):
+        if univar.degree(fw) < 1:
+            continue
+        want = oracles.reference_fw_matrix(fw, field)
+        got = _operator_matrix(field, fw, [field.q**j for j in range(field.n)])
+        assert got.dtype == DTYPE
+        assert np.array_equal(got, want)
+        ker = kernel_basis(want, kp, ncols=field.n)
+        assert (subspace_from_fW(fw, field).basis_W
+                == tuple(field.from_coords(v.tolist()) for v in ker))
 
 # -- rewriting relations ----------------------------------------------------------
 

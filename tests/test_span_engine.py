@@ -160,7 +160,7 @@ def test_sub_combination_matches_scaled_steps(spec):
     factors = rng.integers(1, field.order, 6).astype(DTYPE)
     expect = y
     for c, row in zip(factors, rows):
-        expect = ops.sub_scaled(expect, int(c), row)
+        expect = ops.sub_mul(expect, int(c), row)
     got = ops.sub_combination(y, factors, rows)
     assert got.dtype == DTYPE
     assert np.array_equal(got, expect)
@@ -179,9 +179,9 @@ def test_prime_ops_large_p(big_prime_field):
     ops = big_prime_field.k
     x = np.arange(p, dtype=DTYPE)
     c = p - 2
-    assert ops.scale(c, x).tolist() == [(c * v) % p for v in range(p)]
+    assert ops.vmul(c, x).tolist() == [(c * v) % p for v in range(p)]
     y = x[::-1].copy()
-    assert ops.sub_scaled(y, c, x).tolist() == [(int(w) - c * v) % p for w, v in zip(y, range(p))]
+    assert ops.sub_mul(y, c, x).tolist() == [(int(w) - c * v) % p for w, v in zip(y, range(p))]
 
 
 def test_span_contains_generators_large_p(big_prime_field):
