@@ -37,8 +37,10 @@ class DescentContext:
     """
 
     def __init__(self, field, m, basis=None):
+        if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 0:
+            raise MalformedInput(f"m must be a nonnegative integer, got {m!r}")
         self.field = field
-        self.m = m
+        self.m = int(m)
         n = field.n
         if basis is None:
             basis = [field.pow(field.gen(), j) for j in range(n)]

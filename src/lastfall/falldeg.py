@@ -18,19 +18,22 @@ determines its degree and no combination of rows can cancel leading
 monomials, so the dimension of the space intersected with the polynomials of
 degree <= j is simply the number of pivots of degree <= j.
 
-The rows live in one of two stores behind the same four operations (shifted
-candidate, vector of a polynomial, ``add``, ``sorted``), picked from the
-coefficient field alone.  Over GF(2) a row is a Python int with bit
-c set for column c (the row packing of M4RI; Albrecht, Bard & Hart, ACM TOMS
+The rows live in one of three stores behind the same four operations
+(shifted candidate, vector of a polynomial, ``add``, ``sorted``), picked from
+the coefficient field alone.  Over GF(2) a row is a Python int with bit c set
+for column c (the row packing of M4RI; Albrecht, Bard & Hart, ACM TOMS
 2010), so the pivot is the top bit, and a candidate is reduced by XOR-ing in
 the row of each of its set pivot bits.  One pass over those bits suffices:
 a fully reduced row has no pivot column set but its own, so XOR-ing it in
-changes no other pivot bit.  Over any other field a row is an int16 code
-vector of a ``linalg.Echelon`` that pivots on the last nonzero column.
-Both stores hold the same canonical basis, and ``span_closure`` unpacks it
-to the same int16 matrix.  Once 1 enters the span, the span is the whole
-truncated ring at every later level, so the engine stops closing and
-``span_closure`` returns the identity.
+changes no other pivot bit.  Over GF(3) a row is a pair of Python ints, the
+bitsets of its entries 1 and of its entries 2 (bitslicing; Boothby &
+Bradshaw, arXiv:0901.1413), reduced in the same one pass, each row added or
+subtracted by the candidate's digit at its pivot.  Over any other field a
+row is an int16 code vector of a ``linalg.Echelon`` that pivots on the last
+nonzero column.  All three stores hold the same canonical basis, and
+``span_closure`` unpacks it to the same int16 matrix.  Once 1 enters the
+span, the span is the whole truncated ring at every later level, so the
+engine stops closing and ``span_closure`` returns the identity.
 
 A fall at degree i means that closing at degree i produced new elements of
 degree <= i-1 beyond the closure at i-1; the last fall degree is the largest
@@ -165,17 +168,132 @@ class _BitRows:
     def sorted(self):
         """As ``Echelon.sorted``, unpacked from the bitsets."""
         rows = sorted(self.rows)  # the top bit is the pivot
+        return _unpack_bits(rows, len(self.owner)), [r.bit_length() - 1 for r in rows]
+
+
+def _unpack_bits(ints, ncols):
+    """The bitsets as the rows of an int16 0/1 matrix of ncols columns."""
+    width = (ncols + 7) // 8
+    packed = np.frombuffer(b"".join(x.to_bytes(width, "little") for x in ints),
+                           dtype=np.uint8).reshape(len(ints), width)
+    return np.unpackbits(packed, axis=1, count=ncols, bitorder="little").astype(DTYPE)
+
+
+def _tern_add(a, b):
+    """a + b for GF(3) rows (P, M)."""
+    (ap, am), (bp, bm) = a, b
+    both = (ap | am) & (bp | bm)
+    return (ap | bp) ^ both, (am | bm) ^ both
+
+
+class _TernRows:
+    """Basis rows over GF(3) as pairs (P, M) of disjoint Python ints: bit c
+    of P is set where the entry in column c is 1, and bit c of M where it
+    is 2 (bitsliced rows; Boothby & Bradshaw, arXiv:0901.1413).
+
+    Negating a row swaps P and M.  A sum keeps the entry where one side is
+    zero and flips it where both are nonzero: 1 + 1 = 2, 2 + 2 = 1 and
+    1 + 2 = 0 (``_tern_add``).  In RREF a row's pivot is the top bit of
+    P | M and its digit there is 1, so the pivot is the top bit of P.
+    """
+
+    def __init__(self):
+        self.rows = []
+        self.pivmask = 0
+        self.owner = []
+        self.shifts = []
+
+    def add_columns(self, ncols, ext):
+        """As ``_DenseRows.add_columns``; a bitset needs no widening."""
+        self.owner.extend([None] * (ncols - len(self.owner)))
+        if not self.shifts:
+            self.shifts = [[] for _ in ext]
+        for s, e in zip(self.shifts, ext):
+            s.extend(e)
+
+    def vector(self, terms, col_of):
+        plus = minus = 0
+        for e, c in terms.items():
+            if c == 1:
+                plus |= 1 << col_of[e]
+            elif c == 2:
+                minus |= 1 << col_of[e]
+        return plus, minus
+
+    def shifted(self, r, v):
+        shift, out = self.shifts[v], []
+        for x in self.rows[r]:
+            vec = 0
+            while x:
+                low = x & -x
+                vec |= 1 << shift[low.bit_length() - 1]
+                x ^= low
+            out.append(vec)
+        return tuple(out)
+
+    def add(self, vec):
+        """As ``Echelon.add``, with the pivot at the top bit.  One pass over
+        the pivot columns of vec is a full reduction: a fully reduced row has
+        no pivot column but its own set, so the digit of vec at each pivot
+        is the one it had before the pass.  A digit 1 subtracts the row (adds
+        its negation), a digit 2 adds it."""
+        rows, owner, pivmask = self.rows, self.owner, self.pivmask
+        hit_plus, hit_minus = vec[0] & pivmask, vec[1] & pivmask
+        while hit_plus:
+            low = hit_plus & -hit_plus
+            rp, rm = rows[owner[low.bit_length() - 1]]
+            vec = _tern_add(vec, (rm, rp))
+            hit_plus ^= low
+        while hit_minus:
+            low = hit_minus & -hit_minus
+            vec = _tern_add(vec, rows[owner[low.bit_length() - 1]])
+            hit_minus ^= low
+        plus, minus = vec
+        if not plus | minus:
+            return None
+        p = (plus | minus).bit_length() - 1
+        if minus >> p:  # scale by 2 = -1, so that the pivot digit is 1
+            vec = minus, plus
+        neg = vec[1], vec[0]
+        # clear column p: a row with digit 1 there takes -vec, one with 2
+        # takes vec; only a row whose pivot lies above p can hold column p
+        above = pivmask >> p + 1
+        while above:
+            low = above & -above
+            r = owner[p + low.bit_length()]
+            rp, rm = row = rows[r]
+            if rp >> p & 1:
+                rows[r] = _tern_add(row, neg)
+            elif rm >> p & 1:
+                rows[r] = _tern_add(row, vec)
+            above ^= low
+        owner[p] = len(rows)
+        rows.append(vec)
+        self.pivmask = pivmask | 1 << p
+        return p
+
+    def sorted(self):
+        """As ``Echelon.sorted``, unpacked from the bitsets: P + 2 M."""
+        rows = sorted(self.rows)  # the top bit of P is the pivot
         ncols = len(self.owner)
-        width = (ncols + 7) // 8
-        packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in rows),
-                               dtype=np.uint8).reshape(len(rows), width)
-        bits = np.unpackbits(packed, axis=1, count=ncols, bitorder="little")
-        return bits.astype(DTYPE), [r.bit_length() - 1 for r in rows]
+        matrix = (_unpack_bits([rp for rp, _ in rows], ncols)
+                  + 2 * _unpack_bits([rm for _, rm in rows], ncols))
+        return matrix, [rp.bit_length() - 1 for rp, _ in rows]
+
+
+def _check_order(order):
+    if order not in ORDER_KEYS:
+        raise MalformedInput(f"order must be one of {sorted(ORDER_KEYS)}, got {order!r}")
 
 
 def _row_store(ops):
-    """An empty row store for the field of ``ops``: bitsets over GF(2)."""
-    return _BitRows() if ops.order == 2 else _DenseRows(ops)
+    """An empty row store for the field of ``ops``: bitsets over GF(2),
+    pairs of bitsets over GF(3), int16 code vectors over any other field."""
+    if ops.order == 2:
+        return _BitRows()
+    if ops.order == 3:
+        return _TernRows()
+    return _DenseRows(ops)
 
 
 class _SpanEngine:
@@ -183,13 +301,15 @@ class _SpanEngine:
 
     Candidates (the generators of each degree, then every row one degree
     below the level times each variable) wait in a FIFO queue and are added
-    to a row store.  The store is picked from the field:
-    over GF(2) a row is a Python int bitset (``_BitRows``), over any other
-    field an int16 code vector (``_DenseRows``).  Both keep the basis in
-    RREF with the pivot at the largest monomial, so they hold the same rows.
+    to a row store.  The store is picked from the field: over GF(2) a row
+    is a Python int bitset (``_BitRows``), over GF(3) a pair of them
+    (``_TernRows``), over any other field an int16 code vector
+    (``_DenseRows``).  All three keep the basis in RREF with the pivot at
+    the largest monomial, so they hold the same rows.
     """
 
     def __init__(self, system, order="grevlex"):
+        _check_order(order)
         ring = system.ring
         self.ring = ring
         self.order = order
@@ -323,6 +443,14 @@ class DegreeSpan:
         return [self.row_poly(r) for r in range(self.dim)]
 
 
+def _as_cap(cap):
+    """cap as an int; a float or any other non-integer is malformed."""
+    try:
+        return operator.index(cap)
+    except TypeError:
+        raise MalformedInput(f"cap must be an integer, got {cap!r}") from None
+
+
 def span_closure(system, cap, order="grevlex"):
     """Close the system's low-degree span at the given degree cap.
 
@@ -330,6 +458,7 @@ def span_closure(system, cap, order="grevlex"):
     row) and its rows are sorted by pivot column, so equal spans have
     identical matrices.
     """
+    cap = _as_cap(cap)
     if cap < 0:
         raise MalformedInput(f"cap must be >= 0, got {cap}")
     eng = _SpanEngine(system, order=order)
@@ -416,8 +545,7 @@ def last_fall_degree(system, cap=None, certify=True, order="grevlex", oracle=Non
     elements in some degrees than the span already holds raises
     OracleInconsistent.
     """
-    if cap is None:
-        cap = default_cap(system)
+    cap = default_cap(system) if cap is None else _as_cap(cap)
     if cap < 1:
         raise MalformedInput(f"cap must be >= 1, got {cap}")
     eng = _SpanEngine(system, order=order)
@@ -662,6 +790,7 @@ def groebner_toy(system, order="grevlex", step_budget=10**6):
     final inter-reduction), guards against runaway inputs and raises
     StepBudgetExceeded when spent.
     """
+    _check_order(order)
     ring = system.ring
     ops = ring.ops
     key = ORDER_KEYS[order]
@@ -759,18 +888,26 @@ class PointsOracle:
     echelon and the standard set of testing every monomial.  The rejected
     candidates form the border, which holds every minimal generator of the
     leading ideal, since each of those has a standard parent.
+
+    A point of the wrong arity, or with a coordinate that is not an integer
+    code of the field, raises MalformedInput.
     """
 
     def __init__(self, ring, points, order="grevlex"):
+        _check_order(order)
         self.ring = ring
         self.order = order
-        self.points = sorted(set(tuple(int(c) for c in pt) for pt in points))
         self.ops = ring.ops
-        self.npoints = len(self.points)
-        self._coord_vals = [
-            np.array([pt[v] for pt in self.points], dtype=DTYPE)
-            for v in range(ring.nvars)
-        ]
+        try:
+            self.points = sorted(set(tuple(map(operator.index, pt)) for pt in points))
+            self.npoints = len(self.points)
+            coords = np.array(self.points, dtype=np.int64).reshape(self.npoints, ring.nvars)
+        except (TypeError, ValueError, OverflowError):
+            raise MalformedInput(f"every point must have {ring.nvars} coordinates, "
+                                 f"each a code below {self.ops.order}") from None
+        if coords.size and not 0 <= coords.min() <= coords.max() < self.ops.order:
+            raise MalformedInput(f"a point coordinate is not a code below {self.ops.order}")
+        self._coord_vals = list(np.ascontiguousarray(coords.T, dtype=DTYPE))
         # per degree: standard exp -> its evaluation vector (not reduced)
         self._std = []
         self._border = []       # rejected candidates, in test order

@@ -153,8 +153,9 @@ class InvariantSubspace:
     W has q^{n'} <= MAX_ORDER elements, so the k'-coordinates of every one
     of them in the basis ``basis_W`` are tabulated once, in
     ``itertools.product`` order; membership and coordinates are lookups.
-    The table has q^{n'} entries exactly when ``basis_W`` is k'-independent;
-    otherwise the constructor raises NotABasis.
+    The constructor raises NotABasis unless ``basis_W`` has n' elements,
+    each in ker f_W(tau), and the table has q^{n'} entries, which holds
+    exactly when they are k'-independent.
     """
 
     def __init__(self, field, fW, basis_W):
@@ -165,6 +166,12 @@ class InvariantSubspace:
         gw = [kp.neg(c) for c in fW[: self.nprime]]
         self.gW = univar.trim(gw)
         self.basis_W = tuple(basis_W)
+        if len(self.basis_W) != self.nprime:
+            raise NotABasis(f"{list(self.basis_W)} has {len(self.basis_W)} elements, "
+                            f"not deg f_W = {self.nprime}")
+        outside = [w for w in self.basis_W if apply_companion(field, self.fW, w)]
+        if outside:
+            raise NotABasis(f"{outside} not in ker f_W(tau) for f_W = {list(self.fW)}")
         self._coords = {self.from_coords(co): co
                         for co in product(range(field.q), repeat=self.nprime)}
         if len(self._coords) < field.q**self.nprime:

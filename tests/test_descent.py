@@ -209,6 +209,12 @@ def test_solution_transport_maps_solutions(gf4):
             assert all(f.eval(down) == 0 for f in Fp1.polys)
 
 
+@pytest.mark.parametrize("m", [-1, 1.5, "2", True, None])
+def test_descent_context_refuses_malformed_m(gf8, m):
+    with pytest.raises(MalformedInput, match="m must be"):
+        make_descent_context(gf8, m)
+
+
 def test_transport_refuses_code_outside_k(gf4):
     """4, 99 and -1 once descended to (0, 0), (1, 1) and (1, 1)."""
     ctx = make_descent_context(gf4, 1)

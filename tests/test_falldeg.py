@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from lastfall import (DegreeTooHigh, GroebnerOracle, PointsOracle, PolySystem,
+from lastfall import (DegreeTooHigh, GroebnerOracle, MalformedInput, PointsOracle, PolySystem,
                       Ring, equiv_mod, groebner_toy, ideal_truncation_dim,
                       last_fall_degree, make_field, span_closure)
 from lastfall.falldeg import default_cap
@@ -288,3 +288,41 @@ def test_cap_limited_status(gf4):
     deeper = last_fall_degree(system, cap=6)
     assert deeper.certified
     assert deeper.last_fall_degree >= prof.last_fall_degree  # lower bound
+
+
+@pytest.mark.parametrize("order", ["lex", "foo"])
+def test_unknown_order_is_malformed(r2, order):
+    system = PolySystem(r2, [r2.variable(0)])
+    with pytest.raises(MalformedInput, match="order"):
+        last_fall_degree(system, order=order)
+    with pytest.raises(MalformedInput, match="order"):
+        span_closure(system, 2, order=order)
+    with pytest.raises(MalformedInput, match="order"):
+        groebner_toy(system, order=order)
+    with pytest.raises(MalformedInput, match="order"):
+        PointsOracle(r2, [(0, 0)], order=order)
+
+
+@pytest.mark.parametrize("cap", [3.0, "3", None])
+def test_non_integer_cap_is_malformed(r2, cap):
+    system = PolySystem(r2, [r2.variable(0)])
+    with pytest.raises(MalformedInput, match="cap"):
+        span_closure(system, cap)
+    if cap is not None:  # None asks last_fall_degree for the default cap
+        with pytest.raises(MalformedInput, match="cap"):
+            last_fall_degree(system, cap=cap)
+
+
+def test_points_oracle_refuses_code_outside_field():
+    ring = Ring(make_field(3, 1, 1), "kprime", ["X0"])
+    for points in ([(5,)], [(0,), (-1,)], [(2**70,)], [(1.5,)], [("1",)]):
+        with pytest.raises(MalformedInput):
+            PointsOracle(ring, points)
+
+
+def test_points_oracle_refuses_wrong_arity(gf2):
+    ring = Ring(gf2, "kprime", ["X0"])
+    for points in ([(0, 1)], [()], [(0,), (0, 1)]):
+        with pytest.raises(MalformedInput):
+            PointsOracle(ring, points)
+    assert PointsOracle(ring, []).dim_leq(2) == 3  # no points: the unit ideal

@@ -294,6 +294,20 @@ def test_invariant_subspace_refuses_dependent_basis(gf8):
         InvariantSubspace(gf8, (1, 0, 0, 1), [t, t2, gf8.add(t, t2)])
 
 
+def test_invariant_subspace_refuses_basis_of_wrong_size(gf8):
+    """f_W = x + 1 cuts out W = k', of dimension 1."""
+    for basis in ([1, 2], [], [1, 1]):
+        with pytest.raises(NotABasis):
+            InvariantSubspace(gf8, (1, 1), basis)
+
+
+def test_invariant_subspace_refuses_element_outside_W(gf8):
+    """t is not fixed by the Frobenius, so it is not in W = k'."""
+    with pytest.raises(NotABasis, match="ker"):
+        InvariantSubspace(gf8, (1, 1), [gf8.gen()])
+    assert InvariantSubspace(gf8, (1, 1), [1]).dim == 1
+
+
 @pytest.mark.parametrize("spec", [(2, 1, 2), (2, 1, 3), (2, 1, 4), (3, 1, 2), (3, 1, 3),
                                   (2, 2, 2), (2, 3, 2)])
 def test_fw_matrix_matches_tau_power_reference(spec):

@@ -5,13 +5,18 @@ GF(2) (XOR), GF(3) (modular arithmetic), GF(4) built as a tower over GF(2)
 (a table field with p = 2, whose codes add by XOR) and GF(9) built as a
 tower over GF(3) (a table field with odd p).
 
-Over GF(2) the engine keeps its rows as Python-int bitsets (``_BitRows``),
-over the other fields as int16 code vectors (``_DenseRows``).  Besides the
-checks against the naive closure above, a differential test runs both
-stores on the same GF(2) systems and requires identical spans and profiles.
+The engine keeps its rows as Python-int bitsets over GF(2) (``_BitRows``),
+as pairs of them, the bitsets of the entries 1 and 2, over GF(3)
+(``_TernRows``), and as int16 code vectors over the other fields
+(``_DenseRows``).  Besides the checks against the naive closure above,
+differential tests run each bitset store and the dense store on the same
+systems and require identical spans and profiles; the GF(3) store is also
+checked against the dense one insertion by insertion.  A broken store can
+loop forever rather than fail, so the GF(3) tests run under a ``deadline``.
 """
 
 import random
+import signal
 from unittest import mock
 
 import numpy as np
@@ -21,6 +26,7 @@ from hypothesis import strategies as st
 
 from lastfall import PolySystem, Ring, falldeg, last_fall_degree, make_field, span_closure
 from lastfall.linalg import DTYPE
+from conftest import deadline
 from oracles import naive_closure_dim, random_invertible_matrix, random_system, recombine
 
 FIELDS = {"GF(2)": (2, 1, 1), "GF(3)": (3, 1, 1), "GF(4)": (2, 2, 1), "GF(9)": (3, 2, 1)}
@@ -116,14 +122,15 @@ def test_reduce_clears_every_pivot(fields, name, seed):
                 assert span.contains(g * ring.variable(v))
 
 
-# -- GF(2): the bitset row store against the dense one ------------------------
+# -- the bitset row stores against the dense one -------------------------------
 
 
-STORES = {"dense": falldeg._DenseRows, "bits": lambda ops: falldeg._BitRows()}
+STORES = {"dense": falldeg._DenseRows, "bits": lambda ops: falldeg._BitRows(),
+          "tern": lambda ops: falldeg._TernRows()}
 
 
-def draw_gf2_system(field, seed):
-    """A random GF(2) system in 2-6 variables, some with a unit (see
+def draw_store_system(field, seed):
+    """A random system in 2-6 variables, some with a unit (see
     `with_unit`), and a cap of 0-5."""
     rng = random.Random(seed)
     ring = Ring(field, "k", [f"X{i}" for i in range(rng.randint(2, 6))])
@@ -136,18 +143,89 @@ def with_store(name, run):
         return run()
 
 
+def assert_stores_agree(system, cap, fast):
+    """span_closure and last_fall_degree give the same results with the
+    dense store and with the store named `fast`."""
+    dense, other = (with_store(name, lambda: span_closure(system, cap))
+                    for name in ("dense", fast))
+    assert other.matrix.dtype == dense.matrix.dtype == DTYPE
+    assert np.array_equal(other.matrix, dense.matrix)
+    assert other.pivots == dense.pivots
+    assert other.row_degrees == dense.row_degrees
+    dense, other = (with_store(name, lambda: last_fall_degree(system, max(cap, 1),
+                                                              certify=False))
+                    for name in ("dense", fast))
+    assert other == dense
+
+
 @settings(max_examples=60)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_bitset_store_matches_dense_store(fields, seed):
-    system, cap = draw_gf2_system(fields["GF(2)"], seed)
-    dense, bits = (with_store(name, lambda: span_closure(system, cap)) for name in STORES)
-    assert bits.matrix.dtype == dense.matrix.dtype == DTYPE
-    assert np.array_equal(bits.matrix, dense.matrix)
-    assert bits.pivots == dense.pivots
-    assert bits.row_degrees == dense.row_degrees
-    dense, bits = (with_store(name, lambda: last_fall_degree(system, max(cap, 1), certify=False))
-                   for name in STORES)
-    assert bits == dense
+    assert_stores_agree(*draw_store_system(fields["GF(2)"], seed), "bits")
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_tern_store_matches_dense_store(fields, seed):
+    """The GF(3) mirror of the test above, on fixed seeds rather than
+    hypothesis examples: a deadline that fires inside an example would be
+    shrunk on, each shrink step waiting for the deadline again."""
+    with deadline(30):
+        assert_stores_agree(*draw_store_system(fields["GF(3)"], seed), "tern")
+
+
+def tern_vector(digits):
+    """The (P, M) bitset pair of a GF(3) code vector."""
+    return (sum(1 << c for c, d in enumerate(digits) if d == 1),
+            sum(1 << c for c, d in enumerate(digits) if d == 2))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_tern_rows_match_dense_rows_per_insertion(fields, seed):
+    """The same vectors into both stores: the same pivot (or None) and the
+    same sorted basis after every insertion.  The vectors include zero
+    vectors, repeats, sums of two earlier vectors and vectors whose top
+    digit is 2; the columns widen once half way."""
+    rng = random.Random(seed)
+    dense, tern = falldeg._DenseRows(fields["GF(3)"].k), falldeg._TernRows()
+    ncols, seen = 0, []
+    with deadline(30):
+        for step in range(40):
+            if step in (0, 20):
+                ncols += rng.randint(1, 10)
+                for store in (dense, tern):
+                    store.add_columns(ncols, [])
+            kind = rng.randrange(5)
+            if kind == 0:
+                digits = [0] * ncols
+            elif kind == 1 and seen:
+                digits = rng.choice(seen)
+            elif kind == 2 and seen:
+                a, b = rng.choice(seen), rng.choice(seen)
+                digits = [(x + y) % 3 for x, y in zip(a, b)]
+            else:
+                digits = [rng.choice((0, 0, 1, 2)) for _ in range(ncols)]
+                if rng.random() < 0.5:
+                    digits[rng.randrange(ncols)] = 2
+                    top = max(c for c, d in enumerate(digits) if d)
+                    digits[top] = 2
+            digits = digits + [0] * (ncols - len(digits))
+            seen.append(digits)
+            want = dense.add(np.array(digits, dtype=DTYPE))
+            assert tern.add(tern_vector(digits)) == want
+            (want_rows, want_pivots), (rows, pivots) = dense.sorted(), tern.sorted()
+            assert rows.dtype == DTYPE
+            assert np.array_equal(rows, want_rows)
+            assert pivots == want_pivots
+
+
+def test_deadline_fails_a_block_that_runs_too_long():
+    handler = signal.getsignal(signal.SIGALRM)
+    with pytest.raises(AssertionError, match="test_deadline_fails_a_block_that_runs_too_long"):
+        with deadline(0.05):
+            while True:
+                pass
+    assert signal.getsignal(signal.SIGALRM) == handler
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("spec", [(2, 1, 1), (3, 1, 1), (2, 2, 1), (3, 2, 1), (251, 1, 1)])
