@@ -21,7 +21,7 @@ import numpy as np
 
 from . import univar
 from .errors import CoordinateNotInField, MalformedInput
-from .linalg import DTYPE
+from .falldeg import zk_points
 from .linsys import InvariantSubspace
 from .poly import PolySystem, Ring
 
@@ -208,40 +208,6 @@ def solution_transport(point, ctx, direction):
 
 
 # -- exhaustive zero sets (desk scale) -----------------------------------------
-
-
-def zk_points(system, budget=200_000):
-    """All solutions of the system with coordinates in the coefficient field,
-    in lexicographic order of the coordinate codes.
-
-    Every point is tested at once: each polynomial is evaluated over the
-    whole grid with the coefficient field's row operations.
-    """
-    ring = system.ring
-    ops = ring.ops
-    order = ops.order
-    total = order**ring.nvars
-    if total > budget:
-        raise ValueError(f"enumeration of {total} points exceeds budget")
-    polys = system.nonzero()
-    top = max((a for f in polys for e in f.terms for a in e), default=0)
-    # pow_t[x, a] = x^a
-    elems = np.arange(order, dtype=DTYPE)
-    pow_t = np.ones((order, top + 1), dtype=DTYPE)
-    for a in range(1, top + 1):
-        pow_t[:, a] = ops.vmul(pow_t[:, a - 1], elems)
-    grid = np.indices((order,) * ring.nvars, dtype=DTYPE).reshape(ring.nvars, total)
-    zero = np.ones(total, dtype=bool)
-    for f in polys:
-        acc = np.zeros(total, dtype=DTYPE)
-        for e, c in f.terms.items():
-            mono = np.ones(total, dtype=DTYPE)
-            for i, a in enumerate(e):
-                if a:
-                    mono = ops.vmul(mono, pow_t[grid[i], a])
-            acc = ops.sub_mul(acc, ops.neg(c), mono)
-        zero &= acc == 0
-    return [tuple(pt) for pt in grid[:, zero].T.tolist()]
 
 
 def f1_points(system, ctx):

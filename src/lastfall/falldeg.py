@@ -370,6 +370,10 @@ class _SpanEngine:
             if p is None:
                 continue
             new_row = len(self.row_deg)
+            if new_row >= ncols:
+                # the rank never exceeds the column count: a store that hands
+                # back an owned pivot would otherwise loop forever
+                raise RuntimeError(f"row store grew past its {ncols} columns at degree {i}")
             self.row_deg.append(self.col_deg[p])
             if p == 0:
                 self.unit = True
@@ -538,12 +542,18 @@ def last_fall_degree(system, cap=None, certify=True, order="grevlex", oracle=Non
     """Fall profile of the system up to `cap` (default from the system shape).
 
     With certify=True the computation stops as soon as the truncation oracle
-    (a toy Groebner run by default, or a caller-supplied oracle) confirms
-    that no fall can occur at higher degrees; an exhausted cap is not an
-    error and is reported through status="cap-limited", in which case the
-    reported value is only a lower bound.  An oracle that reports fewer ideal
-    elements in some degrees than the span already holds raises
+    confirms that no fall can occur at higher degrees; an exhausted cap is
+    not an error and is reported through status="cap-limited", in which case
+    the reported value is only a lower bound.  An oracle that reports fewer
+    ideal elements in some degrees than the span already holds raises
     OracleInconsistent.
+
+    The oracle is the caller's, or else built at the first level that needs
+    one: a ``PointsOracle`` over the ``zk_points`` of a system that holds
+    x^Q - x for every variable, Q the order of the coefficient field, when
+    the Q^N grid and the zero set are small enough (see ``_default_oracle``),
+    and a toy Groebner run otherwise.  Both give the same profile on such a
+    system.  A span that reaches 1 needs no oracle.
     """
     cap = default_cap(system) if cap is None else _as_cap(cap)
     if cap < 1:
@@ -575,7 +585,7 @@ def last_fall_degree(system, cap=None, certify=True, order="grevlex", oracle=Non
                 certified_at = i
                 break
             if orac is None:
-                orac = GroebnerOracle(groebner_toy(system, order=order))
+                orac = _default_oracle(system, order)
             if i >= orac.max_gb_degree() and _agrees(eng, orac, i):
                 certified_at = i
                 break
@@ -961,3 +971,86 @@ class PointsOracle:
                     for v, a in enumerate(e) if a)),
             default=0)
         return self._max_gb
+
+
+# -- the default oracle ---------------------------------------------------------
+
+# largest grid of candidate points that zk_points enumerates
+ZK_BUDGET = 200_000
+
+# largest zero set the default oracle hands to PointsOracle: its echelon has
+# one column and up to one row per point, so its work grows with the cube of
+# the point count (2048 points: about 0.5 s over GF(2), 5 s over GF(3)),
+# while a system with that many zeros can be little more than its field
+# equations, which the Buchberger settles at once (the 4096 zeros of the
+# GF(2) field equations in 12 variables: 1 ms against 3 s)
+_ORACLE_MAX_POINTS = 2048
+
+
+def zk_points(system):
+    """All solutions of the system with coordinates in the coefficient field,
+    in lexicographic order of the coordinate codes.  A grid of more than
+    ``ZK_BUDGET`` points raises ValueError.
+
+    Every point is tested at once: each polynomial is evaluated over the
+    whole grid with the coefficient field's row operations.
+    """
+    ring = system.ring
+    ops = ring.ops
+    order = ops.order
+    total = order**ring.nvars
+    if total > ZK_BUDGET:
+        raise ValueError(f"enumeration of {total} points exceeds budget")
+    polys = system.nonzero()
+    top = max((a for f in polys for e in f.terms for a in e), default=0)
+    # pow_t[x, a] = x^a
+    elems = np.arange(order, dtype=DTYPE)
+    pow_t = np.ones((order, top + 1), dtype=DTYPE)
+    for a in range(1, top + 1):
+        pow_t[:, a] = ops.vmul(pow_t[:, a - 1], elems)
+    grid = np.indices((order,) * ring.nvars, dtype=DTYPE).reshape(ring.nvars, total)
+    zero = np.ones(total, dtype=bool)
+    for f in polys:
+        acc = np.zeros(total, dtype=DTYPE)
+        for e, c in f.terms.items():
+            mono = np.ones(total, dtype=DTYPE)
+            for i, a in enumerate(e):
+                if a:
+                    mono = ops.vmul(mono, pow_t[grid[i], a])
+            acc = ops.sub_mul(acc, ops.neg(c), mono)
+        zero &= acc == 0
+    return [tuple(pt) for pt in grid[:, zero].T.tolist()]
+
+
+def _holds_field_equations(system):
+    """Whether, for every variable x, some generator is c (x^Q - x) with
+    c != 0 and Q the order of the coefficient field."""
+    ring = system.ring
+    ops, q = ring.ops, ring.ops.order
+    covered = set()
+    for f in system.polys:
+        if len(f.terms) != 2:
+            continue
+        (lo, a), (hi, b) = sorted(f.terms.items(), key=lambda t: sum(t[0]))
+        if sum(lo) == 1 and hi == tuple(q * x for x in lo) and b == ops.neg(a):
+            covered.add(lo.index(1))
+    return len(covered) == ring.nvars
+
+
+def _default_oracle(system, order):
+    """The truncation oracle of ``last_fall_degree`` when it is given none.
+
+    A system that holds x^Q - x for every variable x (``_holds_field_equations``)
+    has a radical zero-dimensional ideal whose zeros all lie in the
+    coefficient field (Seidenberg's lemma).  Its ``zk_points`` are then its
+    whole zero set, and the points oracle reads the same truncated dimensions
+    and basis degree as its Groebner basis.  It is taken when the Q^N grid is
+    within ``ZK_BUDGET`` and the zero set within ``_ORACLE_MAX_POINTS``; any
+    other system gets the toy Buchberger.
+    """
+    ring = system.ring
+    if _holds_field_equations(system) and ring.ops.order ** ring.nvars <= ZK_BUDGET:
+        points = zk_points(system)
+        if len(points) <= _ORACLE_MAX_POINTS:
+            return PointsOracle(ring, points, order=order)
+    return GroebnerOracle(groebner_toy(system, order=order))

@@ -5,7 +5,10 @@ Buchberger in ``oracles.reference_groebner`` returns, term for term, and the
 basis must have the defining properties of a reduced basis on its own.
 ``PointsOracle`` must read the same staircase as the sequential
 ``oracles.ReferencePointsOracle``.  ``last_fall_degree`` refuses an oracle that
-claims fewer ideal elements than the span already holds.
+claims fewer ideal elements than the span already holds.  Without an oracle
+it certifies a system that holds every variable's field equation with the
+points oracle, and must give the profile of an explicit Groebner oracle;
+any other system still gets the toy Buchberger.
 """
 
 import random
@@ -16,8 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lastfall import (OracleInconsistent, PointsOracle, PolySystem, Ring, build_F1,
-                      build_Fprime1, groebner_toy, last_fall_degree, make_descent_context,
-                      make_field)
+                      build_Fprime1, descent, falldeg, groebner_toy, last_fall_degree,
+                      make_descent_context, make_field)
 from lastfall.cli import gen_random_system
 from lastfall.descent import f1_points, fprime1_points
 from lastfall.falldeg import GroebnerOracle
@@ -231,3 +234,156 @@ def test_oracle_below_span_raises(gf4):
     assert last_fall_degree(system).certified
     assert last_fall_degree(system, oracle=PointsOracle(ring, [(0, 0), (1, 1)])).certified
     assert last_fall_degree(system, cap=3, certify=False).status == "cap-limited"
+
+
+# -- the default oracle ------------------------------------------------------------
+
+# variables per field for the field-equation systems: x^Q - x has degree Q,
+# so the larger fields get fewer variables to keep the Buchberger quick
+DEFAULT_NVARS = {"GF(2)": 4, "GF(3)": 3, "GF(4)": 3, "GF(5)": 3, "GF(9)": 2}
+
+
+def field_equations(ring):
+    """x^Q - x for every variable, Q the order of the coefficient field."""
+    return descent.field_equations(ring, ring.coeff_order)
+
+
+def draw_field_equation_system(name, field, seed):
+    """Every variable's field equation and up to three random polynomials of
+    degree <= 3, most of them shifted to vanish at one random point so that
+    the zero set is seldom empty, shuffled; now and then the unit, or a
+    polynomial that leaves the zero set empty while 1 enters the span only
+    at degree Q."""
+    rng = random.Random(f"default-oracle:{name}:{seed}")
+    ring = Ring(field, "k", [f"X{i}" for i in range(rng.randint(1, DEFAULT_NVARS[name]))])
+    polys = [f.scale(rng.randrange(1, field.order)) for f in field_equations(ring)]
+    point = tuple(rng.randrange(field.order) for _ in range(ring.nvars))
+    for f in random_system(ring, rng.randint(1, 3), rng.randint(0, 3), rng).polys:
+        if rng.random() < 0.8:
+            f = f - ring.constant(f.eval(point))
+        polys.append(f)
+    kind = rng.random()
+    if kind < 0.1:
+        polys.append(ring.one())
+    elif kind < 0.2:
+        polys.append(polys[0] + ring.one())
+    rng.shuffle(polys)
+    return PolySystem(ring, polys)
+
+
+def spy_on(monkeypatch, name):
+    """The systems passed to ``falldeg.<name>`` from here on."""
+    calls, real = [], getattr(falldeg, name)
+
+    def spy(system, *args, **kwargs):
+        calls.append(system)
+        return real(system, *args, **kwargs)
+
+    monkeypatch.setattr(falldeg, name, spy)
+    return calls
+
+
+@pytest.fixture
+def groebner_calls(monkeypatch):
+    """The systems that ``last_fall_degree`` hands to the toy Buchberger."""
+    return spy_on(monkeypatch, "groebner_toy")
+
+
+def groebner_profile(system, order="grevlex", **kwargs):
+    oracle = GroebnerOracle(groebner_toy(system, order=order))
+    return last_fall_degree(system, order=order, oracle=oracle, **kwargs)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("name", sorted(FIELDS))
+@pytest.mark.parametrize("seed", range(12))
+def test_default_profile_equals_groebner_profile(fields, name, order, seed, groebner_calls):
+    system = draw_field_equation_system(name, fields[name], seed)
+    got = last_fall_degree(system, order=order)
+    assert groebner_calls == []
+    assert got == groebner_profile(system, order)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_default_profile_of_the_unit_ideal(fields, name, order, groebner_calls):
+    """The unit ideal: 1 itself, and generators with no common zero whose
+    span reaches 1 only at degree 2 (x0 x1 - 1 and x0) or Q (x0^Q - x0 + 1)."""
+    ring = Ring(fields[name], "k", ["X0", "X1"])
+    x0, x1, one = ring.variable(0), ring.variable(1), ring.one()
+    eqs = field_equations(ring)
+    for extra in ([one], [x0 * x1 - one, x0], [eqs[0] + one]):
+        system = PolySystem(ring, eqs + extra)
+        got = last_fall_degree(system, order=order)
+        assert got.certified
+        assert got == groebner_profile(system, order)
+    assert groebner_calls == []
+
+
+def test_default_profile_of_descended_systems(groebner_calls):
+    """F'_1 of random systems over the CLI's request shapes."""
+    rng = random.Random("default-oracle:descended")
+    for spec, m in (((2, 1, 4), 2), ((2, 2, 2), 2), ((3, 1, 2), 2), ((5, 1, 2), 1)):
+        ctx = make_descent_context(make_field(*spec), m)
+        for _ in range(2):
+            system = build_Fprime1(gen_random_system(ctx.ring_original, 2, m, rng), ctx)
+            got = last_fall_degree(system)
+            assert groebner_calls == []
+            assert got.certified and got == groebner_profile(system)
+
+
+def test_default_oracle_is_built_only_when_needed(gf4, groebner_calls, monkeypatch):
+    points_calls = spy_on(monkeypatch, "zk_points")
+    ring = Ring(gf4, "kprime", ["X0", "X1"])
+    eqs = field_equations(ring)
+    x0 = ring.variable(0)
+    last_fall_degree(PolySystem(ring, eqs + [x0 * x0 + x0]), cap=4, certify=False)
+    assert last_fall_degree(PolySystem(ring, eqs + [ring.one()])).certified_at == 0
+    assert last_fall_degree(PolySystem(ring, eqs + [x0, x0 + ring.one()])).certified_at == 1
+    assert points_calls == groebner_calls == []
+
+
+def assert_buchberger_runs(system, groebner_calls):
+    got = last_fall_degree(system)
+    assert groebner_calls == [system]
+    assert got == groebner_profile(system)
+
+
+def test_default_oracle_needs_every_field_equation(fields, groebner_calls):
+    ring = Ring(fields["GF(3)"], "k", ["X0", "X1", "X2"])
+    x0, x1, x2 = (ring.variable(v) for v in range(3))
+    eqs = field_equations(ring)
+    assert_buchberger_runs(PolySystem(ring, eqs[:2] + [x2 * x2 - x0 * x1, x0 + x2]),
+                           groebner_calls)
+
+
+def test_default_oracle_needs_the_coefficient_field_order(fields, groebner_calls):
+    """x^(Q^2) - x also holds the zero set in GF(Q), but is not x^Q - x."""
+    ring = Ring(fields["GF(2)"], "k", ["X0", "X1"])
+    x0, x1 = ring.variable(0), ring.variable(1)
+    system = PolySystem(ring, [x0 * x0 - x0, x1.pow_int(4) - x1, x0 * x1 + x1 + ring.one()])
+    assert_buchberger_runs(system, groebner_calls)
+
+
+def test_default_oracle_needs_x_to_the_q_minus_x(fields, groebner_calls):
+    """x^3 + x over GF(3) has the zeros +-i of GF(9) besides 0."""
+    ring = Ring(fields["GF(3)"], "k", ["X0", "X1"])
+    x0, x1 = ring.variable(0), ring.variable(1)
+    system = PolySystem(ring, [x0.pow_int(3) + x0, x1.pow_int(3) - x1, x0 * x1 - x1])
+    assert_buchberger_runs(system, groebner_calls)
+
+
+def test_default_oracle_needs_a_grid_within_budget(fields, groebner_calls):
+    ring = Ring(fields["GF(2)"], "k", [f"X{i}" for i in range(18)])
+    assert 2**18 > falldeg.ZK_BUDGET
+    x = [ring.variable(v) for v in range(ring.nvars)]
+    system = PolySystem(ring, field_equations(ring) + [x[0] * x[1] + x[2], x[3] + x[17]])
+    assert_buchberger_runs(system, groebner_calls)
+
+
+def test_default_oracle_needs_a_small_zero_set(fields, groebner_calls):
+    """The field equations alone in 12 variables: 4096 zeros, more than the
+    points oracle is handed."""
+    ring = Ring(fields["GF(2)"], "k", [f"X{i}" for i in range(12)])
+    assert 2**12 > falldeg._ORACLE_MAX_POINTS
+    assert_buchberger_runs(PolySystem(ring, field_equations(ring)), groebner_calls)

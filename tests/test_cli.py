@@ -15,11 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lastfall
-from lastfall import MalformedInput, cli, make_field
+from lastfall import MalformedInput, cli, falldeg, make_field
 from lastfall.cli import (_run_campaign, campaign_csv, campaign_json,
                           gen_random_system, main, verify_solver, verify_thm_1_1,
                           write_campaign)
-from lastfall.falldeg import PointsOracle
+from lastfall.descent import build_Fprime1, make_descent_context
+from lastfall.falldeg import GroebnerOracle, PointsOracle, groebner_toy, last_fall_degree
 from lastfall.poly import PolySystem, Ring
 
 import random
@@ -90,6 +91,37 @@ def test_cli_lastfall_orders_agree(tmp_path):
         profs[order] = json.loads((outdir / "lastfall.json").read_text())
     assert (profs["grevlex"]["last_fall_degree"]
             == profs["grlex"]["last_fall_degree"])
+
+
+@pytest.mark.parametrize("order", ["grevlex", "grlex"])
+@pytest.mark.parametrize("spec", [(3, 1, 2), (2, 2, 2)], ids=["GF(3)", "GF(4)-tower"])
+def test_cli_lastfall_default_oracle_matches_groebner(tmp_path, monkeypatch, spec, order):
+    """F'_1 over GF(3) and over the GF(4) tower: the files that the default
+    oracle certifies equal, byte for byte, those of an explicit Groebner
+    oracle."""
+    ctx = make_descent_context(make_field(*spec), 2)
+    F = gen_random_system(ctx.ring_original, 2, 2, random.Random(f"cli-default:{spec}"))
+    sysfile = tmp_path / "system.json"
+    sysfile.write_text(build_Fprime1(F, ctx).to_json_str() + "\n")
+
+    def run(name):
+        assert main(["--out", str(tmp_path / name), "lastfall", str(sysfile),
+                     "--order", order]) == 0
+        return {f: (tmp_path / name / f).read_bytes() for f in ("lastfall.json", "lastfall.csv")}
+
+    def no_buchberger(*args, **kwargs):
+        raise AssertionError("the default oracle ran the Buchberger")
+
+    monkeypatch.setattr(falldeg, "groebner_toy", no_buchberger)
+    default = run("default")
+    assert json.loads(default["lastfall.json"])["status"] == "certified"
+
+    def with_groebner(system, order, **kwargs):
+        oracle = GroebnerOracle(groebner_toy(system, order=order))
+        return last_fall_degree(system, order=order, oracle=oracle, **kwargs)
+
+    monkeypatch.setattr(cli, "last_fall_degree", with_groebner)
+    assert run("groebner") == default
 
 
 def test_cli_solve_linearized(tmp_path, capsys):

@@ -11,8 +11,10 @@ as pairs of them, the bitsets of the entries 1 and 2, over GF(3)
 (``_DenseRows``).  Besides the checks against the naive closure above,
 differential tests run each bitset store and the dense store on the same
 systems and require identical spans and profiles; the GF(3) store is also
-checked against the dense one insertion by insertion.  A broken store can
-loop forever rather than fail, so the GF(3) tests run under a ``deadline``.
+checked against the dense one insertion by insertion.  A broken store that
+hands back an owned pivot would grow its rows without end; the engine
+refuses a row beyond the column count, and the GF(3) tests also run under a
+``deadline``.
 """
 
 import random
@@ -216,6 +218,30 @@ def test_tern_rows_match_dense_rows_per_insertion(fields, seed):
             assert rows.dtype == DTYPE
             assert np.array_equal(rows, want_rows)
             assert pivots == want_pivots
+
+
+class UnreducedRows(falldeg._DenseRows):
+    """A broken store: it keeps every nonzero vector unreduced, so it hands
+    back pivots that already have an owner."""
+
+    def add(self, vec):
+        nz = vec.nonzero()[0]
+        if len(nz) == 0:
+            return None
+        self.rows = np.vstack([self.rows[: self.n], vec])
+        self.n += 1
+        return int(nz[-1])
+
+
+def test_engine_refuses_more_rows_than_columns(fields):
+    """The rank never exceeds the column count, so a store that breaks that
+    fails the closure at once instead of growing its rows without end."""
+    ring = Ring(fields["GF(3)"], "k", ["X0", "X1"])
+    x0 = ring.variable(0)
+    system = PolySystem(ring, [x0, x0 + x0, x0 * x0 + x0, x0])
+    with deadline(30), mock.patch.object(falldeg, "_row_store", UnreducedRows):
+        with pytest.raises(RuntimeError, match="row store grew past its 6 columns"):
+            span_closure(system, 3)
 
 
 def test_deadline_fails_a_block_that_runs_too_long():
