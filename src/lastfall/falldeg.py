@@ -978,13 +978,15 @@ class PointsOracle:
 # largest grid of candidate points that zk_points enumerates
 ZK_BUDGET = 200_000
 
-# largest zero set the default oracle hands to PointsOracle: its echelon has
-# one column and up to one row per point, so its work grows with the cube of
-# the point count (2048 points: about 0.5 s over GF(2), 5 s over GF(3)),
-# while a system with that many zeros can be little more than its field
-# equations, which the Buchberger settles at once (the 4096 zeros of the
-# GF(2) field equations in 12 variables: 1 ms against 3 s)
-_ORACLE_MAX_POINTS = 2048
+# largest zero set the default oracle hands to PointsOracle.  Which oracle is
+# faster depends on the generators, not on the zero count alone: beside one
+# random quadratic the points oracle wins from 3-8 zeros up (256 zeros over
+# GF(2): 12 ms against 222 ms), but beside linear forms or none the
+# Buchberger, which then has almost nothing to do, wins at every count (the
+# field equations alone, 1024 zeros over GF(4): 1.3 s against 1 ms).  Up to
+# 32 zeros the points oracle's staircase costs about 1 ms on GF(2) to GF(9),
+# which bounds what such a system loses to it beyond the grid enumeration
+_ORACLE_MAX_POINTS = 32
 
 
 def zk_points(system):
@@ -1048,9 +1050,12 @@ def _default_oracle(system, order):
     within ``ZK_BUDGET`` and the zero set within ``_ORACLE_MAX_POINTS``; any
     other system gets the toy Buchberger.
     """
-    ring = system.ring
-    if _holds_field_equations(system) and ring.ops.order ** ring.nvars <= ZK_BUDGET:
-        points = zk_points(system)
-        if len(points) <= _ORACLE_MAX_POINTS:
-            return PointsOracle(ring, points, order=order)
+    if _holds_field_equations(system):
+        try:
+            points = zk_points(system)
+        except ValueError:      # a grid beyond ZK_BUDGET
+            pass
+        else:
+            if len(points) <= _ORACLE_MAX_POINTS:
+                return PointsOracle(system.ring, points, order=order)
     return GroebnerOracle(groebner_toy(system, order=order))

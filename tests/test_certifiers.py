@@ -23,7 +23,7 @@ from lastfall import (OracleInconsistent, PointsOracle, PolySystem, Ring, build_
                       make_descent_context, make_field)
 from lastfall.cli import gen_random_system
 from lastfall.descent import f1_points, fprime1_points
-from lastfall.falldeg import GroebnerOracle
+from lastfall.falldeg import GroebnerOracle, zk_points
 from lastfall.poly import ORDER_KEYS
 from oracles import (ReferencePointsOracle, random_system, reference_groebner,
                      reference_normal_form, reference_spoly)
@@ -298,9 +298,12 @@ def groebner_profile(system, order="grevlex", **kwargs):
 @pytest.mark.parametrize("name", sorted(FIELDS))
 @pytest.mark.parametrize("seed", range(12))
 def test_default_profile_equals_groebner_profile(fields, name, order, seed, groebner_calls):
+    """Systems with more zeros than the points oracle is handed get the
+    Buchberger, and the spy says which ran."""
     system = draw_field_equation_system(name, fields[name], seed)
     got = last_fall_degree(system, order=order)
-    assert groebner_calls == []
+    many = len(zk_points(system)) > falldeg._ORACLE_MAX_POINTS
+    assert groebner_calls == ([system] if many else [])
     assert got == groebner_profile(system, order)
 
 
@@ -382,8 +385,13 @@ def test_default_oracle_needs_a_grid_within_budget(fields, groebner_calls):
 
 
 def test_default_oracle_needs_a_small_zero_set(fields, groebner_calls):
-    """The field equations alone in 12 variables: 4096 zeros, more than the
-    points oracle is handed."""
-    ring = Ring(fields["GF(2)"], "k", [f"X{i}" for i in range(12)])
-    assert 2**12 > falldeg._ORACLE_MAX_POINTS
-    assert_buchberger_runs(PolySystem(ring, field_equations(ring)), groebner_calls)
+    """The field equations alone over GF(2): 32 zeros in 5 variables get the
+    points oracle, 64 in 6 and 4096 in 12 the Buchberger."""
+    assert 2**5 <= falldeg._ORACLE_MAX_POINTS < 2**6
+    ring = Ring(fields["GF(2)"], "k", [f"X{i}" for i in range(5)])
+    last_fall_degree(PolySystem(ring, field_equations(ring)))
+    assert groebner_calls == []
+    for nvars in (6, 12):
+        ring = Ring(fields["GF(2)"], "k", [f"X{i}" for i in range(nvars)])
+        groebner_calls.clear()
+        assert_buchberger_runs(PolySystem(ring, field_equations(ring)), groebner_calls)
