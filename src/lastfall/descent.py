@@ -17,13 +17,15 @@ Variable naming is fixed (X{i}_{j} flattened as i*n+j, Y variables after all
 X_i) so emitted systems are byte-stable.
 """
 
+import functools
+
 import numpy as np
 
 from . import univar
-from .errors import CoordinateNotInField, MalformedInput
+from .errors import CoordinateNotInField, MalformedInput, RingMismatch
 from .falldeg import zk_points
 from .linsys import InvariantSubspace
-from .poly import PolySystem, Ring
+from .poly import MultiPoly, PolySystem, Ring
 
 
 class DescentContext:
@@ -34,6 +36,15 @@ class DescentContext:
     the descent basis: it tabulates the k'-coordinates of all q^n elements
     once, so decomposing a coefficient is a lookup, and it raises NotABasis
     for a k'-dependent basis.
+
+    Everything a descent repeats for each system of this shape is memoized
+    on the context on first use, and nothing of it is built at
+    construction: the image of each monomial X^e under
+    X_i -> sum_j a_j X_{ij} (``image``), the subfield equations of
+    ``ring_descent`` and ``ring_descent_k`` and the q-power chain
+    equations of ``ring_chain``.  The memo only ever holds polynomials of
+    the context's own rings, so every system descended by one context
+    shares it.
     """
 
     def __init__(self, field, m, basis=None):
@@ -58,23 +69,89 @@ class DescentContext:
         self.ring_descent = Ring(field, "kprime", svars)
         yvars = [f"Y{i}_{j}" for i in range(m) for j in range(1, n)]
         self.ring_chain = Ring(field, "k", [f"X{i}" for i in range(m)] + yvars)
+        # exponent e over the m variables -> terms of the image of X^e
+        self._images = {(0,) * m: {(0,) * (m * n): 1}}
+
+    def image(self, e):
+        """The terms (exponent -> code over ``ring_descent_k``) of X^e with
+        each X_i replaced by sum_j a_j X_{ij}: the image of X^e / X_i, for
+        the first variable X_i of X^e, times sum_j a_j X_{ij}.  Do not
+        mutate them."""
+        missing = []  # (exponent, its first variable), from e down to a memoized one
+        while e not in self._images:
+            i = next(v for v, a in enumerate(e) if a)
+            missing.append((e, i))
+            e = e[:i] + (e[i] - 1,) + e[i + 1:]
+        img = self._images[e]
+        add, mul, n = self.field.add, self.field.mul, self.field.n
+        for e, i in reversed(missing):
+            prod = {}
+            for le, lc in img.items():
+                for v, b in enumerate(self.basis, i * n):
+                    te = le[:v] + (le[v] + 1,) + le[v + 1:]
+                    c = add(prod.get(te, 0), mul(lc, b))
+                    if c:
+                        prod[te] = c
+                    else:
+                        prod.pop(te, None)
+            self._images[e] = img = prod
+        return img
+
+    @functools.cached_property
+    def subfield_equations(self):
+        """X_{ij}^q - X_{ij} for every variable of ``ring_descent``."""
+        return tuple(field_equations(self.ring_descent, self.field.q))
+
+    @functools.cached_property
+    def subfield_equations_k(self):
+        """X_{ij}^q - X_{ij} for every variable of ``ring_descent_k``."""
+        return tuple(field_equations(self.ring_descent_k, self.field.q))
+
+    @functools.cached_property
+    def chain_equations(self):
+        """The q-power chains of ``ring_chain``: X_i^q - Y_{i1},
+        Y_{ij}^q - Y_{i,j+1} and Y_{i,n-1}^q - X_i for each i (X_i^q - X_i
+        when n = 1)."""
+        ring = self.ring_chain
+        m, n, q = self.m, self.field.n, self.field.q
+        polys = []
+        for i in range(m):
+            chain = [ring.variable(i)] + [ring.variable(m + i * (n - 1) + (j - 1))
+                                          for j in range(1, n)]
+            for j in range(n):
+                polys.append(chain[j].pow_int(q) - chain[(j + 1) % n])
+        return tuple(polys)
 
 
 def make_descent_context(field, m, basis=None):
     return DescentContext(field, m, basis=basis)
 
 
+def _check_ring(ring, ctx):
+    """A ring whose field is not the context's, or whose variable count is
+    not m, is refused; its variable names and level are free."""
+    if ring.field != ctx.field:
+        raise RingMismatch(f"the system lives over {ring.field!r}, the descent over "
+                           f"{ctx.field!r}")
+    if ring.nvars != ctx.m:
+        raise MalformedInput(f"the system has {ring.nvars} variables, the descent {ctx.m}")
+
+
 def substituted_generator(f, ctx):
-    """f with its i-th variable replaced by sum_j a_j X_{ij}, expanded over k."""
-    if f.ring.nvars != ctx.m:
-        raise ValueError("polynomial does not match the context's variable count")
-    images = {}
-    for i, name in enumerate(f.ring.vars):
-        img = ctx.ring_descent_k.zero()
-        for j, b in enumerate(ctx.basis):
-            img = img + ctx.ring_descent_k.variable(i * ctx.field.n + j).scale(b)
-        images[name] = img
-    return f.substitute(images)
+    """f with its i-th variable replaced by sum_j a_j X_{ij}, expanded over
+    k: the sum of c_e times the memoized image of X^e over the terms
+    c_e X^e of f."""
+    _check_ring(f.ring, ctx)
+    add, mul = ctx.field.add, ctx.field.mul
+    out = {}
+    for e, c in f.terms.items():
+        for te, tc in ctx.image(e).items():
+            s = add(out.get(te, 0), mul(c, tc))
+            if s:
+                out[te] = s
+            else:
+                out.pop(te, None)
+    return MultiPoly(ctx.ring_descent_k, out)
 
 
 def weil_descend(f, ctx):
@@ -91,8 +168,8 @@ def weil_descend(f, ctx):
         for j, cj in enumerate(ctx.space.coords_of(c)):
             if cj:
                 components[j][e] = cj
-    ring = ctx.ring_descent
-    return [ring.from_terms(comp.items()) for comp in components]
+    # every exponent and nonzero k' digit is already valid: nothing to check
+    return [MultiPoly(ctx.ring_descent, comp) for comp in components]
 
 
 class DescentSystem:
@@ -105,6 +182,7 @@ class DescentSystem:
 
 
 def build_Fprime(system, ctx):
+    _check_ring(system.ring, ctx)
     out = []
     comp_map = {}
     for f in system.polys:
@@ -126,36 +204,21 @@ def field_equations(ring, q):
 def build_Fprime1(system, ctx):
     """Descended system together with all subfield equations X_{ij}^q - X_{ij}."""
     desc = build_Fprime(system, ctx)
-    q = ctx.field.q
-    polys = list(desc.descended.polys) + field_equations(ctx.ring_descent, q)
-    return PolySystem(ctx.ring_descent, polys)
+    return PolySystem(ctx.ring_descent, desc.descended.polys + ctx.subfield_equations)
 
 
 def build_F1(system, ctx):
     """System over k extended by the q-power chains; the zero set projects
     bijectively onto the k-rational points of the input."""
-    field = ctx.field
+    _check_ring(system.ring, ctx)
     ring = ctx.ring_chain
-    m, n, q = ctx.m, field.n, field.q
-    if system.ring.nvars != m:
-        raise ValueError("system does not match the context's variable count")
-    # X_i keeps its place; the chain variables Y follow all of them
-    pad = (0,) * (m * (n - 1))
-    polys = [ring.from_terms((e + pad, c) for e, c in f.terms.items())
+    # X_i keeps its place; the chain variables Y follow all of them.  The
+    # input's terms are valid in its ring, over the same field, so they are
+    # copied unchecked
+    pad = (0,) * (ctx.m * (ctx.field.n - 1))
+    polys = [MultiPoly(ring, {e + pad: c for e, c in f.terms.items()})
              for f in system.polys]
-
-    def yvar(i, j):
-        return ring.variable(m + i * (n - 1) + (j - 1))
-
-    for i in range(m):
-        if n == 1:
-            x = ring.variable(i)
-            polys.append(x.pow_int(q) - x)
-            continue
-        chain = [ring.variable(i)] + [yvar(i, j) for j in range(1, n)]
-        for j in range(n):
-            polys.append(chain[j].pow_int(q) - chain[(j + 1) % n])
-    return PolySystem(ring, polys)
+    return PolySystem(ring, polys + list(ctx.chain_equations))
 
 
 def build_sigma_orbit_G(system, ctx):
@@ -170,16 +233,14 @@ def build_sigma_orbit_G(system, ctx):
 
 def build_G1(system, ctx):
     g = build_sigma_orbit_G(system, ctx)
-    polys = list(g.polys) + field_equations(ctx.ring_descent_k, ctx.field.q)
-    return PolySystem(ctx.ring_descent_k, polys)
+    return PolySystem(ctx.ring_descent_k, g.polys + ctx.subfield_equations_k)
 
 
 def build_G2(system, ctx):
     """Substituted generators plus subfield equations; the image of the
     chain-extended system under the Moore-matrix change of coordinates."""
     polys = [substituted_generator(f, ctx) for f in system.polys]
-    polys += field_equations(ctx.ring_descent_k, ctx.field.q)
-    return PolySystem(ctx.ring_descent_k, polys)
+    return PolySystem(ctx.ring_descent_k, polys + list(ctx.subfield_equations_k))
 
 
 def solution_transport(point, ctx, direction):
@@ -199,12 +260,12 @@ def solution_transport(point, ctx, direction):
     if direction == "lift":
         n = ctx.field.n
         if len(point) != ctx.m * n:
-            raise ValueError("expected m*n coordinates")
+            raise MalformedInput(f"expected {ctx.m * n} coordinates, got {len(point)}")
         for c in point:
             if not ctx.field.lies_in_subfield(c):
                 raise CoordinateNotInField(f"{c} is not a k' code")
         return tuple(ctx.space.from_coords(point[i * n:(i + 1) * n]) for i in range(ctx.m))
-    raise ValueError("direction must be 'descend' or 'lift'")
+    raise MalformedInput(f"direction must be 'descend' or 'lift', got {direction!r}")
 
 
 # -- exhaustive zero sets (desk scale) -----------------------------------------

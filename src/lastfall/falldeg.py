@@ -35,6 +35,15 @@ nonzero column.  All three stores hold the same canonical basis, and
 span, the span is the whole truncated ring at every later level, so the
 engine stops closing and ``span_closure`` returns the identity.
 
+The columns themselves depend only on the number of variables and the
+order, so they are built once per such shape and shared: a ``_Layout``
+holds the monomial enumeration, its inverse, the degree of each column and
+the shift map of each variable (column of e -> column of e * x_v), as lists
+for the bitset stores and as int64 arrays for the dense one.  It is cached
+at module level and grows a degree block at a time on demand; every engine
+of that shape reads it and none writes to it, and a ``DegreeSpan`` takes
+only its prefix up to the cap.
+
 A fall at degree i means that closing at degree i produced new elements of
 degree <= i-1 beyond the closure at i-1; the last fall degree is the largest
 such i (0 when no fall ever happens, a convention that keeps max() formulas
@@ -46,6 +55,7 @@ degree-compatible order) rebuilds ideal elements within their own degree, so
 no fall can occur beyond D.
 """
 
+import functools
 import heapq
 import math
 import operator
@@ -69,13 +79,12 @@ class _DenseRows(Echelon):
         super().__init__(ops, 0)
         self.shifts = []
 
-    def add_columns(self, ncols, ext):
-        """Widen the rows to ncols columns; ext[v] maps the columns of the
-        previous degree block to their product with variable v."""
+    def add_columns(self, ncols, shifts):
+        """Widen the rows to ncols columns; shifts[v] maps every column below
+        the top degree block to its product with variable v (the layout's
+        ``shift_arrays``)."""
         self.widen(ncols)
-        ext = [np.array(e, dtype=np.int64) for e in ext]
-        self.shifts = ([np.concatenate(pair) for pair in zip(self.shifts, ext)]
-                       if self.shifts else ext)
+        self.shifts = shifts
 
     def vector(self, terms, col_of):
         vec = np.zeros(self.rows.shape[1], dtype=DTYPE)
@@ -106,15 +115,13 @@ class _BitRows:
         self.holders = []
         self.shifts = []
 
-    def add_columns(self, ncols, ext):
-        """As ``_DenseRows.add_columns``; a bitset needs no widening."""
+    def add_columns(self, ncols, shifts):
+        """As ``_DenseRows.add_columns``, with the shift maps as lists (the
+        layout's ``shifts``); a bitset needs no widening."""
         grow = ncols - len(self.owner)
         self.owner.extend([None] * grow)
         self.holders.extend([0] * grow)
-        if not self.shifts:
-            self.shifts = [[] for _ in ext]
-        for s, e in zip(self.shifts, ext):
-            s.extend(e)
+        self.shifts = shifts
 
     def vector(self, terms, col_of):
         vec = 0
@@ -203,13 +210,10 @@ class _TernRows:
         self.owner = []
         self.shifts = []
 
-    def add_columns(self, ncols, ext):
-        """As ``_DenseRows.add_columns``; a bitset needs no widening."""
+    def add_columns(self, ncols, shifts):
+        """As ``_BitRows.add_columns``."""
         self.owner.extend([None] * (ncols - len(self.owner)))
-        if not self.shifts:
-            self.shifts = [[] for _ in ext]
-        for s, e in zip(self.shifts, ext):
-            s.extend(e)
+        self.shifts = shifts
 
     def vector(self, terms, col_of):
         plus = minus = 0
@@ -296,6 +300,62 @@ def _row_store(ops):
     return _DenseRows(ops)
 
 
+class _Layout:
+    """The span engine's columns for one variable count and order, shared
+    by every engine of that shape (``_layout``).
+
+    Column c is ``monos[c]``: the monomials of degree 0, 1, ... in turn,
+    ascending in the order inside each degree, so ``col_of`` inverts
+    ``monos``, ``col_deg[c]`` is the degree of column c and
+    ``deg_start[d + 1]`` the number of columns of degree <= d.
+    ``shifts[v][c]`` is the column of ``monos[c]`` times variable v, for
+    every column below the top degree block; ``shift_arrays`` holds the
+    same maps as int64 arrays.  ``grow`` only appends: it adds degree
+    blocks and extends the lists in place, so no column an engine has read
+    ever changes, and engines read the layout and never write to it.
+    """
+
+    def __init__(self, nvars, order):
+        self.nvars = nvars
+        self.order = order
+        self.monos = []
+        self.col_of = {}
+        self.col_deg = []
+        self.deg_start = [0]
+        self.shifts = [[] for _ in range(nvars)]
+        self._arrays = None
+
+    def grow(self, d):
+        """Add the degree blocks up to d, with the shift maps of every
+        column of degree below d."""
+        monos, col_of = self.monos, self.col_of
+        while len(self.deg_start) <= d + 1:
+            i = len(self.deg_start) - 1
+            block = monomials_of_degree(self.nvars, i, self.order)
+            for e in block:
+                col_of[e] = len(monos)
+                monos.append(e)
+            self.col_deg.extend([i] * len(block))
+            self.deg_start.append(len(monos))
+            if i >= 1:
+                below = monos[self.deg_start[i - 1]: self.deg_start[i]]
+                for v, shift in enumerate(self.shifts):
+                    shift.extend(col_of[e[:v] + (e[v] + 1,) + e[v + 1:]] for e in below)
+            self._arrays = None
+
+    def shift_arrays(self):
+        """``shifts`` as int64 arrays, built once per growth of the layout."""
+        if self._arrays is None:
+            self._arrays = [np.array(shift, dtype=np.int64) for shift in self.shifts]
+        return self._arrays
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(nvars, order):
+    """The one shared ``_Layout`` of nvars variables under the order."""
+    return _Layout(nvars, order)
+
+
 class _SpanEngine:
     """Incremental span closure, one degree level at a time.
 
@@ -306,6 +366,12 @@ class _SpanEngine:
     (``_TernRows``), over any other field an int16 code vector
     (``_DenseRows``).  All three keep the basis in RREF with the pivot at
     the largest monomial, so they hold the same rows.
+
+    The columns and shift maps come from the ``_Layout`` of the ring's
+    variable count and the order, built once per such shape and read by
+    every engine of it.  An engine builds no columns: at each level it asks
+    the layout to reach that degree, which is a no-op once an earlier
+    engine of the shape got there.
     """
 
     def __init__(self, system, order="grevlex"):
@@ -313,6 +379,7 @@ class _SpanEngine:
         ring = system.ring
         self.ring = ring
         self.order = order
+        self.layout = _layout(ring.nvars, order)
         self.store = _row_store(ring.ops)
         self.by_degree = {}
         for f in system.polys:
@@ -320,10 +387,6 @@ class _SpanEngine:
                 continue
             self.by_degree.setdefault(int(f.degree), []).append(f)
         self.level = -1
-        self.monos = []
-        self.col_of = {}
-        self.col_deg = []  # degree of each column
-        self.deg_start = [0]  # deg_start[d+1] = number of columns of degree <= d
         self.row_deg = []  # degree of each row, in insertion order
         # 1 is in the span, which is then the whole truncated ring at every
         # level from here on; the engine stops closing
@@ -333,26 +396,17 @@ class _SpanEngine:
 
     def advance(self):
         i = self.level + 1
-        block = monomials_of_degree(self.ring.nvars, i, self.order)
-        for e in block:
-            self.col_of[e] = len(self.monos)
-            self.monos.append(e)
-        ncols = len(self.monos)
-        self.col_deg.extend([i] * len(block))
-        self.deg_start.append(ncols)
+        lay = self.layout
+        lay.grow(i)
+        ncols = lay.deg_start[i + 1]
         self.level = i
         if self.unit:
             return
-        ext = [[] for _ in range(self.ring.nvars)]
-        if i >= 1:
-            for e in self.monos[self.deg_start[i - 1]: self.deg_start[i]]:
-                for v, col in enumerate(ext):
-                    up = list(e)
-                    up[v] += 1
-                    col.append(self.col_of[tuple(up)])
         store = self.store
-        store.add_columns(ncols, ext)
+        store.add_columns(ncols, lay.shift_arrays() if isinstance(store, _DenseRows)
+                          else lay.shifts)
 
+        col_of, col_deg = lay.col_of, lay.col_deg
         queue = deque()
         for r, d in enumerate(self.row_deg):
             if d == i - 1:
@@ -363,7 +417,7 @@ class _SpanEngine:
         while queue:
             a, v = queue.popleft()
             if v is None:
-                vec = store.vector(a.terms, self.col_of)
+                vec = store.vector(a.terms, col_of)
             else:
                 vec = store.shifted(a, v)
             p = store.add(vec)
@@ -374,11 +428,11 @@ class _SpanEngine:
                 # the rank never exceeds the column count: a store that hands
                 # back an owned pivot would otherwise loop forever
                 raise RuntimeError(f"row store grew past its {ncols} columns at degree {i}")
-            self.row_deg.append(self.col_deg[p])
+            self.row_deg.append(col_deg[p])
             if p == 0:
                 self.unit = True
                 return
-            if self.col_deg[p] <= i - 1:
+            if col_deg[p] <= i - 1:
                 for w in range(self.ring.nvars):
                     queue.append((new_row, w))
 
@@ -386,7 +440,7 @@ class _SpanEngine:
 
     def dim(self):
         if self.unit:
-            return self.deg_start[self.level + 1]
+            return self.layout.deg_start[self.level + 1]
         return len(self.row_deg)
 
     def dim_leq(self, j):
@@ -394,7 +448,7 @@ class _SpanEngine:
         if j < 0:
             return 0
         if self.unit:
-            return self.deg_start[j + 1]
+            return self.layout.deg_start[j + 1]
         return sum(1 for d in self.row_deg if d <= j)
 
 
@@ -468,13 +522,14 @@ def span_closure(system, cap, order="grevlex"):
     eng = _SpanEngine(system, order=order)
     for _ in range(cap + 1):
         eng.advance()
+    lay = eng.layout
+    ncols = lay.deg_start[cap + 1]  # the layout may reach beyond the cap
     if eng.unit:
-        ncols = len(eng.monos)
         matrix, pivots = np.eye(ncols, dtype=DTYPE), range(ncols)
     else:
         matrix, pivots = eng.store.sorted()
-    return DegreeSpan(system.ring, cap, order, eng.monos, matrix, pivots,
-                      [eng.col_deg[p] for p in pivots])
+    return DegreeSpan(system.ring, cap, order, lay.monos[:ncols], matrix, pivots,
+                      [lay.col_deg[p] for p in pivots])
 
 
 def equiv_mod(f, g, i, system, order="grevlex"):
@@ -958,10 +1013,13 @@ class PointsOracle:
         # extend until the evaluation rank stabilizes at the point count,
         # then one more degree: minimal staircase generators cannot appear
         # beyond the last standard degree plus one
-        d = 0
+        # count the standard monomials of degree <= d, not the echelon's
+        # rows: an earlier dim_leq may have extended it beyond d
+        d, nstd = 0, 0
         while True:
             self._extend(d)
-            if self._ech.n == self.npoints:
+            nstd += len(self._std[d])
+            if nstd == self.npoints:
                 break
             d += 1
         self._extend(d + 1)
@@ -995,8 +1053,17 @@ def zk_points(system):
     ``ZK_BUDGET`` points raises ValueError.
 
     Every point is tested at once: each polynomial is evaluated over the
-    whole grid with the coefficient field's row operations.
+    whole grid with the coefficient field's row operations.  A system is
+    immutable, so the zeros are enumerated once per system and kept on it;
+    each call returns a new list of them.
     """
+    if system._zk_points is None:
+        system._zk_points = _enumerate_zeros(system)
+    return list(system._zk_points)
+
+
+def _enumerate_zeros(system):
+    """The zeros of ``zk_points``, as a tuple."""
     ring = system.ring
     ops = ring.ops
     order = ops.order
@@ -1021,7 +1088,7 @@ def zk_points(system):
                     mono = ops.vmul(mono, pow_t[grid[i], a])
             acc = ops.sub_mul(acc, ops.neg(c), mono)
         zero &= acc == 0
-    return [tuple(pt) for pt in grid[:, zero].T.tolist()]
+    return tuple(tuple(pt) for pt in grid[:, zero].T.tolist())
 
 
 def _holds_field_equations(system):

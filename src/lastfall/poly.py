@@ -396,6 +396,7 @@ class PolySystem:
                 raise RingMismatch("system polynomials live in different rings")
         self.ring = ring
         self.polys = polys
+        self._zk_points = None  # the memo of falldeg.zk_points
 
     @property
     def degree(self):

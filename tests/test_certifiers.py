@@ -204,6 +204,42 @@ def test_points_oracle_descended_points(gf4, gf9):
         assert_same_staircase(build_F1(F, ctx).ring, f1_points(F, ctx), 5)
 
 
+def test_points_oracle_basis_degree_after_dim_leq(gf4):
+    """The seed-0 thm11 instance (p, n, m, j) = (2, 2, 1, 1): a dim_leq(1)
+    before max_gb_degree once made the rank check stop at degree 0, so the
+    oracle read a basis degree of 0 and certified a wrong profile at 1."""
+    ctx = make_descent_context(gf4, 1)
+    rng = random.Random("0:thm11:2:2:1:1")
+    F = gen_random_system(ctx.ring_original, rng.randint(1, 3), 1, rng)
+    F1, points = build_F1(F, ctx), f1_points(F, ctx)
+    assert PointsOracle(F1.ring, points).max_gb_degree() == 2
+    used = PointsOracle(F1.ring, points)
+    used.dim_leq(1)
+    assert used.max_gb_degree() == 2
+    used = PointsOracle(F1.ring, points)
+    used.dim_leq(1)
+    prof = last_fall_degree(F1, oracle=used)
+    assert (prof.certified_at, prof.last_fall_degree) == (3, 3)
+    assert prof == last_fall_degree(F1, oracle=PointsOracle(F1.ring, points))
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_points_oracle_basis_degree_ignores_earlier_queries(fields, name, seed):
+    """max_gb_degree reads the same after any dim_leq as on a fresh oracle."""
+    field = fields[name]
+    rng = random.Random(seed)
+    nvars = rng.randint(1, 3)
+    ring = Ring(field, "k", [f"X{i}" for i in range(nvars)])
+    grid = list(product(range(field.order), repeat=nvars))
+    points = rng.sample(grid, rng.randint(0, min(len(grid), 40)))
+    want = PointsOracle(ring, points).max_gb_degree()
+    used = PointsOracle(ring, points)
+    used.dim_leq(rng.randint(0, 6))
+    assert used.max_gb_degree() == want == ReferencePointsOracle(ring, points).max_gb_degree()
+
+
 # -- inconsistent oracles ----------------------------------------------------------
 
 

@@ -4,13 +4,16 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lastfall import (CoordinateNotInField, MalformedInput, NotABasis, PolySystem, Ring, build_F1,
-                      build_Fprime, build_Fprime1, build_G1, build_G2,
-                      build_sigma_orbit_G, equiv_mod, last_fall_degree,
+from lastfall import (CoordinateNotInField, MalformedInput, NotABasis, PolySystem, Ring,
+                      RingMismatch, build_F1, build_Fprime, build_Fprime1, build_G1, build_G2,
+                      build_sigma_orbit_G, equiv_mod, falldeg, last_fall_degree,
                       make_descent_context, make_field, moore_matrix,
                       solution_transport, weil_descend)
-from lastfall.descent import substituted_generator, zk_points
+from lastfall.descent import (f1_points, field_equations, fprime1_points,
+                              substituted_generator, zk_points)
 from lastfall.linalg import DTYPE
 from oracles import count_zeros, random_system, reference_rref, zero_points
 
@@ -310,3 +313,136 @@ def test_descent_context_refuses_dependent_basis(gf4, gf8):
     for field, basis in ((gf4, [1, 1]), (gf4, [0, 1]), (gf8, [t, t2, gf8.add(t, t2)])):
         with pytest.raises(NotABasis):
             make_descent_context(field, 1, basis=basis)
+
+
+# -- the context's memo and the refusals of a foreign system ----------------------
+
+
+def substitute_reference(f, ctx):
+    """f(sum_j a_j X_{0j}, ...) through MultiPoly.substitute: every image
+    expanded again for each polynomial, with no memo."""
+    S = ctx.ring_descent_k
+    images = {}
+    for i, name in enumerate(f.ring.vars):
+        img = S.zero()
+        for j, b in enumerate(ctx.basis):
+            img = img + S.variable(i * ctx.field.n + j).scale(b)
+        images[name] = img
+    return f.substitute(images)
+
+
+MEMO_SPECS = [(2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2), (3, 1, 3), (2, 2, 3)]
+
+
+def random_basis(field, rng):
+    while True:
+        try:
+            return make_descent_context(field, 1, basis=[rng.randrange(1, field.order)
+                                                         for _ in range(field.n)]).basis
+        except NotABasis:
+            continue
+
+
+@pytest.mark.parametrize("spec", MEMO_SPECS, ids=str)
+@settings(max_examples=10)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_substituted_generator_matches_substitute(spec, seed):
+    """On a cold context and on the same context once its memo is warm,
+    towers (e > 1) and a random basis included; the input's variable names
+    and level are free."""
+    field = make_field(*spec)
+    rng = random.Random(seed)
+    m = rng.randint(1, 2)
+    basis = random_basis(field, rng) if rng.random() < 0.5 else None
+    ctx = make_descent_context(field, m, basis=basis)
+    level = rng.choice(("k", "kprime"))
+    ring = Ring(field, level, rng.choice(([f"X{i}" for i in range(m)], ["a", "b"][:m])))
+    polys = random_system(ring, rng.randint(0, 3), 4, rng).polys
+    for f in polys + polys:  # the second pass reads the warm memo
+        got = substituted_generator(f, ctx)
+        assert got.ring == ctx.ring_descent_k
+        assert got == substitute_reference(f, ctx)
+
+
+def test_context_memo_is_lazy_and_shared(gf8):
+    """A new context builds nothing of the memo; built once, the equations
+    are the same objects for every system and equal the plain ones."""
+    ctx = make_descent_context(gf8, 2)
+    assert len(ctx._images) == 1  # the image of 1
+    assert not {"subfield_equations", "subfield_equations_k", "chain_equations"} & set(vars(ctx))
+    R = ctx.ring_original
+    rng = random.Random(15)
+    F, G = (random_system(R, 2, 2, rng) for _ in range(2))
+    assert build_Fprime1(F, ctx).polys[-6:] == build_Fprime1(G, ctx).polys[-6:]
+    assert ctx.subfield_equations == tuple(field_equations(ctx.ring_descent, gf8.q))
+    assert build_G2(F, ctx).polys[-6:] == tuple(field_equations(ctx.ring_descent_k, gf8.q))
+    chains = build_F1(F, ctx).polys[2:]
+    assert all(a is b for a, b in zip(chains, build_F1(G, ctx).polys[2:]))
+    assert [f.to_text() for f in chains[:3]] == [
+        "(1,0,0)*X0^2 + (1,0,0)*Y0_1", "(1,0,0)*Y0_1^2 + (1,0,0)*Y0_2",
+        "(1,0,0)*Y0_2^2 + (1,0,0)*X0"]
+
+
+def test_descent_refuses_a_system_from_another_field(gf4, gf8):
+    """X0^2 + 3 over GF(5) was once descended by a GF(4) context, which read
+    the code 3 as t + 1; a GF(8) of another modulus is another field too."""
+    gf5 = make_field(5, 1, 1)
+    gf8_other = make_field(2, 1, 3, m2=[1, 1, 0, 1])
+    assert gf8_other != gf8
+    for field, foreign in ((gf4, gf5), (gf8, gf8_other)):
+        ctx = make_descent_context(field, 1)
+        ring = Ring(foreign, "k", ["X0"])
+        f = ring.variable(0).pow_int(2) + ring.constant(3)
+        system = PolySystem(ring, [f])
+        for build in (build_Fprime, build_Fprime1, build_F1, build_sigma_orbit_G,
+                      build_G1, build_G2):
+            with pytest.raises(RingMismatch):
+                build(system, ctx)
+        with pytest.raises(RingMismatch):
+            build_F1(PolySystem(ring, []), ctx)
+        for fn in (substituted_generator, weil_descend):
+            with pytest.raises(RingMismatch):
+                fn(f, ctx)
+
+
+def test_descent_refuses_malformed_arguments(gf4):
+    """Each a MalformedInput, which is still a ValueError."""
+    ctx = make_descent_context(gf4, 1)
+    R2 = Ring(gf4, "k", ["X0", "X1"])
+    for call in (lambda: substituted_generator(R2.variable(1), ctx),
+                 lambda: build_Fprime(PolySystem(R2, []), ctx),
+                 lambda: solution_transport((0, 0, 0), ctx, "lift"),
+                 lambda: solution_transport((0,), ctx, "sideways")):
+        with pytest.raises(MalformedInput) as info:
+            call()
+        assert isinstance(info.value, ValueError)
+
+
+def test_zk_points_enumerates_a_system_once(gf4, monkeypatch):
+    """f1_points and fprime1_points of one system share its enumeration; each
+    call hands out a list of its own."""
+    calls = []
+    enumerate_zeros = falldeg._enumerate_zeros
+    monkeypatch.setattr(falldeg, "_enumerate_zeros",
+                        lambda system: calls.append(system) or enumerate_zeros(system))
+    ctx = make_descent_context(gf4, 1)
+    x = ctx.ring_original.variable(0)
+    F = PolySystem(ctx.ring_original, [x * x + x])
+    want = zero_points(F)
+    assert len(f1_points(F, ctx)) == len(fprime1_points(F, ctx)) == len(want) == 2
+    first = zk_points(F)
+    first.append("junk")
+    assert zk_points(F) == want
+    assert calls == [F]
+
+
+def test_substituted_generator_of_a_high_power(gf4):
+    """X0^1024 over GF(4), past Python's default recursion depth: in
+    characteristic 2 the image is a0^1024 X0_0^1024 + a1^1024 X0_1^1024."""
+    ctx = make_descent_context(gf4, 1)
+    x = ctx.ring_original.variable(0)
+    S = ctx.ring_descent_k
+    a0, a1 = ctx.basis
+    want = (S.monomial((1024, 0), gf4.pow(a0, 1024))
+            + S.monomial((0, 1024), gf4.pow(a1, 1024)))
+    assert substituted_generator(x.pow_int(1024), ctx) == want

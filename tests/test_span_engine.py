@@ -14,9 +14,12 @@ systems and require identical spans and profiles; the GF(3) store is also
 checked against the dense one insertion by insertion.  A broken store that
 hands back an owned pivot would grow its rows without end; the engine
 refuses a row beyond the column count, and the GF(3) tests also run under a
-``deadline``.
+``deadline``.  Every engine reads the column layout shared by its variable
+count and order, so the span must not depend on what built or grew that
+layout before.
 """
 
+import math
 import random
 import signal
 from unittest import mock
@@ -28,6 +31,7 @@ from hypothesis import strategies as st
 
 from lastfall import PolySystem, Ring, falldeg, last_fall_degree, make_field, span_closure
 from lastfall.linalg import DTYPE
+from lastfall.poly import ORDER_KEYS, monomials_up_to
 from conftest import deadline
 from oracles import naive_closure_dim, random_invertible_matrix, random_system, recombine
 
@@ -218,6 +222,59 @@ def test_tern_rows_match_dense_rows_per_insertion(fields, seed):
             assert rows.dtype == DTYPE
             assert np.array_equal(rows, want_rows)
             assert pivots == want_pivots
+
+
+# -- the shared column layout ---------------------------------------------------
+
+
+def fresh_span(system, cap, order, before=None):
+    """span_closure of the system with the layouts cleared first and, when
+    `before` = (cap, order) is given, another closure at that cap and
+    order run in between, which grows or builds a layout first."""
+    falldeg._layout.cache_clear()
+    if before is not None:
+        span_closure(system, *before)
+    return span_closure(system, cap, order)
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+@settings(max_examples=20)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_span_does_not_depend_on_the_layout_history(fields, name, seed):
+    """One store per field kernel; the same span from a cold layout, from
+    one grown first to a larger cap, and from a cold layout after the other
+    order's was built.  The snapshot holds exactly the monomials up to its
+    cap, however far the shared layout reaches."""
+    system, cap = draw_store_system(fields[name], seed)
+    nvars = system.ring.nvars
+    for order in sorted(ORDER_KEYS):
+        other = next(o for o in ORDER_KEYS if o != order)
+        cold = fresh_span(system, cap, order)
+        assert cold.monomials == tuple(monomials_up_to(nvars, cap, order))
+        assert len(cold.monomials) == math.comb(nvars + cap, cap)
+        for before in ((cap + 2, order), (cap + 1, other)):
+            warm = fresh_span(system, cap, order, before)
+            assert warm.monomials == cold.monomials
+            assert np.array_equal(warm.matrix, cold.matrix)
+            assert warm.pivots == cold.pivots
+            assert warm.row_degrees == cold.row_degrees
+            assert warm.dim_leq(cap) == cold.dim
+
+
+def test_layout_is_shared_per_shape(fields):
+    """Engines of one variable count and order read the one layout, which
+    only grows; another order or variable count gets its own."""
+    ring = Ring(fields["GF(4)"], "k", ["X0", "X1"])
+    system = PolySystem(ring, [ring.variable(0) * ring.variable(1)])
+    falldeg._layout.cache_clear()
+    small = span_closure(system, 2)
+    layout = falldeg._layout(2, "grevlex")
+    assert len(layout.monos) == len(small.monomials) == 6
+    span_closure(system, 4)
+    assert falldeg._layout(2, "grevlex") is layout and len(layout.monos) == 15
+    assert span_closure(system, 2).monomials == small.monomials
+    assert falldeg._layout(2, "grlex") is not layout
+    assert falldeg._layout(3, "grevlex") is not layout
 
 
 class UnreducedRows(falldeg._DenseRows):
