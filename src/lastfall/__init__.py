@@ -1,11 +1,11 @@
 """Weil descent, last fall degrees and linearized systems over small fields."""
 
 from .errors import (CoordinateNotInField, DegreeExceedsBound, DegreeTooHigh,
-                     DivisionByZero, LastfallError, MalformedInput,
+                     DivisionByZero, EnumerationBudgetExceeded, LastfallError, MalformedInput,
                      NonPrimeCharacteristic, NotABasis, NotADivisor, NotReducible,
                      OracleInconsistent, ReducibleModulus, RingMismatch,
                      StepBudgetExceeded, UnassignedVariable, UnsupportedField)
-from .gf import FieldElement, FieldSpec, FrobeniusMatrix, frobenius_q, make_field, moore_matrix
+from .gf import FieldSpec, make_field
 from .poly import NEG_INF, MultiPoly, PolySystem, Ring
 from .falldeg import (DegreeSpan, FallProfile, GroebnerOracle, PointsOracle,
                       equiv_mod, groebner_toy, ideal_truncation_dim,

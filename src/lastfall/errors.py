@@ -46,6 +46,10 @@ class StepBudgetExceeded(LastfallError):
     pass
 
 
+class EnumerationBudgetExceeded(LastfallError, ValueError):
+    """An exhaustive enumeration would visit more points than its budget."""
+
+
 class OracleInconsistent(LastfallError):
     """A truncation oracle reported fewer ideal elements in some degrees than
     the span, which lies inside the ideal, already holds."""

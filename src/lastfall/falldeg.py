@@ -64,7 +64,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegreeTooHigh, MalformedInput, OracleInconsistent, StepBudgetExceeded
+from .errors import (DegreeTooHigh, EnumerationBudgetExceeded, MalformedInput,
+                     OracleInconsistent, RingMismatch, StepBudgetExceeded)
 from .linalg import DTYPE, Echelon, reduce_row
 from .poly import DESCENDING_KEYS, NEG_INF, ORDER_KEYS, MultiPoly, monomials_of_degree
 
@@ -477,7 +478,7 @@ class DegreeSpan:
 
     def vector_of(self, f):
         if f.ring != self.ring:
-            raise ValueError("polynomial from another ring")
+            raise RingMismatch("polynomial from another ring")
         if f.degree > self.degree_cap:
             raise DegreeTooHigh(f"degree {f.degree} exceeds cap {self.degree_cap}")
         vec = np.zeros(len(self.monomials), dtype=DTYPE)
@@ -1050,7 +1051,7 @@ _ORACLE_MAX_POINTS = 32
 def zk_points(system):
     """All solutions of the system with coordinates in the coefficient field,
     in lexicographic order of the coordinate codes.  A grid of more than
-    ``ZK_BUDGET`` points raises ValueError.
+    ``ZK_BUDGET`` points raises EnumerationBudgetExceeded.
 
     Every point is tested at once: each polynomial is evaluated over the
     whole grid with the coefficient field's row operations.  A system is
@@ -1069,7 +1070,7 @@ def _enumerate_zeros(system):
     order = ops.order
     total = order**ring.nvars
     if total > ZK_BUDGET:
-        raise ValueError(f"enumeration of {total} points exceeds budget")
+        raise EnumerationBudgetExceeded(f"enumeration of {total} points exceeds budget")
     polys = system.nonzero()
     top = max((a for f in polys for e in f.terms for a in e), default=0)
     # pow_t[x, a] = x^a
@@ -1120,7 +1121,7 @@ def _default_oracle(system, order):
     if _holds_field_equations(system):
         try:
             points = zk_points(system)
-        except ValueError:      # a grid beyond ZK_BUDGET
+        except EnumerationBudgetExceeded:
             pass
         else:
             if len(points) <= _ORACLE_MAX_POINTS:

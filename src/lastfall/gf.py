@@ -12,13 +12,12 @@ All arithmetic of one tower level goes through one :class:`FieldOps` object,
 ``falldeg`` and ``descent``).  It has one kernel per row operation,
 ``vmul``, ``sub_mul``, ``sub_combination`` and ``matvec``, and each picks
 its path from facts about the field alone: codes add by XOR when p = 2, a
-prime field multiplies natively modulo p, and every other product is a
-gather from the tables.  The tables are built with numpy at construction,
-addition digit by digit from the level below and multiplication from the
-permutation "times t" of the codes.  The Frobenius x -> x^{q^i} is a
-permutation table of the codes, and every computation goes through it; its
-n x n matrix over k' on coordinate vectors (``frob_matrix``, applied by
-``frob_by_matrix``) is kept only as an independent cross-check path.
+prime field multiplies natively modulo p, GF(9), GF(25) and GF(27) read
+y - c*x from one flat table of all q^3 values, and every other product is a
+gather from the 2-D tables.  The tables are built with numpy at
+construction, addition digit by digit from the level below and
+multiplication from the permutation "times t" of the codes.  The Frobenius
+x -> x^{q^i} is a permutation table of the codes.
 """
 
 import operator
@@ -27,8 +26,8 @@ import numpy as np
 
 from . import univar
 from .errors import (DivisionByZero, MalformedInput, NonPrimeCharacteristic,
-                     NotABasis, ReducibleModulus, UnsupportedField)
-from .linalg import DTYPE, rank
+                     ReducibleModulus, UnsupportedField)
+from .linalg import DTYPE
 
 MAX_ORDER = 1024
 
@@ -51,6 +50,16 @@ class FieldOps:
     ints.  Row methods take and return numpy rows of codes; they form every
     product in int32 (sums of many products in int64), so no order up to
     ``MAX_ORDER`` overflows the int16 codes.
+
+    An extension field of odd characteristic with q^3 <= 2^15 (GF(9), GF(25)
+    and GF(27)) also keeps ``_sub3``, whose entry (c*q + x)*q + y is
+    y - c*x, and the flat ``mul_table``.  Its ``sub_mul`` is then one gather
+    from ``_sub3``, ``sub_combination`` one per row, and ``vmul`` one from
+    the flat products, each at an index formed in int16 arithmetic, which
+    is exact since q^3 - 1 fits int16.  Beyond that the table would outgrow
+    int16 indices and the cache (GF(49) would need 117,649 entries and
+    GF(729) 387M), so larger odd extensions compose the 2-D gathers of
+    ``add_table`` and ``mul_table``.
     """
 
     def __init__(self, p, add_table, mul_table):
@@ -61,6 +70,12 @@ class FieldOps:
         self.neg_table = (add_table == 0).argmax(axis=1).astype(DTYPE)
         self.inv_table = (mul_table == 1).argmax(axis=1).astype(DTYPE)  # 0 at 0
         self._native = self.order == p
+        self._sub3 = None     # see the class docstring
+        q = self.order
+        if p % 2 and not self._native and q**3 <= 2**15:
+            self._mul_flat = mul_table.reshape(-1)
+            self._sub3 = add_table[self.neg_table[mul_table][:, :, None],
+                                   np.arange(q)].reshape(-1)
 
     @classmethod
     def prime(cls, p):
@@ -134,6 +149,8 @@ class FieldOps:
             return x & y
         if self._native:
             return (np.multiply(x, y, dtype=np.int32) % self.p).astype(DTYPE)
+        if self._sub3 is not None:
+            return self._mul_flat.take(x * self.order + y)
         return self.mul_table[x, y]
 
     def sub_mul(self, y, c, x):
@@ -142,6 +159,9 @@ class FieldOps:
             return y ^ self.vmul(c, x)
         if self._native:
             return ((y - np.multiply(c, x, dtype=np.int32)) % self.p).astype(DTYPE)
+        if self._sub3 is not None:
+            q = self.order
+            return self._sub3.take((c * q + x) * q + y)
         return self.add_table[y, self.mul_table[self.neg_table[c], x]]
 
     def sub_combination(self, y, factors, rows):
@@ -153,6 +173,11 @@ class FieldOps:
         if self._native:
             acc = factors.astype(np.int64) @ rows.astype(np.int64)
             return ((y - acc) % self.p).astype(DTYPE)
+        if self._sub3 is not None:
+            q = self.order
+            for base in (factors[:, None] * q + rows) * q:
+                y = self._sub3.take(base + y)
+            return y
         for t in self.mul_table[self.neg_table[factors][:, None], rows]:
             y = self.add_table[y, t]
         return y
@@ -212,26 +237,15 @@ class FieldSpec:
         self.add, self.sub, self.mul = k.add, k.sub, k.mul
         self.neg, self.inv, self.pow = k.neg, k.inv, k.pow
 
-        # Frobenius x -> x^{q^i} as permutation tables, and the n x n matrix of
-        # x -> x^q on k'-coordinate vectors (columns are coords of (t^j)^q).
+        # Frobenius x -> x^{q^i} as permutation tables
         frob1 = np.array([self.pow(a, self.q) for a in range(self.order)], dtype=DTYPE)
         self.frob_tables = [np.arange(self.order, dtype=DTYPE)]
         for _ in range(1, n):
             self.frob_tables.append(frob1[self.frob_tables[-1]])
-        self.frob_matrix = tuple(
-            tuple(int(self.coords(int(frob1[self.q**j]))[i]) for j in range(n))
-            for i in range(n)
-        )
 
     def frob(self, a, i=1):
         """a^{q^i} (periodic in i with period n on k)."""
         return int(self.frob_tables[i % self.n][a])
-
-    def frob_by_matrix(self, a):
-        """a^q computed through the coordinate matrix; cross-check path."""
-        co = np.array(self.coords(a), dtype=DTYPE)
-        return self.from_coords(
-            self.kprime.matvec(np.array(self.frob_matrix, dtype=DTYPE), co).tolist())
 
     # -- coordinates -----------------------------------------------------------
 
@@ -269,9 +283,6 @@ class FieldSpec:
     def elements(self):
         return range(self.order)
 
-    def element(self, value):
-        return FieldElement(self, value)
-
     # -- serialization ---------------------------------------------------------
 
     def to_json(self):
@@ -304,104 +315,3 @@ def make_field(p, e, n, m1=None, m2=None):
     p, e or n that is not an int, or a modulus that is not a list of codes of
     its base field of the right degree, raises :class:`MalformedInput`."""
     return FieldSpec(p, e, n, m1=m1, m2=m2)
-
-
-class FieldElement:
-    """A value of k (or its subfield k'), a thin wrapper over an integer code."""
-
-    __slots__ = ("field", "code")
-
-    def __init__(self, field, code):
-        if not 0 <= code < field.order:
-            raise ValueError(f"code {code} out of range for {field!r}")
-        self.field = field
-        self.code = code
-
-    @property
-    def coeffs(self):
-        """Tower coordinates: n-tuple over k', each itself an e-tuple over GF(p)."""
-        f = self.field
-        out = []
-        for c in f.coords(self.code):
-            digs = []
-            for _ in range(f.e):
-                digs.append(c % f.p)
-                c //= f.p
-            out.append(tuple(digs))
-        return tuple(out)
-
-    def _check(self, other):
-        if not isinstance(other, FieldElement) or other.field != self.field:
-            raise TypeError("operands from different fields")
-        return other
-
-    def __add__(self, other):
-        return FieldElement(self.field, self.field.add(self.code, self._check(other).code))
-
-    def __sub__(self, other):
-        return FieldElement(self.field, self.field.sub(self.code, self._check(other).code))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.code))
-
-    def __mul__(self, other):
-        return FieldElement(self.field, self.field.mul(self.code, self._check(other).code))
-
-    def __truediv__(self, other):
-        return FieldElement(self.field, self.field.mul(self.code, self.field.inv(self._check(other).code)))
-
-    def __pow__(self, m):
-        return FieldElement(self.field, self.field.pow(self.code, m))
-
-    def inverse(self):
-        return FieldElement(self.field, self.field.inv(self.code))
-
-    def __eq__(self, other):
-        return (isinstance(other, FieldElement) and other.field == self.field
-                and other.code == self.code)
-
-    def __hash__(self):
-        return hash((self.field, self.code))
-
-    def __repr__(self):
-        return f"<{self.code} in GF({self.field.q}^{self.field.n})>"
-
-
-def frobenius_q(x, i=1):
-    """x^{q^i}; k'-linear in x, identity for i = 0 and i = n."""
-    return FieldElement(x.field, x.field.frob(x.code, i))
-
-
-class FrobeniusMatrix:
-    """Moore matrix of a k/k' basis: entry (i, j) is basis[j]^{q^i}."""
-
-    def __init__(self, field, entries):
-        self.field = field
-        self.entries = tuple(tuple(row) for row in entries)
-
-    def row(self, i):
-        return self.entries[i]
-
-    @property
-    def n(self):
-        return len(self.entries)
-
-    def rank(self):
-        return rank(np.array(self.entries, dtype=DTYPE), self.field.k)
-
-
-def moore_matrix(basis):
-    """Build the Moore matrix of `basis` (list of n FieldElements); raises
-    NotABasis when the matrix is singular, which happens exactly when the
-    elements are k'-linearly dependent."""
-    if not basis:
-        raise NotABasis("empty basis")
-    field = basis[0].field
-    n = field.n
-    if len(basis) != n:
-        raise NotABasis(f"expected {n} elements, got {len(basis)}")
-    entries = [[field.frob(b.code, i) for b in basis] for i in range(n)]
-    gamma = FrobeniusMatrix(field, entries)
-    if gamma.rank() != n:
-        raise NotABasis("Moore matrix is singular; elements are k'-dependent")
-    return gamma

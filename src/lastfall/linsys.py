@@ -23,7 +23,8 @@ from itertools import product
 import numpy as np
 
 from . import univar
-from .errors import DegreeExceedsBound, MalformedInput, NotABasis, NotADivisor, NotReducible
+from .errors import (DegreeExceedsBound, EnumerationBudgetExceeded, MalformedInput, NotABasis,
+                     NotADivisor, NotReducible)
 from .linalg import DTYPE, Echelon, kernel_basis, rref
 from .poly import PolySystem, Ring
 
@@ -611,12 +612,13 @@ def subspace_equal(a, b):
 
 
 def enumerate_solutions(F, space, m=None, budget=4096):
-    """All points of W^m annihilated by F, by exhaustive enumeration."""
+    """All points of W^m annihilated by F, by exhaustive enumeration; more
+    than `budget` points raise EnumerationBudgetExceeded."""
     field = space.field
     m = _num_vars(F, m)
     total = field.q ** (space.nprime * m)
     if total > budget:
-        raise ValueError(f"{total} points exceed the enumeration budget")
+        raise EnumerationBudgetExceeded(f"{total} points exceed the enumeration budget")
     live = [lp for lp in F if not lp.is_zero()]
     out = []
     for coords in product(list(space.elements()), repeat=m):

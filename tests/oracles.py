@@ -11,11 +11,11 @@ from itertools import product
 import numpy as np
 
 from lastfall import linsys, univar
-from lastfall.errors import (DegreeExceedsBound, DivisionByZero, LastfallError, NotReducible,
-                             StepBudgetExceeded)
+from lastfall.errors import (DegreeExceedsBound, DivisionByZero, LastfallError, NotABasis,
+                             NotReducible, StepBudgetExceeded)
 from lastfall.falldeg import GroebnerBasis, span_closure
 from lastfall.gf import FieldSpec
-from lastfall.linalg import DTYPE
+from lastfall.linalg import DTYPE, rank
 from lastfall.linsys import (EliminationTrace, LinearizedPoly, _canonical_basis, gbar_system,
                              reducibility_check, symbolic_gcd, symbolic_mul,
                              symbolic_rdivmod)
@@ -65,7 +65,7 @@ def reference_fw_matrix(fW, field):
     ran before it built the matrix from the images of the polynomial basis."""
     kp = field.kprime
     n = field.n
-    tau = np.array(field.frob_matrix, dtype=DTYPE)
+    tau = np.array(frob_matrix(field), dtype=DTYPE)
     cols = []
     for unit in np.eye(n, dtype=DTYPE):
         acc = np.zeros(n, dtype=DTYPE)
@@ -1163,3 +1163,126 @@ def _require_last_stage_only(form, remaining, last):
 def _fill_eliminated(point, gamma, active, field, n1):
     for s in active:
         point[s] = form_eval_at_subspace_point(gamma[(s, 0)], point)
+
+
+# -- the Moore-matrix layer: field elements as objects, the Frobenius on
+# k'-coordinate vectors and the Moore matrix of a k/k' basis, the
+# cross-checks of the Frobenius tables and of the descent basis
+
+
+def frob_matrix(field):
+    """The n x n matrix of x -> x^q on k'-coordinate vectors (columns are
+    coords of (t^j)^q)."""
+    n = field.n
+    return tuple(
+        tuple(int(field.coords(field.frob(field.q**j))[i]) for j in range(n))
+        for i in range(n)
+    )
+
+
+def frob_by_matrix(field, a):
+    """a^q computed through the coordinate matrix; cross-check path."""
+    co = np.array(field.coords(a), dtype=DTYPE)
+    return field.from_coords(
+        field.kprime.matvec(np.array(frob_matrix(field), dtype=DTYPE), co).tolist())
+
+
+class FieldElement:
+    """A value of k (or its subfield k'), a thin wrapper over an integer code."""
+
+    __slots__ = ("field", "code")
+
+    def __init__(self, field, code):
+        if not 0 <= code < field.order:
+            raise ValueError(f"code {code} out of range for {field!r}")
+        self.field = field
+        self.code = code
+
+    @property
+    def coeffs(self):
+        """Tower coordinates: n-tuple over k', each itself an e-tuple over GF(p)."""
+        f = self.field
+        out = []
+        for c in f.coords(self.code):
+            digs = []
+            for _ in range(f.e):
+                digs.append(c % f.p)
+                c //= f.p
+            out.append(tuple(digs))
+        return tuple(out)
+
+    def _check(self, other):
+        if not isinstance(other, FieldElement) or other.field != self.field:
+            raise TypeError("operands from different fields")
+        return other
+
+    def __add__(self, other):
+        return FieldElement(self.field, self.field.add(self.code, self._check(other).code))
+
+    def __sub__(self, other):
+        return FieldElement(self.field, self.field.sub(self.code, self._check(other).code))
+
+    def __neg__(self):
+        return FieldElement(self.field, self.field.neg(self.code))
+
+    def __mul__(self, other):
+        return FieldElement(self.field, self.field.mul(self.code, self._check(other).code))
+
+    def __truediv__(self, other):
+        return FieldElement(self.field, self.field.mul(self.code, self.field.inv(self._check(other).code)))
+
+    def __pow__(self, m):
+        return FieldElement(self.field, self.field.pow(self.code, m))
+
+    def inverse(self):
+        return FieldElement(self.field, self.field.inv(self.code))
+
+    def __eq__(self, other):
+        return (isinstance(other, FieldElement) and other.field == self.field
+                and other.code == self.code)
+
+    def __hash__(self):
+        return hash((self.field, self.code))
+
+    def __repr__(self):
+        return f"<{self.code} in GF({self.field.q}^{self.field.n})>"
+
+
+def frobenius_q(x, i=1):
+    """x^{q^i}; k'-linear in x, identity for i = 0 and i = n."""
+    return FieldElement(x.field, x.field.frob(x.code, i))
+
+
+class FrobeniusMatrix:
+    """Moore matrix of a k/k' basis: entry (i, j) is basis[j]^{q^i}."""
+
+    def __init__(self, field, entries):
+        self.field = field
+        self.entries = tuple(tuple(row) for row in entries)
+
+    def row(self, i):
+        return self.entries[i]
+
+    @property
+    def n(self):
+        return len(self.entries)
+
+    def rank(self):
+        return rank(np.array(self.entries, dtype=DTYPE), self.field.k)
+
+
+def moore_matrix(basis):
+    """Build the Moore matrix of `basis` (list of n FieldElements); raises
+    NotABasis when the matrix is singular, which happens exactly when the
+    elements are k'-linearly dependent."""
+    if not basis:
+        raise NotABasis("empty basis")
+    field = basis[0].field
+    n = field.n
+    if len(basis) != n:
+        raise NotABasis(f"expected {n} elements, got {len(basis)}")
+    entries = [[field.frob(b.code, i) for b in basis] for i in range(n)]
+    gamma = FrobeniusMatrix(field, entries)
+    if gamma.rank() != n:
+        raise NotABasis("Moore matrix is singular; elements are k'-dependent")
+    return gamma

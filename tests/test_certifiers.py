@@ -18,9 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lastfall import (OracleInconsistent, PointsOracle, PolySystem, Ring, build_F1,
-                      build_Fprime1, descent, falldeg, groebner_toy, last_fall_degree,
-                      make_descent_context, make_field)
+from lastfall import (EnumerationBudgetExceeded, OracleInconsistent, PointsOracle, PolySystem,
+                      Ring, build_F1, build_Fprime1, descent, falldeg, groebner_toy,
+                      last_fall_degree, make_descent_context, make_field)
 from lastfall.cli import gen_random_system
 from lastfall.descent import f1_points, fprime1_points
 from lastfall.falldeg import GroebnerOracle, zk_points
@@ -418,6 +418,26 @@ def test_default_oracle_needs_a_grid_within_budget(fields, groebner_calls):
     x = [ring.variable(v) for v in range(ring.nvars)]
     system = PolySystem(ring, field_equations(ring) + [x[0] * x[1] + x[2], x[3] + x[17]])
     assert_buchberger_runs(system, groebner_calls)
+
+
+def test_zk_points_beyond_budget_is_a_typed_refusal(fields):
+    """Still a ValueError, so callers that catch that keep working."""
+    ring = Ring(fields["GF(2)"], "k", [f"X{i}" for i in range(18)])
+    with pytest.raises(EnumerationBudgetExceeded, match="262144 points") as info:
+        zk_points(PolySystem(ring, field_equations(ring)))
+    assert isinstance(info.value, ValueError)
+
+
+def test_default_oracle_passes_other_errors_through(fields, monkeypatch):
+    """Only a grid beyond the budget sends a field-equation system to the
+    Buchberger; any other ValueError of the enumeration propagates."""
+    def broken(system):
+        raise ValueError("not a budget refusal")
+
+    monkeypatch.setattr(falldeg, "zk_points", broken)
+    ring = Ring(fields["GF(2)"], "k", ["X0"])
+    with pytest.raises(ValueError, match="not a budget refusal"):
+        last_fall_degree(PolySystem(ring, field_equations(ring)))
 
 
 def test_default_oracle_needs_a_small_zero_set(fields, groebner_calls):

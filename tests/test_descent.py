@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 from lastfall import (CoordinateNotInField, MalformedInput, NotABasis, PolySystem, Ring,
                       RingMismatch, build_F1, build_Fprime, build_Fprime1, build_G1, build_G2,
                       build_sigma_orbit_G, equiv_mod, falldeg, last_fall_degree,
-                      make_descent_context, make_field, moore_matrix,
-                      solution_transport, weil_descend)
+                      make_descent_context, make_field, solution_transport,
+                      weil_descend)
 from lastfall.descent import (f1_points, field_equations, fprime1_points,
                               substituted_generator, zk_points)
 from lastfall.linalg import DTYPE
-from oracles import count_zeros, random_system, reference_rref, zero_points
+from oracles import (FieldElement, count_zeros, moore_matrix, random_system, reference_rref,
+                     zero_points)
 
 
 @pytest.fixture
@@ -141,7 +142,7 @@ def test_sigma_orbit_matrix_identity(gf4):
     rng = random.Random(8)
     for m in (1, 2):
         ctx = make_descent_context(gf4, m)
-        gamma = moore_matrix([gf4.element(b) for b in ctx.basis])
+        gamma = moore_matrix([FieldElement(gf4, b) for b in ctx.basis])
         for _ in range(6):
             f = random_system(ctx.ring_original, 2, 1, rng).polys[0]
             comps = weil_descend(f, ctx)

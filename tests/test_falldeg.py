@@ -5,7 +5,7 @@ import random
 import pytest
 
 from lastfall import (DegreeTooHigh, GroebnerOracle, MalformedInput, PointsOracle, PolySystem,
-                      Ring, equiv_mod, groebner_toy, ideal_truncation_dim,
+                      Ring, RingMismatch, equiv_mod, groebner_toy, ideal_truncation_dim,
                       last_fall_degree, make_field, span_closure)
 from lastfall.falldeg import default_cap
 from oracles import naive_closure_dim, random_invertible_matrix, random_system, recombine
@@ -288,6 +288,13 @@ def test_cap_limited_status(gf4):
     deeper = last_fall_degree(system, cap=6)
     assert deeper.certified
     assert deeper.last_fall_degree >= prof.last_fall_degree  # lower bound
+
+
+def test_vector_of_refuses_another_ring(r2, gf4):
+    span = span_closure(PolySystem(r2, [r2.variable(0)]), 2)
+    other = Ring(gf4, "k", ["X0", "X1"])
+    with pytest.raises(RingMismatch):
+        span.vector_of(other.variable(0))
 
 
 @pytest.mark.parametrize("order", ["lex", "foo"])

@@ -64,10 +64,12 @@ def test_field_axioms_at_order_1024(spec):
 
 
 # one field per row kernel: GF(2) (XOR and AND), GF(3) and GF(1021) (native
-# modular arithmetic), GF(4) (table products, XOR sums) and the GF(9) tower
-# (table products and sums)
+# modular arithmetic), GF(4) (table products, XOR sums), the GF(9) tower,
+# GF(25) and GF(27) (one flat y - c*x table) and GF(49) (2-D table products
+# and sums, since 49^3 > 2^15)
 KERNEL_FIELDS = {"GF(2)": (2, 1, 1), "GF(3)": (3, 1, 1), "GF(1021)": (1021, 1, 1),
-                 "GF(4)": (2, 1, 2), "GF(9) tower": (3, 2, 1)}
+                 "GF(4)": (2, 1, 2), "GF(9) tower": (3, 2, 1), "GF(25)": (5, 1, 2),
+                 "GF(27)": (3, 1, 3), "GF(49)": (7, 1, 2)}
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
@@ -78,9 +80,9 @@ def test_row_ops_agree_with_scalar_ops(name):
     rows = gen.integers(0, ops.order, (5, 60)).astype(DTYPE)
     factors = gen.integers(1, ops.order, 5).astype(DTYPE)
     mat = gen.integers(0, ops.order, (4, 5)).astype(DTYPE)
-    for c in {0, 1, ops.order - 1, int(x[0])}:
-        # scalar inputs are np.int16 codes taken from rows, as callers pass them
-        c = DTYPE(c)
+    # scalar inputs are np.int16 codes taken from rows and Python ints (as
+    # Echelon.add passes the inverse of a pivot), as callers pass them
+    for c in [f(c) for c in {0, 1, ops.order - 1, int(x[0])} for f in (int, DTYPE)]:
         assert ops.vmul(c, x).tolist() == [ops.mul(c, a) for a in x]
         assert ops.sub_mul(y, c, x).tolist() == [
             ops.sub(b, ops.mul(c, a)) for a, b in zip(x, y)]
@@ -99,8 +101,9 @@ def test_row_ops_agree_with_scalar_ops(name):
             s = ops.add(s, ops.mul(a, b))
         expect.append(s)
     assert ops.matvec(mat, x[:5]).tolist() == expect
-    for out in (ops.vmul(DTYPE(2 % ops.order), x), ops.vmul(x, y),
-                ops.sub_mul(y, DTYPE(1), x), ops.sub_mul(rows, factors[:, None], x),
+    for out in (ops.vmul(DTYPE(2 % ops.order), x), ops.vmul(2 % ops.order, x), ops.vmul(x, y),
+                ops.sub_mul(y, DTYPE(1), x), ops.sub_mul(y, 1, x),
+                ops.sub_mul(rows, factors[:, None], x),
                 ops.sub_combination(y, factors, rows), ops.matvec(mat, x[:5])):
         assert out.dtype == DTYPE
 
@@ -115,3 +118,18 @@ def test_sub_mul_by_column_matches_rows(name):
     got = ops.sub_mul(rows, factors[:, None], x)
     assert got.dtype == DTYPE
     assert got.tolist() == [ops.sub_mul(row, c, x).tolist() for c, row in zip(factors, rows)]
+
+
+@pytest.mark.parametrize("spec", sorted(set(TABLE_FIELDS) | set(KERNEL_FIELDS.values())))
+def test_flat_sub_table_is_y_minus_c_x(spec):
+    """Exactly the odd extension fields with q^3 <= 2^15 build the flat
+    table, and each of its q^3 entries (c*q + x)*q + y is y - c*x."""
+    field = make_field(*spec)
+    for ops in (field.kprime, field.k):
+        q = ops.order
+        assert (ops._sub3 is not None) == (ops.p % 2 == 1 and q != ops.p and q**3 <= 2**15)
+        if ops._sub3 is None:
+            continue
+        assert ops._sub3.dtype == DTYPE and len(ops._sub3) == q**3
+        expect = [ops.sub(y, ops.mul(c, x)) for c in range(q) for x in range(q) for y in range(q)]
+        assert ops._sub3.tolist() == expect

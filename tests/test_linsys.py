@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lastfall import (DegreeExceedsBound, MalformedInput, NotABasis, NotADivisor, NotReducible,
-                      brute_force_solve, build_Qbar, enumerate_solutions, frobenius_step,
-                      full_space, make_field, reducibility_check, solve_structured,
-                      subfield_space, subspace_equal, subspace_from_fW,
-                      symbolic_gcd, symbolic_mul, symbolic_rdivmod)
+from lastfall import (DegreeExceedsBound, EnumerationBudgetExceeded, MalformedInput, NotABasis,
+                      NotADivisor, NotReducible, brute_force_solve, build_Qbar,
+                      enumerate_solutions, frobenius_step, full_space, make_field,
+                      reducibility_check, solve_structured, subfield_space, subspace_equal,
+                      subspace_from_fW, symbolic_gcd, symbolic_mul, symbolic_rdivmod)
 from lastfall import Ring, univar
 from lastfall.linalg import DTYPE, kernel_basis
 from lastfall.linsys import (InvariantSubspace, LinearizedPoly, _frobenius_closure,
@@ -595,6 +595,15 @@ def test_oracle_identity_map(gf4):
     lp = LinearizedPoly(gf4, [(1,)], bound=1)
     ob = brute_force_solve([lp], W, m=1)
     assert ob.dim == 0
+
+
+def test_enumeration_beyond_budget_is_a_typed_refusal(gf4):
+    """Still a ValueError, so callers that catch that keep working."""
+    lp = LinearizedPoly(gf4, [(1,)], bound=1)
+    with pytest.raises(EnumerationBudgetExceeded, match="4 points") as info:
+        enumerate_solutions([lp], full_space(gf4), m=1, budget=3)
+    assert isinstance(info.value, ValueError)
+    assert enumerate_solutions([lp], full_space(gf4), m=1, budget=4) == [(0,)]
 
 
 def test_oracle_matches_enumeration(gf4, gf8):
