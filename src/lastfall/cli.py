@@ -220,6 +220,8 @@ def verify_thm_2_6(seed=0, per_combo=9, combos=_THM26_COMBOS):
                     "cert": int(prof.certified),
                     "status": _status(prof.certified, prof.last_fall_degree <= bound),
                 }
+            if accepted < per_combo:
+                raise RuntimeError(f"could not draw {per_combo} reducible instances at {(n, m, c)}")
     return _run_campaign("thm26", ("p", "e", "n", "m", "npolys", "deg_F", "reducible",
                                    "d_Fprime1", "bound", "cert", "status"), rows())
 
@@ -227,7 +229,7 @@ def verify_thm_2_6(seed=0, per_combo=9, combos=_THM26_COMBOS):
 _SOLVER_COMBOS = tuple((n, m) for n in (2, 3, 4) for m in (1, 2))
 
 
-def verify_solver(seed=0, per_combo=84, combos=_SOLVER_COMBOS, check_fall_bound=True):
+def verify_solver(seed=0, per_combo=84, combos=_SOLVER_COMBOS):
     """Structured solver vs the stacked-kernel oracle on random (F, W).  A
     reducible row whose rewritten system has a cap-limited profile is
     inconclusive, with fall_bound_ok = -1."""
@@ -254,16 +256,13 @@ def verify_solver(seed=0, per_combo=84, combos=_SOLVER_COMBOS, check_fall_bound=
                 if rep.reducible:
                     sb = solve_structured(F, space, m=m, report=rep)
                     equal = subspace_equal(sb, oracle_sb)
-                    certified, fall_ok = True, 1
-                    if check_fall_bound:
-                        prof = _gbar_profile(F, space, m, oracle_sb)
-                        certified = prof.certified
-                        fall_ok = (int(prof.last_fall_degree <= (field.q - 1) * m + 1)
-                                   if certified else -1)
+                    prof = _gbar_profile(F, space, m, oracle_sb)
+                    fall_ok = (int(prof.last_fall_degree <= (field.q - 1) * m + 1)
+                               if prof.certified else -1)
                     row.update({
                         "reducible": 1, "dim_structured": sb.dim,
                         "equal": int(equal), "fall_bound_ok": fall_ok,
-                        "status": _status(certified, fall_ok == 1) if equal else "fail",
+                        "status": _status(prof.certified, fall_ok == 1) if equal else "fail",
                     })
                 else:
                     crosscheck = 1
@@ -442,7 +441,7 @@ def cmd_descend(args):
         raise MalformedInput(f"--basis is not JSON: {exc}") from None
     ctx = make_descent_context(field, system.ring.nvars, basis=basis)
     if args.emit == "Fprime":
-        out = build_Fprime(system, ctx).descended
+        out = build_Fprime(system, ctx)
     elif args.emit == "Fprime1":
         out = build_Fprime1(system, ctx)
     else:
@@ -538,9 +537,6 @@ def _check_campaign_values(campaign, kwargs):
         raise MalformedInput(f"'ns' must be a list of integers, got {ns!r}")
     for key, value in [("combos", v) for c in combos for v in c] + [("ns", v) for v in ns]:
         _at_least(value, key, 1)
-    if type(kwargs.get("check_fall_bound", True)) is not bool:
-        raise MalformedInput(f"'check_fall_bound' must be true or false, "
-                             f"got {kwargs['check_fall_bound']!r}")
 
 
 def cmd_verify(args):

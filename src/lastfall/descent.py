@@ -25,7 +25,7 @@ from . import univar
 from .errors import CoordinateNotInField, MalformedInput, RingMismatch
 from .falldeg import zk_points
 from .linsys import InvariantSubspace
-from .poly import MultiPoly, PolySystem, Ring
+from .poly import MultiPoly, PolySystem, Ring, frobenius_relations
 
 
 class DescentContext:
@@ -112,15 +112,9 @@ class DescentContext:
         """The q-power chains of ``ring_chain``: X_i^q - Y_{i1},
         Y_{ij}^q - Y_{i,j+1} and Y_{i,n-1}^q - X_i for each i (X_i^q - X_i
         when n = 1)."""
-        ring = self.ring_chain
-        m, n, q = self.m, self.field.n, self.field.q
-        polys = []
-        for i in range(m):
-            chain = [ring.variable(i)] + [ring.variable(m + i * (n - 1) + (j - 1))
-                                          for j in range(1, n)]
-            for j in range(n):
-                polys.append(chain[j].pow_int(q) - chain[(j + 1) % n])
-        return tuple(polys)
+        m, n = self.m, self.field.n
+        chains = [(i, *range(m + i * (n - 1), m + (i + 1) * (n - 1))) for i in range(m)]
+        return tuple(frobenius_relations(self.ring_chain, self.field.q, chains, (1,)))
 
 
 def make_descent_context(field, m, basis=None):
@@ -172,39 +166,20 @@ def weil_descend(f, ctx):
     return [MultiPoly(ctx.ring_descent, comp) for comp in components]
 
 
-class DescentSystem:
-    """Original system, its descended components and the component map."""
-
-    def __init__(self, original, descended, components):
-        self.original = original
-        self.descended = descended
-        self.components = components
-
-
 def build_Fprime(system, ctx):
+    """The components of every input polynomial, polynomial by polynomial."""
     _check_ring(system.ring, ctx)
-    out = []
-    comp_map = {}
-    for f in system.polys:
-        comps = weil_descend(f, ctx)
-        comp_map[f] = tuple(comps)
-        out.extend(comps)
-    return DescentSystem(system, PolySystem(ctx.ring_descent, out), comp_map)
+    return PolySystem(ctx.ring_descent, [c for f in system.polys for c in weil_descend(f, ctx)])
 
 
 def field_equations(ring, q):
     """x^q - x for every ring variable."""
-    eqs = []
-    for i in range(ring.nvars):
-        x = ring.variable(i)
-        eqs.append(x.pow_int(q) - x)
-    return eqs
+    return frobenius_relations(ring, q, [(i,) for i in range(ring.nvars)], (1,))
 
 
 def build_Fprime1(system, ctx):
     """Descended system together with all subfield equations X_{ij}^q - X_{ij}."""
-    desc = build_Fprime(system, ctx)
-    return PolySystem(ctx.ring_descent, desc.descended.polys + ctx.subfield_equations)
+    return PolySystem(ctx.ring_descent, build_Fprime(system, ctx).polys + ctx.subfield_equations)
 
 
 def build_F1(system, ctx):
@@ -250,6 +225,8 @@ def solution_transport(point, ctx, direction):
     direction="lift": the inverse evaluation sum_j a_j x_{ij}.
     """
     if direction == "descend":
+        if len(point) != ctx.m:
+            raise MalformedInput(f"expected {ctx.m} values, got {len(point)}")
         out = []
         for x in point:
             co = ctx.space.coords_of(x)

@@ -10,10 +10,10 @@ All arithmetic of one tower level goes through one :class:`FieldOps` object,
 ``field.k`` for k and ``field.kprime`` for k'.  It serves scalar codes (for
 ``univar``, ``poly`` and ``linsys``) and numpy rows of codes (for ``linalg``,
 ``falldeg`` and ``descent``).  It has one kernel per row operation,
-``vmul``, ``sub_mul``, ``sub_combination`` and ``matvec``, and each picks
-its path from facts about the field alone: codes add by XOR when p = 2, a
-prime field multiplies natively modulo p, GF(9), GF(25) and GF(27) read
-y - c*x from one flat table of all q^3 values, and every other product is a
+``vmul``, ``sub_mul`` and ``sub_combination``, and each picks its path
+from facts about the field alone: codes add by XOR when p = 2, a prime
+field multiplies natively modulo p, GF(9), GF(25) and GF(27) read y - c*x
+from one flat table of all q^3 values, and every other product is a
 gather from the 2-D tables.  The tables are built with numpy at
 construction, addition digit by digit from the level below and
 multiplication from the permutation "times t" of the codes.  The Frobenius
@@ -181,13 +181,6 @@ class FieldOps:
         for t in self.mul_table[self.neg_table[factors][:, None], rows]:
             y = self.add_table[y, t]
         return y
-
-    def matvec(self, mat, x):
-        """The matrix-vector product mat @ x, as minus the combination of
-        the columns of mat by the negated nonzero entries of x."""
-        nz = np.flatnonzero(x)
-        return self.sub_combination(np.zeros(len(mat), dtype=DTYPE),
-                                    self.neg_table[x[nz]], mat.T[nz])
 
 
 def _extend(base, degree, modulus, which):

@@ -100,20 +100,10 @@ def rref(mat, ops):
     return ech.sorted()
 
 
-def rank(mat, ops):
-    if len(mat) == 0:
-        return 0
-    return len(rref(mat, ops)[1])
-
-
-def kernel_basis(mat, ops, ncols=None):
+def kernel_basis(mat, ops):
     """Basis of the right kernel {x : mat @ x = 0}, canonical per-free-column."""
-    m = np.array(mat, dtype=DTYPE)
-    if m.size == 0:
-        n = ncols if ncols is not None else (m.shape[1] if m.ndim == 2 else 0)
-        return [np.eye(n, dtype=DTYPE)[i] for i in range(n)]
-    r, pivots = rref(m, ops)
-    ncols = m.shape[1]
+    r, pivots = rref(mat, ops)
+    ncols = r.shape[1]
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:

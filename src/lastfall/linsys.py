@@ -16,6 +16,7 @@ symbolic gcd of a family of companions is exactly the intersection of the
 kernels of the family.
 """
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 from itertools import product
@@ -26,7 +27,7 @@ from . import univar
 from .errors import (DegreeExceedsBound, EnumerationBudgetExceeded, MalformedInput, NotABasis,
                      NotADivisor, NotReducible)
 from .linalg import DTYPE, Echelon, kernel_basis, rref
-from .poly import PolySystem, Ring
+from .poly import PolySystem, Ring, frobenius_relations
 
 
 # -- symbolic (composition-compatible) univariate operations -------------------
@@ -95,10 +96,16 @@ class LinearizedPoly:
     """L(f) for f = sum_i f_i(x_i); rows are the conventional coefficients."""
 
     def __init__(self, field, rows, bound=None):
-        rows = [univar.trim(r) for r in rows]
+        """A coefficient that is not an integer code of k raises MalformedInput."""
+        try:
+            rows = [univar.trim(map(operator.index, r)) for r in rows]
+        except TypeError:
+            raise MalformedInput("a coefficient is not an integer code") from None
         if bound is None:
             bound = max((len(r) for r in rows), default=1)
         for r in rows:
+            if r and (min(r) < 0 or max(r) >= field.order):
+                raise MalformedInput(f"row {list(r)} holds a code outside k = GF({field.order})")
             if len(r) > bound:
                 raise DegreeExceedsBound(f"row degree {len(r) - 1} >= bound {bound}")
         self.field = field
@@ -205,8 +212,7 @@ class InvariantSubspace:
 
     def kernel_in_W(self, companion):
         """Elements of W killed by L(companion), as a k'-basis (W coordinates)."""
-        mat = self.operator_matrix(companion)
-        return kernel_basis(mat, self.field.kprime, ncols=self.nprime)
+        return kernel_basis(self.operator_matrix(companion), self.field.kprime)
 
     def __repr__(self):
         return f"InvariantSubspace(fW={list(self.fW)}, dim={self.nprime})"
@@ -231,7 +237,7 @@ def subspace_from_fW(fW, field):
     n = field.n
     # f_W(tau) over k' on the polynomial basis t^j, whose code is q^j
     mat = _operator_matrix(field, fW, [field.q**j for j in range(n)])
-    ker = kernel_basis(mat, kp, ncols=n)
+    ker = kernel_basis(mat, kp)
     if len(ker) != univar.degree(fW):
         raise RuntimeError(
             f"kernel dimension {len(ker)} != deg fW {univar.degree(fW)}")
@@ -266,22 +272,9 @@ def build_Qbar(space, m):
     x_{i,n'-1}^q - sum_l gW_l x_{il}; for W = k the closing relation is the
     cyclic wrap x_{i,n-1}^q - x_{i0}.
     """
-    field = space.field
     n1 = space.nprime
-    ring = make_s_ring(field, m, n1)
-    q = field.q
-    polys = []
-    for i in range(m):
-        for j in range(n1 - 1):
-            polys.append(ring.variable(i * n1 + j).pow_int(q)
-                         - ring.variable(i * n1 + j + 1))
-        closing = ring.variable(i * n1 + n1 - 1).pow_int(q)
-        ell_gw = ring.zero()
-        for l, c in enumerate(space.gW):
-            if c:
-                ell_gw = ell_gw + ring.variable(i * n1 + l).scale(c)
-        polys.append(closing - ell_gw)
-    return polys
+    return frobenius_relations(make_s_ring(space.field, m, n1), space.field.q,
+                               [range(i * n1, (i + 1) * n1) for i in range(m)], space.gW)
 
 
 def linearized_to_form(lp, space, m):
@@ -475,28 +468,12 @@ class SolutionBasis:
         return f"SolutionBasis(dim={self.dim}, m={self.m})"
 
 
-def _canonical_basis(space, m, raw_generators, trace=None, reducible=None):
+def _canonical_basis(space, m, coords, trace=None, reducible=None):
+    """The basis of the k'-span of `coords`, rows of m n' W-coordinates in
+    stage-major order, in RREF."""
     n1 = space.nprime
-    coords = []
-    for gen in raw_generators:
-        row = []
-        for v in gen:
-            co = space.coords_of(v)
-            if co is None:
-                raise RuntimeError("generator coordinate escaped W")
-            row.extend(co)
-        coords.append(row)
-    if coords:
-        R, _ = rref(np.array(coords, dtype=DTYPE), space.field.kprime)
-    else:
-        R = np.zeros((0, m * n1), dtype=DTYPE)
-    gens = []
-    for r in range(R.shape[0]):
-        gen = []
-        for i in range(m):
-            co = tuple(int(c) for c in R[r, i * n1:(i + 1) * n1])
-            gen.append(space.from_coords(co))
-        gens.append(tuple(gen))
+    R, _ = rref(np.array(coords, dtype=DTYPE).reshape(len(coords), m * n1), space.field.kprime)
+    gens = [[space.from_coords(row[i * n1:(i + 1) * n1]) for i in range(m)] for row in R.tolist()]
     return SolutionBasis(space, m, gens, R, trace=trace, reducible=reducible)
 
 
@@ -565,12 +542,16 @@ def solve_structured(F, space, m=None, report=None):
             point[t] = sub.eval(point)
         raw.append(tuple(point))
 
+    coords = []
     for gen in raw:
-        for lp in F_live:
-            if lp.eval(gen) != 0:
-                raise RuntimeError("structured solution fails an input polynomial")
+        if any(lp.eval(gen) for lp in F_live):
+            raise RuntimeError("structured solution fails an input polynomial")
+        row = [space.coords_of(x) for x in gen]
+        if None in row:
+            raise RuntimeError("generator coordinate escaped W")
+        coords.append([c for co in row for c in co])
     trace = EliminationTrace(substitutions, g, report.active_stages)
-    return _canonical_basis(space, m, raw, trace=trace, reducible=True)
+    return _canonical_basis(space, m, coords, trace=trace, reducible=True)
 
 
 def brute_force_solve(F, space, m=None):
@@ -580,7 +561,7 @@ def brute_force_solve(F, space, m=None):
     field = space.field
     m = _num_vars(F, m)
     n1 = space.nprime
-    blocks = []
+    blocks = [np.zeros((0, m * n1), dtype=DTYPE)]
     for lp in F:
         if lp.is_zero():
             continue
@@ -589,18 +570,7 @@ def brute_force_solve(F, space, m=None):
             companion = univar.mod(field.k, lp.per_var(s), tuple(space.fW))
             block[:, s * n1:(s + 1) * n1] = space.operator_matrix(companion)
         blocks.append(block)
-    if blocks:
-        ker = kernel_basis(np.concatenate(blocks), field.kprime, ncols=m * n1)
-    else:
-        ker = kernel_basis([], field.kprime, ncols=m * n1)
-    raw = []
-    for v in ker:
-        gen = []
-        for s in range(m):
-            co = tuple(int(c) for c in v[s * n1:(s + 1) * n1])
-            gen.append(space.from_coords(co))
-        raw.append(tuple(gen))
-    return _canonical_basis(space, m, raw, reducible=None)
+    return _canonical_basis(space, m, kernel_basis(np.concatenate(blocks), field.kprime))
 
 
 def subspace_equal(a, b):

@@ -386,6 +386,24 @@ def _json_value(obj, key, kind=None):
     return obj[key]
 
 
+def frobenius_relations(ring, q, blocks, closing):
+    """x_j^q - x_{j+1} along each block of variable indices, the last
+    variable closed by x^q - sum_l closing[l] x_l over the block's own
+    variables; the polynomials block by block, in block order."""
+    def term(i, a, c):
+        e = [0] * ring.nvars
+        e[i] = a
+        return tuple(e), c
+
+    polys = []
+    for block in blocks:
+        for j, v in enumerate(block):
+            nxt = [(block[j + 1], 1)] if j + 1 < len(block) else zip(block, closing)
+            polys.append(MultiPoly(ring, dict(
+                [term(v, q, 1)] + [term(w, 1, ring.field.neg(c)) for w, c in nxt if c])))
+    return polys
+
+
 class PolySystem:
     """A finite list of polynomials sharing one ring (duplicates allowed)."""
 

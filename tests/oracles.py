@@ -15,7 +15,7 @@ from lastfall.errors import (DegreeExceedsBound, DivisionByZero, LastfallError, 
                              NotReducible, StepBudgetExceeded)
 from lastfall.falldeg import GroebnerBasis, span_closure
 from lastfall.gf import FieldSpec
-from lastfall.linalg import DTYPE, rank
+from lastfall.linalg import DTYPE, rref
 from lastfall.linsys import (EliminationTrace, LinearizedPoly, _canonical_basis, gbar_system,
                              reducibility_check, symbolic_gcd, symbolic_mul,
                              symbolic_rdivmod)
@@ -59,6 +59,19 @@ def reference_rref(mat, ops):
     return m[:rank], pivots
 
 
+def rank(mat, ops):
+    if len(mat) == 0:
+        return 0
+    return len(rref(mat, ops)[1])
+
+
+def matvec(ops, mat, x):
+    """The matrix-vector product mat @ x over `ops`, as minus the
+    combination of the columns of mat by the negated nonzero entries of x."""
+    nz = np.flatnonzero(x)
+    return ops.sub_combination(np.zeros(len(mat), dtype=DTYPE), ops.neg_table[x[nz]], mat.T[nz])
+
+
 def reference_fw_matrix(fW, field):
     """The matrix of f_W(tau) over k' from the Frobenius coordinate matrix,
     one column sum_i c_i tau^i e_j at a time: the loop `subspace_from_fW`
@@ -71,7 +84,7 @@ def reference_fw_matrix(fW, field):
         acc = np.zeros(n, dtype=DTYPE)
         for c in fW:
             acc = kp.sub_mul(acc, kp.neg(c), unit)
-            unit = kp.matvec(tau, unit)
+            unit = matvec(kp, tau, unit)
         cols.append(acc)
     return np.stack(cols, axis=1)
 
@@ -1134,17 +1147,22 @@ def stage_elimination_solve(F, space, m=None, report=None):
         _fill_eliminated(point, gamma, report.active_stages, field, n1)
         raw.append(tuple(point))
 
+    coords = []
     for gen in raw:
         for lp in F_live:
             if lp.eval(gen) != 0:
                 raise RuntimeError("structured solution fails an input polynomial")
+        row = [space.coords_of(x) for x in gen]
+        if None in row:
+            raise RuntimeError("generator coordinate escaped W")
+        coords.append([c for co in row for c in co])
 
     trace = EliminationTrace(
         substitutions={s: form_to_linearized(gamma[(s, 0)]) for s in report.active_stages},
         final_gcd=g,
         active_stages=report.active_stages,
     )
-    return _canonical_basis(space, m, raw, trace=trace, reducible=True)
+    return _canonical_basis(space, m, coords, trace=trace, reducible=True)
 
 
 def _require_last_stage_only(form, remaining, last):
@@ -1184,7 +1202,7 @@ def frob_by_matrix(field, a):
     """a^q computed through the coordinate matrix; cross-check path."""
     co = np.array(field.coords(a), dtype=DTYPE)
     return field.from_coords(
-        field.kprime.matvec(np.array(frob_matrix(field), dtype=DTYPE), co).tolist())
+        matvec(field.kprime, np.array(frob_matrix(field), dtype=DTYPE), co).tolist())
 
 
 class FieldElement:

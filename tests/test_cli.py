@@ -18,7 +18,7 @@ import lastfall
 from lastfall import MalformedInput, cli, falldeg, make_field
 from lastfall.cli import (_run_campaign, campaign_csv, campaign_json,
                           gen_random_system, main, verify_solver, verify_thm_1_1,
-                          write_campaign)
+                          verify_thm_2_6, write_campaign)
 from lastfall.descent import build_Fprime1, make_descent_context
 from lastfall.falldeg import GroebnerOracle, PointsOracle, groebner_toy, last_fall_degree
 from lastfall.poly import PolySystem, Ring
@@ -182,9 +182,19 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["passed"] == 1
 
 
+def test_thm26_refuses_to_truncate_a_campaign(tmp_path):
+    """With at most 200 draws per combination, 201 rows once came back as
+    200 rows with no failure, and `lastfall verify thm26` exited 0."""
+    with pytest.raises(RuntimeError, match="could not draw 201 reducible instances"):
+        verify_thm_2_6(seed=0, per_combo=201, combos=((2, 1, 1),))
+    cfg = tmp_path / "verify.json"
+    cfg.write_text(json.dumps({"thm26": {"per_combo": 201, "combos": [[2, 1, 1]]}}))
+    with pytest.raises(RuntimeError):
+        main(["--config", str(cfg), "verify", "thm26"])
+
+
 def test_solver_subcommand_campaign_smoke():
-    res = verify_solver(seed=1, per_combo=4, combos=((2, 1), (3, 2)),
-                        check_fall_bound=False)
+    res = verify_solver(seed=1, per_combo=4, combos=((2, 1), (3, 2)))
     assert res.failed == 0
 
 
@@ -257,7 +267,8 @@ def test_run_campaign_numbers_times_and_counts():
 def test_cli_verify_rejects_unknown_config_keys(tmp_path, capsys):
     for campaign, cfg in (("thm11", {"bogus": 3}),
                           ("thm26", {"per_combo": 1, "certifier": "points"}),
-                          ("example", {"max_attempts": 5, "zzz": 1})):
+                          ("example", {"max_attempts": 5, "zzz": 1}),
+                          ("solver", {"check_fall_bound": "no", "per_combo": 1})):
         path = tmp_path / f"{campaign}.json"
         path.write_text(json.dumps({campaign: cfg}))
         rc = main(["--config", str(path), "verify", campaign])
@@ -272,31 +283,39 @@ def test_cli_verify_rejects_unknown_config_keys(tmp_path, capsys):
 _ONE_THM11 = {"per_combo": 1, "combos": [[2, 2, 1]]}
 
 
-@pytest.mark.parametrize("campaign,config", [
-    pytest.param("thm11", [1], id="config-not-object"),
-    pytest.param("thm11", {"thm11": [1]}, id="entry-not-object"),
-    pytest.param("thm11", {"thm11": {**_ONE_THM11, "seed": "x"}}, id="seed-string"),
-    pytest.param("thm11", {"thm11": {**_ONE_THM11, "seed": -1}}, id="seed-negative"),
-    pytest.param("thm11", {"thm11": {"per_combo": "x"}}, id="per-combo-string"),
-    pytest.param("thm11", {"thm11": {"per_combo": -1}}, id="per-combo-negative"),
-    pytest.param("thm11", {"thm11": {**_ONE_THM11, "per_combo": True}}, id="per-combo-bool"),
-    pytest.param("example", {"example": {"per_n": -1}}, id="per-n-negative"),
-    pytest.param("example", {"example": {"per_n": 1.5}}, id="per-n-float"),
-    pytest.param("thm11", {"thm11": {"cap": "x"}}, id="cap-string"),
-    pytest.param("thm11", {"thm11": {"combos": [[2, 2]]}}, id="combo-too-short"),
+_PLAIN = "lastfall verify: "
+
+
+@pytest.mark.parametrize("campaign,config,prefix", [
+    pytest.param("thm11", [1], _PLAIN, id="config-not-object"),
+    pytest.param("thm11", {"thm11": [1]}, _PLAIN, id="entry-not-object"),
+    pytest.param("thm11", {"thm11": {**_ONE_THM11, "seed": "x"}}, _PLAIN, id="seed-string"),
+    pytest.param("thm11", {"thm11": {**_ONE_THM11, "seed": -1}}, _PLAIN, id="seed-negative"),
+    pytest.param("thm11", {"thm11": {"per_combo": "x"}}, _PLAIN, id="per-combo-string"),
+    pytest.param("thm11", {"thm11": {"per_combo": -1}}, _PLAIN, id="per-combo-negative"),
+    pytest.param("thm11", {"thm11": {**_ONE_THM11, "per_combo": True}}, _PLAIN,
+                 id="per-combo-bool"),
+    pytest.param("example", {"example": {"per_n": -1}}, _PLAIN, id="per-n-negative"),
+    pytest.param("example", {"example": {"per_n": 1.5}}, _PLAIN, id="per-n-float"),
+    pytest.param("thm11", {"thm11": {"cap": "x"}}, _PLAIN, id="cap-string"),
+    pytest.param("thm11", {"thm11": {"combos": [[2, 2]]}}, _PLAIN, id="combo-too-short"),
     pytest.param("solver", {"solver": {"combos": [[2, 1, 1]], "per_combo": 1}},
-                 id="combo-too-long"),
-    pytest.param("thm11", {"thm11": {"combos": "x"}}, id="combos-string"),
+                 _PLAIN, id="combo-too-long"),
+    pytest.param("thm11", {"thm11": {"combos": "x"}}, _PLAIN, id="combos-string"),
     pytest.param("thm11", {"thm11": {"combos": [[2, 2, 1.5]], "per_combo": 1}},
-                 id="combo-float"),
-    pytest.param("thm26", {"thm26": {"combos": [[2, 0, 1]]}}, id="combo-zero"),
-    pytest.param("example", {"example": {"ns": 3}}, id="ns-not-list"),
+                 _PLAIN, id="combo-float"),
+    pytest.param("thm26", {"thm26": {"combos": [[2, 0, 1]]}}, _PLAIN, id="combo-zero"),
+    pytest.param("example", {"example": {"ns": 3}}, _PLAIN, id="ns-not-list"),
     pytest.param("solver", {"solver": {"check_fall_bound": "no", "per_combo": 1,
-                                       "combos": [[2, 1]]}}, id="check-fall-bound-string"),
+                                       "combos": [[2, 1]]}},
+                 "lastfall verify solver: unknown config key(s): check_fall_bound",
+                 id="check-fall-bound-string"),
 ])
-def test_cli_verify_refuses_malformed_config(tmp_path, capsys, campaign, config):
+def test_cli_verify_refuses_malformed_config(tmp_path, capsys, campaign, config, prefix):
     """Each of these configs once ended in a traceback, or ran (an empty
-    campaign for a negative count, a string read as true) and exited 0."""
+    campaign for a negative count, a string read as true) and exited 0.
+    The solver campaign no longer takes check_fall_bound, so that key is
+    refused as unknown."""
     path = tmp_path / "verify.json"
     path.write_text(json.dumps(config))
     rc = main(["--config", str(path), "verify", campaign])
@@ -304,7 +323,7 @@ def test_cli_verify_refuses_malformed_config(tmp_path, capsys, campaign, config)
     assert rc == 2
     assert captured.out == ""
     err = captured.err.splitlines()
-    assert len(err) == 1 and err[0].startswith("lastfall verify: ")
+    assert len(err) == 1 and err[0].startswith(prefix)
 
 
 class _NeverCertifies(PointsOracle):

@@ -253,6 +253,14 @@ def test_descent_coordinates_solve_the_basis_system(spec):
             assert ctx.space.coords_of(x) == tuple(R[:, n].tolist())
 
 
+@pytest.mark.parametrize("point", [(3,), (3, 1, 2)], ids=["one-value", "three-values"])
+def test_transport_refuses_point_of_wrong_arity(gf8, point):
+    """With m = 2, (3,) once descended to 3 coordinates and (3, 1, 2) to 9."""
+    ctx = make_descent_context(gf8, 2)
+    with pytest.raises(MalformedInput, match=f"expected 2 values, got {len(point)}"):
+        solution_transport(point, ctx, "descend")
+
+
 def test_transport_rejects_non_subfield(gf4):
     ctx = make_descent_context(gf4, 1)
     with pytest.raises(CoordinateNotInField):
@@ -271,7 +279,7 @@ def test_orbit_system_fall_degree_matches_descended(gf4):
     for _ in range(6):
         F = random_system(ctx.ring_original, 2, 1, rng)
         G = build_sigma_orbit_G(F, ctx)
-        Fp = build_Fprime(F, ctx).descended
+        Fp = build_Fprime(F, ctx)
         lifted = PolySystem(ctx.ring_descent_k,
                             [ctx.ring_descent_k.from_terms(f.terms.items())
                              for f in Fp.polys])
@@ -363,6 +371,28 @@ def test_substituted_generator_matches_substitute(spec, seed):
         got = substituted_generator(f, ctx)
         assert got.ring == ctx.ring_descent_k
         assert got == substitute_reference(f, ctx)
+
+
+@pytest.mark.parametrize("spec", [(2, 1, 2), (2, 1, 3), (3, 1, 2), (3, 1, 3), (2, 2, 2),
+                                  (2, 1, 1), (3, 2, 1)])
+def test_chain_and_subfield_equations_match_power_reference(spec):
+    """The chain and subfield equations built from their exponents equal
+    the relations formed by raising a variable to the q-th power, in the
+    same places."""
+    field = make_field(*spec)
+    q, n = field.q, field.n
+    for m in (1, 2):
+        ctx = make_descent_context(field, m)
+        x = [ctx.ring_chain.variable(v) for v in range(ctx.ring_chain.nvars)]
+        want = []
+        for i in range(m):
+            chain = [x[i]] + x[m + i * (n - 1):m + (i + 1) * (n - 1)]
+            want += [chain[j].pow_int(q) - chain[(j + 1) % n] for j in range(n)]
+        assert ctx.chain_equations == tuple(want)
+        for ring, eqs in ((ctx.ring_descent, ctx.subfield_equations),
+                          (ctx.ring_descent_k, ctx.subfield_equations_k)):
+            x = [ring.variable(v) for v in range(ring.nvars)]
+            assert eqs == tuple(v.pow_int(q) - v for v in x)
 
 
 def test_context_memo_is_lazy_and_shared(gf8):

@@ -199,7 +199,7 @@ def test_moore_matrix_cubic_basis(gf8):
 
 def test_moore_invertible_iff_independent_exhaustive(gf4):
     """All 16 pairs over GF(4): Moore matrix invertible <=> k'-independent."""
-    from lastfall.linalg import rank
+    from oracles import rank
     import numpy as np
 
     ops = gf4.kprime
@@ -216,7 +216,7 @@ def test_moore_invertible_iff_independent_exhaustive(gf4):
 
 
 def test_moore_invertible_iff_independent_random(gf8):
-    from lastfall.linalg import rank
+    from oracles import rank
     import numpy as np
 
     ops = gf8.kprime

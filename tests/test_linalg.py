@@ -92,7 +92,7 @@ def test_kernel_matches_rref_rank_kernel_and_solve(spec, shape):
         rank = local_rank(mat.tolist(), field)
         assert len(pivots) == rank
 
-        kernel = kernel_basis(mat, ops, ncols=ncols)
+        kernel = kernel_basis(mat, ops)
         assert len(kernel) == ncols - rank
         assert local_rank([v.tolist() for v in kernel], field) == len(kernel)
         for v in kernel:
