@@ -21,7 +21,7 @@ from itertools import product
 from . import univar
 from .descent import (build_F1, build_Fprime, build_Fprime1, f1_points,
                       fprime1_points, make_descent_context)
-from .errors import LastfallError, MalformedInput, NotReducible
+from .errors import CampaignExhausted, LastfallError, MalformedInput, NotReducible
 from .falldeg import PointsOracle, last_fall_degree
 from .gf import make_field
 from .linsys import (LinearizedPoly, brute_force_solve, enumerate_solutions,
@@ -221,7 +221,8 @@ def verify_thm_2_6(seed=0, per_combo=9, combos=_THM26_COMBOS):
                     "status": _status(prof.certified, prof.last_fall_degree <= bound),
                 }
             if accepted < per_combo:
-                raise RuntimeError(f"could not draw {per_combo} reducible instances at {(n, m, c)}")
+                raise CampaignExhausted(f"could not draw {per_combo} reducible instances "
+                                        f"at {(n, m, c)}")
     return _run_campaign("thm26", ("p", "e", "n", "m", "npolys", "deg_F", "reducible",
                                    "d_Fprime1", "bound", "cert", "status"), rows())
 
@@ -329,7 +330,7 @@ def verify_example(seed=0, per_n=10, ns=(3, 5)):
                     "status": _status(prof.certified, prof.last_fall_degree <= 2 * q),
                 }
             if accepted < per_n:
-                raise RuntimeError(f"could not draw {per_n} admissible instances at n={n}")
+                raise CampaignExhausted(f"could not draw {per_n} admissible instances at n={n}")
     return _run_campaign("example", ("n", "gcd_x_trivial", "gcd_y_trivial", "d_Fprime1",
                                      "bound", "cert", "status"), rows())
 

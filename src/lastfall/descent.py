@@ -9,9 +9,7 @@ module also builds:
   * the chain-extended system over k whose zero set is identified with the
     k-rational points of the input (fresh variables Y_{i1}..Y_{i,n-1} tied by
     X_i^q = Y_{i1}, Y_{ij}^q = Y_{i,j+1}, Y_{i,n-1}^q = X_i);
-  * the descended system plus all subfield equations X_{ij}^q - X_{ij};
-  * the Galois-orbit systems used as test apparatus for the span arguments
-    (substituted generators and their coefficient-wise conjugates).
+  * the descended system plus all subfield equations X_{ij}^q - X_{ij}.
 
 Variable naming is fixed (X{i}_{j} flattened as i*n+j, Y variables after all
 X_i) so emitted systems are byte-stable.
@@ -194,28 +192,6 @@ def build_F1(system, ctx):
     polys = [MultiPoly(ring, {e + pad: c for e, c in f.terms.items()})
              for f in system.polys]
     return PolySystem(ring, polys + list(ctx.chain_equations))
-
-
-def build_sigma_orbit_G(system, ctx):
-    """All coefficient-wise conjugates of the substituted generators."""
-    polys = []
-    for f in system.polys:
-        g = substituted_generator(f, ctx)
-        for i in range(ctx.field.n):
-            polys.append(g.apply_sigma(i))
-    return PolySystem(ctx.ring_descent_k, polys)
-
-
-def build_G1(system, ctx):
-    g = build_sigma_orbit_G(system, ctx)
-    return PolySystem(ctx.ring_descent_k, g.polys + ctx.subfield_equations_k)
-
-
-def build_G2(system, ctx):
-    """Substituted generators plus subfield equations; the image of the
-    chain-extended system under the Moore-matrix change of coordinates."""
-    polys = [substituted_generator(f, ctx) for f in system.polys]
-    return PolySystem(ctx.ring_descent_k, polys + list(ctx.subfield_equations_k))
 
 
 def solution_transport(point, ctx, direction):

@@ -55,6 +55,11 @@ class OracleInconsistent(LastfallError):
     the span, which lies inside the ideal, already holds."""
 
 
+class CampaignExhausted(LastfallError, RuntimeError):
+    """A verification campaign ran out of draws before it had the rows it
+    was asked for."""
+
+
 class NotADivisor(LastfallError):
     pass
 

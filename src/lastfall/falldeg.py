@@ -35,6 +35,18 @@ nonzero column.  All three stores hold the same canonical basis, and
 span, the span is the whole truncated ring at every later level, so the
 engine stops closing and ``span_closure`` returns the identity.
 
+Not every product is formed: a row is shifted only by the variables up to
+its tag (the XL rule; Courtois, Klimov, Patarin & Shamir, EUROCRYPT 2000).
+A row made from the candidate x_v * r whose pivot is still x_v times the
+pivot of r gets the tag v; a generator, or a row whose leading monomial
+dropped in the reduction, gets the last variable.  Nothing is lost.  A row
+r of tag w is c x_w r0 + g, r0 the row that was shifted and LM(g) < LM(r);
+later clearing changes only g.  For v > w, x_v r = c x_w (x_v r0) + x_v g.
+Written out in rows, every product on the right has a leading monomial
+below x_v LM(r) except x_w s, s the row with pivot x_v LM(r0), whose
+multiplier w is below v.  By induction on the pair (leading monomial,
+multiplier), the skipped product lies in the span of the kept ones.
+
 The columns themselves depend only on the number of variables and the
 order, so they are built once per such shape and shared: a ``_Layout``
 holds the monomial enumeration, its inverse, the degree of each column and
@@ -361,12 +373,16 @@ class _SpanEngine:
     """Incremental span closure, one degree level at a time.
 
     Candidates (the generators of each degree, then every row one degree
-    below the level times each variable) wait in a FIFO queue and are added
-    to a row store.  The store is picked from the field: over GF(2) a row
-    is a Python int bitset (``_BitRows``), over GF(3) a pair of them
-    (``_TernRows``), over any other field an int16 code vector
-    (``_DenseRows``).  All three keep the basis in RREF with the pivot at
-    the largest monomial, so they hold the same rows.
+    below the level times each variable up to its tag) wait in a FIFO
+    queue and are added to a row store.  The store is picked from the
+    field: over GF(2) a row is a Python int bitset (``_BitRows``), over
+    GF(3) a pair of them (``_TernRows``), over any other field an int16
+    code vector (``_DenseRows``).  All three keep the basis in RREF with the
+    pivot at the largest monomial, so they hold the same rows.
+
+    Each row keeps its pivot and its tag, the last variable it is shifted
+    by (the XL rule of the module docstring), and each degree its row
+    count, so ``dim_leq`` is a prefix sum.
 
     The columns and shift maps come from the ``_Layout`` of the ring's
     variable count and the order, built once per such shape and read by
@@ -388,7 +404,9 @@ class _SpanEngine:
                 continue
             self.by_degree.setdefault(int(f.degree), []).append(f)
         self.level = -1
-        self.row_deg = []  # degree of each row, in insertion order
+        self.row_piv = []  # pivot column of each row, in insertion order
+        self.row_tag = []  # the last variable each row is shifted by
+        self.deg_rows = []  # number of rows of each degree
         # 1 is in the span, which is then the whole truncated ring at every
         # level from here on; the engine stops closing
         self.unit = False
@@ -401,20 +419,18 @@ class _SpanEngine:
         lay.grow(i)
         ncols = lay.deg_start[i + 1]
         self.level = i
+        self.deg_rows.append(0)
         if self.unit:
             return
         store = self.store
         store.add_columns(ncols, lay.shift_arrays() if isinstance(store, _DenseRows)
                           else lay.shifts)
 
-        col_of, col_deg = lay.col_of, lay.col_deg
-        queue = deque()
-        for r, d in enumerate(self.row_deg):
-            if d == i - 1:
-                for v in range(self.ring.nvars):
-                    queue.append((r, v))
-        for f in self.by_degree.get(i, []):
-            queue.append((f, None))
+        col_of, col_deg, shifts = lay.col_of, lay.col_deg, lay.shifts
+        row_piv, row_tag, top = self.row_piv, self.row_tag, self.ring.nvars - 1
+        queue = deque((r, w) for r, p in enumerate(row_piv) if col_deg[p] == i - 1
+                      for w in range(row_tag[r] + 1))
+        queue.extend((f, None) for f in self.by_degree.get(i, []))
         while queue:
             a, v = queue.popleft()
             if v is None:
@@ -424,25 +440,28 @@ class _SpanEngine:
             p = store.add(vec)
             if p is None:
                 continue
-            new_row = len(self.row_deg)
+            new_row = len(row_piv)
             if new_row >= ncols:
                 # the rank never exceeds the column count: a store that hands
                 # back an owned pivot would otherwise loop forever
                 raise RuntimeError(f"row store grew past its {ncols} columns at degree {i}")
-            self.row_deg.append(col_deg[p])
+            # x_v * a kept its leading monomial: tag v (the XL rule)
+            tag = v if v is not None and p == shifts[v][row_piv[a]] else top
+            row_piv.append(p)
+            row_tag.append(tag)
+            self.deg_rows[col_deg[p]] += 1
             if p == 0:
                 self.unit = True
                 return
             if col_deg[p] <= i - 1:
-                for w in range(self.ring.nvars):
-                    queue.append((new_row, w))
+                queue.extend((new_row, w) for w in range(tag + 1))
 
     # -- dimensions ----------------------------------------------------------
 
     def dim(self):
         if self.unit:
             return self.layout.deg_start[self.level + 1]
-        return len(self.row_deg)
+        return len(self.row_piv)
 
     def dim_leq(self, j):
         j = min(j, self.level)
@@ -450,7 +469,7 @@ class _SpanEngine:
             return 0
         if self.unit:
             return self.layout.deg_start[j + 1]
-        return sum(1 for d in self.row_deg if d <= j)
+        return sum(self.deg_rows[: j + 1])
 
 
 class DegreeSpan:
@@ -531,14 +550,6 @@ def span_closure(system, cap, order="grevlex"):
         matrix, pivots = eng.store.sorted()
     return DegreeSpan(system.ring, cap, order, lay.monos[:ncols], matrix, pivots,
                       [lay.col_deg[p] for p in pivots])
-
-
-def equiv_mod(f, g, i, system, order="grevlex"):
-    """Whether f - g lies in the degree-i closed span of the system."""
-    diff = f - g
-    if diff.degree > i:
-        raise DegreeTooHigh(f"deg(f - g) = {diff.degree} > {i}")
-    return span_closure(system, i, order=order).contains(diff)
 
 
 # -- fall profiles ------------------------------------------------------------
@@ -953,7 +964,10 @@ class PointsOracle:
     tested.  Tested in ascending monomial order, the candidates give the
     echelon and the standard set of testing every monomial.  The rejected
     candidates form the border, which holds every minimal generator of the
-    leading ideal, since each of those has a standard parent.
+    leading ideal, since each of those has a standard parent.  An evaluation
+    vector has one entry per point, so once the echelon holds one row per
+    point every later candidate is dependent: it joins the border untested.
+    A candidate is evaluated only when it is tested.
 
     A point of the wrong arity, or with a coordinate that is not an integer
     code of the field, raises MalformedInput.
@@ -986,21 +1000,23 @@ class PointsOracle:
         ops, nvars, key = self.ops, self.ring.nvars, ORDER_KEYS[self.order]
         while len(self._std) <= j:
             if not self._std:
-                cands = [((0,) * nvars, np.ones(self.npoints, dtype=DTYPE))]
+                cands = [((0,) * nvars, np.ones(self.npoints, dtype=DTYPE), None)]
             else:
                 cands = []
                 for s, val in self._std[-1].items():
                     first = next((v for v, a in enumerate(s) if a), nvars - 1)
                     for v in range(first + 1):
-                        e = s[:v] + (s[v] + 1,) + s[v + 1:]
-                        cands.append((e, ops.vmul(val, self._coord_vals[v])))
+                        cands.append((s[:v] + (s[v] + 1,) + s[v + 1:], val, v))
                 cands.sort(key=lambda c: key(c[0]))
             std = {}
-            for e, val in cands:
-                if self._ech.add(val) is None:
-                    self._border.append(e)
-                else:
-                    std[e] = val
+            for e, val, v in cands:
+                if self._ech.n < self.npoints:  # else every vector is dependent
+                    if v is not None:
+                        val = ops.vmul(val, self._coord_vals[v])
+                    if self._ech.add(val) is not None:
+                        std[e] = val
+                        continue
+                self._border.append(e)
             self._std.append(std)
 
     def dim_leq(self, j):

@@ -33,21 +33,6 @@ from .poly import PolySystem, Ring, frobenius_relations
 # -- symbolic (composition-compatible) univariate operations -------------------
 
 
-def symbolic_mul(field, f, g):
-    """Companion of the composition: L(f) o L(g) = L(symbolic_mul(f, g))."""
-    f, g = univar.trim(f), univar.trim(g)
-    if not f or not g:
-        return univar.ZERO
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a == 0:
-            continue
-        for j, b in enumerate(g):
-            if b:
-                out[i + j] = field.add(out[i + j], field.mul(a, field.frob(b, i)))
-    return univar.trim(out)
-
-
 def symbolic_rdivmod(field, f, g):
     """Quotient and remainder with g acting first: f = c * g + r, deg r < deg g."""
     g = univar.trim(g)

@@ -11,14 +11,14 @@ from itertools import product
 import numpy as np
 
 from lastfall import linsys, univar
-from lastfall.errors import (DegreeExceedsBound, DivisionByZero, LastfallError, NotABasis,
-                             NotReducible, StepBudgetExceeded)
+from lastfall.descent import substituted_generator
+from lastfall.errors import (DegreeExceedsBound, DegreeTooHigh, DivisionByZero, LastfallError,
+                             NotABasis, NotReducible, StepBudgetExceeded)
 from lastfall.falldeg import GroebnerBasis, span_closure
 from lastfall.gf import FieldSpec
 from lastfall.linalg import DTYPE, rref
 from lastfall.linsys import (EliminationTrace, LinearizedPoly, _canonical_basis, gbar_system,
-                             reducibility_check, symbolic_gcd, symbolic_mul,
-                             symbolic_rdivmod)
+                             reducibility_check, symbolic_gcd, symbolic_rdivmod)
 from lastfall.poly import ORDER_KEYS, MultiPoly, PolySystem, monomials_of_degree, monomials_up_to
 from lastfall.poly import grevlex_key
 
@@ -179,7 +179,12 @@ def local_reduced_rows(polys, field, coeff_order=None):
 
 
 def naive_closure_dim(system, cap):
-    """Breadth-first span closure, independent of the production engine.
+    return len(naive_closure(system, cap))
+
+
+def naive_closure(system, cap):
+    """A basis of the span closure at the cap, as polynomials, by a
+    breadth-first closure independent of the production engine.
 
     Each round recomputes a reduced basis of the current span from scratch
     (so low-degree combinations become explicit basis elements) and then
@@ -200,7 +205,7 @@ def naive_closure_dim(system, cap):
                     fresh.append(g)
         basis = local_reduced_rows(fresh, field)
         if len(basis) == dim:
-            return dim
+            return basis
         dim = len(basis)
 
 
@@ -609,6 +614,39 @@ def reference_groebner(system, order="grevlex", step_budget=10**6):
     return GroebnerBasis(ring, order, final)
 
 
+# -- the paper's proof systems and span membership -------------------------------
+
+
+def build_sigma_orbit_G(system, ctx):
+    """All coefficient-wise conjugates of the substituted generators."""
+    polys = []
+    for f in system.polys:
+        g = substituted_generator(f, ctx)
+        for i in range(ctx.field.n):
+            polys.append(g.apply_sigma(i))
+    return PolySystem(ctx.ring_descent_k, polys)
+
+
+def build_G1(system, ctx):
+    g = build_sigma_orbit_G(system, ctx)
+    return PolySystem(ctx.ring_descent_k, g.polys + ctx.subfield_equations_k)
+
+
+def build_G2(system, ctx):
+    """Substituted generators plus subfield equations; the image of the
+    chain-extended system under the Moore-matrix change of coordinates."""
+    polys = [substituted_generator(f, ctx) for f in system.polys]
+    return PolySystem(ctx.ring_descent_k, polys + list(ctx.subfield_equations_k))
+
+
+def equiv_mod(f, g, i, system, order="grevlex"):
+    """Whether f - g lies in the degree-i closed span of the system."""
+    diff = f - g
+    if diff.degree > i:
+        raise DegreeTooHigh(f"deg(f - g) = {diff.degree} > {i}")
+    return span_closure(system, i, order=order).contains(diff)
+
+
 # -- reference points oracle ---------------------------------------------------
 #
 # The points oracle as it was before its echelon was kept fully reduced: each
@@ -976,6 +1014,21 @@ def form_eval_at_subspace_point(form, point):
     """Evaluate with x_{ij} = point_i^{q^j}: the linearized polynomial with
     the same rows, at the point."""
     return form_to_linearized(form).eval(point)
+
+
+def symbolic_mul(field, f, g):
+    """Companion of the composition: L(f) o L(g) = L(symbolic_mul(f, g))."""
+    f, g = univar.trim(f), univar.trim(g)
+    if not f or not g:
+        return univar.ZERO
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a == 0:
+            continue
+        for j, b in enumerate(g):
+            if b:
+                out[i + j] = field.add(out[i + j], field.mul(a, field.frob(b, i)))
+    return univar.trim(out)
 
 
 def symbolic_ext_gcd(field, f, g):

@@ -4,7 +4,8 @@
 Buchberger in ``oracles.reference_groebner`` returns, term for term, and the
 basis must have the defining properties of a reduced basis on its own.
 ``PointsOracle`` must read the same staircase as the sequential
-``oracles.ReferencePointsOracle``.  ``last_fall_degree`` refuses an oracle that
+``oracles.ReferencePointsOracle``, and adds nothing to its echelon once it
+holds one row per point.  ``last_fall_degree`` refuses an oracle that
 claims fewer ideal elements than the span already holds.  Without an oracle
 it certifies a system that holds every variable's field equation with the
 points oracle, and must give the profile of an explicit Groebner oracle;
@@ -13,6 +14,7 @@ any other system still gets the toy Buchberger.
 
 import random
 from itertools import combinations, product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,9 @@ from lastfall import (EnumerationBudgetExceeded, OracleInconsistent, PointsOracl
 from lastfall.cli import gen_random_system
 from lastfall.descent import f1_points, fprime1_points
 from lastfall.falldeg import GroebnerOracle, zk_points
+from lastfall.linalg import Echelon
 from lastfall.poly import ORDER_KEYS
+from conftest import deadline
 from oracles import (ReferencePointsOracle, random_system, reference_groebner,
                      reference_normal_form, reference_spoly)
 
@@ -190,6 +194,33 @@ def test_points_oracle_matches_sequential_reference(fields, name, seed):
         points = [tuple(rng.randrange(field.order) for _ in range(nvars))
                   for _ in range(count)]
     assert_same_staircase(ring, points, rng.randint(0, 6))
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+@settings(max_examples=20)
+@given(seed=st.integers(0, 2**32 - 1), count=st.sampled_from((0, 1, 2, 7, 32)))
+def test_full_points_oracle_adds_no_more_candidates(fields, name, seed, count):
+    """Once the echelon holds one row per point, every later candidate is
+    dependent: the oracle adds none of them to it, and still reads the
+    staircase, the basis degree and the border of the sequential walk."""
+    field = fields[name]
+    rng = random.Random(seed)
+    nvars = rng.randint(1, 3)
+    while field.order**nvars < count:
+        nvars += 1
+    ring = Ring(field, "k", [f"X{i}" for i in range(nvars)])
+    points = rng.sample(list(product(range(field.order), repeat=nvars)), count)
+    top = ReferencePointsOracle(ring, points).max_gb_degree() + 1
+    real, ranks = Echelon.add, []
+
+    def add(ech, vec):
+        ranks.append(ech.n)
+        return real(ech, vec)
+
+    with deadline(5), mock.patch.object(Echelon, "add", add):
+        assert_same_staircase(ring, points, top)
+    assert len(ranks) >= min(count, 1)
+    assert all(n < count for n in ranks)
 
 
 def test_points_oracle_descended_points(gf4, gf9):

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lastfall
-from lastfall import MalformedInput, cli, falldeg, make_field
+from lastfall import CampaignExhausted, MalformedInput, cli, falldeg, make_field
 from lastfall.cli import (_run_campaign, campaign_csv, campaign_json,
                           gen_random_system, main, verify_solver, verify_thm_1_1,
                           verify_thm_2_6, write_campaign)
@@ -182,15 +183,35 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["passed"] == 1
 
 
-def test_thm26_refuses_to_truncate_a_campaign(tmp_path):
-    """With at most 200 draws per combination, 201 rows once came back as
-    200 rows with no failure, and `lastfall verify thm26` exited 0."""
-    with pytest.raises(RuntimeError, match="could not draw 201 reducible instances"):
-        verify_thm_2_6(seed=0, per_combo=201, combos=((2, 1, 1),))
+def assert_refused_as_exhausted(tmp_path, capsys, campaign, config, line):
+    """`lastfall verify` of the campaign with the config prints the one
+    stderr line and exits 2."""
     cfg = tmp_path / "verify.json"
-    cfg.write_text(json.dumps({"thm26": {"per_combo": 201, "combos": [[2, 1, 1]]}}))
-    with pytest.raises(RuntimeError):
-        main(["--config", str(cfg), "verify", "thm26"])
+    cfg.write_text(json.dumps({campaign: config}))
+    assert main(["--config", str(cfg), "verify", campaign]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"lastfall verify: {line}"]
+
+
+def test_thm26_refuses_to_truncate_a_campaign(tmp_path, capsys):
+    """With at most 200 draws per combination, 201 rows once came back as
+    200 rows with no failure, and `lastfall verify thm26` exited 0; later
+    it ended in a traceback.  It is a typed refusal, still a RuntimeError."""
+    line = "could not draw 201 reducible instances at (2, 1, 1)"
+    with pytest.raises(CampaignExhausted, match=re.escape(line)) as info:
+        verify_thm_2_6(seed=0, per_combo=201, combos=((2, 1, 1),))
+    assert isinstance(info.value, RuntimeError)
+    assert_refused_as_exhausted(tmp_path, capsys, "thm26",
+                                {"per_combo": 201, "combos": [[2, 1, 1]]}, line)
+
+
+def test_example_refuses_to_truncate_a_campaign(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_EXAMPLE_MAX_ATTEMPTS", 3)
+    line = "could not draw 4 admissible instances at n=3"
+    with pytest.raises(CampaignExhausted, match=line):
+        cli.verify_example(seed=0, per_n=4, ns=(3,))
+    assert_refused_as_exhausted(tmp_path, capsys, "example", {"per_n": 4, "ns": [3]}, line)
 
 
 def test_solver_subcommand_campaign_smoke():

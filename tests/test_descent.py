@@ -8,15 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lastfall import (CoordinateNotInField, MalformedInput, NotABasis, PolySystem, Ring,
-                      RingMismatch, build_F1, build_Fprime, build_Fprime1, build_G1, build_G2,
-                      build_sigma_orbit_G, equiv_mod, falldeg, last_fall_degree,
-                      make_descent_context, make_field, solution_transport,
+                      RingMismatch, build_F1, build_Fprime, build_Fprime1, falldeg,
+                      last_fall_degree, make_descent_context, make_field, solution_transport,
                       weil_descend)
 from lastfall.descent import (f1_points, field_equations, fprime1_points,
                               substituted_generator, zk_points)
 from lastfall.linalg import DTYPE
-from oracles import (FieldElement, count_zeros, moore_matrix, random_system, reference_rref,
-                     zero_points)
+from oracles import (FieldElement, build_G1, build_G2, build_sigma_orbit_G, count_zeros,
+                     equiv_mod, moore_matrix, random_system, reference_rref, zero_points)
 
 
 @pytest.fixture

@@ -5,10 +5,11 @@ import random
 import pytest
 
 from lastfall import (DegreeTooHigh, GroebnerOracle, MalformedInput, PointsOracle, PolySystem,
-                      Ring, RingMismatch, equiv_mod, groebner_toy, ideal_truncation_dim,
+                      Ring, RingMismatch, groebner_toy, ideal_truncation_dim,
                       last_fall_degree, make_field, span_closure)
 from lastfall.falldeg import default_cap
-from oracles import naive_closure_dim, random_invertible_matrix, random_system, recombine
+from oracles import (equiv_mod, naive_closure_dim, random_invertible_matrix, random_system,
+                     recombine)
 
 
 @pytest.fixture

@@ -12,7 +12,7 @@ from lastfall import (DegreeExceedsBound, EnumerationBudgetExceeded, MalformedIn
                       NotADivisor, NotReducible, brute_force_solve, build_Qbar,
                       enumerate_solutions, frobenius_step, full_space, make_field,
                       reducibility_check, solve_structured, subfield_space, subspace_equal,
-                      subspace_from_fW, symbolic_gcd, symbolic_mul, symbolic_rdivmod)
+                      subspace_from_fW, symbolic_gcd, symbolic_rdivmod)
 from lastfall import Ring, univar
 from lastfall.linalg import DTYPE, kernel_basis
 from lastfall.linsys import (InvariantSubspace, LinearizedPoly, _frobenius_closure,
@@ -20,9 +20,9 @@ from lastfall.linsys import (InvariantSubspace, LinearizedPoly, _frobenius_closu
 
 import oracles
 from oracles import (GcdConditionFailed, NotCoprime, bezout, brute_force_reducibility, compose,
-                     eliminate_stage, ell_op, form_eval_at_subspace_point, is_stage_witness,
-                     lcompose_reduce, row_eval_at_subspace_point, span_linear_forms,
-                     stage_elimination_solve, symbolic_ext_gcd)
+                     eliminate_stage, ell_op, equiv_mod, form_eval_at_subspace_point,
+                     is_stage_witness, lcompose_reduce, row_eval_at_subspace_point,
+                     span_linear_forms, stage_elimination_solve, symbolic_ext_gcd, symbolic_mul)
 
 
 def random_linearized(field, m, bound, rng):
@@ -738,8 +738,6 @@ def test_irreducible_fw_witness_property(gf8):
 def test_lcompose_reduce_stays_in_degree_q_span(gf8):
     """If the input form lies in the degree-q span of the rewritten system,
     so does the reduced composition with any L(g)."""
-    from lastfall import equiv_mod
-
     rng = random.Random(19)
     for fw in [(1, 1, 1), tuple(univar.x_pow_n_minus_one(gf8.kprime, 3))]:
         W = subspace_from_fW(univar.trim(fw), gf8)
@@ -758,8 +756,6 @@ def test_elimination_forms_in_degree_q_span(gf4, gf8):
     """The substitution relations x_{ij} - gamma_{ij} land in the degree-q
     span of the rewritten system, which is what lets the solver push every
     generator down to the last stage."""
-    from lastfall import equiv_mod
-
     rng = random.Random(20)
     for field in (gf4, gf8):
         W = full_space(field)

@@ -17,8 +17,17 @@ refuses a row beyond the column count, and the GF(3) tests also run under a
 ``deadline``.  Every engine reads the column layout shared by its variable
 count and order, so the span must not depend on what built or grew that
 layout before.
+
+The check against the naive closure also runs over GF(8) and GF(27), in up
+to 4 variables and under both orders, and requires every polynomial of the
+naive basis to lie in the span: the engine skips the shifts that the XL
+rule proves dependent.  A logging store derives each row's tag on its own
+and checks that the engine shifts a row by exactly the variables up to its
+tag.  The fast rungs of the span-engine ladder pin their profile digests.
 """
 
+import hashlib
+import json
 import math
 import random
 import signal
@@ -29,24 +38,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lastfall import PolySystem, Ring, falldeg, last_fall_degree, make_field, span_closure
+from lastfall import (PolySystem, Ring, build_Fprime1, cli, falldeg, last_fall_degree,
+                      make_descent_context, make_field, span_closure)
 from lastfall.linalg import DTYPE
 from lastfall.poly import ORDER_KEYS, monomials_up_to
 from conftest import deadline
-from oracles import naive_closure_dim, random_invertible_matrix, random_system, recombine
+from oracles import (naive_closure, naive_closure_dim, random_invertible_matrix, random_system,
+                     recombine)
 
 FIELDS = {"GF(2)": (2, 1, 1), "GF(3)": (3, 1, 1), "GF(4)": (2, 2, 1), "GF(9)": (3, 2, 1)}
+# two more fields of the int16 store, for the check against the naive closure
+DENSE_FIELDS = {"GF(8)": (2, 1, 3), "GF(27)": (3, 1, 3)}
 
 # largest cap checked per field: the naive closure runs scalar field ops on
 # table fields, so the larger fields stop earlier
-CAPS = {"GF(2)": 4, "GF(3)": 4, "GF(4)": 3, "GF(9)": 3}
+CAPS = {"GF(2)": 4, "GF(3)": 4, "GF(4)": 3, "GF(9)": 3, "GF(8)": 4, "GF(27)": 4}
 
 PROPERTY = settings(max_examples=12)
 
 
 @pytest.fixture(scope="module")
 def fields():
-    return {name: make_field(*spec) for name, spec in FIELDS.items()}
+    return {name: make_field(*spec) for name, spec in {**FIELDS, **DENSE_FIELDS}.items()}
 
 
 def with_unit(system, rng):
@@ -99,13 +112,22 @@ def test_equal_spans_give_identical_matrices(fields, name, seed):
         assert twin.row_degrees == span.row_degrees
 
 
-@pytest.mark.parametrize("name", sorted(FIELDS))
+@pytest.mark.parametrize("name", sorted({**FIELDS, **DENSE_FIELDS}))
 @PROPERTY
 @given(seed=st.integers(0, 2**32 - 1))
 def test_dimensions_match_naive_closure(fields, name, seed):
-    system, _ = draw_system(fields[name], seed)
-    for cap in range(CAPS[name] + 1):
-        assert span_closure(system, cap).dim == naive_closure_dim(system, cap)
+    """In 1-4 variables and under both orders, the span has the naive
+    closure's dimension and holds every polynomial of its basis."""
+    rng = random.Random(seed)
+    ring = Ring(fields[name], "k", [f"X{i}" for i in range(rng.randint(1, 4))])
+    system = with_unit(random_system(ring, rng.randint(1, 2), rng.randint(1, 3), rng), rng)
+    with deadline(60):
+        for cap in range(CAPS[name] + 1):
+            naive = naive_closure(system, cap)
+            for order in sorted(ORDER_KEYS):
+                span = span_closure(system, cap, order)
+                assert span.dim == len(naive)
+                assert all(span.contains(f) for f in naive)
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
@@ -224,6 +246,83 @@ def test_tern_rows_match_dense_rows_per_insertion(fields, seed):
             assert pivots == want_pivots
 
 
+# -- the XL rule: a row is shifted only by variables up to its tag --------------
+
+
+class TagLog:
+    """Mixin for a row store that logs every shift (row, variable) and
+    derives each row's tag from the candidate that made it: v for a row
+    made from x_v * r whose pivot is x_v times the pivot of r, the last
+    variable for a generator or a row whose leading monomial dropped."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.pivots, self.tags, self.shift_calls, self.made_by = [], [], [], None
+
+    def vector(self, terms, col_of):
+        self.made_by = None
+        return super().vector(terms, col_of)
+
+    def shifted(self, r, v):
+        self.shift_calls.append((r, v))
+        self.made_by = v, int(self.shifts[v][self.pivots[r]])
+        return super().shifted(r, v)
+
+    def add(self, vec):
+        p = super().add(vec)
+        if p is not None:
+            v, lead = self.made_by or (None, None)
+            self.pivots.append(p)
+            self.tags.append(v if p == lead else len(self.shifts) - 1)
+        return p
+
+
+class BitTags(TagLog, falldeg._BitRows):
+    pass
+
+
+class TernTags(TagLog, falldeg._TernRows):
+    pass
+
+
+class DenseTags(TagLog, falldeg._DenseRows):
+    pass
+
+
+TAG_LOGS = {"GF(2)": lambda ops: BitTags(), "GF(3)": lambda ops: TernTags(), "GF(9)": DenseTags}
+
+
+@pytest.mark.parametrize("order", sorted(ORDER_KEYS))
+@pytest.mark.parametrize("name", sorted(TAG_LOGS))
+def test_rows_are_shifted_only_up_to_their_tag(fields, name, order):
+    """Each row below the cap is shifted once by every variable up to its
+    tag and by no other; some rows have a tag below the last variable, so
+    the rule skips shifts."""
+    field = fields[name]
+    ring = Ring(field, "k", ["X0", "X1", "X2"])
+    stores = []
+
+    def log(ops):
+        stores.append(TAG_LOGS[name](ops))
+        return stores[-1]
+
+    skipped = 0
+    for seed in range(6):
+        system = random_system(ring, 2, 2, random.Random(f"tags:{name}:{seed}"))
+        stores.clear()
+        with mock.patch.object(falldeg, "_row_store", log):
+            span = span_closure(system, 4, order)
+        (store,) = stores
+        assert span.dim == len(store.pivots)
+        col_deg = falldeg._layout(3, order).col_deg
+        want = [(r, w) for r, p in enumerate(store.pivots) if col_deg[p] < 4
+                for w in range(store.tags[r] + 1)]
+        assert sorted(store.shift_calls) == want
+        skipped += sum(ring.nvars - 1 - t for t, p in zip(store.tags, store.pivots)
+                       if col_deg[p] < 4)
+    assert skipped > 0
+
+
 # -- the shared column layout ---------------------------------------------------
 
 
@@ -325,6 +424,27 @@ def test_sub_combination_matches_scaled_steps(spec):
     got = ops.sub_combination(y, factors, rows)
     assert got.dtype == DTYPE
     assert np.array_equal(got, expect)
+
+
+# -- the fast rungs of the span-engine ladder ------------------------------------
+
+# (p, n, m, cap) -> the first 16 hex of the sha256 of the sorted profile JSON:
+# F'_1 of one random quadratic in m variables over GF(p^n), closed without
+# certification.  The slower rungs of the ladder (seconds each) stay out of
+# the suite.
+LADDER = {(2, 3, 3, 6): "9e202cf912382a8e", (3, 2, 3, 6): "4e584a4774ae2965",
+          (3, 2, 4, 5): "dc60f8f1e7803f98", (3, 3, 3, 5): "b12aeba92323132e"}
+
+
+@pytest.mark.parametrize("rung", sorted(LADDER),
+                         ids=[f"GF({p}^{n})-m{m}-cap{cap}" for p, n, m, cap in sorted(LADDER)])
+def test_ladder_rung_profile_is_unchanged(rung):
+    p, n, m, cap = rung
+    ctx = make_descent_context(make_field(p, 1, n), m)
+    F = cli.gen_random_system(ctx.ring_original, 2, 1, random.Random(f"ladder:{p}:{n}:{m}"))
+    prof = last_fall_degree(build_Fprime1(F, ctx), cap=cap, certify=False)
+    text = json.dumps(prof.to_json_obj(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == LADDER[rung]
 
 
 # -- large primes: row products must not overflow the int16 code type --------
