@@ -138,9 +138,9 @@ def _status(certified, ok):
     return "pass" if ok else "fail"
 
 
-def _points_profile(system, points, cap=None):
+def _points_profile(system, points):
     """Fall profile certified against the system's full zero set."""
-    return last_fall_degree(system, cap=cap, oracle=PointsOracle(system.ring, points))
+    return last_fall_degree(system, oracle=PointsOracle(system.ring, points))
 
 
 def _kprime_span(field, generators, m):
@@ -158,7 +158,7 @@ def _kprime_span(field, generators, m):
 _THM11_COMBOS = tuple((p, n, m) for p in (2, 3) for n in (2, 3) for m in (1, 2))
 
 
-def verify_thm_1_1(seed=0, per_combo=25, combos=_THM11_COMBOS, cap=None):
+def verify_thm_1_1(seed=0, per_combo=25, combos=_THM11_COMBOS):
     """Exact equality of max(fall degree, q*deg) across the descent, on seeded
     random systems.  Rows with an uncertified side are inconclusive."""
     def rows():
@@ -170,8 +170,8 @@ def verify_thm_1_1(seed=0, per_combo=25, combos=_THM11_COMBOS, cap=None):
                 degree = rng.randint(1, _DEGREE_MAX)
                 F = gen_random_system(ctx.ring_original, degree, m, rng)
                 dF = int(F.degree)
-                prof1 = _points_profile(build_F1(F, ctx), f1_points(F, ctx), cap)
-                prof2 = _points_profile(build_Fprime1(F, ctx), fprime1_points(F, ctx), cap)
+                prof1 = _points_profile(build_F1(F, ctx), f1_points(F, ctx))
+                prof2 = _points_profile(build_Fprime1(F, ctx), fprime1_points(F, ctx))
                 qd = field.q * dF
                 lhs = max(prof1.last_fall_degree, qd)
                 rhs = max(prof2.last_fall_degree, qd)
@@ -526,8 +526,6 @@ def _check_campaign_values(campaign, kwargs):
     for key in ("seed", "per_combo", "per_n"):
         if key in kwargs:
             _at_least(kwargs[key], key, 0)
-    if kwargs.get("cap") is not None:
-        _at_least(kwargs["cap"], "cap", 1)
     combos, arity = kwargs.get("combos", []), _COMBO_ARITY.get(campaign)
     if not (isinstance(combos, list)
             and all(isinstance(c, list) and len(c) == arity for c in combos)):

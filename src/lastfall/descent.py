@@ -101,11 +101,6 @@ class DescentContext:
         return tuple(field_equations(self.ring_descent, self.field.q))
 
     @functools.cached_property
-    def subfield_equations_k(self):
-        """X_{ij}^q - X_{ij} for every variable of ``ring_descent_k``."""
-        return tuple(field_equations(self.ring_descent_k, self.field.q))
-
-    @functools.cached_property
     def chain_equations(self):
         """The q-power chains of ``ring_chain``: X_i^q - Y_{i1},
         Y_{ij}^q - Y_{i,j+1} and Y_{i,n-1}^q - X_i for each i (X_i^q - X_i

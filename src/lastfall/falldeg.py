@@ -72,7 +72,7 @@ import heapq
 import math
 import operator
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -458,11 +458,6 @@ class _SpanEngine:
 
     # -- dimensions ----------------------------------------------------------
 
-    def dim(self):
-        if self.unit:
-            return self.layout.deg_start[self.level + 1]
-        return len(self.row_piv)
-
     def dim_leq(self, j):
         j = min(j, self.level)
         if j < 0:
@@ -578,19 +573,7 @@ class FallProfile:
         return self.status == "certified"
 
     def to_json_obj(self):
-        return {
-            "last_fall_degree": self.last_fall_degree,
-            "status": self.status,
-            "certified_at": self.certified_at,
-            "cap": self.cap,
-            "order": self.order,
-            "rows": [
-                {"degree": r.degree, "dim_V": r.dim_V,
-                 "dim_V_cap_lower": r.dim_V_cap_lower,
-                 "dim_prev": r.dim_prev, "fall": r.fall}
-                for r in self.rows
-            ],
-        }
+        return {**asdict(self), "rows": [asdict(r) for r in self.rows]}
 
     def csv_rows(self):
         yield ("degree", "dim_V", "dim_V_cap_lower", "dim_prev", "fall")
@@ -628,7 +611,7 @@ def last_fall_degree(system, cap=None, certify=True, order="grevlex", oracle=Non
     eng = _SpanEngine(system, order=order)
     eng.advance()
     records = []
-    prev_dim = eng.dim()
+    prev_dim = eng.dim_leq(0)
     last_fall = 0
     certified_at = None
     orac = oracle
@@ -637,7 +620,7 @@ def last_fall_degree(system, cap=None, certify=True, order="grevlex", oracle=Non
     else:
         for i in range(1, cap + 1):
             eng.advance()
-            dim_i = eng.dim()
+            dim_i = eng.dim_leq(i)
             dim_lower = eng.dim_leq(i - 1)
             fall = dim_lower > prev_dim
             if fall:
@@ -914,17 +897,10 @@ def groebner_toy(system, order="grevlex", step_budget=10**6):
 
 def ideal_truncation_dim(gb, j):
     """dim of the ideal intersected with polynomials of degree <= j, read off
-    the staircase: total monomials minus standard monomials."""
-    ring = gb.ring
+    the staircase: the monomials of degree <= j that some lead divides."""
     leads = gb.leads
-    total = 0
-    std = 0
-    for d in range(j + 1):
-        for e in monomials_of_degree(ring.nvars, d, gb.order):
-            total += 1
-            if not any(_lt_divides(le, e) for le in leads):
-                std += 1
-    return total - std
+    return sum(any(_lt_divides(le, e) for le in leads) for d in range(j + 1)
+               for e in monomials_of_degree(gb.ring.nvars, d, gb.order))
 
 
 class GroebnerOracle:
@@ -969,6 +945,13 @@ class PointsOracle:
     point every later candidate is dependent: it joins the border untested.
     A candidate is evaluated only when it is tested.
 
+    The whole staircase is walked once, at construction, one pass per
+    degree.  The walk stops at the first degree with no standard monomial,
+    which has no children; there are npoints standard monomials, so that is
+    at most the last standard degree plus one, and the largest degree of a
+    minimal border monomial is the basis degree.  A walk that ends with
+    fewer standard monomials than points raises RuntimeError.
+
     A point of the wrong arity, or with a coordinate that is not an integer
     code of the field, raises MalformedInput.
     """
@@ -987,65 +970,44 @@ class PointsOracle:
                                  f"each a code below {self.ops.order}") from None
         if coords.size and not 0 <= coords.min() <= coords.max() < self.ops.order:
             raise MalformedInput(f"a point coordinate is not a code below {self.ops.order}")
-        self._coord_vals = list(np.ascontiguousarray(coords.T, dtype=DTYPE))
-        # per degree: standard exp -> its evaluation vector (not reduced)
-        self._std = []
-        self._border = []       # rejected candidates, in test order
+        coord_vals = list(np.ascontiguousarray(coords.T, dtype=DTYPE))
+        ops, nvars, key = self.ops, ring.nvars, ORDER_KEYS[order]
         # the standard monomials' evaluation vectors, one row per standard
         # monomial and at most one per point
-        self._ech = Echelon(self.ops, self.npoints)
-        self._max_gb = None
-
-    def _extend(self, j):
-        ops, nvars, key = self.ops, self.ring.nvars, ORDER_KEYS[self.order]
-        while len(self._std) <= j:
-            if not self._std:
-                cands = [((0,) * nvars, np.ones(self.npoints, dtype=DTYPE), None)]
-            else:
-                cands = []
-                for s, val in self._std[-1].items():
-                    first = next((v for v, a in enumerate(s) if a), nvars - 1)
-                    for v in range(first + 1):
-                        cands.append((s[:v] + (s[v] + 1,) + s[v + 1:], val, v))
-                cands.sort(key=lambda c: key(c[0]))
-            std = {}
-            for e, val, v in cands:
-                if self._ech.n < self.npoints:  # else every vector is dependent
+        ech = Echelon(ops, self.npoints)
+        self._std = set()   # the standard monomials
+        self._nstd = []     # their number in each degree
+        self._border = []   # rejected candidates, in test order
+        # (monomial, its parent's evaluation vector, the variable it adds),
+        # and for 1 its own vector and None
+        cands = [((0,) * nvars, np.ones(self.npoints, dtype=DTYPE), None)]
+        while cands:
+            std = {}  # this degree's standard monomials -> evaluation vectors
+            for e, val, v in sorted(cands, key=lambda c: key(c[0])):
+                if ech.n < self.npoints:  # else every vector is dependent
                     if v is not None:
-                        val = ops.vmul(val, self._coord_vals[v])
-                    if self._ech.add(val) is not None:
+                        val = ops.vmul(val, coord_vals[v])
+                    if ech.add(val) is not None:
                         std[e] = val
                         continue
                 self._border.append(e)
-            self._std.append(std)
+            self._std.update(std)
+            self._nstd.append(len(std))
+            cands = [(s[:v] + (s[v] + 1,) + s[v + 1:], val, v) for s, val in std.items()
+                     for v in range(next((v for v, a in enumerate(s) if a), nvars - 1) + 1)]
+        if ech.n < self.npoints:
+            raise RuntimeError(f"the staircase walk found {ech.n} standard monomials "
+                               f"for {self.npoints} points")
+        self._basis_degree = max(
+            (sum(e) for e in self._border
+             if all(e[:v] + (a - 1,) + e[v + 1:] in self._std for v, a in enumerate(e) if a)),
+            default=0)
 
     def dim_leq(self, j):
-        self._extend(j)
-        nstd = sum(len(std) for std in self._std[: j + 1])
-        return math.comb(self.ring.nvars + j, j) - nstd
+        return math.comb(self.ring.nvars + j, j) - sum(self._nstd[: j + 1])
 
     def max_gb_degree(self):
-        if self._max_gb is not None:
-            return self._max_gb
-        # extend until the evaluation rank stabilizes at the point count,
-        # then one more degree: minimal staircase generators cannot appear
-        # beyond the last standard degree plus one
-        # count the standard monomials of degree <= d, not the echelon's
-        # rows: an earlier dim_leq may have extended it beyond d
-        d, nstd = 0, 0
-        while True:
-            self._extend(d)
-            nstd += len(self._std[d])
-            if nstd == self.npoints:
-                break
-            d += 1
-        self._extend(d + 1)
-        self._max_gb = max(
-            (sum(e) for e in self._border
-             if all(e[:v] + (a - 1,) + e[v + 1:] in self._std[sum(e) - 1]
-                    for v, a in enumerate(e) if a)),
-            default=0)
-        return self._max_gb
+        return self._basis_degree
 
 
 # -- the default oracle ---------------------------------------------------------

@@ -226,8 +226,18 @@ class MultiPoly:
         return acc
 
     def eval(self, point):
-        """Evaluate at a tuple of coefficient codes."""
+        """Evaluate at a tuple of field codes, one per variable.  A point of
+        the wrong arity, or with a coordinate that is not an integer code of
+        the field, raises MalformedInput."""
         f = self.ring.field
+        try:
+            point = tuple(map(operator.index, point))
+            ok = len(point) == self.ring.nvars and all(0 <= c < f.order for c in point)
+        except TypeError:
+            ok = False
+        if not ok:
+            raise MalformedInput(f"a point must have {self.ring.nvars} coordinates, "
+                                 f"each a code below {f.order}")
         acc = 0
         for e, c in self.terms.items():
             v = c
@@ -277,11 +287,6 @@ class MultiPoly:
                     term = term * powers[i][a]
             out = out + term
         return out
-
-    def apply_sigma(self, i):
-        """Raise every coefficient to the q^i power; exponents untouched."""
-        f = self.ring.field
-        return MultiPoly(self.ring, {e: f.frob(c, i) for e, c in self.terms.items()})
 
     def lies_in_subfield(self):
         q = self.ring.field.q

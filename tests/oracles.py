@@ -11,7 +11,7 @@ from itertools import product
 import numpy as np
 
 from lastfall import linsys, univar
-from lastfall.descent import substituted_generator
+from lastfall.descent import field_equations, substituted_generator
 from lastfall.errors import (DegreeExceedsBound, DegreeTooHigh, DivisionByZero, LastfallError,
                              NotABasis, NotReducible, StepBudgetExceeded)
 from lastfall.falldeg import GroebnerBasis, span_closure
@@ -617,26 +617,37 @@ def reference_groebner(system, order="grevlex", step_budget=10**6):
 # -- the paper's proof systems and span membership -------------------------------
 
 
+def apply_sigma(f, i):
+    """f with every coefficient raised to the q^i power; exponents untouched."""
+    field = f.ring.field
+    return MultiPoly(f.ring, {e: field.frob(c, i) for e, c in f.terms.items()})
+
+
+def subfield_equations_k(ctx):
+    """X_{ij}^q - X_{ij} for every variable of ``ctx.ring_descent_k``."""
+    return tuple(field_equations(ctx.ring_descent_k, ctx.field.q))
+
+
 def build_sigma_orbit_G(system, ctx):
     """All coefficient-wise conjugates of the substituted generators."""
     polys = []
     for f in system.polys:
         g = substituted_generator(f, ctx)
         for i in range(ctx.field.n):
-            polys.append(g.apply_sigma(i))
+            polys.append(apply_sigma(g, i))
     return PolySystem(ctx.ring_descent_k, polys)
 
 
 def build_G1(system, ctx):
     g = build_sigma_orbit_G(system, ctx)
-    return PolySystem(ctx.ring_descent_k, g.polys + ctx.subfield_equations_k)
+    return PolySystem(ctx.ring_descent_k, g.polys + subfield_equations_k(ctx))
 
 
 def build_G2(system, ctx):
     """Substituted generators plus subfield equations; the image of the
     chain-extended system under the Moore-matrix change of coordinates."""
     polys = [substituted_generator(f, ctx) for f in system.polys]
-    return PolySystem(ctx.ring_descent_k, polys + list(ctx.subfield_equations_k))
+    return PolySystem(ctx.ring_descent_k, polys + list(subfield_equations_k(ctx)))
 
 
 def equiv_mod(f, g, i, system, order="grevlex"):

@@ -5,11 +5,13 @@ Buchberger in ``oracles.reference_groebner`` returns, term for term, and the
 basis must have the defining properties of a reduced basis on its own.
 ``PointsOracle`` must read the same staircase as the sequential
 ``oracles.ReferencePointsOracle``, and adds nothing to its echelon once it
-holds one row per point.  ``last_fall_degree`` refuses an oracle that
-claims fewer ideal elements than the span already holds.  Without an oracle
-it certifies a system that holds every variable's field equation with the
-points oracle, and must give the profile of an explicit Groebner oracle;
-any other system still gets the toy Buchberger.
+holds one row per point.  It walks the whole staircase at construction: a
+walk that comes up short raises there, and afterwards the oracle answers
+with no evaluation or elimination.  ``last_fall_degree`` refuses an oracle
+that claims fewer ideal elements than the span already holds.  Without an
+oracle it certifies a system that holds every variable's field equation
+with the points oracle, and must give the profile of an explicit Groebner
+oracle; any other system still gets the toy Buchberger.
 """
 
 import random
@@ -17,7 +19,7 @@ from itertools import combinations, product
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lastfall import (EnumerationBudgetExceeded, OracleInconsistent, PointsOracle, PolySystem,
@@ -159,14 +161,23 @@ def test_groebner_counts_wasted_work(gf4):
 
 
 def assert_same_staircase(ring, points, top):
-    new, ref = PointsOracle(ring, points), ReferencePointsOracle(ring, points)
-    assert new.max_gb_degree() == ref.max_gb_degree()
-    for j in range(top + 1):
-        assert new.dim_leq(j) == ref.dim_leq(j)
-    assert set().union(*new._std) == set(ref._std)
+    """The points oracle reads the reference's staircase up to degree top and
+    three degrees past the last standard one, whether dim_leq is asked
+    before or after max_gb_degree, and the same basis degree, standard set
+    and border."""
+    ref = ReferencePointsOracle(ring, points)
+    degree = ref.max_gb_degree()
+    last = max(map(sum, ref._std), default=-1)
+    js = range(max(top, last + 3) + 1)
+    early = PointsOracle(ring, points)  # asked dim_leq before max_gb_degree
+    dims = [early.dim_leq(j) for j in js]
+    new = PointsOracle(ring, points)
+    assert new.max_gb_degree() == early.max_gb_degree() == degree
+    assert [new.dim_leq(j) for j in js] == dims == [ref.dim_leq(j) for j in js]
+    assert new._std == set(ref._std)
     # the walk tests only the monomials whose parent is standard
     assert new._border == [e for e in ref._nonstd if not any(e) or parent(e) in ref._std]
-    assert new._ech.n == ref._rank == len(new.points)
+    assert len(new._std) == ref._rank == len(new.points)
 
 
 def parent(e):
@@ -199,10 +210,15 @@ def test_points_oracle_matches_sequential_reference(fields, name, seed):
 @pytest.mark.parametrize("name", sorted(FIELDS))
 @settings(max_examples=20)
 @given(seed=st.integers(0, 2**32 - 1), count=st.sampled_from((0, 1, 2, 7, 32)))
+@example(seed=0, count=0)
+@example(seed=0, count=1)
+@example(seed=0, count=32)
 def test_full_points_oracle_adds_no_more_candidates(fields, name, seed, count):
     """Once the echelon holds one row per point, every later candidate is
     dependent: the oracle adds none of them to it, and still reads the
-    staircase, the basis degree and the border of the sequential walk."""
+    staircase, the basis degree and the border of the sequential walk.  No
+    points, one point and the largest zero set the default oracle takes
+    are always among the cases."""
     field = fields[name]
     rng = random.Random(seed)
     nvars = rng.randint(1, 3)
@@ -221,6 +237,61 @@ def test_full_points_oracle_adds_no_more_candidates(fields, name, seed, count):
         assert_same_staircase(ring, points, top)
     assert len(ranks) >= min(count, 1)
     assert all(n < count for n in ranks)
+
+
+def sampled_points(field, count, seed):
+    """count distinct points of the fewest variables (at least one) whose
+    grid holds them, drawn with the given seed."""
+    rng = random.Random(seed)
+    nvars = 1
+    while field.order**nvars < count:
+        nvars += 1
+    ring = Ring(field, "k", [f"X{i}" for i in range(nvars)])
+    return ring, rng.sample(list(product(range(field.order), repeat=nvars)), count)
+
+
+class _ShortEchelon(Echelon):
+    """An echelon that refuses the independent vector that would fill it."""
+
+    def add(self, vec):
+        if self.n + 1 == self.rows.shape[1]:
+            return None
+        return super().add(vec)
+
+
+@pytest.mark.parametrize("count", [1, 2, 7, 32])
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_short_staircase_walk_raises(fields, monkeypatch, name, count):
+    """A walk that ends with fewer standard monomials than points raises at
+    construction, naming both counts; a lazily walked staircase looped
+    forever in max_gb_degree instead."""
+    ring, points = sampled_points(fields[name], count, f"short:{name}:{count}")
+    monkeypatch.setattr(falldeg, "Echelon", _ShortEchelon)
+    with deadline(5), pytest.raises(
+            RuntimeError, match=f" {count - 1} standard monomials for {count} points"):
+        PointsOracle(ring, points)
+
+
+@pytest.mark.parametrize("count", [1, 7, 32])
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_points_oracle_answers_without_eliminations(fields, name, count):
+    """The staircase is walked at construction: afterwards max_gb_degree and
+    dim_leq, up to three degrees past the last standard one, answer with no
+    evaluation and no elimination."""
+    ring, points = sampled_points(fields[name], count, f"built:{name}:{count}")
+    ref = ReferencePointsOracle(ring, points)
+    degree = ref.max_gb_degree()
+    js = range(max(map(sum, ref._std), default=-1) + 4)
+    want = [ref.dim_leq(j) for j in js]
+    oracle = PointsOracle(ring, points)
+
+    def refuse(*args):
+        raise AssertionError("the oracle computed after its construction")
+
+    with mock.patch.object(Echelon, "add", refuse), \
+            mock.patch.object(ring.ops, "vmul", refuse):
+        assert oracle.max_gb_degree() == degree
+        assert [oracle.dim_leq(j) for j in js] == want
 
 
 def test_points_oracle_descended_points(gf4, gf9):

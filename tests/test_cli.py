@@ -234,12 +234,19 @@ def test_cli_gen_linearized(tmp_path):
             assert len(nonzero) == 1 and nonzero[0] in (1, 2, 4)
 
 
-def test_cli_verify_inconclusive_exit_code(tmp_path, capsys):
+class _NeverCertifies(PointsOracle):
+    """A points oracle whose staircase bound no cap reaches."""
+
+    def max_gb_degree(self):
+        return 10**9
+
+
+def test_cli_verify_inconclusive_exit_code(tmp_path, capsys, monkeypatch):
     """Cap-limited rows are never passes; without the override the exit code
     is nonzero, with it the campaign may still succeed."""
+    monkeypatch.setattr(cli, "PointsOracle", _NeverCertifies)
     cfg = tmp_path / "verify.json"
-    cfg.write_text(json.dumps(
-        {"thm11": {"per_combo": 2, "combos": [[2, 3, 2]], "cap": 1}}))
+    cfg.write_text(json.dumps({"thm11": {"per_combo": 2, "combos": [[2, 2, 2]]}}))
     rc = main(["--config", str(cfg), "--seed", "0", "verify", "thm11"])
     assert rc == 1
     summary = json.loads(capsys.readouterr().out)
@@ -318,7 +325,8 @@ _PLAIN = "lastfall verify: "
                  id="per-combo-bool"),
     pytest.param("example", {"example": {"per_n": -1}}, _PLAIN, id="per-n-negative"),
     pytest.param("example", {"example": {"per_n": 1.5}}, _PLAIN, id="per-n-float"),
-    pytest.param("thm11", {"thm11": {"cap": "x"}}, _PLAIN, id="cap-string"),
+    pytest.param("thm11", {"thm11": {"cap": "x"}},
+                 "lastfall verify thm11: unknown config key(s): cap", id="cap-string"),
     pytest.param("thm11", {"thm11": {"combos": [[2, 2]]}}, _PLAIN, id="combo-too-short"),
     pytest.param("solver", {"solver": {"combos": [[2, 1, 1]], "per_combo": 1}},
                  _PLAIN, id="combo-too-long"),
@@ -335,8 +343,8 @@ _PLAIN = "lastfall verify: "
 def test_cli_verify_refuses_malformed_config(tmp_path, capsys, campaign, config, prefix):
     """Each of these configs once ended in a traceback, or ran (an empty
     campaign for a negative count, a string read as true) and exited 0.
-    The solver campaign no longer takes check_fall_bound, so that key is
-    refused as unknown."""
+    The solver campaign no longer takes check_fall_bound, nor thm11 cap, so
+    those keys are refused as unknown."""
     path = tmp_path / "verify.json"
     path.write_text(json.dumps(config))
     rc = main(["--config", str(path), "verify", campaign])
@@ -345,13 +353,6 @@ def test_cli_verify_refuses_malformed_config(tmp_path, capsys, campaign, config,
     assert captured.out == ""
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith(prefix)
-
-
-class _NeverCertifies(PointsOracle):
-    """A points oracle whose staircase bound no cap reaches."""
-
-    def max_gb_degree(self):
-        return 10**9
 
 
 def test_solver_uncertified_fall_bound_is_inconclusive(tmp_path, capsys, monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from lastfall import (MalformedInput, MultiPoly, NEG_INF, PolySystem, Ring, RingMismatch,
                       UnassignedVariable)
 from lastfall.poly import DESCENDING_KEYS, ORDER_KEYS, monomials_up_to
-from oracles import malformed_system_docs, normal_form_field_eqs, random_system
+from oracles import apply_sigma, malformed_system_docs, normal_form_field_eqs, random_system
 
 
 @pytest.fixture
@@ -100,15 +100,15 @@ def test_substitute_is_ring_homomorphism(gf4):
 def test_apply_sigma_fixes_subfield_coeffs(rk):
     f = rk.variable(0) + rk.one()
     for i in range(4):
-        assert f.apply_sigma(i) == f
+        assert apply_sigma(f, i) == f
 
 
 def test_apply_sigma_example(gf4):
     ring = Ring(gf4, "k", ["X0"])
     alpha = gf4.gen()
     f = ring.variable(0).scale(alpha)
-    assert f.apply_sigma(1) == ring.variable(0).scale(gf4.add(alpha, 1))
-    assert f.apply_sigma(gf4.n) == f
+    assert apply_sigma(f, 1) == ring.variable(0).scale(gf4.add(alpha, 1))
+    assert apply_sigma(f, gf4.n) == f
 
 
 def test_apply_sigma_composes(gf8):
@@ -117,7 +117,7 @@ def test_apply_sigma_composes(gf8):
     for _ in range(40):
         f = random_system(ring, 2, 1, rng).polys[0]
         i, j = rng.randrange(6), rng.randrange(6)
-        assert f.apply_sigma(i).apply_sigma(j) == f.apply_sigma((i + j) % gf8.n)
+        assert apply_sigma(apply_sigma(f, i), j) == apply_sigma(f, (i + j) % gf8.n)
 
 
 def test_normal_form_field_eqs(r2):
@@ -208,6 +208,23 @@ def test_malformed_system_json_is_refused(gf4):
             PolySystem.from_json_obj(doc)
     with pytest.raises(MalformedInput):
         PolySystem.from_json_str('{"field": ')
+
+
+@pytest.mark.parametrize("point", [
+    pytest.param((1, 2, 3), id="extra-coordinate"),
+    pytest.param((-1, 2), id="negative"),
+    pytest.param((1,), id="missing-coordinate"),
+    pytest.param((9, 1), id="above-the-field"),
+    pytest.param((1.5, 1), id="float"),
+])
+def test_eval_refuses_malformed_points(gf8, point):
+    """x y + 1 over GF(8) once ignored an extra coordinate, read -1 as the
+    code 7 and ended in a bare IndexError on the other three points."""
+    ring = Ring(gf8, "k", ["X0", "X1"])
+    f = ring.variable(0) * ring.variable(1) + ring.one()
+    with pytest.raises(MalformedInput):
+        f.eval(point)
+    assert f.eval((3, 5)) == gf8.add(gf8.mul(3, 5), 1)
 
 
 @pytest.mark.parametrize("level,names", [("K", ["X0"]), ("k", ["X0", "X0"])])

@@ -23,7 +23,9 @@ to 4 variables and under both orders, and requires every polynomial of the
 naive basis to lie in the span: the engine skips the shifts that the XL
 rule proves dependent.  A logging store derives each row's tag on its own
 and checks that the engine shifts a row by exactly the variables up to its
-tag.  The fast rungs of the span-engine ladder pin their profile digests.
+tag.  The fast rungs of the span-engine ladder pin their profile digests,
+and smaller draws of the same kind pin their certified profiles, from
+either oracle.
 """
 
 import hashlib
@@ -38,8 +40,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lastfall import (PolySystem, Ring, build_Fprime1, cli, falldeg, last_fall_degree,
-                      make_descent_context, make_field, span_closure)
+from lastfall import (PolySystem, Ring, build_F1, build_Fprime1, cli, falldeg,
+                      last_fall_degree, make_descent_context, make_field, span_closure)
 from lastfall.linalg import DTYPE
 from lastfall.poly import ORDER_KEYS, monomials_up_to
 from conftest import deadline
@@ -445,6 +447,32 @@ def test_ladder_rung_profile_is_unchanged(rung):
     prof = last_fall_degree(build_Fprime1(F, ctx), cap=cap, certify=False)
     text = json.dumps(prof.to_json_obj(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == LADDER[rung]
+
+
+# (p, n, m, system) -> the oracle the library picks for the system and the
+# digest of its certified profile, for the rung draws above in fewer
+# variables: F'_1 goes to the points oracle and F_1 to the toy Buchberger.
+CERTIFIED = {(2, 2, 2, "Fprime1"): ("PointsOracle", "92a37f82d435097e"),
+             (2, 2, 2, "F1"): ("GroebnerOracle", "b1b15d0b90608473"),
+             (3, 2, 1, "Fprime1"): ("PointsOracle", "0347c3e79618c817"),
+             (3, 2, 1, "F1"): ("GroebnerOracle", "3f7baeb458c40a71"),
+             (2, 3, 1, "Fprime1"): ("PointsOracle", "0f24e83a1508375e"),
+             (2, 3, 1, "F1"): ("GroebnerOracle", "0f24e83a1508375e")}
+
+
+@pytest.mark.parametrize("case", sorted(CERTIFIED),
+                         ids=[f"GF({p}^{n})-m{m}-{name}" for p, n, m, name in sorted(CERTIFIED)])
+def test_certified_profile_is_unchanged(case):
+    p, n, m, name = case
+    ctx = make_descent_context(make_field(p, 1, n), m)
+    F = cli.gen_random_system(ctx.ring_original, 2, 1, random.Random(f"ladder:{p}:{n}:{m}"))
+    system = {"Fprime1": build_Fprime1, "F1": build_F1}[name](F, ctx)
+    kind, digest = CERTIFIED[case]
+    assert type(falldeg._default_oracle(system, "grevlex")).__name__ == kind
+    prof = last_fall_degree(system)
+    assert prof.certified
+    text = json.dumps(prof.to_json_obj(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 # -- large primes: row products must not overflow the int16 code type --------
