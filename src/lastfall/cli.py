@@ -380,11 +380,18 @@ def _read_text(path):
             raise MalformedInput(f"{path} is not UTF-8 text: {exc}") from None
 
 
-def _load_json_arg(path):
+def _load_config(path):
+    """The JSON object in the file at `path`, or {} when there is no path;
+    anything but a JSON object raises MalformedInput."""
+    if not path:
+        return {}
     try:
-        return json.loads(_read_text(path))
+        cfg = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"{path} is not JSON: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise MalformedInput(f"the config must be a JSON object, got {type(cfg).__name__}")
+    return cfg
 
 
 def _emit(text, path):
@@ -409,9 +416,7 @@ def _at_least(value, key, least):
 
 
 def cmd_gen(args):
-    cfg = _load_json_arg(args.config) if args.config else {}
-    if not isinstance(cfg, dict):
-        raise MalformedInput(f"the config must be a JSON object, got {type(cfg).__name__}")
+    cfg = _load_config(args.config)
     field = _field_from_config(cfg.get("field", {"p": 2, "e": 1, "n": 2}))
     m = _at_least(cfg.get("m", 1), "m", 1)
     degree = _at_least(cfg.get("degree", 2), "degree", 0)
@@ -475,7 +480,7 @@ def _codes(value, order, what):
 
 
 def cmd_solve_linearized(args):
-    cfg = _load_json_arg(args.config)
+    cfg = _load_config(args.config)
     field = _field_from_config(_json_value(cfg, "field", dict))
     m = _at_least(_json_value(cfg, "m"), "m", 1)
     F = []
@@ -539,9 +544,7 @@ def _check_campaign_values(campaign, kwargs):
 
 
 def cmd_verify(args):
-    cfg = _load_json_arg(args.config) if args.config else {}
-    if not isinstance(cfg, dict):
-        raise MalformedInput(f"the config must be a JSON object, got {type(cfg).__name__}")
+    cfg = _load_config(args.config)
     kwargs = cfg.get(args.campaign, {})
     if not isinstance(kwargs, dict):
         raise MalformedInput(f"the {args.campaign!r} entry must be a JSON object, "

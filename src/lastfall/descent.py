@@ -23,7 +23,7 @@ from . import univar
 from .errors import CoordinateNotInField, MalformedInput, RingMismatch
 from .falldeg import zk_points
 from .linsys import InvariantSubspace
-from .poly import MultiPoly, PolySystem, Ring, frobenius_relations
+from .poly import MultiPoly, PolySystem, Ring, frobenius_relations, sum_terms
 
 
 class DescentContext:
@@ -83,16 +83,9 @@ class DescentContext:
         img = self._images[e]
         add, mul, n = self.field.add, self.field.mul, self.field.n
         for e, i in reversed(missing):
-            prod = {}
-            for le, lc in img.items():
-                for v, b in enumerate(self.basis, i * n):
-                    te = le[:v] + (le[v] + 1,) + le[v + 1:]
-                    c = add(prod.get(te, 0), mul(lc, b))
-                    if c:
-                        prod[te] = c
-                    else:
-                        prod.pop(te, None)
-            self._images[e] = img = prod
+            self._images[e] = img = sum_terms(
+                ((le[:v] + (le[v] + 1,) + le[v + 1:], mul(lc, b))
+                 for le, lc in img.items() for v, b in enumerate(self.basis, i * n)), add)
         return img
 
     @functools.cached_property
@@ -129,16 +122,10 @@ def substituted_generator(f, ctx):
     k: the sum of c_e times the memoized image of X^e over the terms
     c_e X^e of f."""
     _check_ring(f.ring, ctx)
-    add, mul = ctx.field.add, ctx.field.mul
-    out = {}
-    for e, c in f.terms.items():
-        for te, tc in ctx.image(e).items():
-            s = add(out.get(te, 0), mul(c, tc))
-            if s:
-                out[te] = s
-            else:
-                out.pop(te, None)
-    return MultiPoly(ctx.ring_descent_k, out)
+    mul = ctx.field.mul
+    return MultiPoly(ctx.ring_descent_k, sum_terms(
+        ((te, mul(c, tc)) for e, c in f.terms.items() for te, tc in ctx.image(e).items()),
+        ctx.field.add))
 
 
 def weil_descend(f, ctx):

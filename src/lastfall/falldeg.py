@@ -73,13 +73,15 @@ import math
 import operator
 from collections import deque
 from dataclasses import asdict, dataclass
+from itertools import chain
 
 import numpy as np
 
 from .errors import (DegreeTooHigh, EnumerationBudgetExceeded, MalformedInput,
                      OracleInconsistent, RingMismatch, StepBudgetExceeded)
 from .linalg import DTYPE, Echelon, reduce_row
-from .poly import DESCENDING_KEYS, NEG_INF, ORDER_KEYS, MultiPoly, monomials_of_degree
+from .poly import (DESCENDING_KEYS, NEG_INF, ORDER_KEYS, MultiPoly, monomials_of_degree,
+                   sum_terms)
 
 
 class _DenseRows(Echelon):
@@ -764,15 +766,9 @@ def _spoly(a, b, lcm, ops):
     (la, _, ta), (lb, _, tb) = a, b
     da = tuple(map(operator.sub, lcm, la))
     db = tuple(map(operator.sub, lcm, lb))
-    work = {tuple(map(operator.add, e, da)): c for e, c in ta}
-    for e, c in tb:
-        te = tuple(map(operator.add, e, db))
-        s = ops.sub(work.get(te, 0), c)
-        if s:
-            work[te] = s
-        else:
-            work.pop(te, None)
-    return work
+    return sum_terms(chain(((tuple(map(operator.add, e, da)), c) for e, c in ta),
+                           ((tuple(map(operator.add, e, db)), ops.neg(c)) for e, c in tb)),
+                     ops.add)
 
 
 class _PairQueue:

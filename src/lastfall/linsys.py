@@ -24,8 +24,8 @@ from itertools import product
 import numpy as np
 
 from . import univar
-from .errors import (DegreeExceedsBound, EnumerationBudgetExceeded, MalformedInput, NotABasis,
-                     NotADivisor, NotReducible)
+from .errors import (DegreeExceedsBound, DivisionByZero, EnumerationBudgetExceeded,
+                     MalformedInput, NotABasis, NotADivisor, NotReducible)
 from .linalg import DTYPE, Echelon, kernel_basis, rref
 from .poly import PolySystem, Ring, frobenius_relations
 
@@ -37,7 +37,7 @@ def symbolic_rdivmod(field, f, g):
     """Quotient and remainder with g acting first: f = c * g + r, deg r < deg g."""
     g = univar.trim(g)
     if not g:
-        raise ZeroDivisionError("symbolic division by zero")
+        raise DivisionByZero("symbolic division by zero")
     r = list(univar.trim(f))
     dg = len(g) - 1
     quo = [0] * max(len(r) - dg, 0)
@@ -59,10 +59,7 @@ def symbolic_gcd(field, f, g):
     f, g = univar.trim(f), univar.trim(g)
     while g:
         f, g = g, symbolic_rdivmod(field, f, g)[1]
-    if not f:
-        return univar.ZERO
-    c = field.inv(f[-1])
-    return univar.trim(field.mul(c, a) for a in f)
+    return univar.monic(field, f)
 
 
 # -- core data types -----------------------------------------------------------
@@ -113,17 +110,10 @@ class LinearizedPoly:
 
     def to_poly(self, ring):
         """The actual polynomial sum a_ij X_i^{q^j}."""
-        q = self.field.q
-        terms = {}
-        f = self.field
-        for i, row in enumerate(self.coeffs):
-            for j, a in enumerate(row):
-                if a:
-                    e = [0] * ring.nvars
-                    e[i] = q**j
-                    e = tuple(e)
-                    terms[e] = f.add(terms.get(e, 0), a)
-        return ring.from_terms(terms.items())
+        q, n = self.field.q, ring.nvars
+        return ring.from_terms(((0,) * i + (q**j,) + (0,) * (n - 1 - i), a)
+                               for i, row in enumerate(self.coeffs)
+                               for j, a in enumerate(row) if a)
 
     def __eq__(self, other):
         return (isinstance(other, LinearizedPoly) and other.field == self.field
@@ -246,8 +236,8 @@ def subfield_space(field):
 # -- linear forms and the rewriting relations ----------------------------------
 
 
-def make_s_ring(field, m, nprime, level="k"):
-    return Ring(field, level, [f"x{i}_{j}" for i in range(m) for j in range(nprime)])
+def make_s_ring(field, m, nprime):
+    return Ring(field, "k", [f"x{i}_{j}" for i in range(m) for j in range(nprime)])
 
 
 def build_Qbar(space, m):
@@ -337,18 +327,27 @@ def _frobenius_closure(rows, space, m):
     return ech.sorted()
 
 
-def _num_vars(F, m):
-    """`m`, or the largest row count in F when m is None; a polynomial with
-    more than m rows raises MalformedInput."""
-    if m is None:
-        return max((lp.m for lp in F), default=1)
+def _check_rows(F, m):
+    """A polynomial with more than m rows raises MalformedInput."""
     for lp in F:
         if lp.m > m:
             raise MalformedInput(f"a polynomial has {lp.m} rows, more than m = {m}")
-    return m
 
 
-def reducibility_check(F, space, m=None):
+def _gcd_kernel(space, blocks):
+    """The monic symbolic gcd g of f_W and the companions `blocks`, and a
+    k'-basis of the kernel of L(g) in W (W coordinates), checked to have
+    deg g elements."""
+    g = tuple(space.fW)
+    for block in blocks:
+        g = symbolic_gcd(space.field, g, block)
+    kernel = space.kernel_in_W(g)
+    if len(kernel) != univar.degree(g):
+        raise RuntimeError(f"kernel dimension {len(kernel)} != deg g = {univar.degree(g)}")
+    return g, kernel
+
+
+def reducibility_check(F, space, m):
     """Stage-by-stage witnesses, decided by the pivot count of each stage.
 
     `forms_matrix` is the RREF of U (`_frobenius_closure`) for the input
@@ -398,7 +397,7 @@ def reducibility_check(F, space, m=None):
     count rather than assumed, with a kernel vector.
     """
     field = space.field
-    m = _num_vars(F, m)
+    _check_rows(F, m)
     n1 = space.nprime
     if m == 1:
         return ReducibilityReport(True, {}, (), (0,))
@@ -414,13 +413,11 @@ def reducibility_check(F, space, m=None):
             witnesses[stage] = LinearizedPoly(
                 field, [rows[0][i * n1:(i + 1) * n1] for i in range(m)], bound=n1)
             continue
-        gcd = tuple(space.fW)
-        for row in rows:
-            gcd = symbolic_gcd(field, gcd, row[stage * n1:(stage + 1) * n1])
+        gcd, kernel = _gcd_kernel(space, [row[stage * n1:(stage + 1) * n1] for row in rows])
         if univar.degree(gcd) != n1 - counts[stage]:
             raise RuntimeError(f"stage {stage}: gcd degree {univar.degree(gcd)} != "
                                f"n' - pivot count {n1 - counts[stage]}")
-        w = space.from_coords(tuple(int(c) for c in space.kernel_in_W(gcd)[0]))
+        w = space.from_coords(tuple(int(c) for c in kernel[0]))
         return ReducibilityReport(
             False, witnesses, active, tuple(counts), failed_stage=stage,
             forms_matrix=R, certificate=gcd, kernel_vector=w)
@@ -462,7 +459,7 @@ def _canonical_basis(space, m, coords, trace=None, reducible=None):
     return SolutionBasis(space, m, gens, R, trace=trace, reducible=reducible)
 
 
-def solve_structured(F, space, m=None, report=None):
+def solve_structured(F, space, m, report=None):
     """A k'-basis of Z, the common zeros of F in W^m, read off the echelon
     rows of U (`report.forms_matrix`, see :func:`reducibility_check`).
 
@@ -491,7 +488,7 @@ def solve_structured(F, space, m=None, report=None):
     into a basis of the target gives a basis of Z, inside W^m.
     """
     field = space.field
-    m = _num_vars(F, m)
+    _check_rows(F, m)
     n1, last = space.nprime, m - 1
     F_live = [lp for lp in F if not lp.is_zero()]
     if report is None:
@@ -504,13 +501,7 @@ def solve_structured(F, space, m=None, report=None):
     else:
         last_blocks = [row[last * n1:] for row in report.forms_matrix.tolist()
                        if not any(row[:last * n1])]
-    g = tuple(space.fW)
-    for block in last_blocks:
-        g = symbolic_gcd(field, g, block)
-    kernel_coords = space.kernel_in_W(g)
-    if len(kernel_coords) != univar.degree(g):
-        raise RuntimeError(
-            f"kernel dimension {len(kernel_coords)} != deg g = {univar.degree(g)}")
+    g, kernel_coords = _gcd_kernel(space, last_blocks)
 
     substitutions = {}
     for s in report.active_stages:
@@ -539,12 +530,12 @@ def solve_structured(F, space, m=None, report=None):
     return _canonical_basis(space, m, coords, trace=trace, reducible=True)
 
 
-def brute_force_solve(F, space, m=None):
+def brute_force_solve(F, space, m):
     """Independent oracle: each linearized polynomial restricted to W^m is a
     k'-linear map into k, so the solution set is the kernel of one stacked
     matrix over k'.  No reducibility assumption."""
     field = space.field
-    m = _num_vars(F, m)
+    _check_rows(F, m)
     n1 = space.nprime
     blocks = [np.zeros((0, m * n1), dtype=DTYPE)]
     for lp in F:
@@ -566,11 +557,11 @@ def subspace_equal(a, b):
             and bool(np.array_equal(a.coord_matrix, b.coord_matrix)))
 
 
-def enumerate_solutions(F, space, m=None, budget=4096):
+def enumerate_solutions(F, space, m, budget=4096):
     """All points of W^m annihilated by F, by exhaustive enumeration; more
     than `budget` points raise EnumerationBudgetExceeded."""
     field = space.field
-    m = _num_vars(F, m)
+    _check_rows(F, m)
     total = field.q ** (space.nprime * m)
     if total > budget:
         raise EnumerationBudgetExceeded(f"{total} points exceed the enumeration budget")

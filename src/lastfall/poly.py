@@ -14,7 +14,7 @@ vector the rightmost entries correspond to the largest monomials.
 import functools
 import json
 import operator
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 
 from .errors import MalformedInput, RingMismatch, UnassignedVariable
 
@@ -55,6 +55,19 @@ def monomials_of_degree(nvars, d, order="grevlex"):
     return tuple(out)
 
 
+def sum_terms(pairs, add):
+    """The exponent -> code dict of the summed (exponent, code) pairs, with
+    every zero sum dropped; `add` adds two codes."""
+    out = {}
+    for e, c in pairs:
+        s = add(out.get(e, 0), c)
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return out
+
+
 def monomials_up_to(nvars, cap, order="grevlex"):
     out = []
     for d in range(cap + 1):
@@ -83,9 +96,15 @@ class Ring:
         return self.ops.order
 
     def check_coeff(self, c):
-        if not 0 <= c < self.coeff_order:
-            raise MalformedInput(f"coefficient code {c} outside the {self.level} domain")
-        return int(c)
+        """`c` as an int code of the coefficient field; anything else raises
+        MalformedInput."""
+        try:
+            code = operator.index(c)
+        except TypeError:
+            raise MalformedInput(f"coefficient code {c!r} is not an integer") from None
+        if not 0 <= code < self.coeff_order:
+            raise MalformedInput(f"coefficient code {code} outside the {self.level} domain")
+        return code
 
     def var_index(self, name):
         try:
@@ -100,16 +119,14 @@ class Ring:
         return self.constant(1)
 
     def constant(self, c):
-        c = self.check_coeff(c)
-        if c == 0:
-            return self.zero()
-        return MultiPoly(self, {(0,) * self.nvars: c})
+        return self.monomial((0,) * self.nvars, c)
 
     def variable(self, v):
+        """The variable named `v`, or the one at index `v`."""
         i = v if isinstance(v, int) else self.var_index(v)
-        e = [0] * self.nvars
-        e[i] = 1
-        return MultiPoly(self, {tuple(e): 1})
+        if not 0 <= i < self.nvars:
+            raise UnassignedVariable(f"no variable at index {i} of {self.nvars}")
+        return self.monomial((0,) * i + (1,) + (0,) * (self.nvars - 1 - i))
 
     def monomial(self, exps, c=1):
         c = self.check_coeff(c)
@@ -117,27 +134,21 @@ class Ring:
             return self.zero()
         return MultiPoly(self, {tuple(exps): c})
 
+    def _check_exps(self, exps):
+        """`exps` as a tuple of nvars non-negative ints; else MalformedInput."""
+        try:
+            exps = tuple(map(operator.index, exps))
+        except TypeError:
+            raise MalformedInput(f"exponents {list(exps)} are not all integers") from None
+        if len(exps) != self.nvars:
+            raise MalformedInput("exponent vector has the wrong length")
+        if exps and min(exps) < 0:
+            raise MalformedInput(f"negative exponent in {list(exps)}")
+        return exps
+
     def from_terms(self, terms):
-        out = {}
-        for exps, c in terms:
-            try:
-                exps = tuple(map(operator.index, exps))
-            except TypeError:
-                raise MalformedInput(f"exponents {list(exps)} are not all integers") from None
-            if len(exps) != self.nvars:
-                raise MalformedInput("exponent vector has the wrong length")
-            if exps and min(exps) < 0:
-                raise MalformedInput(f"negative exponent in {list(exps)}")
-            c = self.check_coeff(c)
-            if c == 0:
-                continue
-            cur = out.get(exps, 0)
-            s = self.field.add(cur, c)
-            if s:
-                out[exps] = s
-            else:
-                out.pop(exps, None)
-        return MultiPoly(self, out)
+        return MultiPoly(self, sum_terms(
+            ((self._check_exps(e), self.check_coeff(c)) for e, c in terms), self.field.add))
 
     def __eq__(self, other):
         return (isinstance(other, Ring) and other.field == self.field
@@ -177,15 +188,8 @@ class MultiPoly:
 
     def __add__(self, other):
         other = self._coerced(other)
-        f = self.ring.field
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = f.add(out.get(e, 0), c)
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return MultiPoly(self.ring, out)
+        return MultiPoly(self.ring, sum_terms(
+            chain(self.terms.items(), other.terms.items()), self.ring.field.add))
 
     def __neg__(self):
         f = self.ring.field
@@ -204,16 +208,9 @@ class MultiPoly:
     def __mul__(self, other):
         other = self._coerced(other)
         f = self.ring.field
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = f.add(out.get(e, 0), f.mul(c1, c2))
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return MultiPoly(self.ring, out)
+        return MultiPoly(self.ring, sum_terms(
+            ((tuple(map(operator.add, e1, e2)), f.mul(c1, c2))
+             for e1, c1 in self.terms.items() for e2, c2 in other.terms.items()), f.add))
 
     def pow_int(self, m):
         acc = self.ring.one()

@@ -6,7 +6,13 @@ any object exposing ``order`` and code-level ``add/sub/mul/neg/inv`` (codes are
 ints in ``range(order)``, 0 is the additive and 1 the multiplicative
 identity).  This is the workhorse behind modulus selection, divisor lattices
 of x^n - 1 and the extended-Euclid certificates.
+
+Irreducibility tests and factoring are trial division by the monic
+polynomials of degree 1, 2, ... in turn; a monic divisor of least degree is
+irreducible, so ``factor`` needs no irreducibility test.
 """
+
+from itertools import product, zip_longest
 
 from .errors import DivisionByZero
 
@@ -27,23 +33,11 @@ def degree(f):
 
 
 def add(ar, f, g):
-    n = max(len(f), len(g))
-    out = []
-    for i in range(n):
-        a = f[i] if i < len(f) else 0
-        b = g[i] if i < len(g) else 0
-        out.append(ar.add(a, b))
-    return trim(out)
+    return trim(ar.add(a, b) for a, b in zip_longest(f, g, fillvalue=0))
 
 
 def sub(ar, f, g):
-    n = max(len(f), len(g))
-    out = []
-    for i in range(n):
-        a = f[i] if i < len(f) else 0
-        b = g[i] if i < len(g) else 0
-        out.append(ar.sub(a, b))
-    return trim(out)
+    return trim(ar.sub(a, b) for a, b in zip_longest(f, g, fillvalue=0))
 
 
 def scale(ar, c, f):
@@ -125,33 +119,21 @@ def divides(ar, f, g):
 
 def _monic_polys(ar, d):
     """All monic polynomials of degree exactly d, lexicographic by low coeffs."""
-    tails = [()]
-    for _ in range(d):
-        tails = [t + (c,) for t in tails for c in range(ar.order)]
-    # itertools.product would enumerate high coefficients first; rebuild so the
-    # constant coefficient varies slowest being leftmost in the tuple order.
-    for lowpart in sorted(tails):
-        yield trim(lowpart + (1,))
+    for low in product(range(ar.order), repeat=d):
+        yield low + (1,)
 
 
 def is_irreducible(ar, f):
+    """True when deg f > 0 and no monic polynomial of degree <= deg f / 2 divides f."""
     f = trim(f)
-    d = degree(f)
-    if d <= 0:
-        return False
-    if d == 1:
-        return True
-    for e in range(1, d // 2 + 1):
-        for g in _monic_polys(ar, e):
-            if divides(ar, g, f):
-                return False
-    return True
+    return degree(f) > 0 and not any(divides(ar, g, f) for d in range(1, degree(f) // 2 + 1)
+                                     for g in _monic_polys(ar, d))
 
 
 def first_irreducible(ar, d):
     """Lexicographically-least monic irreducible of degree d (by low coefficients)."""
     for f in _monic_polys(ar, d):
-        if degree(f) == d and is_irreducible(ar, f):
+        if is_irreducible(ar, f):
             return f
     raise RuntimeError(f"no irreducible of degree {d} found")  # unreachable for finite fields
 
@@ -160,33 +142,30 @@ def x_pow_n_minus_one(ar, n):
     return trim((ar.neg(1),) + (0,) * (n - 1) + (1,))
 
 
-def squarefree_part_known(ar, f):
-    """Distinct monic irreducible factors of f with multiplicities (trial division)."""
+def factor(ar, f):
+    """The monic irreducible factors of f with their multiplicities: each
+    monic divisor of degree d = 1, 2, ... while 2d <= deg f is taken out as
+    often as it divides, and what is left of degree > 0 is irreducible."""
     f = monic(ar, f)
     factors = []
     d = 1
-    while degree(f) > 0:
-        found = False
+    while 2 * d <= degree(f):
         for g in _monic_polys(ar, d):
-            if degree(g) == d and is_irreducible(ar, g) and divides(ar, g, f):
-                mult = 0
-                while divides(ar, g, f):
-                    f = divmod_poly(ar, f, g)[0]
-                    mult += 1
+            mult = 0
+            while divides(ar, g, f):
+                f = divmod_poly(ar, f, g)[0]
+                mult += 1
+            if mult:
                 factors.append((g, mult))
-                found = True
-                break
-        if not found:
-            d += 1
-            if d > degree(f) and degree(f) > 0:
-                factors.append((monic(ar, f), 1))
-                break
+        d += 1
+    if degree(f) > 0:
+        factors.append((f, 1))
     return factors
 
 
 def monic_divisors(ar, f):
     """All monic divisors of f, deterministic order."""
-    factors = squarefree_part_known(ar, f)
+    factors = factor(ar, f)
     divs = [(1,)]
     for g, mult in factors:
         powers = [(1,)]

@@ -301,6 +301,31 @@ def bezout_pair(ar, f, g):
     return u, v
 
 
+def brute_force_monic_divisors(ar, f):
+    """Every monic divisor of a nonzero f, sorted by (degree, coefficients),
+    by trying every monic g of degree <= deg f / 2: a divisor of f has that
+    degree or is the cofactor f / g of one that has, so the divisors are
+    those g and their cofactors.  No factoring, no irreducibility test."""
+    f = univar.monic(ar, f)
+    found = set()
+    for d in range(univar.degree(f) // 2 + 1):
+        for low in product(range(ar.order), repeat=d):
+            cofactor, rem = univar.divmod_poly(ar, f, low + (1,))
+            if not rem:
+                found.update((low + (1,), cofactor))
+    return sorted(found, key=lambda g: (len(g), g))
+
+
+def brute_force_first_irreducible(ar, d):
+    """The first monic polynomial of degree d, constant coefficient varying
+    slowest, whose only monic divisors are 1 and itself."""
+    for low in sorted(product(range(ar.order), repeat=d)):
+        f = low + (1,)
+        if brute_force_monic_divisors(ar, f) == [(1,), f]:
+            return f
+    raise AssertionError(f"no irreducible of degree {d}")
+
+
 def eval_at(ar, f, x):
     acc = 0
     for c in reversed(f):

@@ -3,10 +3,7 @@
 import contextlib
 import io
 import json
-import os
 import re
-import subprocess
-import sys
 import tempfile
 import time
 from pathlib import Path
@@ -15,17 +12,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import lastfall
 from lastfall import CampaignExhausted, MalformedInput, cli, falldeg, make_field
-from lastfall.cli import (_run_campaign, campaign_csv, campaign_json,
+from lastfall.cli import (_run_campaign, campaign_csv, campaign_json, gen_random_linearized,
                           gen_random_system, main, verify_solver, verify_thm_1_1,
                           verify_thm_2_6, write_campaign)
-from lastfall.descent import build_Fprime1, make_descent_context
+from lastfall.descent import build_Fprime, build_Fprime1, make_descent_context
 from lastfall.falldeg import GroebnerOracle, PointsOracle, groebner_toy, last_fall_degree
 from lastfall.poly import PolySystem, Ring
 
 import random
 
+from conftest import deadline
 from oracles import malformed_system_docs
 
 
@@ -62,6 +59,18 @@ def test_cli_gen_and_descend_round_trip(tmp_path):
     rc = main(["--out", str(tmp_path / "f1.json"), "descend", str(sysfile),
                "--emit", "F1"])
     assert rc == 0
+
+
+def test_cli_descend_emits_fprime(tmp_path):
+    """--emit Fprime writes `build_Fprime` of the system."""
+    field = make_field(2, 1, 2)
+    system = gen_random_system(Ring(field, "k", ["X0"]), 2, 1, random.Random(4))
+    path = tmp_path / "system.json"
+    path.write_text(system.to_json_str())
+    out = tmp_path / "fprime.json"
+    assert main(["--out", str(out), "descend", str(path), "--emit", "Fprime"]) == 0
+    want = build_Fprime(system, make_descent_context(field, 1))
+    assert out.read_text() == want.to_json_str() + "\n"
 
 
 def test_cli_lastfall(tmp_path, capsys):
@@ -419,6 +428,15 @@ def test_cli_solve_linearized_refuses_incomplete_config(tmp_path, capsys):
         assert len(err) == 1 and err[0].startswith("lastfall solve-linearized: "), text
 
 
+def test_cli_solve_linearized_refuses_a_missing_config(capsys):
+    """Without --config it once ended in a TypeError traceback."""
+    assert main(["solve-linearized"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("lastfall solve-linearized: ")
+
+
 @pytest.mark.parametrize("doc", [
     pytest.param({**_SOLVE_GOOD, "m": 1}, id="two-rows-for-m-1"),
     pytest.param({**_SOLVE_GOOD, "coeffs": [[[1, 0]]]}, id="one-row-for-m-2"),
@@ -584,15 +602,6 @@ def test_cli_solve_linearized_config_fuzz(path, value):
                 and lines[0].startswith("lastfall solve-linearized: ")), (doc, mode)
 
 
-def _run_isolated(argv, timeout=30):
-    """Run `python argv` on this package in a fresh interpreter, so an input
-    that once spun forever fails the test at the timeout instead of hanging
-    the suite."""
-    env = {**os.environ, "PYTHONPATH": str(Path(lastfall.__file__).parents[1])}
-    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
-                          timeout=timeout, env=env)
-
-
 @pytest.mark.parametrize("config", [
     pytest.param({"degree": -1}, id="degree-negative"),
     pytest.param({"linearized": True, "bound": 0}, id="bound-0"),
@@ -603,31 +612,30 @@ def _run_isolated(argv, timeout=30):
     pytest.param({"m": -1, "linearized": True}, id="m-negative"),
     pytest.param({"m": True}, id="m-boolean"),
 ])
-def test_cli_gen_refuses_malformed_config(tmp_path, config):
+def test_cli_gen_refuses_malformed_config(tmp_path, capsys, config):
     """Each of these gen configs once spun forever, ended in an AttributeError
     or TypeError traceback, or (m = -1) wrote a system in no variables."""
     cfg = tmp_path / "gen.json"
     cfg.write_text(json.dumps(config))
-    done = _run_isolated(["-m", "lastfall.cli", "--config", str(cfg), "gen"])
-    assert done.returncode == 2
-    assert done.stdout == ""
-    err = done.stderr.splitlines()
+    with deadline(30):
+        rc = main(["--config", str(cfg), "gen"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("lastfall gen: ")
 
 
 @pytest.mark.parametrize("call", [
-    "gen_random_system(Ring(make_field(2, 1, 2), 'k', ['X0']), -1, 1, random.Random(0))",
-    "gen_random_linearized(make_field(2, 1, 2), 1, 0, 1, random.Random(0))",
-    "gen_random_linearized(make_field(2, 1, 2), 0, 2, 1, random.Random(0))",
+    lambda: gen_random_system(Ring(make_field(2, 1, 2), "k", ["X0"]), -1, 1, random.Random(0)),
+    lambda: gen_random_linearized(make_field(2, 1, 2), 1, 0, 1, random.Random(0)),
+    lambda: gen_random_linearized(make_field(2, 1, 2), 0, 2, 1, random.Random(0)),
 ], ids=["degree-negative", "bound-0", "m-0"])
 def test_generators_refuse_empty_draws(call):
     """With no monomial or no coefficient to draw, the generators once
     redrew an all-zero polynomial forever."""
-    code = ("import random\n"
-            "from lastfall import MalformedInput, Ring, make_field\n"
-            "from lastfall.cli import gen_random_linearized, gen_random_system\n"
-            f"try:\n    {call}\nexcept MalformedInput:\n    raise SystemExit(3)\n")
-    assert _run_isolated(["-c", code]).returncode == 3
+    with deadline(30), pytest.raises(MalformedInput):
+        call()
 
 
 @pytest.mark.parametrize("basis", ["[1.5, 2]", "[true, 2]", "[1", '"x"', '{"a": 1}',

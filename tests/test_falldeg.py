@@ -298,6 +298,12 @@ def test_vector_of_refuses_another_ring(r2, gf4):
         span.vector_of(other.variable(0))
 
 
+def test_vector_of_refuses_a_degree_above_the_cap(r2):
+    span = span_closure(PolySystem(r2, [r2.variable(0)]), 2)
+    with pytest.raises(DegreeTooHigh):
+        span.vector_of(r2.monomial((2, 1)))
+
+
 @pytest.mark.parametrize("order", ["lex", "foo"])
 def test_unknown_order_is_malformed(r2, order):
     system = PolySystem(r2, [r2.variable(0)])

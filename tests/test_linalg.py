@@ -97,3 +97,8 @@ def test_kernel_matches_rref_rank_kernel_and_solve(spec, shape):
         assert local_rank([v.tolist() for v in kernel], field) == len(kernel)
         for v in kernel:
             assert all(dot(field, row, v) == 0 for row in mat)
+
+
+def test_rref_refuses_a_vector():
+    with pytest.raises(ValueError):
+        rref(np.array([1, 0, 1], dtype=DTYPE), make_field(2, 1, 1).k)

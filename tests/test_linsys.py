@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lastfall import (DegreeExceedsBound, EnumerationBudgetExceeded, MalformedInput, NotABasis,
-                      NotADivisor, NotReducible, brute_force_solve, build_Qbar,
+from lastfall import (DegreeExceedsBound, DivisionByZero, EnumerationBudgetExceeded,
+                      MalformedInput, NotABasis, NotADivisor, NotReducible, brute_force_solve,
+                      build_Qbar,
                       enumerate_solutions, frobenius_step, full_space, make_field,
                       reducibility_check, solve_structured, subfield_space, subspace_equal,
                       subspace_from_fW, symbolic_gcd, symbolic_rdivmod)
@@ -66,6 +67,13 @@ def test_symbolic_rdivmod_identity(gf8):
                       zip(back + (0,) * 8, tuple(r) + (0,) * 8))[:8]
         assert univar.trim(total) == univar.trim(f)
         assert len(r) < len(g)
+
+
+def test_symbolic_rdivmod_refuses_a_zero_divisor(gf8):
+    """Once a bare ZeroDivisionError, unlike univar.divmod_poly."""
+    for g in ((), (0, 0)):
+        with pytest.raises(DivisionByZero):
+            symbolic_rdivmod(gf8, (1, 2), g)
 
 
 def test_symbolic_gcd_kernel_intersection(gf8):

@@ -4,10 +4,12 @@ import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from lastfall import (MalformedInput, MultiPoly, NEG_INF, PolySystem, Ring, RingMismatch,
-                      UnassignedVariable)
-from lastfall.poly import DESCENDING_KEYS, ORDER_KEYS, monomials_up_to
+from lastfall import (LastfallError, MalformedInput, MultiPoly, NEG_INF, PolySystem, Ring,
+                      RingMismatch, UnassignedVariable, make_field)
+from lastfall.poly import DESCENDING_KEYS, ORDER_KEYS, monomials_up_to, sum_terms
 from oracles import apply_sigma, malformed_system_docs, normal_form_field_eqs, random_system
 
 
@@ -231,3 +233,40 @@ def test_eval_refuses_malformed_points(gf8, point):
 def test_malformed_rings_are_refused(gf4, level, names):
     with pytest.raises(MalformedInput):
         Ring(gf4, level, names)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda ring: ring.constant(1.5), id="constant"),
+    pytest.param(lambda ring: ring.monomial((1, 0), 2.7), id="monomial"),
+    pytest.param(lambda ring: ring.variable(0).scale(3.9), id="scale"),
+    pytest.param(lambda ring: ring.from_terms([((1, 0), 2.0)]), id="from-terms"),
+])
+def test_float_codes_are_refused(gf8, make):
+    """Over GF(8) a float code was once truncated: constant(1.5) gave 1,
+    monomial(e, 2.7) the coefficient 2 and scale(3.9) scaled by 3."""
+    with pytest.raises(MalformedInput):
+        make(Ring(gf8, "k", ["X0", "X1"]))
+
+
+@pytest.mark.parametrize("index", [5, 2, -1])
+def test_variable_index_outside_the_ring_is_refused(gf8, index):
+    """variable(5) once ended in a bare IndexError and variable(-1) returned
+    the last variable."""
+    ring = Ring(gf8, "k", ["X0", "X1"])
+    with pytest.raises(LastfallError):
+        ring.variable(index)
+    assert ring.variable(1) == ring.variable("X1") == ring.monomial((0, 1))
+
+
+_GF5 = make_field(5, 1, 1)
+
+
+@given(st.lists(st.tuples(st.sampled_from([(0, 0), (1, 0), (0, 1), (2, 1)]),
+                          st.integers(0, 4))))
+def test_sum_terms_matches_a_naive_sum(pairs):
+    """Few exponents, so repeats and zero sums are common; a code 0 enters
+    too.  The result holds exactly the nonzero totals."""
+    totals = {}
+    for e, c in pairs:
+        totals[e] = (totals.get(e, 0) + c) % 5
+    assert sum_terms(pairs, _GF5.add) == {e: c for e, c in totals.items() if c}
