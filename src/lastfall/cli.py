@@ -21,13 +21,14 @@ from itertools import product
 from . import univar
 from .descent import (build_F1, build_Fprime, build_Fprime1, f1_points,
                       fprime1_points, make_descent_context)
-from .errors import CampaignExhausted, LastfallError, MalformedInput, NotReducible
+from .errors import (CampaignExhausted, LastfallError, MalformedInput, NotReducible, as_int,
+                     json_value)
 from .falldeg import PointsOracle, last_fall_degree
-from .gf import make_field
+from .gf import FieldSpec, make_field
 from .linsys import (LinearizedPoly, brute_force_solve, enumerate_solutions,
                      full_space, gbar_system, linearized_to_form, reducibility_check,
                      solve_structured, subspace_from_fW, subspace_equal)
-from .poly import PolySystem, Ring, _json_value, monomials_up_to
+from .poly import PolySystem, Ring, monomials_up_to
 
 
 # -- instance generation --------------------------------------------------------
@@ -403,25 +404,13 @@ def _emit(text, path):
         print(text)
 
 
-def _field_from_config(cfg):
-    return make_field(_json_value(cfg, "p"), cfg.get("e", 1), _json_value(cfg, "n"),
-                      m1=cfg.get("m1"), m2=cfg.get("m2"))
-
-
-def _at_least(value, key, least):
-    """`value` if it is an int (not a bool) of at least `least`."""
-    if type(value) is not int or value < least:
-        raise MalformedInput(f"{key!r} must be an integer of at least {least}, got {value!r}")
-    return value
-
-
 def cmd_gen(args):
     cfg = _load_config(args.config)
-    field = _field_from_config(cfg.get("field", {"p": 2, "e": 1, "n": 2}))
-    m = _at_least(cfg.get("m", 1), "m", 1)
-    degree = _at_least(cfg.get("degree", 2), "degree", 0)
-    count = _at_least(cfg.get("count", m), "count", 0)
-    bound = _at_least(cfg.get("bound", field.n), "bound", 1)
+    field = FieldSpec.from_json(cfg.get("field", {"p": 2, "e": 1, "n": 2}))
+    m = as_int(cfg.get("m", 1), "m", least=1)
+    degree = as_int(cfg.get("degree", 2), "degree", least=0)
+    count = as_int(cfg.get("count", m), "count", least=0)
+    bound = as_int(cfg.get("bound", field.n), "bound", least=1)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     rng = random.Random(f"{seed}:gen")
     if cfg.get("linearized"):
@@ -472,23 +461,16 @@ def cmd_lastfall(args):
     return 0
 
 
-def _codes(value, order, what):
-    """`value` if it is a list of integer codes below `order`."""
-    if isinstance(value, list) and all(type(c) is int and 0 <= c < order for c in value):
-        return value
-    raise MalformedInput(f"{what} {value!r} is not a list of codes below {order}")
-
-
 def cmd_solve_linearized(args):
     cfg = _load_config(args.config)
-    field = _field_from_config(_json_value(cfg, "field", dict))
-    m = _at_least(_json_value(cfg, "m"), "m", 1)
+    field = FieldSpec.from_json(json_value(cfg, "field", dict))
+    m = as_int(json_value(cfg, "m"), "m", least=1)
     F = []
-    for rows in _json_value(cfg, "coeffs", list):
+    for rows in json_value(cfg, "coeffs", list):
         if not isinstance(rows, list) or len(rows) != m:
             raise MalformedInput(f"a polynomial must be a list of m = {m} rows, got {rows!r}")
-        F.append(LinearizedPoly(field, [_codes(row, field.order, "row") for row in rows]))
-    space = subspace_from_fW(tuple(_codes(_json_value(cfg, "fw", list), field.q, "fw")), field)
+        F.append(LinearizedPoly(field, rows))
+    space = subspace_from_fW(json_value(cfg, "fw", list), field)
     result = {}
     if args.oracle:
         chosen = brute_force_solve(F, space, m=m)
@@ -530,7 +512,7 @@ def _check_campaign_values(campaign, kwargs):
     """Refuse a config entry value that the campaign cannot run with."""
     for key in ("seed", "per_combo", "per_n"):
         if key in kwargs:
-            _at_least(kwargs[key], key, 0)
+            as_int(kwargs[key], key, least=0)
     combos, arity = kwargs.get("combos", []), _COMBO_ARITY.get(campaign)
     if not (isinstance(combos, list)
             and all(isinstance(c, list) and len(c) == arity for c in combos)):
@@ -540,7 +522,7 @@ def _check_campaign_values(campaign, kwargs):
     if not isinstance(ns, list):
         raise MalformedInput(f"'ns' must be a list of integers, got {ns!r}")
     for key, value in [("combos", v) for c in combos for v in c] + [("ns", v) for v in ns]:
-        _at_least(value, key, 1)
+        as_int(value, key, least=1)
 
 
 def cmd_verify(args):

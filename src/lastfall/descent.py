@@ -17,10 +17,8 @@ X_i) so emitted systems are byte-stable.
 
 import functools
 
-import numpy as np
-
 from . import univar
-from .errors import CoordinateNotInField, MalformedInput, RingMismatch
+from .errors import CoordinateNotInField, MalformedInput, RingMismatch, as_codes, as_int
 from .falldeg import zk_points
 from .linsys import InvariantSubspace
 from .poly import MultiPoly, PolySystem, Ring, frobenius_relations, sum_terms
@@ -46,18 +44,12 @@ class DescentContext:
     """
 
     def __init__(self, field, m, basis=None):
-        if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 0:
-            raise MalformedInput(f"m must be a nonnegative integer, got {m!r}")
         self.field = field
-        self.m = int(m)
+        self.m = m = as_int(m, "m", least=0)
         n = field.n
         if basis is None:
             basis = [field.pow(field.gen(), j) for j in range(n)]
-        if not (isinstance(basis, (list, tuple)) and len(basis) == n and all(
-                isinstance(b, (int, np.integer)) and not isinstance(b, bool)
-                and 0 <= b < field.order for b in basis)):
-            raise MalformedInput(f"basis {basis!r} is not a list of {n} codes below {field.order}")
-        self.basis = tuple(int(b) for b in basis)
+        self.basis = as_codes(basis, field.order, "basis", n)
         self.space = InvariantSubspace(field, univar.x_pow_n_minus_one(field.kprime, n),
                                        self.basis)
 

@@ -78,7 +78,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import (DegreeTooHigh, EnumerationBudgetExceeded, MalformedInput,
-                     OracleInconsistent, RingMismatch, StepBudgetExceeded)
+                     OracleInconsistent, RingMismatch, StepBudgetExceeded, as_int)
 from .linalg import DTYPE, Echelon, reduce_row
 from .poly import (DESCENDING_KEYS, NEG_INF, ORDER_KEYS, MultiPoly, monomials_of_degree,
                    sum_terms)
@@ -518,14 +518,6 @@ class DegreeSpan:
         return [self.row_poly(r) for r in range(self.dim)]
 
 
-def _as_cap(cap):
-    """cap as an int; a float or any other non-integer is malformed."""
-    try:
-        return operator.index(cap)
-    except TypeError:
-        raise MalformedInput(f"cap must be an integer, got {cap!r}") from None
-
-
 def span_closure(system, cap, order="grevlex"):
     """Close the system's low-degree span at the given degree cap.
 
@@ -533,9 +525,7 @@ def span_closure(system, cap, order="grevlex"):
     row) and its rows are sorted by pivot column, so equal spans have
     identical matrices.
     """
-    cap = _as_cap(cap)
-    if cap < 0:
-        raise MalformedInput(f"cap must be >= 0, got {cap}")
+    cap = as_int(cap, "cap", least=0)
     eng = _SpanEngine(system, order=order)
     for _ in range(cap + 1):
         eng.advance()
@@ -607,9 +597,7 @@ def last_fall_degree(system, cap=None, certify=True, order="grevlex", oracle=Non
     and a toy Groebner run otherwise.  Both give the same profile on such a
     system.  A span that reaches 1 needs no oracle.
     """
-    cap = default_cap(system) if cap is None else _as_cap(cap)
-    if cap < 1:
-        raise MalformedInput(f"cap must be >= 1, got {cap}")
+    cap = default_cap(system) if cap is None else as_int(cap, "cap", least=1)
     eng = _SpanEngine(system, order=order)
     eng.advance()
     records = []

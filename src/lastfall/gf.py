@@ -20,13 +20,11 @@ multiplication from the permutation "times t" of the codes.  The Frobenius
 x -> x^{q^i} is a permutation table of the codes.
 """
 
-import operator
-
 import numpy as np
 
 from . import univar
 from .errors import (DivisionByZero, MalformedInput, NonPrimeCharacteristic,
-                     ReducibleModulus, UnsupportedField)
+                     ReducibleModulus, UnsupportedField, as_codes, as_int, json_value)
 from .linalg import DTYPE
 
 MAX_ORDER = 1024
@@ -188,10 +186,7 @@ def _extend(base, degree, modulus, which):
     the lexicographically least monic irreducible of the degree."""
     if modulus is None:
         modulus = univar.first_irreducible(base, degree) if degree > 1 else (0, 1)
-    elif not (isinstance(modulus, (list, tuple))
-              and all(type(c) is int and 0 <= c < base.order for c in modulus)):
-        raise MalformedInput(f"{which} = {modulus!r} is not a list of codes below {base.order}")
-    modulus = univar.trim(modulus)
+    modulus = univar.trim(as_codes(modulus, base.order, which))
     if univar.degree(modulus) != degree:
         raise MalformedInput(f"{which} = {list(modulus)} does not have degree {degree}")
     if degree == 1:  # base[t]/(t - c) is the base field itself
@@ -210,9 +205,7 @@ class FieldSpec:
     """
 
     def __init__(self, p, e, n, m1=None, m2=None):
-        for name, value in (("p", p), ("e", e), ("n", n)):
-            if type(value) is not int:
-                raise MalformedInput(f"{name} = {value!r} is not an integer")
+        p, e, n = as_int(p, "p"), as_int(e, "e"), as_int(n, "n")
         # e*n is bounded before p**(e*n) is formed, since p >= 2
         if e < 1 or n < 1 or e * n >= MAX_ORDER.bit_length() or p**(e * n) > MAX_ORDER:
             raise UnsupportedField(f"p = {p}, e = {e}, n = {n}: supported are e >= 1, "
@@ -251,20 +244,10 @@ class FieldSpec:
         return tuple(digits)
 
     def from_coords(self, digits):
-        """Code of the element with k'-coordinates `digits`: n integer codes
-        of k'; anything else raises MalformedInput."""
-        try:
-            digits = [operator.index(c) for c in digits]
-        except TypeError:
-            raise MalformedInput(f"coordinates {digits!r} are not all integers") from None
-        if len(digits) != self.n:
-            raise MalformedInput(f"{len(digits)} coordinates {digits}, expected n = {self.n}")
-        code = 0
-        for j, c in enumerate(digits):
-            if not 0 <= c < self.q:
-                raise MalformedInput(f"coordinate {c} is not a k' code")
-            code += c * self.q**j
-        return code
+        """Code of the element with k'-coordinates `digits`: n codes of k'
+        (see :func:`errors.as_codes`)."""
+        return sum(c * self.q**j
+                   for j, c in enumerate(as_codes(digits, self.q, "k' coordinates", self.n)))
 
     def lies_in_subfield(self, a):
         return 0 <= a < self.q
@@ -284,9 +267,9 @@ class FieldSpec:
 
     @classmethod
     def from_json(cls, obj):
-        if not isinstance(obj, dict) or not {"p", "e", "n"} <= obj.keys():
-            raise MalformedInput(f"field {obj} lacks one of the keys p, e, n")
-        return make_field(obj["p"], obj["e"], obj["n"],
+        """The field of a JSON object with the keys p and n, and e (1 when
+        omitted), m1 and m2 (the default moduli when omitted)."""
+        return make_field(json_value(obj, "p"), obj.get("e", 1), json_value(obj, "n"),
                           m1=obj.get("m1"), m2=obj.get("m2"))
 
     def __repr__(self):
@@ -305,6 +288,7 @@ def make_field(p, e, n, m1=None, m2=None):
     """Construct the tower GF(p) < GF(p^e) < GF(p^(e*n)); see :class:`FieldSpec`
     for the default moduli.  Shapes outside e >= 1, n >= 1 and order <=
     ``MAX_ORDER`` raise :class:`UnsupportedField` before any work is done; a
-    p, e or n that is not an int, or a modulus that is not a list of codes of
-    its base field of the right degree, raises :class:`MalformedInput`."""
+    p, e or n that is not an integer, or a modulus that is not a list of
+    codes of its base field of the right degree, raises
+    :class:`MalformedInput` (see :func:`errors.as_int`)."""
     return FieldSpec(p, e, n, m1=m1, m2=m2)

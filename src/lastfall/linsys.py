@@ -16,7 +16,6 @@ symbolic gcd of a family of companions is exactly the intersection of the
 kernels of the family.
 """
 
-import operator
 from collections import deque
 from dataclasses import dataclass
 from itertools import product
@@ -25,7 +24,7 @@ import numpy as np
 
 from . import univar
 from .errors import (DegreeExceedsBound, DivisionByZero, EnumerationBudgetExceeded,
-                     MalformedInput, NotABasis, NotADivisor, NotReducible)
+                     MalformedInput, NotABasis, NotADivisor, NotReducible, as_codes)
 from .linalg import DTYPE, Echelon, kernel_basis, rref
 from .poly import PolySystem, Ring, frobenius_relations
 
@@ -78,16 +77,11 @@ class LinearizedPoly:
     """L(f) for f = sum_i f_i(x_i); rows are the conventional coefficients."""
 
     def __init__(self, field, rows, bound=None):
-        """A coefficient that is not an integer code of k raises MalformedInput."""
-        try:
-            rows = [univar.trim(map(operator.index, r)) for r in rows]
-        except TypeError:
-            raise MalformedInput("a coefficient is not an integer code") from None
+        """Each row is a list of codes of k (see :func:`errors.as_codes`)."""
+        rows = [univar.trim(as_codes(r, field.order, "row")) for r in rows]
         if bound is None:
             bound = max((len(r) for r in rows), default=1)
         for r in rows:
-            if r and (min(r) < 0 or max(r) >= field.order):
-                raise MalformedInput(f"row {list(r)} holds a code outside k = GF({field.order})")
             if len(r) > bound:
                 raise DegreeExceedsBound(f"row degree {len(r) - 1} >= bound {bound}")
         self.field = field
@@ -102,7 +96,11 @@ class LinearizedPoly:
         return all(c == 0 for row in self.coeffs for c in row)
 
     def eval(self, point):
+        """The value at a point of m or more codes of k (the rest are ignored)."""
         f = self.field
+        point = as_codes(point, f.order, "point")
+        if len(point) < self.m:
+            raise MalformedInput(f"point {point} has fewer than m = {self.m} coordinates")
         acc = 0
         for i, row in enumerate(self.coeffs):
             acc = f.add(acc, apply_companion(f, row, point[i]))
@@ -172,9 +170,10 @@ class InvariantSubspace:
         return code in self._coords
 
     def from_coords(self, coords):
+        """The element of W with the n' k'-coordinates `coords`."""
         f = self.field
         acc = 0
-        for c, w in zip(coords, self.basis_W):
+        for c, w in zip(as_codes(coords, f.q, "W coordinates", self.nprime), self.basis_W):
             acc = f.add(acc, f.mul(c, w))
         return acc
 
@@ -201,7 +200,7 @@ def subspace_from_fW(fW, field):
     a diagnostic error is raised instead of proceeding.
     """
     kp = field.kprime
-    fW = univar.trim(fW)
+    fW = univar.trim(as_codes(fW, field.q, "fW"))
     if not fW or fW[-1] != 1:
         raise MalformedInput(f"fW {list(fW)} is not monic")
     if univar.degree(fW) < 1:

@@ -16,7 +16,9 @@ import json
 import operator
 from itertools import chain, combinations_with_replacement
 
-from .errors import MalformedInput, RingMismatch, UnassignedVariable
+from .errors import (MalformedInput, RingMismatch, UnassignedVariable, as_codes, as_int,
+                     json_value)
+from .gf import FieldSpec
 
 NEG_INF = float("-inf")
 
@@ -96,15 +98,8 @@ class Ring:
         return self.ops.order
 
     def check_coeff(self, c):
-        """`c` as an int code of the coefficient field; anything else raises
-        MalformedInput."""
-        try:
-            code = operator.index(c)
-        except TypeError:
-            raise MalformedInput(f"coefficient code {c!r} is not an integer") from None
-        if not 0 <= code < self.coeff_order:
-            raise MalformedInput(f"coefficient code {code} outside the {self.level} domain")
-        return code
+        """`c` as a code of the coefficient field (see :func:`errors.as_int`)."""
+        return as_int(c, "coefficient code", 0, self.coeff_order)
 
     def var_index(self, name):
         try:
@@ -123,9 +118,7 @@ class Ring:
 
     def variable(self, v):
         """The variable named `v`, or the one at index `v`."""
-        i = v if isinstance(v, int) else self.var_index(v)
-        if not 0 <= i < self.nvars:
-            raise UnassignedVariable(f"no variable at index {i} of {self.nvars}")
+        i = self.var_index(v) if isinstance(v, str) else as_int(v, "variable index", 0, self.nvars)
         return self.monomial((0,) * i + (1,) + (0,) * (self.nvars - 1 - i))
 
     def monomial(self, exps, c=1):
@@ -135,16 +128,8 @@ class Ring:
         return MultiPoly(self, {tuple(exps): c})
 
     def _check_exps(self, exps):
-        """`exps` as a tuple of nvars non-negative ints; else MalformedInput."""
-        try:
-            exps = tuple(map(operator.index, exps))
-        except TypeError:
-            raise MalformedInput(f"exponents {list(exps)} are not all integers") from None
-        if len(exps) != self.nvars:
-            raise MalformedInput("exponent vector has the wrong length")
-        if exps and min(exps) < 0:
-            raise MalformedInput(f"negative exponent in {list(exps)}")
-        return exps
+        """`exps` as a tuple of nvars exponents (see :func:`errors.as_codes`)."""
+        return as_codes(exps, None, "exponent vector", self.nvars)
 
     def from_terms(self, terms):
         return MultiPoly(self, sum_terms(
@@ -223,18 +208,10 @@ class MultiPoly:
         return acc
 
     def eval(self, point):
-        """Evaluate at a tuple of field codes, one per variable.  A point of
-        the wrong arity, or with a coordinate that is not an integer code of
-        the field, raises MalformedInput."""
+        """Evaluate at a tuple of field codes, one per variable (see
+        :func:`errors.as_codes`)."""
         f = self.ring.field
-        try:
-            point = tuple(map(operator.index, point))
-            ok = len(point) == self.ring.nvars and all(0 <= c < f.order for c in point)
-        except TypeError:
-            ok = False
-        if not ok:
-            raise MalformedInput(f"a point must have {self.ring.nvars} coordinates, "
-                                 f"each a code below {f.order}")
+        point = as_codes(point, f.order, "point", self.ring.nvars)
         acc = 0
         for e, c in self.terms.items():
             v = c
@@ -365,7 +342,7 @@ class MultiPoly:
         if not isinstance(obj, list):
             raise MalformedInput(f"a polynomial must be a list of terms, got {type(obj).__name__}")
         return ring.from_terms(
-            (tuple(_json_value(t, "exps", list)), field.from_coords(_json_value(t, "coeff", list)))
+            (json_value(t, "exps", list), field.from_coords(json_value(t, "coeff", list)))
             for t in obj)
 
     def __repr__(self):
@@ -377,15 +354,6 @@ def _parse_int(s, chunk):
         return int(s)
     except ValueError:
         raise MalformedInput(f"{s!r} in term {chunk!r} is not an integer") from None
-
-
-def _json_value(obj, key, kind=None):
-    """obj[key], refusing a non-object, a missing key or a value not of `kind`."""
-    if not isinstance(obj, dict) or key not in obj:
-        raise MalformedInput(f"missing key {key!r}")
-    if kind is not None and not isinstance(obj[key], kind):
-        raise MalformedInput(f"{key!r} must be a {kind.__name__}, got {type(obj[key]).__name__}")
-    return obj[key]
 
 
 def frobenius_relations(ring, q, blocks, closing):
@@ -447,13 +415,11 @@ class PolySystem:
 
     @classmethod
     def from_json_obj(cls, obj, field=None):
-        from .gf import FieldSpec
-
         if field is None:
-            field = FieldSpec.from_json(_json_value(obj, "field", dict))
-        ring = Ring(field, _json_value(obj, "level"), _json_value(obj, "vars", list))
+            field = FieldSpec.from_json(json_value(obj, "field", dict))
+        ring = Ring(field, json_value(obj, "level"), json_value(obj, "vars", list))
         return cls(ring, [MultiPoly.from_json_obj(ring, p)
-                          for p in _json_value(obj, "polys", list)])
+                          for p in json_value(obj, "polys", list)])
 
     def to_json_str(self):
         return json.dumps(self.to_json_obj(), sort_keys=True)

@@ -236,7 +236,6 @@ def malformed_system_docs(field):
                          ("no-exps", {"polys": [[{"coeff": [1, 0]}]]}),
                          ("coeff-int", {"polys": [[{"coeff": 1, "exps": [1]}]]}),
                          ("exps-int", {"polys": [[{"coeff": [1, 0], "exps": 1}]]}),
-                         ("field-no-e", {"field": {"p": 2, "n": 2}}),
                          ("field-list", {"field": [2, 1, 2]}),
                          ("kprime-top-coeff", {"level": "kprime",
                                                "polys": [[{"coeff": [0, 1], "exps": [1]}]]})):

@@ -465,7 +465,8 @@ def test_cli_solve_linearized_refuses_malformed_config(tmp_path, capsys, doc):
 
 
 def test_cli_lastfall_refuses_malformed_exponents(tmp_path, capsys):
-    for exps in ([1.5, 0], [-1, 2]):
+    """[true, 0] once loaded as the exponent vector (1, 0)."""
+    for exps in ([1.5, 0], [-1, 2], [True, 0]):
         path = tmp_path / "system.json"
         path.write_text(json.dumps({
             "field": {"p": 2, "e": 1, "n": 1}, "level": "k", "vars": ["X0", "X1"],
@@ -479,8 +480,8 @@ def test_cli_lastfall_refuses_malformed_exponents(tmp_path, capsys):
 
 def test_cli_lastfall_refuses_malformed_coefficients(tmp_path, capsys):
     """Over GF(2) a digit of 3 once ended in a traceback and exit code 1,
-    and 1.5 or a two-digit vector loaded silently."""
-    for coeff in ([3], [1.5], [1, 0]):
+    and 1.5, true or a two-digit vector loaded silently."""
+    for coeff in ([3], [1.5], [1, 0], [True]):
         path = tmp_path / "system.json"
         path.write_text(json.dumps({
             "field": {"p": 2, "e": 1, "n": 1}, "level": "k", "vars": ["X0", "X1"],
@@ -490,6 +491,20 @@ def test_cli_lastfall_refuses_malformed_coefficients(tmp_path, capsys):
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("lastfall lastfall: ")
         assert not (tmp_path / "prof").exists()
+
+
+def test_cli_lastfall_reads_a_field_without_e(tmp_path, capsys):
+    """e defaults to 1 in a system file, as in a config; a field without e
+    was once refused."""
+    outs = []
+    for field in ({"p": 3, "e": 1, "n": 2}, {"p": 3, "n": 2}):
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps({
+            "field": field, "level": "k", "vars": ["X0"],
+            "polys": [[{"coeff": [1, 2], "exps": [2]}, {"coeff": [0, 1], "exps": [0]}]]}))
+        assert main(["lastfall", str(path), "--cap", "5"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
 
 
 def test_cli_lastfall_refuses_malformed_documents(tmp_path, capsys):

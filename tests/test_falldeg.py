@@ -317,8 +317,9 @@ def test_unknown_order_is_malformed(r2, order):
         PointsOracle(r2, [(0, 0)], order=order)
 
 
-@pytest.mark.parametrize("cap", [3.0, "3", None])
+@pytest.mark.parametrize("cap", [3.0, "3", None, True, False])
 def test_non_integer_cap_is_malformed(r2, cap):
+    """A boolean cap was once read as 1 or 0."""
     system = PolySystem(r2, [r2.variable(0)])
     with pytest.raises(MalformedInput, match="cap"):
         span_closure(system, cap)

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from lastfall import (DivisionByZero, FieldSpec, LastfallError, MalformedInput,
@@ -87,6 +88,13 @@ def test_make_field_refuses_malformed_spec(kwargs):
         make_field(**kwargs)
     with pytest.raises(MalformedInput):
         FieldSpec.from_json(kwargs)
+
+
+def test_make_field_takes_numpy_integers():
+    """make_field once refused the numpy integers that a DescentContext takes."""
+    field = make_field(np.int64(2), np.int16(1), np.int64(2), m2=np.array([1, 1, 1]))
+    assert field == make_field(2, 1, 2) and hash(field) == hash(make_field(2, 1, 2))
+    assert type(field.n) is int and field.to_json() == make_field(2, 1, 2).to_json()
 
 
 def test_field_from_json_refuses_non_object():

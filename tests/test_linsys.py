@@ -140,13 +140,42 @@ def test_degree_bound_enforced(gf4):
         LinearizedPoly(gf4, [(1, 1, 1)], bound=2)
 
 
-@pytest.mark.parametrize("code", [-1, 9, 1.5, "a"])
+@pytest.mark.parametrize("code", [-1, 9, 1.5, "a", True])
 def test_linearized_poly_refuses_codes_outside_k(gf8, code):
     """Over GF(8), -1 was accepted (numpy wrapped the index and both solvers
-    returned dim 0), 9 and 1.5 ended in an IndexError and "a" in a
-    ValueError."""
+    returned dim 0), 9 and 1.5 ended in an IndexError, "a" in a
+    ValueError and True was read as 1."""
     with pytest.raises(MalformedInput):
         LinearizedPoly(gf8, [(1, code), (0, 1)])
+
+
+@pytest.mark.parametrize("point", [(1,), (9, 1), (True, 1), (-1, 1), (1.5, 1), None],
+                         ids=["short", "above-k", "boolean", "negative", "float", "none"])
+def test_linearized_eval_refuses_malformed_points(gf8, point):
+    """Over GF(8), (1,) and (9, 1) once ended in a bare IndexError, (True, 1)
+    in a TypeError, and (-1, 1) read -1 as the code 7."""
+    lp = LinearizedPoly(gf8, [(1, 2), (3,)])
+    with pytest.raises(MalformedInput):
+        lp.eval(point)
+    assert lp.eval((3, 5, 7)) == lp.eval((3, 5)) == gf8.add(
+        apply_companion(gf8, (1, 2), 3), apply_companion(gf8, (3,), 5))
+
+
+@pytest.mark.parametrize("read", [
+    pytest.param(lambda W, f: W.from_coords((1, 0)), id="short"),
+    pytest.param(lambda W, f: W.from_coords((-1, 0, 0)), id="negative"),
+    pytest.param(lambda W, f: W.from_coords((2, 0, 0)), id="not-a-kprime-code"),
+    pytest.param(lambda W, f: subspace_from_fW((True, 1), f), id="fW-boolean"),
+    pytest.param(lambda W, f: subspace_from_fW((-1, 1), f), id="fW-negative"),
+])
+def test_subspace_readers_refuse_malformed_codes(gf8, read):
+    """Over GF(8) with W = k, from_coords once truncated (1, 0) to 1 and read
+    (-1, 0, 0) as 7 and (2, 0, 0) as 2; subspace_from_fW ended in a
+    TypeError on (True, 1) and a RuntimeError on (-1, 1)."""
+    W = full_space(gf8)
+    with pytest.raises(MalformedInput):
+        read(W, gf8)
+    assert W.from_coords((1, 1, 0)) == gf8.add(W.basis_W[0], W.basis_W[1])
 
 
 def test_linearized_poly_takes_numpy_codes(gf8):

@@ -3,6 +3,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -218,10 +219,12 @@ def test_malformed_system_json_is_refused(gf4):
     pytest.param((1,), id="missing-coordinate"),
     pytest.param((9, 1), id="above-the-field"),
     pytest.param((1.5, 1), id="float"),
+    pytest.param((True, 1), id="boolean"),
 ])
 def test_eval_refuses_malformed_points(gf8, point):
     """x y + 1 over GF(8) once ignored an extra coordinate, read -1 as the
-    code 7 and ended in a bare IndexError on the other three points."""
+    code 7 and True as 1, and ended in a bare IndexError on the other three
+    points."""
     ring = Ring(gf8, "k", ["X0", "X1"])
     f = ring.variable(0) * ring.variable(1) + ring.one()
     with pytest.raises(MalformedInput):
@@ -246,6 +249,23 @@ def test_float_codes_are_refused(gf8, make):
     monomial(e, 2.7) the coefficient 2 and scale(3.9) scaled by 3."""
     with pytest.raises(MalformedInput):
         make(Ring(gf8, "k", ["X0", "X1"]))
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda ring: ring.variable(True), id="variable"),
+    pytest.param(lambda ring: ring.constant(True), id="constant"),
+    pytest.param(lambda ring: ring.from_terms([((True, 0), 1)]), id="exponent"),
+])
+def test_boolean_codes_and_indices_are_refused(gf8, make):
+    """variable(True) once returned X1, constant(True) the constant 1 and
+    the exponent vector (True, 0) read as (1, 0)."""
+    with pytest.raises(MalformedInput):
+        make(Ring(gf8, "k", ["X0", "X1"]))
+
+
+def test_variable_takes_a_numpy_index(gf8):
+    ring = Ring(gf8, "k", ["X0", "X1"])
+    assert ring.variable(np.int64(1)) == ring.variable(np.int16(1)) == ring.variable("X1")
 
 
 @pytest.mark.parametrize("index", [5, 2, -1])
