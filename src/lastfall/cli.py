@@ -447,8 +447,7 @@ def cmd_descend(args):
 
 def cmd_lastfall(args):
     system = _load_system(args.system)
-    prof = last_fall_degree(system, cap=args.cap, certify=args.certify,
-                            order=args.order)
+    prof = last_fall_degree(system, cap=args.cap, certify=args.certify)
     payload = json.dumps(prof.to_json_obj(), indent=2, sort_keys=True)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -572,7 +571,6 @@ def build_parser():
     p.add_argument("system", help="input system JSON file")
     p.add_argument("--cap", type=int, default=None)
     p.add_argument("--certify", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--order", choices=("grevlex", "grlex"), default="grevlex")
     p.set_defaults(func=cmd_lastfall)
 
     p = sub.add_parser("solve-linearized", help="solve a linearized system over W")

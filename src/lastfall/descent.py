@@ -175,15 +175,10 @@ def solution_transport(point, ctx, direction):
     direction="lift": the inverse evaluation sum_j a_j x_{ij}.
     """
     if direction == "descend":
+        point = as_codes(point, ctx.field.order, "point")
         if len(point) != ctx.m:
             raise MalformedInput(f"expected {ctx.m} values, got {len(point)}")
-        out = []
-        for x in point:
-            co = ctx.space.coords_of(x)
-            if co is None:
-                raise MalformedInput(f"{x!r} is not a code of k")
-            out.extend(co)
-        return tuple(out)
+        return tuple(c for x in point for c in ctx.space.coords_of(x))
     if direction == "lift":
         n = ctx.field.n
         if len(point) != ctx.m * n:

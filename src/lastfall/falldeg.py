@@ -7,10 +7,10 @@ Because the polynomial ring is a domain, a polynomial multiplier decomposes
 into single-variable steps none of which overshoots the degree bound, so
 closing under the variable shifts alone already yields the full space.
 
-The engine keeps the space as a fully reduced row echelon basis over a fixed
-degree-compatible monomial enumeration (largest monomial rightmost): each
-row's pivot is its largest monomial, scaled to 1, and every pivot column is
-zero outside its own row.  A new vector is therefore reduced in one
+The engine keeps the space as a fully reduced row echelon basis over the
+grevlex monomial enumeration (largest monomial rightmost): each row's pivot
+is its largest monomial, scaled to 1, and every pivot column is zero
+outside its own row.  A new vector is therefore reduced in one
 vectorised step, by subtracting each row times the vector's entry in that
 row's pivot column, and the basis of a given space is unique, so equal spans
 give identical matrices.  Under such an enumeration a row's leading monomial
@@ -47,14 +47,14 @@ below x_v LM(r) except x_w s, s the row with pivot x_v LM(r0), whose
 multiplier w is below v.  By induction on the pair (leading monomial,
 multiplier), the skipped product lies in the span of the kept ones.
 
-The columns themselves depend only on the number of variables and the
-order, so they are built once per such shape and shared: a ``_Layout``
-holds the monomial enumeration, its inverse, the degree of each column and
-the shift map of each variable (column of e -> column of e * x_v), as lists
-for the bitset stores and as int64 arrays for the dense one.  It is cached
-at module level and grows a degree block at a time on demand; every engine
-of that shape reads it and none writes to it, and a ``DegreeSpan`` takes
-only its prefix up to the cap.
+The columns themselves depend only on the number of variables, so they are
+built once per variable count and shared: a ``_Layout`` holds the monomial
+enumeration, its inverse, the degree of each column and the shift map of
+each variable (column of e -> column of e * x_v), as lists for the bitset
+stores and as int64 arrays for the dense one.  It is cached at module level
+and grows a degree block at a time on demand; every engine of that variable
+count reads it and none writes to it, and a ``DegreeSpan`` takes only its
+prefix up to the cap.
 
 A fall at degree i means that closing at degree i produced new elements of
 degree <= i-1 beyond the closure at i-1; the last fall degree is the largest
@@ -62,9 +62,10 @@ such i (0 when no fall ever happens, a convention that keeps max() formulas
 with other bounds valid).  Termination is certified against an ideal
 truncation oracle: once every truncated dimension of the span agrees with
 that of the full ideal up to some degree D that also dominates the largest
-degree in a reduced Groebner basis, the division algorithm (under any
-degree-compatible order) rebuilds ideal elements within their own degree, so
-no fall can occur beyond D.
+degree in a reduced Groebner basis, the division algorithm (under grevlex,
+as under any degree-compatible order) rebuilds ideal elements within their
+own degree, so no fall can occur beyond D.  The span itself does not depend
+on the order: grevlex only fixes its columns.
 """
 
 import functools
@@ -80,7 +81,7 @@ import numpy as np
 from .errors import (DegreeTooHigh, EnumerationBudgetExceeded, MalformedInput,
                      OracleInconsistent, RingMismatch, StepBudgetExceeded, as_int)
 from .linalg import DTYPE, Echelon, reduce_row
-from .poly import (DESCENDING_KEYS, NEG_INF, ORDER_KEYS, MultiPoly, monomials_of_degree,
+from .poly import (NEG_INF, MultiPoly, grevlex_descending_key, grevlex_key, monomials_of_degree,
                    sum_terms)
 
 
@@ -300,11 +301,6 @@ class _TernRows:
         return matrix, [rp.bit_length() - 1 for rp, _ in rows]
 
 
-def _check_order(order):
-    if order not in ORDER_KEYS:
-        raise MalformedInput(f"order must be one of {sorted(ORDER_KEYS)}, got {order!r}")
-
-
 def _row_store(ops):
     """An empty row store for the field of ``ops``: bitsets over GF(2),
     pairs of bitsets over GF(3), int16 code vectors over any other field."""
@@ -316,11 +312,11 @@ def _row_store(ops):
 
 
 class _Layout:
-    """The span engine's columns for one variable count and order, shared
-    by every engine of that shape (``_layout``).
+    """The span engine's columns for one variable count, shared by every
+    engine of that count (``_layout``).
 
     Column c is ``monos[c]``: the monomials of degree 0, 1, ... in turn,
-    ascending in the order inside each degree, so ``col_of`` inverts
+    ascending in grevlex inside each degree, so ``col_of`` inverts
     ``monos``, ``col_deg[c]`` is the degree of column c and
     ``deg_start[d + 1]`` the number of columns of degree <= d.
     ``shifts[v][c]`` is the column of ``monos[c]`` times variable v, for
@@ -330,9 +326,8 @@ class _Layout:
     ever changes, and engines read the layout and never write to it.
     """
 
-    def __init__(self, nvars, order):
+    def __init__(self, nvars):
         self.nvars = nvars
-        self.order = order
         self.monos = []
         self.col_of = {}
         self.col_deg = []
@@ -346,7 +341,7 @@ class _Layout:
         monos, col_of = self.monos, self.col_of
         while len(self.deg_start) <= d + 1:
             i = len(self.deg_start) - 1
-            block = monomials_of_degree(self.nvars, i, self.order)
+            block = monomials_of_degree(self.nvars, i)
             for e in block:
                 col_of[e] = len(monos)
                 monos.append(e)
@@ -366,9 +361,9 @@ class _Layout:
 
 
 @functools.lru_cache(maxsize=None)
-def _layout(nvars, order):
-    """The one shared ``_Layout`` of nvars variables under the order."""
-    return _Layout(nvars, order)
+def _layout(nvars):
+    """The one shared ``_Layout`` of nvars variables."""
+    return _Layout(nvars)
 
 
 class _SpanEngine:
@@ -387,18 +382,16 @@ class _SpanEngine:
     count, so ``dim_leq`` is a prefix sum.
 
     The columns and shift maps come from the ``_Layout`` of the ring's
-    variable count and the order, built once per such shape and read by
-    every engine of it.  An engine builds no columns: at each level it asks
-    the layout to reach that degree, which is a no-op once an earlier
-    engine of the shape got there.
+    variable count, built once per count and read by every engine of it.
+    An engine builds no columns: at each level it asks the layout to reach
+    that degree, which is a no-op once an earlier engine of the count got
+    there.
     """
 
-    def __init__(self, system, order="grevlex"):
-        _check_order(order)
+    def __init__(self, system):
         ring = system.ring
         self.ring = ring
-        self.order = order
-        self.layout = _layout(ring.nvars, order)
+        self.layout = _layout(ring.nvars)
         self.store = _row_store(ring.ops)
         self.by_degree = {}
         for f in system.polys:
@@ -471,13 +464,12 @@ class _SpanEngine:
 
 class DegreeSpan:
     """Snapshot of the closed span at a degree cap: the canonical reduced row
-    echelon basis over the fixed monomial enumeration (pivot = rightmost
+    echelon basis over the grevlex monomial enumeration (pivot = rightmost
     nonzero entry, rows in ascending pivot order)."""
 
-    def __init__(self, ring, degree_cap, order, monomials, matrix, pivots, row_degrees):
+    def __init__(self, ring, degree_cap, monomials, matrix, pivots, row_degrees):
         self.ring = ring
         self.degree_cap = degree_cap
-        self.order = order
         self.monomials = tuple(monomials)
         self.matrix = matrix
         self.pivots = tuple(pivots)
@@ -518,7 +510,7 @@ class DegreeSpan:
         return [self.row_poly(r) for r in range(self.dim)]
 
 
-def span_closure(system, cap, order="grevlex"):
+def span_closure(system, cap):
     """Close the system's low-degree span at the given degree cap.
 
     The basis is fully reduced (every pivot column is zero outside its own
@@ -526,7 +518,7 @@ def span_closure(system, cap, order="grevlex"):
     identical matrices.
     """
     cap = as_int(cap, "cap", least=0)
-    eng = _SpanEngine(system, order=order)
+    eng = _SpanEngine(system)
     for _ in range(cap + 1):
         eng.advance()
     lay = eng.layout
@@ -535,7 +527,7 @@ def span_closure(system, cap, order="grevlex"):
         matrix, pivots = np.eye(ncols, dtype=DTYPE), range(ncols)
     else:
         matrix, pivots = eng.store.sorted()
-    return DegreeSpan(system.ring, cap, order, lay.monos[:ncols], matrix, pivots,
+    return DegreeSpan(system.ring, cap, lay.monos[:ncols], matrix, pivots,
                       [lay.col_deg[p] for p in pivots])
 
 
@@ -558,7 +550,7 @@ class FallProfile:
     status: str  # "certified" | "cap-limited"
     certified_at: object  # degree or None
     cap: int
-    order: str
+    order: str = "grevlex"  # the one monomial order; kept in the JSON
 
     @property
     def certified(self):
@@ -580,7 +572,7 @@ def default_cap(system):
     return max(q * d, (q - 1) * system.ring.nvars + 1) + 2
 
 
-def last_fall_degree(system, cap=None, certify=True, order="grevlex", oracle=None):
+def last_fall_degree(system, cap=None, certify=True, oracle=None):
     """Fall profile of the system up to `cap` (default from the system shape).
 
     With certify=True the computation stops as soon as the truncation oracle
@@ -598,7 +590,7 @@ def last_fall_degree(system, cap=None, certify=True, order="grevlex", oracle=Non
     system.  A span that reaches 1 needs no oracle.
     """
     cap = default_cap(system) if cap is None else as_int(cap, "cap", least=1)
-    eng = _SpanEngine(system, order=order)
+    eng = _SpanEngine(system)
     eng.advance()
     records = []
     prev_dim = eng.dim_leq(0)
@@ -625,12 +617,12 @@ def last_fall_degree(system, cap=None, certify=True, order="grevlex", oracle=Non
                 certified_at = i
                 break
             if orac is None:
-                orac = _default_oracle(system, order)
+                orac = _default_oracle(system)
             if i >= orac.max_gb_degree() and _agrees(eng, orac, i):
                 certified_at = i
                 break
     status = "certified" if (certify and certified_at is not None) else "cap-limited"
-    return FallProfile(tuple(records), last_fall, status, certified_at, cap, order)
+    return FallProfile(tuple(records), last_fall, status, certified_at, cap)
 
 
 def _agrees(eng, orac, i):
@@ -670,12 +662,11 @@ class GroebnerStats:
 
 
 class GroebnerBasis:
-    def __init__(self, ring, order, gens, stats=None):
+    def __init__(self, ring, gens, stats=None):
         self.ring = ring
-        self.order = order
         self.gens = tuple(gens)
         self.stats = stats
-        self._reducers = [_reducer(g.terms, order) for g in self.gens]
+        self._reducers = [_reducer(g.terms) for g in self.gens]
 
     @property
     def leads(self):
@@ -687,13 +678,12 @@ class GroebnerBasis:
         return max(int(g.degree) for g in self.gens)
 
     def normal_form(self, f):
-        return MultiPoly(self.ring, _normal_form(f.terms, self._reducers, self.ring.ops,
-                                                 self.order))
+        return MultiPoly(self.ring, _normal_form(f.terms, self._reducers, self.ring.ops))
 
 
-def _reducer(terms, order):
+def _reducer(terms):
     """(lead exponent, lead coefficient, tail terms) of a nonzero polynomial."""
-    le = max(terms, key=ORDER_KEYS[order])
+    le = max(terms, key=grevlex_key)
     return le, terms[le], tuple((e, c) for e, c in terms.items() if e != le)
 
 
@@ -705,18 +695,18 @@ def _lcm(a, b):
     return tuple(map(max, a, b))
 
 
-def _normal_form(terms, reducers, ops, order, budget=None):
+def _normal_form(terms, reducers, ops, budget=None):
     """Remainder of the polynomial ``terms`` (exponent -> code) on division by
     ``reducers`` (see ``_reducer``), as an exponent -> code dict.
 
     The largest remaining term is reduced first, by the first reducer whose
-    lead divides it.  The terms wait in a heap of order keys; a term that
-    cancels keeps the code 0 in ``work`` and is skipped when it comes up, and
-    since every step adds only terms below the one it reduces, no term is
-    queued twice.  Each step is charged to ``budget`` (a one-item list).
+    lead divides it.  The terms wait in a heap of descending grevlex keys; a
+    term that cancels keeps the code 0 in ``work`` and is skipped when it
+    comes up, and since every step adds only terms below the one it reduces,
+    no term is queued twice.  Each step is charged to ``budget`` (a one-item list).
     """
     add, mul = ops.add, ops.mul
-    desc = DESCENDING_KEYS[order]
+    desc = grevlex_descending_key
     work = dict(terms)
     heap = [(desc(e), e) for e in work]
     heapq.heapify(heap)
@@ -763,13 +753,12 @@ class _PairQueue:
     """Open S-pairs of a growing basis, pruned by the Gebauer-Moeller update
     (Becker & Weispfenning, Groebner Bases, GTM 141, procedure UPDATE).
 
-    Pairs come out smallest lcm first: keyed (deg lcm, order key of lcm, i,
-    j), the key computed once when the pair is made.  A pair the chain
+    Pairs come out smallest lcm first: keyed (grevlex key of lcm, i, j),
+    the key computed once when the pair is made.  A pair the chain
     criterion later removes stays in the heap and is skipped when popped.
     """
 
-    def __init__(self, order):
-        self.key = ORDER_KEYS[order]
+    def __init__(self):
         self.leads = []
         self.active = []   # elements no later lead divides: the only ones paired
         self.open = {}     # (i, j) -> lcm of the leads, for every open pair
@@ -805,21 +794,21 @@ class _PairQueue:
                 self.product += 1  # the S-polynomial reduces to 0
                 continue
             self.open[g, h] = m
-            heapq.heappush(self.heap, (sum(m), self.key(m), g, h))
+            heapq.heappush(self.heap, (grevlex_key(m), g, h))
         self.active = [g for g in self.active if not _lt_divides(lead, self.leads[g])]
         self.active.append(h)
 
     def pop(self):
         """The next open pair (i, j, lcm), or None when none is left."""
         while self.heap:
-            _, _, i, j = heapq.heappop(self.heap)
+            _, i, j = heapq.heappop(self.heap)
             m = self.open.pop((i, j), None)
             if m is not None:
                 return i, j, m
         return None
 
 
-def groebner_toy(system, order="grevlex", step_budget=10**6):
+def groebner_toy(system, step_budget=10**6):
     """Reduced Groebner basis by Buchberger's algorithm; desk-scale inputs only.
 
     Pairs are treated smallest lcm first and pruned by the Gebauer-Moeller
@@ -834,18 +823,16 @@ def groebner_toy(system, order="grevlex", step_budget=10**6):
     final inter-reduction), guards against runaway inputs and raises
     StepBudgetExceeded when spent.
     """
-    _check_order(order)
     ring = system.ring
     ops = ring.ops
-    key = ORDER_KEYS[order]
     budget = [step_budget]
     basis = []  # reducers of every element, in the order they were added
-    queue = _PairQueue(order)
+    queue = _PairQueue()
 
     def add(terms):
-        le = max(terms, key=key)
+        le = max(terms, key=grevlex_key)
         inv = ops.inv(terms[le])
-        basis.append(_reducer({e: ops.mul(inv, c) for e, c in terms.items()}, order))
+        basis.append(_reducer({e: ops.mul(inv, c) for e, c in terms.items()}))
         queue.add(le)
 
     for f in system.polys:
@@ -854,7 +841,7 @@ def groebner_toy(system, order="grevlex", step_budget=10**6):
     reductions = zero = 0
     while (pair := queue.pop()) is not None:
         i, j, m = pair
-        r = _normal_form(_spoly(basis[i], basis[j], m, ops), basis, ops, order, budget)
+        r = _normal_form(_spoly(basis[i], basis[j], m, ops), basis, ops, budget)
         reductions += 1
         if r:
             add(r)
@@ -864,7 +851,7 @@ def groebner_toy(system, order="grevlex", step_budget=10**6):
     # minimize by leading terms first, then tail-reduce: reducing every
     # element against all the others at once can drop mutually-reducing pairs
     minimal = []
-    for red in sorted(basis, key=lambda red: key(red[0])):
+    for red in sorted(basis, key=lambda red: grevlex_key(red[0])):
         if not any(_lt_divides(other[0], red[0]) for other in minimal):
             minimal.append(red)
     # every element is monic and keeps its lead, so the result is monic and
@@ -872,11 +859,10 @@ def groebner_toy(system, order="grevlex", step_budget=10**6):
     final = []
     for idx, (le, lc, tail) in enumerate(minimal):
         others = minimal[:idx] + minimal[idx + 1:]
-        final.append(MultiPoly(ring, _normal_form({le: lc, **dict(tail)}, others, ops,
-                                                  order, budget)))
+        final.append(MultiPoly(ring, _normal_form({le: lc, **dict(tail)}, others, ops, budget)))
     stats = GroebnerStats(queue.pairs, queue.product, queue.chain, reductions, zero,
                           step_budget - budget[0])
-    return GroebnerBasis(ring, order, final, stats)
+    return GroebnerBasis(ring, final, stats)
 
 
 def ideal_truncation_dim(gb, j):
@@ -884,7 +870,7 @@ def ideal_truncation_dim(gb, j):
     the staircase: the monomials of degree <= j that some lead divides."""
     leads = gb.leads
     return sum(any(_lt_divides(le, e) for le in leads) for d in range(j + 1)
-               for e in monomials_of_degree(gb.ring.nvars, d, gb.order))
+               for e in monomials_of_degree(gb.ring.nvars, d))
 
 
 class GroebnerOracle:
@@ -940,10 +926,8 @@ class PointsOracle:
     code of the field, raises MalformedInput.
     """
 
-    def __init__(self, ring, points, order="grevlex"):
-        _check_order(order)
+    def __init__(self, ring, points):
         self.ring = ring
-        self.order = order
         self.ops = ring.ops
         try:
             self.points = sorted(set(tuple(map(operator.index, pt)) for pt in points))
@@ -955,7 +939,7 @@ class PointsOracle:
         if coords.size and not 0 <= coords.min() <= coords.max() < self.ops.order:
             raise MalformedInput(f"a point coordinate is not a code below {self.ops.order}")
         coord_vals = list(np.ascontiguousarray(coords.T, dtype=DTYPE))
-        ops, nvars, key = self.ops, ring.nvars, ORDER_KEYS[order]
+        ops, nvars = self.ops, ring.nvars
         # the standard monomials' evaluation vectors, one row per standard
         # monomial and at most one per point
         ech = Echelon(ops, self.npoints)
@@ -967,7 +951,7 @@ class PointsOracle:
         cands = [((0,) * nvars, np.ones(self.npoints, dtype=DTYPE), None)]
         while cands:
             std = {}  # this degree's standard monomials -> evaluation vectors
-            for e, val, v in sorted(cands, key=lambda c: key(c[0])):
+            for e, val, v in sorted(cands, key=lambda c: grevlex_key(c[0])):
                 if ech.n < self.npoints:  # else every vector is dependent
                     if v is not None:
                         val = ops.vmul(val, coord_vals[v])
@@ -1069,7 +1053,7 @@ def _holds_field_equations(system):
     return len(covered) == ring.nvars
 
 
-def _default_oracle(system, order):
+def _default_oracle(system):
     """The truncation oracle of ``last_fall_degree`` when it is given none.
 
     A system that holds x^Q - x for every variable x (``_holds_field_equations``)
@@ -1087,5 +1071,5 @@ def _default_oracle(system, order):
             pass
         else:
             if len(points) <= _ORACLE_MAX_POINTS:
-                return PointsOracle(system.ring, points, order=order)
-    return GroebnerOracle(groebner_toy(system, order=order))
+                return PointsOracle(system.ring, points)
+    return GroebnerOracle(groebner_toy(system))

@@ -141,12 +141,11 @@ class InvariantSubspace:
 
     def __init__(self, field, fW, basis_W):
         self.field = field
-        self.fW = tuple(fW)
-        self.nprime = len(fW) - 1
+        self.fW = as_codes(fW, field.q, "fW")
+        self.nprime = len(self.fW) - 1
         kp = field.kprime
-        gw = [kp.neg(c) for c in fW[: self.nprime]]
-        self.gW = univar.trim(gw)
-        self.basis_W = tuple(basis_W)
+        self.gW = univar.trim([kp.neg(c) for c in self.fW[: self.nprime]])
+        self.basis_W = as_codes(basis_W, field.order, "basis of W")
         if len(self.basis_W) != self.nprime:
             raise NotABasis(f"{list(self.basis_W)} has {len(self.basis_W)} elements, "
                             f"not deg f_W = {self.nprime}")

@@ -5,10 +5,10 @@ fixes the field, the coefficient level ("k" for the top field, "kprime" for
 the subfield) and an ordered variable list; the zero polynomial has degree
 NEG_INF so that every "deg <= i" predicate stays safe.
 
-The degree-compatible monomial enumerations (grevlex by default, grlex as the
-alternative) are shared with the span-closure engine: monomials are listed
-degree by degree, ascending inside each degree, so that in any coefficient
-vector the rightmost entries correspond to the largest monomials.
+The one monomial order is grevlex, a degree-compatible order; its enumeration
+is shared with the span-closure engine: monomials are listed degree by
+degree, ascending inside each degree, so that in any coefficient vector the
+rightmost entries correspond to the largest monomials.
 """
 
 import functools
@@ -27,24 +27,15 @@ def grevlex_key(exps):
     return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
-def grlex_key(exps):
-    return (sum(exps), tuple(exps))
-
-
-ORDER_KEYS = {"grevlex": grevlex_key, "grlex": grlex_key}
-
-# flat keys that sort the same orders from the largest monomial down
-DESCENDING_KEYS = {
-    "grevlex": lambda e: (-sum(e),) + e[::-1],
-    "grlex": lambda e: (-sum(e),) + tuple(-a for a in e),
-}
+def grevlex_descending_key(exps):
+    """A flat key that sorts grevlex from the largest monomial down."""
+    return (-sum(exps),) + exps[::-1]
 
 
 @functools.lru_cache(maxsize=None)
-def monomials_of_degree(nvars, d, order="grevlex"):
-    """All exponent tuples of total degree d, ascending in the given order
-    (a cached tuple)."""
-    key = ORDER_KEYS[order]
+def monomials_of_degree(nvars, d):
+    """All exponent tuples of total degree d, ascending in grevlex (a cached
+    tuple)."""
     out = []
     if nvars == 0:
         return ((),) if d == 0 else ()
@@ -53,7 +44,7 @@ def monomials_of_degree(nvars, d, order="grevlex"):
         for v in combo:
             e[v] += 1
         out.append(tuple(e))
-    out.sort(key=key)
+    out.sort(key=grevlex_key)
     return tuple(out)
 
 
@@ -70,11 +61,8 @@ def sum_terms(pairs, add):
     return out
 
 
-def monomials_up_to(nvars, cap, order="grevlex"):
-    out = []
-    for d in range(cap + 1):
-        out.extend(monomials_of_degree(nvars, d, order))
-    return out
+def monomials_up_to(nvars, cap):
+    return [e for d in range(cap + 1) for e in monomials_of_degree(nvars, d)]
 
 
 class Ring:
@@ -125,7 +113,7 @@ class Ring:
         c = self.check_coeff(c)
         if c == 0:
             return self.zero()
-        return MultiPoly(self, {tuple(exps): c})
+        return MultiPoly(self, {self._check_exps(exps): c})
 
     def _check_exps(self, exps):
         """`exps` as a tuple of nvars exponents (see :func:`errors.as_codes`)."""
@@ -269,16 +257,15 @@ class MultiPoly:
     def coeff_of(self, exps):
         return self.terms.get(tuple(exps), 0)
 
-    def sorted_terms(self, order="grevlex", reverse=True):
-        key = ORDER_KEYS[order]
-        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=reverse)
+    def sorted_terms(self):
+        """The (exponent, code) terms, largest monomial first."""
+        return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
 
-    def leading(self, order="grevlex"):
+    def leading(self):
         """(exponent, coefficient) of the largest monomial present."""
         if not self.terms:
             return None
-        key = ORDER_KEYS[order]
-        e = max(self.terms, key=key)
+        e = max(self.terms, key=grevlex_key)
         return e, self.terms[e]
 
     def __eq__(self, other):
@@ -414,9 +401,8 @@ class PolySystem:
         }
 
     @classmethod
-    def from_json_obj(cls, obj, field=None):
-        if field is None:
-            field = FieldSpec.from_json(json_value(obj, "field", dict))
+    def from_json_obj(cls, obj):
+        field = FieldSpec.from_json(json_value(obj, "field", dict))
         ring = Ring(field, json_value(obj, "level"), json_value(obj, "vars", list))
         return cls(ring, [MultiPoly.from_json_obj(ring, p)
                           for p in json_value(obj, "polys", list)])

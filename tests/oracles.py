@@ -6,6 +6,7 @@ dimensions with its own one-shot elimination.
 """
 
 import json
+import random
 from itertools import product
 
 import numpy as np
@@ -19,8 +20,8 @@ from lastfall.gf import FieldSpec
 from lastfall.linalg import DTYPE, rref
 from lastfall.linsys import (EliminationTrace, LinearizedPoly, _canonical_basis, gbar_system,
                              reducibility_check, symbolic_gcd, symbolic_rdivmod)
-from lastfall.poly import ORDER_KEYS, MultiPoly, PolySystem, monomials_of_degree, monomials_up_to
-from lastfall.poly import grevlex_key
+from lastfall.poly import (MultiPoly, PolySystem, Ring, grevlex_key, monomials_of_degree,
+                           monomials_up_to)
 
 
 def reference_rref(mat, ops):
@@ -262,6 +263,38 @@ def recombine(system, mat):
                 acc = acc + f.scale(c)
         out.append(acc)
     return PolySystem(system.ring, out)
+
+
+def permute_variables(system, perm):
+    """The system with its variables reordered: variable i of the result is
+    variable perm[i] of the system, under the same name.  The ideal is the
+    same up to the renaming, but every degree block of the grevlex columns
+    is reordered, so the engines take another elimination path."""
+    ring = system.ring
+    new = Ring(ring.field, ring.level, [ring.vars[v] for v in perm])
+    return PolySystem(new, [MultiPoly(new, {tuple(e[v] for v in perm): c
+                                            for e, c in f.terms.items()})
+                            for f in system.polys])
+
+
+# Order-sensitive checks run each system twice, by test id: "grevlex" as
+# drawn, and "grlex" with its variables reversed, which reorders every degree
+# block of the grevlex columns and so the elimination path.  grevlex is the
+# one monomial order; the ids only keep those tests' names.
+VARIABLE_ORDERS = ("grevlex", "grlex")
+
+
+def in_variable_order(system, variable_order):
+    """The system as drawn ("grevlex") or with its variables reversed ("grlex")."""
+    if variable_order == "grevlex":
+        return system
+    return permute_variables(system, range(system.ring.nvars)[::-1])
+
+
+def shuffled_variables(system, seed):
+    """``permute_variables`` under a permutation drawn from the seed."""
+    n = system.ring.nvars
+    return permute_variables(system, random.Random(seed).sample(range(n), n))
 
 
 def zero_points(system, order=None):
@@ -526,16 +559,15 @@ def _lt_divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
-def reference_normal_form(f, gens, order, budget=None, leads=None):
+def reference_normal_form(f, gens, budget=None, leads=None):
     ring = f.ring
     field = ring.field
-    key = ORDER_KEYS[order]
     if leads is None:
-        leads = [(g.leading(order), g) for g in gens if not g.is_zero()]
+        leads = [(g.leading(), g) for g in gens if not g.is_zero()]
     remainder = {}
     work = dict(f.terms)
     while work:
-        e = max(work, key=key)
+        e = max(work, key=grevlex_key)
         c = work.pop(e)
         hit = None
         for (le, lc), g in leads:
@@ -564,18 +596,18 @@ def reference_normal_form(f, gens, order, budget=None, leads=None):
     return MultiPoly(ring, remainder)
 
 
-def reference_spoly(f, g, order):
+def reference_spoly(f, g):
     ring = f.ring
     field = ring.field
-    (fe, fc) = f.leading(order)
-    (ge, gc) = g.leading(order)
+    (fe, fc) = f.leading()
+    (ge, gc) = g.leading()
     lcm = tuple(max(a, b) for a, b in zip(fe, ge))
     mf = ring.monomial(tuple(a - b for a, b in zip(lcm, fe)), field.inv(fc))
     mg = ring.monomial(tuple(a - b for a, b in zip(lcm, ge)), field.inv(gc))
     return mf * f - mg * g
 
 
-def reference_groebner(system, order="grevlex", step_budget=10**6):
+def reference_groebner(system, step_budget=10**6):
     """Reduced Groebner basis by plain Buchberger; desk-scale inputs only.
 
     A step budget (counted in leading-term reductions) guards against
@@ -583,18 +615,18 @@ def reference_groebner(system, order="grevlex", step_budget=10**6):
     """
     ring = system.ring
     field = ring.field
-    key = ORDER_KEYS[order]
+    key = grevlex_key
     budget = [step_budget]
     basis = []
     for f in system.polys:
         if f.is_zero():
             continue
-        _, lc = f.leading(order)
+        _, lc = f.leading()
         basis.append(f.scale(field.inv(lc)))
     if not basis:
-        return GroebnerBasis(ring, order, ())
+        return GroebnerBasis(ring, ())
 
-    leads = [(g.leading(order), g) for g in basis]
+    leads = [(g.leading(), g) for g in basis]
     pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
     while pairs:
         # deterministic normal strategy: smallest lcm degree first
@@ -609,33 +641,32 @@ def reference_groebner(system, order="grevlex", step_budget=10**6):
         le_j = leads[j][0][0]
         if all(a == 0 or b == 0 for a, b in zip(le_i, le_j)):
             continue  # coprime leading terms, S-polynomial reduces to zero
-        r = reference_normal_form(reference_spoly(basis[i], basis[j], order), basis, order,
-                                  budget, leads)
+        r = reference_normal_form(reference_spoly(basis[i], basis[j]), basis, budget, leads)
         if r.is_zero():
             continue
-        _, lc = r.leading(order)
+        _, lc = r.leading()
         g = r.scale(field.inv(lc))
         basis.append(g)
-        leads.append((g.leading(order), g))
+        leads.append((g.leading(), g))
         new = len(basis) - 1
         pairs.update((k, new) for k in range(new))
 
     # minimize by leading terms first, then tail-reduce: reducing every
     # element against all the others at once can drop mutually-reducing pairs
     minimal = []
-    for g in sorted(basis, key=lambda h: key(h.leading(order)[0])):
-        le = g.leading(order)[0]
-        if any(_lt_divides(h.leading(order)[0], le) for h in minimal):
+    for g in sorted(basis, key=lambda h: key(h.leading()[0])):
+        le = g.leading()[0]
+        if any(_lt_divides(h.leading()[0], le) for h in minimal):
             continue
         minimal.append(g)
     final = []
     for idx, g in enumerate(minimal):
         others = [h for k, h in enumerate(minimal) if k != idx]
-        r = reference_normal_form(g, others, order, budget)
-        _, lc = r.leading(order)
+        r = reference_normal_form(g, others, budget)
+        _, lc = r.leading()
         final.append(r.scale(field.inv(lc)))
-    final.sort(key=lambda h: key(h.leading(order)[0]))
-    return GroebnerBasis(ring, order, final)
+    final.sort(key=lambda h: key(h.leading()[0]))
+    return GroebnerBasis(ring, final)
 
 
 # -- the paper's proof systems and span membership -------------------------------
@@ -674,12 +705,12 @@ def build_G2(system, ctx):
     return PolySystem(ctx.ring_descent_k, polys + list(subfield_equations_k(ctx)))
 
 
-def equiv_mod(f, g, i, system, order="grevlex"):
+def equiv_mod(f, g, i, system):
     """Whether f - g lies in the degree-i closed span of the system."""
     diff = f - g
     if diff.degree > i:
         raise DegreeTooHigh(f"deg(f - g) = {diff.degree} > {i}")
-    return span_closure(system, i, order=order).contains(diff)
+    return span_closure(system, i).contains(diff)
 
 
 # -- reference points oracle ---------------------------------------------------
@@ -697,9 +728,8 @@ class ReferencePointsOracle:
     the rank profile also bounds the reduced-basis degree.
     """
 
-    def __init__(self, ring, points, order="grevlex"):
+    def __init__(self, ring, points):
         self.ring = ring
-        self.order = order
         self.points = sorted(set(tuple(int(c) for c in pt) for pt in points))
         self.ops = ring.ops
         self.npoints = len(self.points)
@@ -721,7 +751,7 @@ class ReferencePointsOracle:
             d = self._done + 1
             stdc = 0
             totc = 0
-            for e in monomials_of_degree(self.ring.nvars, d, self.order):
+            for e in monomials_of_degree(self.ring.nvars, d):
                 totc += 1
                 if self.npoints == 0:
                     self._nonstd.append(e)

@@ -22,7 +22,7 @@ from lastfall.linsys import (LinearizedPoly, brute_force_solve, full_space,
 from lastfall.falldeg import PointsOracle
 from lastfall.cli import _gbar_points
 from oracles import (count_zeros, naive_closure_dim, random_invertible_matrix, random_system,
-                     recombine, row_eval_at_subspace_point)
+                     recombine, row_eval_at_subspace_point, shuffled_variables)
 
 
 REFERENCE = Path(__file__).parent.parent / "bench" / "reference" / "seed0"
@@ -152,7 +152,7 @@ def test_criterion_6_bijection_counts():
 def test_criterion_7_property_suites():
     """Seeded property families with zero failures: field axioms, Frobenius
     linearity, descent reconstruction and degree bound, span monotonicity /
-    soundness / order-independence / recombination invariance, linearized
+    soundness / variable-order independence / recombination invariance, linearized
     pointwise correspondence, kernel-dimension law, and the rewritten-system
     fall bound on reducible rows."""
     failures = []
@@ -247,13 +247,18 @@ def _prop_soundness():
 
 
 def _prop_order_independence():
+    """The profile's rows and the certified last fall degree of a system
+    and of the system under a seeded permutation of its variables."""
     field = make_field(2, 1, 2)
     ring = Ring(field, "kprime", ["X0", "X1", "X2"])
     rng = random.Random(104)
-    for _ in range(6):
+    for seed in range(6):
         system = random_system(ring, 2, 2, rng)
-        a = last_fall_degree(system, cap=6, certify=False, order="grevlex")
-        b = last_fall_degree(system, cap=6, certify=False, order="grlex")
+        shuffled = shuffled_variables(system, seed)
+        assert (last_fall_degree(system, cap=6, certify=False).rows
+                == last_fall_degree(shuffled, cap=6, certify=False).rows)
+        a, b = last_fall_degree(system), last_fall_degree(shuffled)
+        assert a.certified and b.certified
         assert a.last_fall_degree == b.last_fall_degree
 
 

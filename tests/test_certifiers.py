@@ -29,14 +29,13 @@ from lastfall.cli import gen_random_system
 from lastfall.descent import f1_points, fprime1_points
 from lastfall.falldeg import GroebnerOracle, zk_points
 from lastfall.linalg import Echelon
-from lastfall.poly import ORDER_KEYS
+from lastfall.poly import grevlex_key
 from conftest import deadline
-from oracles import (ReferencePointsOracle, random_system, reference_groebner,
-                     reference_normal_form, reference_spoly)
+from oracles import (VARIABLE_ORDERS, ReferencePointsOracle, in_variable_order, random_system,
+                     reference_groebner, reference_normal_form, reference_spoly)
 
 FIELDS = {"GF(2)": (2, 1, 1), "GF(3)": (3, 1, 1), "GF(5)": (5, 1, 1),
           "GF(4)": (2, 2, 1), "GF(9)": (3, 2, 1)}
-ORDERS = sorted(ORDER_KEYS)
 
 
 @pytest.fixture(scope="module")
@@ -64,8 +63,8 @@ def draw_system(field, seed):
     return PolySystem(ring, polys)
 
 
-def lead(g, order):
-    return g.leading(order)[0]
+def lead(g):
+    return g.leading()[0]
 
 
 def divides(a, b):
@@ -73,10 +72,10 @@ def divides(a, b):
 
 
 def assert_reduced_basis(gb):
-    order, gens = gb.order, gb.gens
-    leads = [lead(g, order) for g in gens]
+    gens = gb.gens
+    leads = [lead(g) for g in gens]
     for g in gens:
-        assert g.leading(order)[1] == 1  # monic
+        assert g.leading()[1] == 1  # monic
     for a, b in combinations(leads, 2):
         assert not divides(a, b) and not divides(b, a)
     for g, le in zip(gens, leads):
@@ -84,13 +83,14 @@ def assert_reduced_basis(gb):
             if e != le:
                 assert not any(divides(other, e) for other in leads)
     for f, g in combinations(gens, 2):
-        assert reference_normal_form(reference_spoly(f, g, order), gens, order).is_zero()
-    assert [lead(g, order) for g in gens] == sorted(leads, key=ORDER_KEYS[order])
+        assert reference_normal_form(reference_spoly(f, g), gens).is_zero()
+    assert [lead(g) for g in gens] == sorted(leads, key=grevlex_key)
 
 
-def assert_matches_reference(system, order):
-    gb = groebner_toy(system, order=order)
-    want = reference_groebner(system, order=order).gens
+def assert_matches_reference(system, variable_order="grevlex"):
+    system = in_variable_order(system, variable_order)
+    gb = groebner_toy(system)
+    want = reference_groebner(system).gens
     assert gb.gens == want
     assert [g.terms for g in gb.gens] == [g.terms for g in want]
     assert_reduced_basis(gb)
@@ -100,16 +100,16 @@ def assert_matches_reference(system, order):
     return gb
 
 
-@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("variable_order", VARIABLE_ORDERS)
 @pytest.mark.parametrize("name", sorted(FIELDS))
 @settings(max_examples=40)
 @given(seed=st.integers(0, 2**32 - 1))
-def test_groebner_matches_reference(fields, name, order, seed):
-    assert_matches_reference(draw_system(fields[name], seed), order)
+def test_groebner_matches_reference(fields, name, variable_order, seed):
+    assert_matches_reference(draw_system(fields[name], seed), variable_order)
 
 
-@pytest.mark.parametrize("order", ORDERS)
-def test_groebner_edge_systems(gf4, order):
+@pytest.mark.parametrize("variable_order", VARIABLE_ORDERS)
+def test_groebner_edge_systems(gf4, variable_order):
     ring = Ring(gf4, "kprime", ["X0", "X1", "X2"])
     x0, x1, x2 = (ring.variable(v) for v in range(3))
     one = ring.one()
@@ -122,20 +122,20 @@ def test_groebner_edge_systems(gf4, order):
         [x0, x1, x2],
     ]
     for polys in cases:
-        assert_matches_reference(PolySystem(ring, polys), order)
+        assert_matches_reference(PolySystem(ring, polys), variable_order)
     # pairwise coprime leads: a Groebner basis as given, with no pair reduced
     coprime = [x0 * x0 + x1 + one, x1 * x1 * x1 + x2, x2 * x2 + x0]
-    gb = assert_matches_reference(PolySystem(ring, coprime), order)
+    gb = assert_matches_reference(PolySystem(ring, coprime), variable_order)
     assert gb.stats.pairs == gb.stats.product_criterion == 3
     assert gb.stats.reductions == 0
     assert groebner_toy(PolySystem(ring, [])).gens == ()
     assert groebner_toy(PolySystem(ring, [x0, one])).gens == (one,)
 
 
-@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("variable_order", VARIABLE_ORDERS)
 @pytest.mark.parametrize("spec,m", [((2, 1, 2), 1), ((3, 1, 2), 1), ((2, 2, 2), 1),
                                     ((2, 1, 3), 1), ((2, 1, 2), 2)])
-def test_groebner_descended_systems(spec, m, order):
+def test_groebner_descended_systems(spec, m, variable_order):
     ctx = make_descent_context(make_field(*spec), m)
     rng = random.Random(f"certifiers:{spec}:{m}")
     for _ in range(3):
@@ -143,7 +143,7 @@ def test_groebner_descended_systems(spec, m, order):
         for build in (build_Fprime1, build_F1):
             if build is build_F1 and m > 1:
                 continue
-            assert_matches_reference(build(F, ctx), order)
+            assert_matches_reference(build(F, ctx), variable_order)
 
 
 def test_groebner_counts_wasted_work(gf4):
@@ -427,37 +427,38 @@ def groebner_calls(monkeypatch):
     return spy_on(monkeypatch, "groebner_toy")
 
 
-def groebner_profile(system, order="grevlex", **kwargs):
-    oracle = GroebnerOracle(groebner_toy(system, order=order))
-    return last_fall_degree(system, order=order, oracle=oracle, **kwargs)
+def groebner_profile(system, **kwargs):
+    return last_fall_degree(system, oracle=GroebnerOracle(groebner_toy(system)), **kwargs)
 
 
-@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("variable_order", VARIABLE_ORDERS)
 @pytest.mark.parametrize("name", sorted(FIELDS))
 @pytest.mark.parametrize("seed", range(12))
-def test_default_profile_equals_groebner_profile(fields, name, order, seed, groebner_calls):
+def test_default_profile_equals_groebner_profile(fields, name, variable_order, seed,
+                                                groebner_calls):
     """Systems with more zeros than the points oracle is handed get the
     Buchberger, and the spy says which ran."""
-    system = draw_field_equation_system(name, fields[name], seed)
-    got = last_fall_degree(system, order=order)
+    system = in_variable_order(draw_field_equation_system(name, fields[name], seed),
+                               variable_order)
+    got = last_fall_degree(system)
     many = len(zk_points(system)) > falldeg._ORACLE_MAX_POINTS
     assert groebner_calls == ([system] if many else [])
-    assert got == groebner_profile(system, order)
+    assert got == groebner_profile(system)
 
 
-@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("variable_order", VARIABLE_ORDERS)
 @pytest.mark.parametrize("name", sorted(FIELDS))
-def test_default_profile_of_the_unit_ideal(fields, name, order, groebner_calls):
+def test_default_profile_of_the_unit_ideal(fields, name, variable_order, groebner_calls):
     """The unit ideal: 1 itself, and generators with no common zero whose
     span reaches 1 only at degree 2 (x0 x1 - 1 and x0) or Q (x0^Q - x0 + 1)."""
     ring = Ring(fields[name], "k", ["X0", "X1"])
     x0, x1, one = ring.variable(0), ring.variable(1), ring.one()
     eqs = field_equations(ring)
     for extra in ([one], [x0 * x1 - one, x0], [eqs[0] + one]):
-        system = PolySystem(ring, eqs + extra)
-        got = last_fall_degree(system, order=order)
+        system = in_variable_order(PolySystem(ring, eqs + extra), variable_order)
+        got = last_fall_degree(system)
         assert got.certified
-        assert got == groebner_profile(system, order)
+        assert got == groebner_profile(system)
     assert groebner_calls == []
 
 

@@ -23,7 +23,7 @@ from lastfall.poly import PolySystem, Ring
 import random
 
 from conftest import deadline
-from oracles import malformed_system_docs
+from oracles import VARIABLE_ORDERS, in_variable_order, malformed_system_docs, shuffled_variables
 
 
 def test_gen_deterministic(gf9):
@@ -89,34 +89,55 @@ def test_cli_lastfall(tmp_path, capsys):
 
 
 def test_cli_lastfall_orders_agree(tmp_path):
+    """A system file and the same system under a seeded permutation of its
+    variables: the same rows at cap 6 uncertified, and the same certified
+    last fall degree."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"field": {"p": 3, "e": 1, "n": 1},
                                "m": 2, "degree": 2, "count": 2, "seed": 11}))
     sysfile = tmp_path / "system.json"
     main(["--config", str(cfg), "--out", str(sysfile), "gen"])
+    system = PolySystem.from_json_str(sysfile.read_text())
+    (tmp_path / "shuffled.json").write_text(shuffled_variables(system, 11).to_json_str())
     profs = {}
-    for order in ("grevlex", "grlex"):
-        outdir = tmp_path / order
-        main(["--out", str(outdir), "lastfall", str(sysfile), "--order", order])
-        profs[order] = json.loads((outdir / "lastfall.json").read_text())
-    assert (profs["grevlex"]["last_fall_degree"]
-            == profs["grlex"]["last_fall_degree"])
+    for name in ("system", "shuffled"):
+        for run, flags in (("certified", []), ("cap6", ["--cap", "6", "--no-certify"])):
+            outdir = tmp_path / f"{name}-{run}"
+            assert main(["--out", str(outdir), "lastfall", str(tmp_path / f"{name}.json"),
+                         *flags]) == 0
+            profs[name, run] = json.loads((outdir / "lastfall.json").read_text())
+    assert profs["system", "cap6"]["rows"] == profs["shuffled", "cap6"]["rows"]
+    assert (profs["system", "certified"]["status"] == profs["shuffled", "certified"]["status"]
+            == "certified")
+    assert (profs["system", "certified"]["last_fall_degree"]
+            == profs["shuffled", "certified"]["last_fall_degree"])
 
 
-@pytest.mark.parametrize("order", ["grevlex", "grlex"])
+def test_cli_lastfall_has_no_order_option(tmp_path, capsys):
+    """grevlex is the one monomial order: --order is a usage error."""
+    sysfile = tmp_path / "system.json"
+    sysfile.write_text(PolySystem(Ring(make_field(2, 1, 1), "k", ["X0"]), []).to_json_str())
+    with pytest.raises(SystemExit) as exc:
+        main(["lastfall", str(sysfile), "--order", "grlex"])
+    assert exc.value.code == 2
+    assert "--order" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("variable_order", VARIABLE_ORDERS)
 @pytest.mark.parametrize("spec", [(3, 1, 2), (2, 2, 2)], ids=["GF(3)", "GF(4)-tower"])
-def test_cli_lastfall_default_oracle_matches_groebner(tmp_path, monkeypatch, spec, order):
+def test_cli_lastfall_default_oracle_matches_groebner(tmp_path, monkeypatch, spec,
+                                                      variable_order):
     """F'_1 over GF(3) and over the GF(4) tower: the files that the default
     oracle certifies equal, byte for byte, those of an explicit Groebner
     oracle."""
     ctx = make_descent_context(make_field(*spec), 2)
     F = gen_random_system(ctx.ring_original, 2, 2, random.Random(f"cli-default:{spec}"))
     sysfile = tmp_path / "system.json"
-    sysfile.write_text(build_Fprime1(F, ctx).to_json_str() + "\n")
+    sysfile.write_text(in_variable_order(build_Fprime1(F, ctx), variable_order).to_json_str()
+                       + "\n")
 
     def run(name):
-        assert main(["--out", str(tmp_path / name), "lastfall", str(sysfile),
-                     "--order", order]) == 0
+        assert main(["--out", str(tmp_path / name), "lastfall", str(sysfile)]) == 0
         return {f: (tmp_path / name / f).read_bytes() for f in ("lastfall.json", "lastfall.csv")}
 
     def no_buchberger(*args, **kwargs):
@@ -126,9 +147,8 @@ def test_cli_lastfall_default_oracle_matches_groebner(tmp_path, monkeypatch, spe
     default = run("default")
     assert json.loads(default["lastfall.json"])["status"] == "certified"
 
-    def with_groebner(system, order, **kwargs):
-        oracle = GroebnerOracle(groebner_toy(system, order=order))
-        return last_fall_degree(system, order=order, oracle=oracle, **kwargs)
+    def with_groebner(system, **kwargs):
+        return last_fall_degree(system, oracle=GroebnerOracle(groebner_toy(system)), **kwargs)
 
     monkeypatch.setattr(cli, "last_fall_degree", with_groebner)
     assert run("groebner") == default

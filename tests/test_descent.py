@@ -220,9 +220,10 @@ def test_descent_context_refuses_malformed_m(gf8, m):
 
 
 def test_transport_refuses_code_outside_k(gf4):
-    """4, 99 and -1 once descended to (0, 0), (1, 1) and (1, 1)."""
+    """4, 99 and -1 once descended to (0, 0), (1, 1) and (1, 1), and True
+    and 1.0 to (1, 0)."""
     ctx = make_descent_context(gf4, 1)
-    for code in (4, 99, -1):
+    for code in (4, 99, -1, True, 1.0):
         with pytest.raises(MalformedInput, match=str(code)):
             solution_transport((code,), ctx, "descend")
 

@@ -352,6 +352,16 @@ def test_invariant_subspace_refuses_basis_of_wrong_size(gf8):
             InvariantSubspace(gf8, (1, 1), basis)
 
 
+def test_invariant_subspace_reads_its_arguments(gf8):
+    """f_W is read as k' codes and the basis as k codes: a basis [True] once
+    ended in numpy's TypeError.  Over GF(8), k' = GF(2)."""
+    for fW, basis in (((1, 1), [True]), ((1, 1), [1.0]), ((1, 1), [8]), ((1, 1), [-1]),
+                      ((1, 1), "1"), ((True, 1), [1]), ((1, 2), [1]), ((1.0, 1), [1])):
+        with pytest.raises(MalformedInput, match="fW|basis"):
+            InvariantSubspace(gf8, fW, basis)
+    assert InvariantSubspace(gf8, [np.int64(1), 1], np.array([1])).basis_W == (1,)
+
+
 def test_invariant_subspace_refuses_element_outside_W(gf8):
     """t is not fixed by the Frobenius, so it is not in W = k'."""
     with pytest.raises(NotABasis, match="ker"):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from lastfall import (LastfallError, MalformedInput, MultiPoly, NEG_INF, PolySystem, Ring,
                       RingMismatch, UnassignedVariable, make_field)
-from lastfall.poly import DESCENDING_KEYS, ORDER_KEYS, monomials_up_to, sum_terms
+from lastfall.poly import grevlex_descending_key, grevlex_key, monomials_up_to, sum_terms
 from oracles import apply_sigma, malformed_system_docs, normal_form_field_eqs, random_system
 
 
@@ -162,17 +162,18 @@ def test_kprime_level_rejects_top_field_coeffs(gf4):
         ring.constant(gf4.gen())
 
 
-@pytest.mark.parametrize("order", sorted(ORDER_KEYS))
-def test_descending_keys_reverse_the_order(order):
-    monos = monomials_up_to(3, 4, order)
-    assert (sorted(monos, key=DESCENDING_KEYS[order])
-            == sorted(monos, key=ORDER_KEYS[order], reverse=True))
+def test_descending_key_reverses_grevlex():
+    monos = monomials_up_to(3, 4)
+    assert (sorted(monos, key=grevlex_descending_key)
+            == sorted(monos, key=grevlex_key, reverse=True))
 
 
 @pytest.mark.parametrize("exps", [[1.5, 0], [-1, 2], ["1", 0], [1]])
 def test_malformed_exponents_are_refused(gf4, exps):
     """A fractional exponent was once truncated to another monomial, and a
-    negative one accepted until the span engine failed on it."""
+    negative one accepted until the span engine failed on it; `monomial`
+    once kept [1] as a one-entry exponent and [-1, 2] as a monomial of
+    degree 1."""
     ring = Ring(gf4, "k", ["X0", "X1"])
     doc = json.dumps({"field": gf4.to_json(), "level": "k", "vars": ["X0", "X1"],
                       "polys": [[{"coeff": [1, 0], "exps": exps}]]})
@@ -180,6 +181,8 @@ def test_malformed_exponents_are_refused(gf4, exps):
         PolySystem.from_json_str(doc)
     with pytest.raises(MalformedInput):
         ring.from_terms([(exps, 1)])
+    with pytest.raises(MalformedInput):
+        ring.monomial(exps)
 
 
 @pytest.mark.parametrize("coeff", [[1.5, 0], [1, 0, 0], [1], [2, 0], ["1", 0]])

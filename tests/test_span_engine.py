@@ -15,17 +15,19 @@ checked against the dense one insertion by insertion.  A broken store that
 hands back an owned pivot would grow its rows without end; the engine
 refuses a row beyond the column count, and the GF(3) tests also run under a
 ``deadline``.  Every engine reads the column layout shared by its variable
-count and order, so the span must not depend on what built or grew that
-layout before.
+count, so the span must not depend on what built or grew that layout
+before.
 
 The check against the naive closure also runs over GF(8) and GF(27), in up
-to 4 variables and under both orders, and requires every polynomial of the
-naive basis to lie in the span: the engine skips the shifts that the XL
-rule proves dependent.  A logging store derives each row's tag on its own
-and checks that the engine shifts a row by exactly the variables up to its
-tag.  The fast rungs of the span-engine ladder pin their profile digests,
-and smaller draws of the same kind pin their certified profiles, from
-either oracle.
+to 4 variables and with the variables shuffled, and requires every
+polynomial of the naive basis to lie in the span: the engine skips the
+shifts that the XL rule proves dependent.  A logging store derives each
+row's tag on its own and checks that the engine shifts a row by exactly the
+variables up to its tag.  On F'_1 the span splits at the field equations:
+its dimension in degrees <= j is the count of their multiples there plus
+the rank of its rows reduced modulo them.  The fast rungs of the
+span-engine ladder pin their profile digests, and smaller draws of the same
+kind pin their certified profiles, from either oracle.
 """
 
 import hashlib
@@ -43,10 +45,11 @@ from hypothesis import strategies as st
 from lastfall import (PolySystem, Ring, build_F1, build_Fprime1, cli, falldeg,
                       last_fall_degree, make_descent_context, make_field, span_closure)
 from lastfall.linalg import DTYPE
-from lastfall.poly import ORDER_KEYS, monomials_up_to
+from lastfall.poly import monomials_up_to
 from conftest import deadline
-from oracles import (naive_closure, naive_closure_dim, random_invertible_matrix, random_system,
-                     recombine)
+from oracles import (VARIABLE_ORDERS, in_variable_order, naive_closure, naive_closure_dim,
+                     random_invertible_matrix, random_system, recombine, reference_rref,
+                     shuffled_variables)
 
 FIELDS = {"GF(2)": (2, 1, 1), "GF(3)": (3, 1, 1), "GF(4)": (2, 2, 1), "GF(9)": (3, 2, 1)}
 # two more fields of the int16 store, for the check against the naive closure
@@ -118,18 +121,19 @@ def test_equal_spans_give_identical_matrices(fields, name, seed):
 @PROPERTY
 @given(seed=st.integers(0, 2**32 - 1))
 def test_dimensions_match_naive_closure(fields, name, seed):
-    """In 1-4 variables and under both orders, the span has the naive
-    closure's dimension and holds every polynomial of its basis."""
+    """In 1-4 variables, the span has the naive closure's dimension, as
+    has the span of the system with its variables shuffled, and holds every
+    polynomial of the naive basis."""
     rng = random.Random(seed)
     ring = Ring(fields[name], "k", [f"X{i}" for i in range(rng.randint(1, 4))])
     system = with_unit(random_system(ring, rng.randint(1, 2), rng.randint(1, 3), rng), rng)
+    shuffled = shuffled_variables(system, seed)
     with deadline(60):
         for cap in range(CAPS[name] + 1):
             naive = naive_closure(system, cap)
-            for order in sorted(ORDER_KEYS):
-                span = span_closure(system, cap, order)
-                assert span.dim == len(naive)
-                assert all(span.contains(f) for f in naive)
+            span = span_closure(system, cap)
+            assert span.dim == len(naive) == span_closure(shuffled, cap).dim
+            assert all(span.contains(f) for f in naive)
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
@@ -294,9 +298,9 @@ class DenseTags(TagLog, falldeg._DenseRows):
 TAG_LOGS = {"GF(2)": lambda ops: BitTags(), "GF(3)": lambda ops: TernTags(), "GF(9)": DenseTags}
 
 
-@pytest.mark.parametrize("order", sorted(ORDER_KEYS))
+@pytest.mark.parametrize("variable_order", VARIABLE_ORDERS)
 @pytest.mark.parametrize("name", sorted(TAG_LOGS))
-def test_rows_are_shifted_only_up_to_their_tag(fields, name, order):
+def test_rows_are_shifted_only_up_to_their_tag(fields, name, variable_order):
     """Each row below the cap is shifted once by every variable up to its
     tag and by no other; some rows have a tag below the last variable, so
     the rule skips shifts."""
@@ -310,13 +314,14 @@ def test_rows_are_shifted_only_up_to_their_tag(fields, name, order):
 
     skipped = 0
     for seed in range(6):
-        system = random_system(ring, 2, 2, random.Random(f"tags:{name}:{seed}"))
+        system = in_variable_order(
+            random_system(ring, 2, 2, random.Random(f"tags:{name}:{seed}")), variable_order)
         stores.clear()
         with mock.patch.object(falldeg, "_row_store", log):
-            span = span_closure(system, 4, order)
+            span = span_closure(system, 4)
         (store,) = stores
         assert span.dim == len(store.pivots)
-        col_deg = falldeg._layout(3, order).col_deg
+        col_deg = falldeg._layout(3).col_deg
         want = [(r, w) for r, p in enumerate(store.pivots) if col_deg[p] < 4
                 for w in range(store.tags[r] + 1)]
         assert sorted(store.shift_calls) == want
@@ -325,57 +330,86 @@ def test_rows_are_shifted_only_up_to_their_tag(fields, name, order):
     assert skipped > 0
 
 
+# -- the span of F'_1 splits at the field equations -------------------------------
+
+
+@pytest.mark.parametrize("spec,m", [((2, 1, 2), 2), ((2, 1, 3), 1), ((3, 1, 2), 1),
+                                    ((3, 1, 2), 2)])
+def test_span_splits_at_the_field_equations(spec, m):
+    """On F'_1, where every variable x has x^q - x, the span in degrees <= j
+    holds every multiple of those equations there: the kernel of the
+    reduction modulo them, one dimension per monomial of degree <= j with an
+    exponent >= q, since their leading terms are pairwise coprime.  The rest
+    of the dimension is the rank of the span's rows of degree <= j after the
+    reduction, which reads each exponent a >= q as ((a - 1) mod (q - 1)) + 1."""
+    ctx = make_descent_context(make_field(*spec), m)
+    q, cap = ctx.field.q, 6
+    rng = random.Random(f"normal-form:{spec}:{m}")
+    for _ in range(3):
+        system = build_Fprime1(cli.gen_random_system(ctx.ring_original, 2, m, rng), ctx)
+        ring = system.ring
+        monos = monomials_up_to(ring.nvars, cap)
+        col = {e: c for c, e in enumerate(e for e in monos if max(e) < q)}
+        span = span_closure(system, cap)
+        reduced = np.zeros((span.dim, len(col)), dtype=DTYPE)
+        for r, f in enumerate(span.row_polys()):
+            for e, c in f.terms.items():
+                c_at = col[tuple(a if a < q else (a - 1) % (q - 1) + 1 for a in e)]
+                reduced[r, c_at] = ring.ops.add(int(reduced[r, c_at]), c)
+        for j in range(cap + 1):
+            kernel = sum(1 for e in monos if sum(e) <= j and max(e) >= q)
+            low = reduced[[d <= j for d in span.row_degrees]]
+            rank_j = len(reference_rref(low, ring.ops)[1]) if len(low) else 0
+            assert span.dim_leq(j) == kernel + rank_j
+
+
 # -- the shared column layout ---------------------------------------------------
 
 
-def fresh_span(system, cap, order, before=None):
+def fresh_span(system, cap, before=None):
     """span_closure of the system with the layouts cleared first and, when
-    `before` = (cap, order) is given, another closure at that cap and
-    order run in between, which grows or builds a layout first."""
+    the cap `before` is given, another closure at that cap run in between,
+    which builds and grows the layout first."""
     falldeg._layout.cache_clear()
     if before is not None:
-        span_closure(system, *before)
-    return span_closure(system, cap, order)
+        span_closure(system, before)
+    return span_closure(system, cap)
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
 @settings(max_examples=20)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_span_does_not_depend_on_the_layout_history(fields, name, seed):
-    """One store per field kernel; the same span from a cold layout, from
-    one grown first to a larger cap, and from a cold layout after the other
-    order's was built.  The snapshot holds exactly the monomials up to its
-    cap, however far the shared layout reaches."""
+    """One store per field kernel; the same span from a cold layout and
+    from one grown first to a larger cap.  The snapshot holds exactly the
+    monomials up to its cap, however far the shared layout reaches."""
     system, cap = draw_store_system(fields[name], seed)
     nvars = system.ring.nvars
-    for order in sorted(ORDER_KEYS):
-        other = next(o for o in ORDER_KEYS if o != order)
-        cold = fresh_span(system, cap, order)
-        assert cold.monomials == tuple(monomials_up_to(nvars, cap, order))
-        assert len(cold.monomials) == math.comb(nvars + cap, cap)
-        for before in ((cap + 2, order), (cap + 1, other)):
-            warm = fresh_span(system, cap, order, before)
-            assert warm.monomials == cold.monomials
-            assert np.array_equal(warm.matrix, cold.matrix)
-            assert warm.pivots == cold.pivots
-            assert warm.row_degrees == cold.row_degrees
-            assert warm.dim_leq(cap) == cold.dim
+    cold = fresh_span(system, cap)
+    assert cold.monomials == tuple(monomials_up_to(nvars, cap))
+    assert len(cold.monomials) == math.comb(nvars + cap, cap)
+    for before in (cap + 1, cap + 2):
+        warm = fresh_span(system, cap, before)
+        assert warm.monomials == cold.monomials
+        assert np.array_equal(warm.matrix, cold.matrix)
+        assert warm.pivots == cold.pivots
+        assert warm.row_degrees == cold.row_degrees
+        assert warm.dim_leq(cap) == cold.dim
 
 
 def test_layout_is_shared_per_shape(fields):
-    """Engines of one variable count and order read the one layout, which
-    only grows; another order or variable count gets its own."""
+    """Engines of one variable count read the one layout, which only grows;
+    another variable count gets its own."""
     ring = Ring(fields["GF(4)"], "k", ["X0", "X1"])
     system = PolySystem(ring, [ring.variable(0) * ring.variable(1)])
     falldeg._layout.cache_clear()
     small = span_closure(system, 2)
-    layout = falldeg._layout(2, "grevlex")
+    layout = falldeg._layout(2)
     assert len(layout.monos) == len(small.monomials) == 6
     span_closure(system, 4)
-    assert falldeg._layout(2, "grevlex") is layout and len(layout.monos) == 15
+    assert falldeg._layout(2) is layout and len(layout.monos) == 15
     assert span_closure(system, 2).monomials == small.monomials
-    assert falldeg._layout(2, "grlex") is not layout
-    assert falldeg._layout(3, "grevlex") is not layout
+    assert falldeg._layout(3) is not layout
 
 
 class UnreducedRows(falldeg._DenseRows):
@@ -468,7 +502,7 @@ def test_certified_profile_is_unchanged(case):
     F = cli.gen_random_system(ctx.ring_original, 2, 1, random.Random(f"ladder:{p}:{n}:{m}"))
     system = {"Fprime1": build_Fprime1, "F1": build_F1}[name](F, ctx)
     kind, digest = CERTIFIED[case]
-    assert type(falldeg._default_oracle(system, "grevlex")).__name__ == kind
+    assert type(falldeg._default_oracle(system)).__name__ == kind
     prof = last_fall_degree(system)
     assert prof.certified
     text = json.dumps(prof.to_json_obj(), sort_keys=True)
