@@ -22,7 +22,7 @@ from . import univar
 from .descent import (build_F1, build_Fprime, build_Fprime1, f1_points,
                       fprime1_points, make_descent_context)
 from .errors import (CampaignExhausted, LastfallError, MalformedInput, NotReducible, as_int,
-                     json_value)
+                     json_text, json_value)
 from .falldeg import PointsOracle, last_fall_degree
 from .gf import FieldSpec, make_field
 from .linsys import (LinearizedPoly, brute_force_solve, enumerate_solutions,
@@ -386,10 +386,7 @@ def _load_config(path):
     anything but a JSON object raises MalformedInput."""
     if not path:
         return {}
-    try:
-        cfg = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise MalformedInput(f"{path} is not JSON: {exc}") from None
+    cfg = json_text(_read_text(path), path)
     if not isinstance(cfg, dict):
         raise MalformedInput(f"the config must be a JSON object, got {type(cfg).__name__}")
     return cfg
@@ -411,9 +408,9 @@ def cmd_gen(args):
     degree = as_int(cfg.get("degree", 2), "degree", least=0)
     count = as_int(cfg.get("count", m), "count", least=0)
     bound = as_int(cfg.get("bound", field.n), "bound", least=1)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    seed = args.seed if args.seed is not None else as_int(cfg.get("seed", 0), "seed", least=0)
     rng = random.Random(f"{seed}:gen")
-    if cfg.get("linearized"):
+    if "linearized" in cfg and json_value(cfg, "linearized", bool):
         F = gen_random_linearized(field, m, bound, count, rng)
         system = linearized_system_poly(F, field, m)
     else:
@@ -430,10 +427,7 @@ def _load_system(path):
 def cmd_descend(args):
     system = _load_system(args.system)
     field = system.ring.field
-    try:
-        basis = json.loads(args.basis) if args.basis else None
-    except json.JSONDecodeError as exc:
-        raise MalformedInput(f"--basis is not JSON: {exc}") from None
+    basis = json_text(args.basis, "--basis") if args.basis else None
     ctx = make_descent_context(field, system.ring.nvars, basis=basis)
     if args.emit == "Fprime":
         out = build_Fprime(system, ctx)

@@ -181,8 +181,7 @@ def solution_transport(point, ctx, direction):
         return tuple(c for x in point for c in ctx.space.coords_of(x))
     if direction == "lift":
         n = ctx.field.n
-        if len(point) != ctx.m * n:
-            raise MalformedInput(f"expected {ctx.m * n} coordinates, got {len(point)}")
+        point = as_codes(point, ctx.field.order, "point", ctx.m * n)
         for c in point:
             if not ctx.field.lies_in_subfield(c):
                 raise CoordinateNotInField(f"{c} is not a k' code")

@@ -2,8 +2,10 @@
 outside it: :func:`as_int` and :func:`as_codes` read every integer that a
 caller, a JSON file or a config hands in, with one rule (an ``int`` or a
 numpy integer, never a ``bool``), and refuse anything else, or a value out
-of range, with :class:`MalformedInput`; :func:`json_value` reads a JSON key."""
+of range, with :class:`MalformedInput`; :func:`json_text` decodes JSON text
+and :func:`json_value` reads a JSON key."""
 
+import json
 import operator
 
 import numpy as np
@@ -126,6 +128,14 @@ def as_codes(values, below, what, length=None):
 
 def _bounds(least, below):
     return " and".join(f" {op} {b}" for op, b in ((">=", least), ("<", below)) if b is not None)
+
+
+def json_text(text, what):
+    """The JSON value that `text` encodes; other text raises MalformedInput."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MalformedInput(f"{what} is not JSON: {exc}") from None
 
 
 def json_value(obj, key, kind=None):

@@ -587,9 +587,12 @@ def last_fall_degree(system, cap=None, certify=True, oracle=None):
     x^Q - x for every variable, Q the order of the coefficient field, when
     the Q^N grid and the zero set are small enough (see ``_default_oracle``),
     and a toy Groebner run otherwise.  Both give the same profile on such a
-    system.  A span that reaches 1 needs no oracle.
+    system.  A span that reaches 1 needs no oracle.  An oracle over another
+    ring than the system's raises RingMismatch.
     """
     cap = default_cap(system) if cap is None else as_int(cap, "cap", least=1)
+    if oracle is not None and oracle.ring != system.ring:
+        raise RingMismatch("the oracle's ring is not the system's")
     eng = _SpanEngine(system)
     eng.advance()
     records = []
@@ -878,6 +881,7 @@ class GroebnerOracle:
 
     def __init__(self, gb):
         self.gb = gb
+        self.ring = gb.ring
         self._memo = {}
 
     def max_gb_degree(self):

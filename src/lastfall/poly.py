@@ -17,7 +17,7 @@ import operator
 from itertools import chain, combinations_with_replacement
 
 from .errors import (MalformedInput, RingMismatch, UnassignedVariable, as_codes, as_int,
-                     json_value)
+                     json_text, json_value)
 from .gf import FieldSpec
 
 NEG_INF = float("-inf")
@@ -275,7 +275,7 @@ class MultiPoly:
     def __hash__(self):
         return hash((self.ring, tuple(sorted(self.terms.items()))))
 
-    # -- text / json -----------------------------------------------------------
+    # -- display text / json ---------------------------------------------------
 
     def to_text(self):
         if not self.terms:
@@ -294,30 +294,6 @@ class MultiPoly:
             parts.append(f"({coord})*{mono}")
         return " + ".join(parts)
 
-    @classmethod
-    def from_text(cls, ring, text):
-        """Parse the `to_text` format; any other shape raises MalformedInput."""
-        text = text.strip()
-        if text == "0":
-            return ring.zero()
-        terms = []
-        for chunk in text.split("+"):
-            chunk = chunk.strip()
-            coord_part, star, mono_part = chunk.partition("*")
-            coord_part = coord_part.strip()
-            if not (star and coord_part.startswith("(") and coord_part.endswith(")")):
-                raise MalformedInput(f"term {chunk!r} is not (coordinates)*monomial")
-            digits = [_parse_int(x, chunk) for x in coord_part[1:-1].split(",")]
-            code = ring.field.from_coords(digits)
-            e = [0] * ring.nvars
-            mono_part = mono_part.strip()
-            if mono_part != "1":
-                for atom in mono_part.split():
-                    name, caret, expo = atom.partition("^")
-                    e[ring.var_index(name)] += _parse_int(expo, chunk) if caret else 1
-            terms.append((tuple(e), code))
-        return ring.from_terms(terms)
-
     def to_json_obj(self):
         field = self.ring.field
         return [{"coeff": list(field.coords(c)), "exps": list(e)}
@@ -334,13 +310,6 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({self.to_text()})"
-
-
-def _parse_int(s, chunk):
-    try:
-        return int(s)
-    except ValueError:
-        raise MalformedInput(f"{s!r} in term {chunk!r} is not an integer") from None
 
 
 def frobenius_relations(ring, q, blocks, closing):
@@ -412,8 +381,4 @@ class PolySystem:
 
     @classmethod
     def from_json_str(cls, s):
-        try:
-            obj = json.loads(s)
-        except json.JSONDecodeError as exc:
-            raise MalformedInput(f"not JSON: {exc}") from None
-        return cls.from_json_obj(obj)
+        return cls.from_json_obj(json_text(s, "the polynomial system"))

@@ -23,8 +23,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lastfall import (EnumerationBudgetExceeded, OracleInconsistent, PointsOracle, PolySystem,
-                      Ring, build_F1, build_Fprime1, descent, falldeg, groebner_toy,
-                      last_fall_degree, make_descent_context, make_field)
+                      Ring, RingMismatch, build_F1, build_Fprime1, descent, falldeg,
+                      groebner_toy, last_fall_degree, make_descent_context, make_field)
 from lastfall.cli import gen_random_system
 from lastfall.descent import f1_points, fprime1_points
 from lastfall.falldeg import GroebnerOracle, zk_points
@@ -348,6 +348,9 @@ def test_points_oracle_basis_degree_ignores_earlier_queries(fields, name, seed):
 class NothingOracle:
     """Claims that the ideal has no element at all."""
 
+    def __init__(self, ring):
+        self.ring = ring
+
     def max_gb_degree(self):
         return 0
 
@@ -360,7 +363,7 @@ def test_oracle_below_span_raises(gf4):
     x0, x1 = ring.variable(0), ring.variable(1)
     system = PolySystem(ring, [x0 + x1, x1 * x1 + x0])
     with pytest.raises(OracleInconsistent):
-        last_fall_degree(system, oracle=NothingOracle())
+        last_fall_degree(system, oracle=NothingOracle(ring))
     # the staircase of a smaller ideal is just as wrong
     smaller = GroebnerOracle(groebner_toy(PolySystem(ring, [x1 * x1 + x0])))
     with pytest.raises(OracleInconsistent):
@@ -372,6 +375,21 @@ def test_oracle_below_span_raises(gf4):
     assert last_fall_degree(system).certified
     assert last_fall_degree(system, oracle=PointsOracle(ring, [(0, 0), (1, 1)])).certified
     assert last_fall_degree(system, cap=3, certify=False).status == "cap-limited"
+
+
+def test_oracle_over_another_ring_is_refused(gf2):
+    """Each of these oracles, over three variables, once left a two-variable
+    system cap-limited with no error."""
+    ring = Ring(gf2, "k", ["a", "b"])
+    a, b = ring.variable(0), ring.variable(1)
+    system = PolySystem(ring, [a * a + a, b * b + b, a])
+    wide = Ring(gf2, "k", ["a", "b", "c"])
+    wide_system = PolySystem(wide, [v * v + v for v in map(wide.variable, range(3))])
+    for oracle in (PointsOracle(wide, [(0, 0, 0)]), GroebnerOracle(groebner_toy(wide_system)),
+                   NothingOracle(wide)):
+        with pytest.raises(RingMismatch):
+            last_fall_degree(system, cap=6, oracle=oracle)
+    assert last_fall_degree(system, cap=6, oracle=PointsOracle(ring, [(0, 0), (0, 1)])).certified
 
 
 # -- the default oracle ------------------------------------------------------------

@@ -637,6 +637,9 @@ def test_cli_solve_linearized_config_fuzz(path, value):
                 and lines[0].startswith("lastfall solve-linearized: ")), (doc, mode)
 
 
+_GEN_GF8 = {"field": {"p": 2, "e": 1, "n": 3}, "m": 1}
+
+
 @pytest.mark.parametrize("config", [
     pytest.param({"degree": -1}, id="degree-negative"),
     pytest.param({"linearized": True, "bound": 0}, id="bound-0"),
@@ -646,10 +649,16 @@ def test_cli_solve_linearized_config_fuzz(path, value):
     pytest.param({"degree": 1.5}, id="degree-float"),
     pytest.param({"m": -1, "linearized": True}, id="m-negative"),
     pytest.param({"m": True}, id="m-boolean"),
+    pytest.param({**_GEN_GF8, "seed": "x"}, id="seed-string"),
+    pytest.param({**_GEN_GF8, "seed": True}, id="seed-boolean"),
+    pytest.param({**_GEN_GF8, "seed": -1}, id="seed-negative"),
+    pytest.param({**_GEN_GF8, "seed": 3, "linearized": "false"}, id="linearized-string"),
 ])
 def test_cli_gen_refuses_malformed_config(tmp_path, capsys, config):
     """Each of these gen configs once spun forever, ended in an AttributeError
-    or TypeError traceback, or (m = -1) wrote a system in no variables."""
+    or TypeError traceback, or (m = -1) wrote a system in no variables; a
+    seed that is no integer was once used as it came, and "linearized":
+    "false" once gave a linearized system."""
     cfg = tmp_path / "gen.json"
     cfg.write_text(json.dumps(config))
     with deadline(30):

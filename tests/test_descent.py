@@ -268,6 +268,13 @@ def test_transport_rejects_non_subfield(gf4):
         solution_transport((gf4.gen(), 0), ctx, "lift")
 
 
+def test_transport_lift_reads_its_point_first(gf4):
+    """An iterator once ended in a bare TypeError from len(point)."""
+    ctx = make_descent_context(gf4, 1)
+    with pytest.raises(MalformedInput, match="^point must be a list of 2 integers"):
+        solution_transport(iter([1, 0]), ctx, "lift")
+
+
 def test_orbit_system_fall_degree_matches_descended(gf4):
     """The conjugate-orbit system is an invertible recombination of the
     descended components (through the Moore matrix), so the two share their

@@ -1,5 +1,5 @@
-"""The readers of integers and codes from outside, and the rule that no other
-module reads integers itself."""
+"""The readers of integers, codes and JSON text from outside, and the rule
+that no other module reads integers or decodes JSON itself."""
 
 import ast
 from pathlib import Path
@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lastfall import MalformedInput
-from lastfall.errors import as_codes, as_int
+from lastfall.errors import as_codes, as_int, json_text
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "lastfall"
 
@@ -95,6 +95,28 @@ def test_only_errors_reads_integers():
     found = {p.name: _integer_reads(ast.parse(p.read_text(), str(p)))
              for p in paths if p.name != "errors.py"}
     assert {name: reads for name, reads in found.items() if reads} == {}
+
+
+def _json_decodes(tree):
+    """The lines of a module that call json.loads or json.load."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
+            and node.func.attr in ("loads", "load")]
+
+
+def test_only_errors_decodes_json():
+    """Every JSON text from outside is decoded by errors.json_text."""
+    found = {p.name: _json_decodes(ast.parse(p.read_text(), str(p)))
+             for p in sorted(SRC.glob("*.py")) if p.name != "errors.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert _json_decodes(ast.parse("import json\njson.loads(s)\njson.load(fh)")) == [2, 3]
+
+
+def test_json_text_refuses_what_is_not_json():
+    assert json_text('{"a": [1]}', "doc") == {"a": [1]}
+    with pytest.raises(MalformedInput, match="^doc is not JSON: "):
+        json_text('{"a": ', "doc")
 
 
 @pytest.mark.parametrize("source", [
