@@ -586,6 +586,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.seed = None if args.seed is None else as_int(args.seed, "--seed", least=0)
         return args.func(args)
     except (LastfallError, OSError) as exc:
         hint = "; --oracle solves it by brute force" if isinstance(exc, NotReducible) else ""

@@ -78,8 +78,8 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import (DegreeTooHigh, EnumerationBudgetExceeded, MalformedInput,
-                     OracleInconsistent, RingMismatch, StepBudgetExceeded, as_int)
+from .errors import (DegreeTooHigh, EnumerationBudgetExceeded, OracleInconsistent,
+                     RingMismatch, StepBudgetExceeded, as_codes, as_int)
 from .linalg import DTYPE, Echelon, reduce_row
 from .poly import (NEG_INF, MultiPoly, grevlex_descending_key, grevlex_key, monomials_of_degree,
                    sum_terms)
@@ -826,6 +826,7 @@ def groebner_toy(system, step_budget=10**6):
     final inter-reduction), guards against runaway inputs and raises
     StepBudgetExceeded when spent.
     """
+    step_budget = as_int(step_budget, "step_budget", least=0)
     ring = system.ring
     ops = ring.ops
     budget = [step_budget]
@@ -926,24 +927,18 @@ class PointsOracle:
     minimal border monomial is the basis degree.  A walk that ends with
     fewer standard monomials than points raises RuntimeError.
 
-    A point of the wrong arity, or with a coordinate that is not an integer
-    code of the field, raises MalformedInput.
+    A point that is not a list or tuple of nvars codes of the field raises
+    MalformedInput (errors.as_codes).
     """
 
     def __init__(self, ring, points):
         self.ring = ring
-        self.ops = ring.ops
-        try:
-            self.points = sorted(set(tuple(map(operator.index, pt)) for pt in points))
-            self.npoints = len(self.points)
-            coords = np.array(self.points, dtype=np.int64).reshape(self.npoints, ring.nvars)
-        except (TypeError, ValueError, OverflowError):
-            raise MalformedInput(f"every point must have {ring.nvars} coordinates, "
-                                 f"each a code below {self.ops.order}") from None
-        if coords.size and not 0 <= coords.min() <= coords.max() < self.ops.order:
-            raise MalformedInput(f"a point coordinate is not a code below {self.ops.order}")
-        coord_vals = list(np.ascontiguousarray(coords.T, dtype=DTYPE))
-        ops, nvars = self.ops, ring.nvars
+        self.ops = ops = ring.ops
+        nvars = ring.nvars
+        self.points = sorted({as_codes(pt, ops.order, "point", nvars) for pt in points})
+        self.npoints = len(self.points)
+        coords = np.array(self.points, dtype=DTYPE).reshape(self.npoints, nvars)
+        coord_vals = list(np.ascontiguousarray(coords.T))
         # the standard monomials' evaluation vectors, one row per standard
         # monomial and at most one per point
         ech = Echelon(ops, self.npoints)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import univar
 from .errors import (DegreeExceedsBound, DivisionByZero, EnumerationBudgetExceeded,
-                     MalformedInput, NotABasis, NotADivisor, NotReducible, as_codes)
+                     MalformedInput, NotABasis, NotADivisor, NotReducible, as_codes, as_int)
 from .linalg import DTYPE, Echelon, kernel_basis, rref
 from .poly import PolySystem, Ring, frobenius_relations
 
@@ -79,8 +79,8 @@ class LinearizedPoly:
     def __init__(self, field, rows, bound=None):
         """Each row is a list of codes of k (see :func:`errors.as_codes`)."""
         rows = [univar.trim(as_codes(r, field.order, "row")) for r in rows]
-        if bound is None:
-            bound = max((len(r) for r in rows), default=1)
+        bound = (max((len(r) for r in rows), default=1) if bound is None
+                 else as_int(bound, "bound", least=1))
         for r in rows:
             if len(r) > bound:
                 raise DegreeExceedsBound(f"row degree {len(r) - 1} >= bound {bound}")
@@ -326,10 +326,12 @@ def _frobenius_closure(rows, space, m):
 
 
 def _check_rows(F, m):
-    """A polynomial with more than m rows raises MalformedInput."""
+    """m read by as_int (least 1); a polynomial of more than m rows raises MalformedInput."""
+    m = as_int(m, "m", least=1)
     for lp in F:
         if lp.m > m:
             raise MalformedInput(f"a polynomial has {lp.m} rows, more than m = {m}")
+    return m
 
 
 def _gcd_kernel(space, blocks):
@@ -395,7 +397,7 @@ def reducibility_check(F, space, m):
     count rather than assumed, with a kernel vector.
     """
     field = space.field
-    _check_rows(F, m)
+    m = _check_rows(F, m)
     n1 = space.nprime
     if m == 1:
         return ReducibilityReport(True, {}, (), (0,))
@@ -486,7 +488,7 @@ def solve_structured(F, space, m, report=None):
     into a basis of the target gives a basis of Z, inside W^m.
     """
     field = space.field
-    _check_rows(F, m)
+    m = _check_rows(F, m)
     n1, last = space.nprime, m - 1
     F_live = [lp for lp in F if not lp.is_zero()]
     if report is None:
@@ -533,7 +535,7 @@ def brute_force_solve(F, space, m):
     k'-linear map into k, so the solution set is the kernel of one stacked
     matrix over k'.  No reducibility assumption."""
     field = space.field
-    _check_rows(F, m)
+    m = _check_rows(F, m)
     n1 = space.nprime
     blocks = [np.zeros((0, m * n1), dtype=DTYPE)]
     for lp in F:
@@ -559,9 +561,9 @@ def enumerate_solutions(F, space, m, budget=4096):
     """All points of W^m annihilated by F, by exhaustive enumeration; more
     than `budget` points raise EnumerationBudgetExceeded."""
     field = space.field
-    _check_rows(F, m)
+    m = _check_rows(F, m)
     total = field.q ** (space.nprime * m)
-    if total > budget:
+    if total > as_int(budget, "budget", least=0):
         raise EnumerationBudgetExceeded(f"{total} points exceed the enumeration budget")
     live = [lp for lp in F if not lp.is_zero()]
     out = []

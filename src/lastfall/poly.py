@@ -186,6 +186,7 @@ class MultiPoly:
              for e1, c1 in self.terms.items() for e2, c2 in other.terms.items()), f.add))
 
     def pow_int(self, m):
+        m = as_int(m, "exponent", least=0)
         acc = self.ring.one()
         base = self
         while m:

@@ -4,8 +4,8 @@ Polynomials are tuples of scalar codes, little-endian by degree, with no
 trailing zeros; the empty tuple is the zero polynomial.  The scalar domain is
 any object exposing ``order`` and code-level ``add/sub/mul/neg/inv`` (codes are
 ints in ``range(order)``, 0 is the additive and 1 the multiplicative
-identity).  This is the workhorse behind modulus selection, divisor lattices
-of x^n - 1 and the extended-Euclid certificates.
+identity).  This is the workhorse behind modulus selection and the divisor
+lattices of x^n - 1.
 
 Irreducibility tests and factoring are trial division by the monic
 polynomials of degree 1, 2, ... in turn; a monic divisor of least degree is

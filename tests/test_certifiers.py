@@ -377,6 +377,31 @@ def test_oracle_below_span_raises(gf4):
     assert last_fall_degree(system, cap=3, certify=False).status == "cap-limited"
 
 
+class StaircaseOracle:
+    """Reports the given dim(I cap R_{<=j}) for j = 0, 1, ..., and the last
+    of those degrees as its basis degree."""
+
+    def __init__(self, ring, dims):
+        self.ring = ring
+        self.dims = dims
+
+    def max_gb_degree(self):
+        return len(self.dims) - 1
+
+    def dim_leq(self, j):
+        return self.dims[j]
+
+
+def test_oracle_below_span_at_a_lower_degree_raises(gf2):
+    """{x0} spans dimensions 0, 1, 3 in degrees <= 0, 1, 2.  The oracle's
+    0, 0, 3 agrees with the span at the basis degree 2 but lies below it at
+    degree 1, so comparing at degree 2 alone would certify it."""
+    ring = Ring(gf2, "k", ["x0", "x1"])
+    system = PolySystem(ring, [ring.variable(0)])
+    with pytest.raises(OracleInconsistent, match="degrees <= 1, above the oracle's 0"):
+        last_fall_degree(system, cap=4, oracle=StaircaseOracle(ring, [0, 0, 3]))
+
+
 def test_oracle_over_another_ring_is_refused(gf2):
     """Each of these oracles, over three variables, once left a two-variable
     system cap-limited with no error."""

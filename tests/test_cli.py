@@ -670,6 +670,21 @@ def test_cli_gen_refuses_malformed_config(tmp_path, capsys, config):
     assert len(err) == 1 and err[0].startswith("lastfall gen: ")
 
 
+@pytest.mark.parametrize("command", [["gen"], ["verify", "thm11"]], ids=["gen", "verify"])
+def test_cli_refuses_a_negative_seed(tmp_path, capsys, command):
+    """--seed -1 was once used as it came, while a config refuses the same
+    seed."""
+    cfg = tmp_path / "small.json"  # keeps a verify run that takes the seed short
+    cfg.write_text(json.dumps({"thm11": {"per_combo": 1}}))
+    with deadline(30):
+        rc = main(["--seed", "-1", "--config", str(cfg), *command])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"lastfall {command[0]}: --seed must be an integer "
+                                         f">= 0, got -1"]
+
+
 @pytest.mark.parametrize("call", [
     lambda: gen_random_system(Ring(make_field(2, 1, 2), "k", ["X0"]), -1, 1, random.Random(0)),
     lambda: gen_random_linearized(make_field(2, 1, 2), 1, 0, 1, random.Random(0)),

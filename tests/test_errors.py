@@ -9,8 +9,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lastfall import MalformedInput
+from lastfall import MalformedInput, PointsOracle, PolySystem, Ring, groebner_toy
 from lastfall.errors import as_codes, as_int, json_text
+from lastfall.linsys import (LinearizedPoly, brute_force_solve, enumerate_solutions, full_space,
+                             reducibility_check, solve_structured)
+from conftest import deadline
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "lastfall"
 
@@ -57,20 +60,47 @@ def test_as_codes_matches_a_plain_predicate(values, below, length):
             as_codes(values, below, "v", length)
 
 
+def _x(field):
+    return Ring(field, "k", ["X0"]).variable(0)
+
+
+def _lp(field):
+    return [LinearizedPoly(field, [[0, 1]])]
+
+
+# (the name in the refusal, a call that hands `v` to the argument) for each
+# integer argument that a caller hands the library
+INTEGER_ARGUMENTS = {
+    "pow_int": ("exponent", lambda f, v: _x(f).pow_int(v)),
+    "reducibility_check": ("m", lambda f, v: reducibility_check(_lp(f), full_space(f), v)),
+    "solve_structured": ("m", lambda f, v: solve_structured(_lp(f), full_space(f), v)),
+    "brute_force_solve": ("m", lambda f, v: brute_force_solve(_lp(f), full_space(f), v)),
+    "enumerate_solutions": ("m", lambda f, v: enumerate_solutions(_lp(f), full_space(f), v)),
+    "enumerate_solutions-budget": (
+        "budget", lambda f, v: enumerate_solutions(_lp(f), full_space(f), 1, budget=v)),
+    "groebner_toy": (
+        "step_budget", lambda f, v: groebner_toy(PolySystem(_x(f).ring, [_x(f)]), step_budget=v)),
+    "LinearizedPoly": ("bound", lambda f, v: LinearizedPoly(f, [[0, 1]], bound=v)),
+    "PointsOracle": ("point", lambda f, v: PointsOracle(Ring(f, "k", ["X0", "X1"]), [(v, 0)])),
+}
+
+
+@pytest.mark.parametrize("argument", INTEGER_ARGUMENTS)
+def test_integer_arguments_are_read_by_the_shared_rule(gf8, argument):
+    """Each of these arguments once took True as 1, or a float or a string
+    to a bare TypeError; pow_int(True) was x."""
+    what, call = INTEGER_ARGUMENTS[argument]
+    for value in (True, 1.5, "1"):
+        with deadline(5), pytest.raises(MalformedInput, match=f"^{what} must be"):
+            call(gf8, value)
+
+
 def _integer_reads(tree):
     """(line, what) of every integer rule written out in a module: a use of
     operator.index or np.integer, a type(...) is int test and an isinstance
-    test against int, outside PointsOracle.__init__."""
-    allowed = set()
-    for cls in ast.walk(tree):
-        if isinstance(cls, ast.ClassDef) and cls.name == "PointsOracle":
-            for fn in cls.body:
-                if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
-                    allowed.update(id(node) for node in ast.walk(fn))
+    test against int."""
     found = []
     for node in ast.walk(tree):
-        if id(node) in allowed:
-            continue
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                 and (node.value.id, node.attr) in {("operator", "index"), ("np", "integer"),
                                                    ("numpy", "integer")}):
@@ -88,8 +118,7 @@ def _integer_reads(tree):
 
 
 def test_only_errors_reads_integers():
-    """Every integer from outside is read by errors.as_int or as_codes;
-    PointsOracle's vectorised point check is the one exception."""
+    """Every integer from outside is read by errors.as_int or as_codes."""
     paths = sorted(SRC.glob("*.py"))
     assert len(paths) > 5
     found = {p.name: _integer_reads(ast.parse(p.read_text(), str(p)))
@@ -128,5 +157,3 @@ def test_json_text_refuses_what_is_not_json():
 ])
 def test_the_integer_rule_check_sees_each_rule(source):
     assert _integer_reads(ast.parse(source))
-    assert not _integer_reads(ast.parse(
-        f"class PointsOracle:\n    def __init__(self, v):\n        {source.splitlines()[-1]}"))

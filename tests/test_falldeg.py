@@ -333,3 +333,13 @@ def test_points_oracle_refuses_wrong_arity(gf2):
         with pytest.raises(MalformedInput):
             PointsOracle(ring, points)
     assert PointsOracle(ring, []).dim_leq(2) == 3  # no points: the unit ideal
+
+
+def test_points_oracle_reads_points_by_the_shared_rule(gf2):
+    """A point is read by errors.as_codes: (True, 0) was once read as (1, 0),
+    and a point given as an iterator was accepted."""
+    ring = Ring(gf2, "kprime", ["X0", "X1"])
+    for points in ([(True, 0)], [iter([1, 0])]):
+        with pytest.raises(MalformedInput, match="^point must be a list of 2 integers"):
+            PointsOracle(ring, points)
+    assert PointsOracle(ring, [[1, 0], (1, 0)]).points == [(1, 0)]

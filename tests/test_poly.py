@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from lastfall import (LastfallError, MalformedInput, NEG_INF, PolySystem, Ring,
                       RingMismatch, UnassignedVariable, make_field)
 from lastfall.poly import grevlex_descending_key, grevlex_key, monomials_up_to, sum_terms
+from conftest import deadline
 from oracles import apply_sigma, malformed_system_docs, normal_form_field_eqs, random_system
 
 
@@ -174,6 +175,14 @@ def test_malformed_exponents_are_refused(gf4, exps):
         ring.from_terms([(exps, 1)])
     with pytest.raises(MalformedInput):
         ring.monomial(exps)
+
+
+@pytest.mark.parametrize("exponent", [-1, True])
+def test_pow_int_refuses_a_malformed_exponent(gf4, exponent):
+    """x.pow_int(-1) once shifted -1 right forever, and x.pow_int(True) was x."""
+    x = Ring(gf4, "k", ["X0"]).variable(0)
+    with deadline(5), pytest.raises(MalformedInput, match="^exponent must be an integer >= 0"):
+        x.pow_int(exponent)
 
 
 @pytest.mark.parametrize("coeff", [[1.5, 0], [1, 0, 0], [1], [2, 0], ["1", 0]])
