@@ -21,8 +21,8 @@ from itertools import product
 from . import univar
 from .descent import (build_F1, build_Fprime, build_Fprime1, f1_points,
                       fprime1_points, make_descent_context)
-from .errors import (CampaignExhausted, LastfallError, MalformedInput, NotReducible, as_int,
-                     json_text, json_value)
+from .errors import (CampaignExhausted, EnumerationBudgetExceeded, LastfallError,
+                     MalformedInput, NotReducible, as_int, json_text, json_value)
 from .falldeg import PointsOracle, last_fall_degree
 from .gf import FieldSpec, make_field
 from .linsys import (LinearizedPoly, brute_force_solve, enumerate_solutions,
@@ -37,8 +37,7 @@ from .poly import PolySystem, Ring, monomials_up_to
 def gen_random_system(ring, degree, count, rng):
     """Dense uniform systems: every monomial of degree <= `degree` gets a
     uniform coefficient; all-zero polynomials are redrawn."""
-    if degree < 0:
-        raise MalformedInput(f"degree {degree} is negative")
+    degree, count = as_int(degree, "degree", least=0), as_int(count, "count", least=0)
     monos = monomials_up_to(ring.nvars, degree)
     out = []
     for _ in range(count):
@@ -52,8 +51,8 @@ def gen_random_system(ring, degree, count, rng):
 
 def gen_random_linearized(field, m, bound, count, rng, exact_top=True):
     """Random linearized polynomials, coefficient rows uniform over k."""
-    if bound < 1 or m < 1:
-        raise MalformedInput(f"bound {bound} and m {m} must both be at least 1")
+    m, bound = as_int(m, "m", least=1), as_int(bound, "bound", least=1)
+    count = as_int(count, "count", least=0)
     out = []
     for _ in range(count):
         while True:
@@ -76,13 +75,11 @@ def linearized_system_poly(F, field, m):
 
 # -- campaigns -------------------------------------------------------------------
 
-# the largest degree of a thm11 system, the number of draws a campaign makes
-# per combination before giving up, and the largest W^m enumerated to
-# cross-check a non-reducible solver row
+# the largest degree of a thm11 system, and the number of draws a campaign
+# makes per combination before giving up
 _DEGREE_MAX = 3
 _THM26_MAX_ATTEMPTS = 200
 _EXAMPLE_MAX_ATTEMPTS = 400
-_POINT_BUDGET = 4096
 
 
 @dataclass
@@ -132,6 +129,19 @@ def _run_campaign(name, columns, rows):
     return CampaignResult(name, ("instance",) + columns, out, timings)
 
 
+def _campaign_args(seed, count, combos, arity, count_name="per_combo", what="combos"):
+    """A campaign's arguments, read before its first draw: the seed and the
+    count as integers >= 0, and `combos` as a list or tuple of entries, each
+    an integer >= 1 (arity None) or a list or tuple of `arity` of them."""
+    seed, count = as_int(seed, "seed", least=0), as_int(count, count_name, least=0)
+    shape = "integers" if arity is None else f"lists of {arity} integers"
+    if not isinstance(combos, (list, tuple)) or arity is not None and not all(
+            isinstance(c, (list, tuple)) and len(c) == arity for c in combos):
+        raise MalformedInput(f"{what} must be a list of {shape}, got {combos!r}")
+    return seed, count, [as_int(c, what, least=1) if arity is None
+                         else tuple(as_int(v, what, least=1) for v in c) for c in combos]
+
+
 def _status(certified, ok):
     """Rows resting on a cap-limited profile are never passes."""
     if not certified:
@@ -162,6 +172,8 @@ _THM11_COMBOS = tuple((p, n, m) for p in (2, 3) for n in (2, 3) for m in (1, 2))
 def verify_thm_1_1(seed=0, per_combo=25, combos=_THM11_COMBOS):
     """Exact equality of max(fall degree, q*deg) across the descent, on seeded
     random systems.  Rows with an uncertified side are inconclusive."""
+    seed, per_combo, combos = _campaign_args(seed, per_combo, combos, 3)
+
     def rows():
         for (p, n, m) in combos:
             field = make_field(p, 1, n)
@@ -195,6 +207,8 @@ _THM26_COMBOS = tuple((n, m, c) for n in (2, 3, 4) for m in (1, 2) for c in (1, 
 def verify_thm_2_6(seed=0, per_combo=9, combos=_THM26_COMBOS):
     """Fall-degree bound for descended linearized systems that pass the
     reducibility test for W = k (q = 2)."""
+    seed, per_combo, combos = _campaign_args(seed, per_combo, combos, 3)
+
     def rows():
         for (n, m, c) in combos:
             field = make_field(2, 1, n)
@@ -234,7 +248,10 @@ _SOLVER_COMBOS = tuple((n, m) for n in (2, 3, 4) for m in (1, 2))
 def verify_solver(seed=0, per_combo=84, combos=_SOLVER_COMBOS):
     """Structured solver vs the stacked-kernel oracle on random (F, W).  A
     reducible row whose rewritten system has a cap-limited profile is
-    inconclusive, with fall_bound_ok = -1."""
+    inconclusive, with fall_bound_ok = -1.  A non-reducible row whose W^m is
+    too large to enumerate is not cross-checked, with fall_bound_ok = 1."""
+    seed, per_combo, combos = _campaign_args(seed, per_combo, combos, 2)
+
     def rows():
         for (n, m) in combos:
             field = make_field(2, 1, n)
@@ -267,9 +284,11 @@ def verify_solver(seed=0, per_combo=84, combos=_SOLVER_COMBOS):
                         "status": _status(prof.certified, fall_ok == 1) if equal else "fail",
                     })
                 else:
-                    crosscheck = 1
-                    if field.q ** (m * space.nprime) <= _POINT_BUDGET:
-                        pts = set(enumerate_solutions(F, space, m=m, budget=_POINT_BUDGET))
+                    try:
+                        pts = set(enumerate_solutions(F, space, m=m))
+                    except EnumerationBudgetExceeded:
+                        crosscheck = 1
+                    else:
                         crosscheck = int(pts == set(_kprime_span(field, oracle_sb.generators, m)))
                     row.update({
                         "reducible": 0, "dim_structured": -1,
@@ -302,6 +321,7 @@ def verify_example(seed=0, per_n=10, ns=(3, 5)):
     q = 2: whenever one of the univariate companions is coprime to x^n - 1,
     the descended-plus-field-equations system falls no later than 2q."""
     q = 2
+    seed, per_n, ns = _campaign_args(seed, per_n, ns, None, "per_n", "ns")
 
     def rows():
         for n in ns:
@@ -497,27 +517,6 @@ _CAMPAIGNS = {
 }
 
 
-# the length of each `combos` entry of a campaign
-_COMBO_ARITY = {"thm11": 3, "thm26": 3, "solver": 2}
-
-
-def _check_campaign_values(campaign, kwargs):
-    """Refuse a config entry value that the campaign cannot run with."""
-    for key in ("seed", "per_combo", "per_n"):
-        if key in kwargs:
-            as_int(kwargs[key], key, least=0)
-    combos, arity = kwargs.get("combos", []), _COMBO_ARITY.get(campaign)
-    if not (isinstance(combos, list)
-            and all(isinstance(c, list) and len(c) == arity for c in combos)):
-        raise MalformedInput(f"'combos' must be a list of lists of {arity} integers, "
-                             f"got {combos!r}")
-    ns = kwargs.get("ns", [])
-    if not isinstance(ns, list):
-        raise MalformedInput(f"'ns' must be a list of integers, got {ns!r}")
-    for key, value in [("combos", v) for c in combos for v in c] + [("ns", v) for v in ns]:
-        as_int(value, key, least=1)
-
-
 def cmd_verify(args):
     cfg = _load_config(args.config)
     kwargs = cfg.get(args.campaign, {})
@@ -530,8 +529,8 @@ def cmd_verify(args):
         print(f"lastfall verify {args.campaign}: unknown config key(s): "
               f"{', '.join(unknown)}", file=sys.stderr)
         return 2
-    _check_campaign_values(args.campaign, kwargs)
-    if args.seed is not None:
+    if args.seed is not None:  # a config seed is read even when --seed replaces it
+        as_int(kwargs.get("seed", 0), "seed", least=0)
         kwargs["seed"] = args.seed
     result = campaign(**kwargs)
     if args.out:

@@ -2,8 +2,8 @@
 outside it: :func:`as_int` and :func:`as_codes` read every integer that a
 caller, a JSON file or a config hands in, with one rule (an ``int`` or a
 numpy integer, never a ``bool``), and refuse anything else, or a value out
-of range, with :class:`MalformedInput`; :func:`json_text` decodes JSON text
-and :func:`json_value` reads a JSON key."""
+of range, with :class:`MalformedInput`; :func:`as_items` reads a container;
+:func:`json_text` decodes JSON text and :func:`json_value` reads a JSON key."""
 
 import json
 import operator
@@ -124,6 +124,16 @@ def as_codes(values, below, what, length=None):
         raise MalformedInput(f"{what} must be a list of {count}integers"
                              f"{_bounds(0, below)}, got {values!r}") from None
     return codes
+
+
+def as_items(values, what):
+    """The items of the iterable `values` as a tuple; anything that is not
+    iterable raises MalformedInput."""
+    try:
+        items = iter(values)
+    except TypeError:
+        raise MalformedInput(f"{what} must be an iterable, got {values!r}") from None
+    return tuple(items)
 
 
 def _bounds(least, below):

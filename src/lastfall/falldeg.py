@@ -79,7 +79,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import (DegreeTooHigh, EnumerationBudgetExceeded, OracleInconsistent,
-                     RingMismatch, StepBudgetExceeded, as_codes, as_int)
+                     RingMismatch, StepBudgetExceeded, as_codes, as_int, as_items)
 from .linalg import DTYPE, Echelon, reduce_row
 from .poly import (NEG_INF, MultiPoly, grevlex_descending_key, grevlex_key, monomials_of_degree,
                    sum_terms)
@@ -927,15 +927,17 @@ class PointsOracle:
     minimal border monomial is the basis degree.  A walk that ends with
     fewer standard monomials than points raises RuntimeError.
 
-    A point that is not a list or tuple of nvars codes of the field raises
-    MalformedInput (errors.as_codes).
+    Points that are not an iterable, or a point that is not a list or tuple
+    of nvars codes of the field, raise MalformedInput (errors.as_items and
+    as_codes).
     """
 
     def __init__(self, ring, points):
         self.ring = ring
         self.ops = ops = ring.ops
         nvars = ring.nvars
-        self.points = sorted({as_codes(pt, ops.order, "point", nvars) for pt in points})
+        self.points = sorted({as_codes(pt, ops.order, "point", nvars)
+                              for pt in as_items(points, "points")})
         self.npoints = len(self.points)
         coords = np.array(self.points, dtype=DTYPE).reshape(self.npoints, nvars)
         coord_vals = list(np.ascontiguousarray(coords.T))

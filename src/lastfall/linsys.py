@@ -24,7 +24,8 @@ import numpy as np
 
 from . import univar
 from .errors import (DegreeExceedsBound, DivisionByZero, EnumerationBudgetExceeded,
-                     MalformedInput, NotABasis, NotADivisor, NotReducible, as_codes, as_int)
+                     MalformedInput, NotABasis, NotADivisor, NotReducible, as_codes, as_int,
+                     as_items)
 from .linalg import DTYPE, Echelon, kernel_basis, rref
 from .poly import PolySystem, Ring, frobenius_relations
 
@@ -78,7 +79,7 @@ class LinearizedPoly:
 
     def __init__(self, field, rows, bound=None):
         """Each row is a list of codes of k (see :func:`errors.as_codes`)."""
-        rows = [univar.trim(as_codes(r, field.order, "row")) for r in rows]
+        rows = [univar.trim(as_codes(r, field.order, "row")) for r in as_items(rows, "rows")]
         bound = (max((len(r) for r in rows), default=1) if bound is None
                  else as_int(bound, "bound", least=1))
         for r in rows:

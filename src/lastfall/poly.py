@@ -17,7 +17,7 @@ import operator
 from itertools import chain, combinations_with_replacement
 
 from .errors import (MalformedInput, RingMismatch, UnassignedVariable, as_codes, as_int,
-                     json_text, json_value)
+                     as_items, json_text, json_value)
 from .gf import FieldSpec
 
 NEG_INF = float("-inf")
@@ -335,8 +335,10 @@ class PolySystem:
     """A finite list of polynomials sharing one ring (duplicates allowed)."""
 
     def __init__(self, ring, polys):
-        polys = tuple(polys)
+        polys = as_items(polys, "polys")
         for f in polys:
+            if not isinstance(f, MultiPoly):
+                raise MalformedInput(f"a system holds polynomials, got {f!r}")
             if f.ring != ring:
                 raise RingMismatch("system polynomials live in different rings")
         self.ring = ring

@@ -94,22 +94,6 @@ def gcd(ar, f, g):
     return monic(ar, f)
 
 
-def ext_gcd(ar, f, g):
-    """Return (d, u, v) with u*f + v*g = d and d the monic gcd."""
-    r0, r1 = trim(f), trim(g)
-    u0, u1 = (1,), ZERO
-    v0, v1 = ZERO, (1,)
-    while r1:
-        q, r = divmod_poly(ar, r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, sub(ar, u0, mul(ar, q, u1))
-        v0, v1 = v1, sub(ar, v0, mul(ar, q, v1))
-    if not r0:
-        return ZERO, ZERO, ZERO
-    c = ar.inv(r0[-1])
-    return scale(ar, c, r0), scale(ar, c, u0), scale(ar, c, v0)
-
-
 def divides(ar, f, g):
     """True when f divides g."""
     if not f:

@@ -325,9 +325,25 @@ class NotCoprime(LastfallError):
         super().__init__(f"polynomials are not coprime, gcd has degree {len(self.gcd) - 1}")
 
 
+def ext_gcd(ar, f, g):
+    """Return (d, u, v) with u*f + v*g = d and d the monic gcd."""
+    r0, r1 = univar.trim(f), univar.trim(g)
+    u0, u1 = (1,), univar.ZERO
+    v0, v1 = univar.ZERO, (1,)
+    while r1:
+        q, r = univar.divmod_poly(ar, r0, r1)
+        r0, r1 = r1, r
+        u0, u1 = u1, univar.sub(ar, u0, univar.mul(ar, q, u1))
+        v0, v1 = v1, univar.sub(ar, v0, univar.mul(ar, q, v1))
+    if not r0:
+        return univar.ZERO, univar.ZERO, univar.ZERO
+    c = ar.inv(r0[-1])
+    return univar.scale(ar, c, r0), univar.scale(ar, c, u0), univar.scale(ar, c, v0)
+
+
 def bezout_pair(ar, f, g):
     """Certificate (u, v) with u*f + v*g = 1; raises NotCoprime otherwise."""
-    d, u, v = univar.ext_gcd(ar, f, g)
+    d, u, v = ext_gcd(ar, f, g)
     if d != (1,):
         raise NotCoprime(d)
     return u, v
@@ -369,7 +385,7 @@ def bezout(f0, fW, field):
     """Plain extended Euclid over k[x]: (A, B) with A f0 + B fW = 1 and
     deg A < deg fW; raises NotCoprime with the gcd as witness."""
     ar = field.k
-    d, u, v = univar.ext_gcd(ar, f0, fW)
+    d, u, v = ext_gcd(ar, f0, fW)
     if d != (1,):
         raise NotCoprime(d)
     if univar.degree(fW) >= 1 and univar.degree(u) >= univar.degree(fW):

@@ -343,7 +343,9 @@ _ONE_THM11 = {"per_combo": 1, "combos": [[2, 2, 1]]}
 _PLAIN = "lastfall verify: "
 
 
-@pytest.mark.parametrize("campaign,config,prefix", [
+# (campaign, config, the start of the one stderr line) of each config that
+# `lastfall verify` refuses
+_MALFORMED_VERIFY_CONFIGS = [
     pytest.param("thm11", [1], _PLAIN, id="config-not-object"),
     pytest.param("thm11", {"thm11": [1]}, _PLAIN, id="entry-not-object"),
     pytest.param("thm11", {"thm11": {**_ONE_THM11, "seed": "x"}}, _PLAIN, id="seed-string"),
@@ -368,7 +370,10 @@ _PLAIN = "lastfall verify: "
                                        "combos": [[2, 1]]}},
                  "lastfall verify solver: unknown config key(s): check_fall_bound",
                  id="check-fall-bound-string"),
-])
+]
+
+
+@pytest.mark.parametrize("campaign,config,prefix", _MALFORMED_VERIFY_CONFIGS)
 def test_cli_verify_refuses_malformed_config(tmp_path, capsys, campaign, config, prefix):
     """Each of these configs once ended in a traceback, or ran (an empty
     campaign for a negative count, a string read as true) and exited 0.
@@ -382,6 +387,45 @@ def test_cli_verify_refuses_malformed_config(tmp_path, capsys, campaign, config,
     assert captured.out == ""
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith(prefix)
+
+
+@pytest.mark.parametrize("campaign,entry", [
+    pytest.param(campaign, config[campaign], id=param.id)
+    for param in _MALFORMED_VERIFY_CONFIGS
+    for campaign, config, prefix in [param.values]
+    if prefix == _PLAIN and isinstance(config, dict) and isinstance(config[campaign], dict)])
+def test_campaigns_refuse_the_values_verify_refuses(campaign, entry):
+    """The config values that `lastfall verify` refuses, handed to the
+    campaign function itself, are refused by name: each once ran (an empty
+    campaign for a negative count, a seed tag of "x" or -1), ended in a bare
+    ValueError or TypeError, or (a combos entry of 1.5) was refused as m,
+    since only the command line read them."""
+    with deadline(30), pytest.raises(MalformedInput, match=f"^({'|'.join(entry)}) must be"):
+        cli._CAMPAIGNS[campaign](**entry)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: verify_thm_2_6(per_combo=1.5, combos=((2, 1, 1),)),
+    lambda: verify_thm_1_1(per_combo=-1),
+    lambda: gen_random_system(Ring(make_field(2, 1, 2), "k", ["X0"]), 1, -1, random.Random(0)),
+], ids=["thm26-per-combo-float", "thm11-per-combo-negative", "count-negative"])
+def test_harness_refuses_counts_it_once_ran_silently(call):
+    """thm26 once ran per_combo = 1.5 as two rows, thm11 ran per_combo = -1
+    as an empty campaign that passed, and count = -1 drew an empty system."""
+    with deadline(30), pytest.raises(MalformedInput, match="^(per_combo|count) must be"):
+        call()
+
+
+def test_cli_verify_reads_a_config_seed_that_seed_replaces(tmp_path, capsys):
+    """--seed replaces the config's seed, but a config seed of -1 is still
+    refused."""
+    cfg = tmp_path / "verify.json"
+    cfg.write_text(json.dumps({"thm11": {**_ONE_THM11, "seed": -1}}))
+    with deadline(30):
+        rc = main(["--seed", "0", "--config", str(cfg), "verify", "thm11"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.splitlines() == ["lastfall verify: seed must be an integer >= 0, got -1"]
 
 
 def test_solver_uncertified_fall_bound_is_inconclusive(tmp_path, capsys, monkeypatch):

@@ -1,7 +1,8 @@
-"""The readers of integers, codes and JSON text from outside, and the rule
-that no other module reads integers or decodes JSON itself."""
+"""The readers of integers, codes, containers and JSON text from outside,
+and the rule that no other module reads integers or decodes JSON itself."""
 
 import ast
+import random
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lastfall import MalformedInput, PointsOracle, PolySystem, Ring, groebner_toy
+from lastfall.cli import (gen_random_linearized, gen_random_system, verify_example,
+                          verify_solver, verify_thm_1_1, verify_thm_2_6)
 from lastfall.errors import as_codes, as_int, json_text
 from lastfall.linsys import (LinearizedPoly, brute_force_solve, enumerate_solutions, full_space,
                              reducibility_check, solve_structured)
@@ -82,6 +85,19 @@ INTEGER_ARGUMENTS = {
         "step_budget", lambda f, v: groebner_toy(PolySystem(_x(f).ring, [_x(f)]), step_budget=v)),
     "LinearizedPoly": ("bound", lambda f, v: LinearizedPoly(f, [[0, 1]], bound=v)),
     "PointsOracle": ("point", lambda f, v: PointsOracle(Ring(f, "k", ["X0", "X1"]), [(v, 0)])),
+    "verify_thm_1_1": ("seed", lambda f, v: verify_thm_1_1(seed=v, per_combo=0)),
+    "verify_thm_2_6": ("per_combo", lambda f, v: verify_thm_2_6(per_combo=v, combos=())),
+    "verify_solver": ("combos", lambda f, v: verify_solver(per_combo=0, combos=[(2, v)])),
+    "verify_example": ("per_n", lambda f, v: verify_example(per_n=v, ns=())),
+    "verify_example-ns": ("ns", lambda f, v: verify_example(per_n=0, ns=[v])),
+    "gen_random_system": (
+        "degree", lambda f, v: gen_random_system(_x(f).ring, v, 1, random.Random(0))),
+    "gen_random_system-count": (
+        "count", lambda f, v: gen_random_system(_x(f).ring, 1, v, random.Random(0))),
+    "gen_random_linearized": (
+        "m", lambda f, v: gen_random_linearized(f, v, 2, 1, random.Random(0))),
+    "gen_random_linearized-bound": (
+        "bound", lambda f, v: gen_random_linearized(f, 1, v, 1, random.Random(0))),
 }
 
 
@@ -93,6 +109,21 @@ def test_integer_arguments_are_read_by_the_shared_rule(gf8, argument):
     for value in (True, 1.5, "1"):
         with deadline(5), pytest.raises(MalformedInput, match=f"^{what} must be"):
             call(gf8, value)
+
+
+@pytest.mark.parametrize("call", [
+    lambda ring: PointsOracle(ring, 5),
+    lambda ring: PointsOracle(ring, None),
+    lambda ring: LinearizedPoly(ring.field, 5),
+    lambda ring: PolySystem(ring, 5),
+    lambda ring: PolySystem(ring, [5]),
+], ids=["PointsOracle-int", "PointsOracle-None", "LinearizedPoly-int", "PolySystem-int",
+        "PolySystem-item"])
+def test_containers_are_read_by_the_shared_rule(gf8, call):
+    """Each of these once ended in a bare TypeError ("'int' object is not
+    iterable"), or for an item that is no polynomial an AttributeError."""
+    with pytest.raises(MalformedInput):
+        call(Ring(gf8, "k", ["X0", "X1"]))
 
 
 def _integer_reads(tree):
